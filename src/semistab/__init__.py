@@ -14,7 +14,6 @@ from .measure import (
 from .linalg import (
     CLOSED_FORM,
     QUADRATURE,
-    SpectralSummary,
     as_matrix,
     cesaro_mean,
     eigenvalues,
@@ -23,11 +22,9 @@ from .linalg import (
     norm2,
     spectral_bound,
     spectral_radius,
-    summarize,
 )
 from .semigroup import (
     BochnerFunction,
-    OperatorSample,
     PointwiseFamily,
     apply,
     identity_sample,
@@ -37,7 +34,6 @@ from .semigroup import (
     refine_family,
     time_grid,
     trajectory,
-    uniform_bound_estimate,
 )
 from .report import (
     INCONCLUSIVE,

@@ -41,7 +41,7 @@ def zabczyk_family(n_max, embed_dim=None):
     return PointwiseFamily(
         space=space,
         dim=embed,
-        generators=generators,
+        matrices=generators,
         active_dims=np.arange(1, n_max + 1),
     )
 
@@ -62,7 +62,7 @@ def rotation_family(cells):
 
     generators = np.stack([rule(float(s)) for s in space.labels])
     return PointwiseFamily(
-        space=space, dim=1, generators=generators, generator_rule=rule
+        space=space, dim=1, matrices=generators, generator_rule=rule
     )
 
 
@@ -84,7 +84,7 @@ def random_hurwitz_family(seed, dim, cells, margin):
     space = DiscretizedMeasureSpace(
         weights=np.ones(cells), labels=np.arange(cells, dtype=float), mode=ATOMIC
     )
-    return PointwiseFamily(space=space, dim=dim, generators=generators)
+    return PointwiseFamily(space=space, dim=dim, matrices=generators)
 
 
 def diagonal_family(rates, weights=None):
@@ -101,4 +101,4 @@ def diagonal_family(rates, weights=None):
         weights=weights, labels=np.arange(rates.size, dtype=float), mode=ATOMIC
     )
     generators = rates.reshape(-1, 1, 1)
-    return PointwiseFamily(space=space, dim=1, generators=generators)
+    return PointwiseFamily(space=space, dim=1, matrices=generators)

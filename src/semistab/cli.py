@@ -172,7 +172,7 @@ def build_family(cfg):
             space_cfg.get("labels", np.arange(cells, dtype=float)), dtype=float
         )
         space = DiscretizedMeasureSpace(weights=weights, labels=labels, mode=ATOMIC)
-        return semigroup.PointwiseFamily(space=space, dim=mats.shape[1], generators=mats)
+        return semigroup.PointwiseFamily(space=space, dim=mats.shape[1], matrices=mats)
     raise ConfigError(f"unknown or missing family builtin {builtin!r}")
 
 
@@ -227,6 +227,8 @@ def run_analysis(cfg):
         float(tol["margin"]),
         grid_points=grid_points,
     )
+    times = semigroup.time_grid(horizon, grid_points)
+    samples, norms = _stage("semigroup.norm_curves", semigroup.norm_curves, family, times)
     strong = _stage(
         "stability.classify_strong",
         stability.classify_strong,
@@ -236,6 +238,9 @@ def run_analysis(cfg):
         p=p,
         re_tol=float(tol["re_tol"]),
         grid_points=grid_points,
+        times=times,
+        samples=samples,
+        norms=norms,
     )
     almost_weak = _stage(
         "stability.classify_almost_weak",
@@ -248,6 +253,8 @@ def run_analysis(cfg):
         grid_points=grid_points,
         delta_sweep=tuple(aw_cfg["delta_sweep"]),
         slope_cap=float(aw_cfg["slope_cap"]),
+        times=times,
+        norms=norms,
     )
     report = stability.build_report(uniform, strong, almost_weak)
 

@@ -13,14 +13,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import linalg, semigroup
 from .errors import DomainError
 from .measure import density_discrete, ess_sup
 from .report import (
     INCONCLUSIVE,
     NOT_STABLE,
     STABLE,
-    Cluster,
     DiscreteReport,
     Witness,
 )
@@ -56,7 +55,7 @@ def power_schedule(n_max):
 def _cell_radii(sample):
     rhos = np.zeros(sample.space.n_cells)
     for c in sample.space.positive_cells():
-        rhos[c] = linalg.spectral_radius(sample.block(int(c)))
+        rhos[c] = float(np.abs(sample.spectrum(c)).max())
     return rhos
 
 
@@ -80,8 +79,7 @@ def power_bounded_estimate(sample, n_max, *, uni_tol=1e-9, match_tol=1e-6):
         bound = max(bound, ess_sup(sample.space, cell_norms))
     certified = True
     for c in positive:
-        block = sample.block(int(c))
-        eigs = linalg.eigenvalues(block)
+        eigs = sample.spectrum(c)
         radius = float(np.abs(eigs).max())
         if radius < 1.0 - uni_tol:
             continue
@@ -89,11 +87,8 @@ def power_bounded_estimate(sample, n_max, *, uni_tol=1e-9, match_tol=1e-6):
             certified = False
             continue
         unimodular = eigs[np.abs(eigs) >= 1.0 - uni_tol]
-        for rep in linalg.cluster_representatives(unimodular, match_tol):
-            alg, geo = linalg.semisimple_multiplicities(block, rep, match_tol)
-            if geo < alg:
-                certified = False
-                break
+        if linalg.defective_cluster(sample.block(int(c)), eigs, unimodular, match_tol) is not None:
+            certified = False
     return PowerBound(bound=float(bound), certified=certified)
 
 
@@ -143,20 +138,21 @@ def classify_discrete_uniform(sample, margin, *, norm_check=True,
     return DiscreteClassification(STABLE, (), detail)
 
 
-def classify_discrete_strong(sample, n_max, *, uni_tol=1e-9, match_tol=1e-6):
+def classify_discrete_strong(sample, n_max, *, uni_tol=1e-9, match_tol=1e-6, gate=None):
     """Strong stability of the powers: needs a certified power bound, then
     r(M(s)) < 1 on every positive-weight cell. A cell with a (necessarily
     semisimple, after certification) unimodular eigenvalue is a NotStable
-    witness: its eigenvector is a non-decaying orbit."""
-    gate = power_bounded_estimate(sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
+    witness: its eigenvector is a non-decaying orbit. `gate` may pass the
+    power_bounded_estimate of the sample when it is already known."""
+    if gate is None:
+        gate = power_bounded_estimate(sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
     detail = {"power_bound": gate.bound, "power_certified": gate.certified}
     if not gate.certified:
         return DiscreteClassification(
             INCONCLUSIVE, (Witness(None, gate.bound, "power-bound-gate-uncertified"),), detail
         )
     for c in sample.space.positive_cells():
-        block = sample.block(int(c))
-        eigs = linalg.eigenvalues(block)
+        eigs = sample.spectrum(c)
         radius = float(np.abs(eigs).max())
         if radius >= 1.0 - uni_tol:
             lam = complex(eigs[np.argmax(np.abs(eigs))])
@@ -170,48 +166,22 @@ def unimodular_point_spectrum(sample, uni_tol=1e-9, match_tol=1e-6):
     """Unit-circle eigenvalues carried by positive-weight cells, clustered
     into balls of radius match_tol (discrete analogue of the imaginary-axis
     point spectrum)."""
-    cand_vals = []
-    cand_cells = []
-    for c in sample.space.positive_cells():
-        eigs = linalg.eigenvalues(sample.block(int(c)))
-        for lam in eigs[np.abs(np.abs(eigs) - 1.0) <= uni_tol]:
-            cand_vals.append(complex(lam))
-            cand_cells.append(int(c))
-    if not cand_vals:
-        return []
-    vals = np.asarray(cand_vals)
-    cells = np.asarray(cand_cells)
-    order = np.lexsort((cells, vals.real, vals.imag))
-    vals = vals[order]
-    cells = cells[order]
-    assigned = np.zeros(vals.size, dtype=bool)
-    weights = sample.space.weights
-    clusters = []
-    for i in range(vals.size):
-        if assigned[i]:
-            continue
-        members = (~assigned) & (np.abs(vals - vals[i]) <= match_tol)
-        assigned |= members
-        support = sorted(set(cells[members].tolist()))
-        clusters.append(
-            Cluster(
-                eigenvalue=complex(vals[members].mean()),
-                cells=tuple(support),
-                measure=float(weights[support].sum()),
-            )
-        )
-    return clusters
+    return semigroup.point_spectrum(
+        sample, lambda e: np.abs(np.abs(e) - 1.0) <= uni_tol, match_tol
+    )
 
 
 def classify_discrete_almost_weak(sample, *, n_max=512, eps=1e-3, seed=0,
                                   uni_tol=1e-9, match_tol=1e-6,
-                                  density_cap=DENSITY_CAP):
+                                  density_cap=DENSITY_CAP, gate=None):
     """Almost weak stability of the powers: certified power bound and no
     unit-circle point spectrum on positive-weight cells (the criterion),
     corroborated by an orbit density test: for random x, phi per cell the
     set {n <= n_max : |<M^n x, phi>| >= eps ||x|| ||phi||} must have density
-    at most `density_cap` (evidence, not proof)."""
-    gate = power_bounded_estimate(sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
+    at most `density_cap` (evidence, not proof). `gate` is as for
+    classify_discrete_strong."""
+    if gate is None:
+        gate = power_bounded_estimate(sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
     detail = {"power_bound": gate.bound, "power_certified": gate.certified}
     if not gate.certified:
         return DiscreteClassification(
@@ -266,9 +236,12 @@ def build_discrete_report(sample, *, margin, n_max, eps=1e-3, seed=0,
     """Run all three discrete classifiers and assemble the report."""
     gate = power_bounded_estimate(sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
     uniform = classify_discrete_uniform(sample, margin)
-    strong = classify_discrete_strong(sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
+    strong = classify_discrete_strong(
+        sample, n_max, uni_tol=uni_tol, match_tol=match_tol, gate=gate
+    )
     almost = classify_discrete_almost_weak(
-        sample, n_max=n_max, eps=eps, seed=seed, uni_tol=uni_tol, match_tol=match_tol
+        sample, n_max=n_max, eps=eps, seed=seed, uni_tol=uni_tol, match_tol=match_tol,
+        gate=gate,
     )
     return DiscreteReport(
         uniform=uniform.verdict,

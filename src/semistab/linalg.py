@@ -9,8 +9,6 @@ Matrices are plain complex ndarrays; the operator norm is the 2-norm
 (largest singular value) throughout.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import (
@@ -29,6 +27,10 @@ _EPS = float(np.finfo(float).eps)
 #: computed spectral radii of unitary orbits land at 1 +- a few ulps; radii
 #: at least 1 - RADIUS_ROUNDOFF are treated as >= 1 by the classifiers.
 RADIUS_ROUNDOFF = 1e-12
+
+#: the rank test of semisimple_multiplicities counts singular values up to
+#: this multiple of the eigenvalue cluster's radius as zero.
+CLUSTER_RANK_FACTOR = 2.0
 
 
 def as_matrix(a):
@@ -178,64 +180,62 @@ def spectral_radius(a):
     return float(np.abs(eigenvalues(a)).max())
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Spectrum of a generator plus the derived stability quantities."""
-
-    eigenvalues: np.ndarray
-    spectral_bound: float
-    re_tol: float
-    imaginary_eigs: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        on_axis = self.eigenvalues[np.abs(self.eigenvalues.real) <= self.re_tol]
-        object.__setattr__(self, "imaginary_eigs", on_axis)
-
-    def exp_radius_at(self, t):
-        """Spectral radius of e^{tA}; in finite dimension this is exactly
-        e^{t * spectral_bound}."""
-        return float(np.exp(t * self.spectral_bound))
-
-
-def summarize(a, re_tol=1e-9):
-    eigs = eigenvalues(a)
-    return SpectralSummary(
-        eigenvalues=eigs, spectral_bound=float(eigs.real.max()), re_tol=re_tol
-    )
-
-
-def cluster_representatives(values, tol):
+def ball_clusters(values, tol, tags=None):
     """Greedy ball clustering of complex values: walk the values in a
-    canonical order (imag, then real) and open a ball of radius tol around
-    the first unassigned value. Returns the member means, one per ball."""
+    canonical order (imag, then real, then tag) and open a ball of radius
+    tol around the first unassigned value. Returns one (member mean, member
+    tags) pair per ball; the tags default to the value positions."""
     values = np.asarray(values, dtype=complex).ravel()
-    if values.size == 0:
-        return []
-    order = np.lexsort((values.real, values.imag))
+    tags = np.arange(values.size) if tags is None else np.asarray(tags)
+    order = np.lexsort((tags, values.real, values.imag))
     vals = values[order]
+    tags = tags[order]
     assigned = np.zeros(vals.size, dtype=bool)
-    reps = []
+    clusters = []
     for i in range(vals.size):
         if assigned[i]:
             continue
         members = (~assigned) & (np.abs(vals - vals[i]) <= tol)
         assigned |= members
-        reps.append(complex(vals[members].mean()))
-    return reps
+        clusters.append((complex(vals[members].mean()), tags[members]))
+    return clusters
 
 
-def semisimple_multiplicities(a, lam, match_tol=1e-6, rank_rtol=1e-8):
+def semisimple_multiplicities(a, lam, match_tol=1e-6, rank_rtol=1e-8, eigs=None):
     """(algebraic, geometric) multiplicity of the eigenvalue cluster of `a`
-    within match_tol of lam; geometric via a rank test on a - lam*I."""
+    within match_tol of lam; geometric via a rank test on a - lam*I.
+
+    Distinct semisimple eigenvalues inside the ball leave singular values of
+    a - lam*I up to the cluster's own radius, so those count as rank
+    deficient too; a Jordan block keeps one singular value near its
+    superdiagonal and still reads defective. `eigs` may pass the spectrum
+    of `a` when it is already known.
+    """
     a = as_matrix(a)
     n = a.shape[0]
-    eigs = eigenvalues(a)
-    alg = int(np.count_nonzero(np.abs(eigs - lam) <= match_tol))
+    if eigs is None:
+        eigs = eigenvalues(a)
+    dist = np.abs(eigs - lam)
+    near = dist <= match_tol
+    alg = int(np.count_nonzero(near))
+    radius = float(dist[near].max()) if alg else 0.0
     shifted = a - lam * np.eye(n)
     sig = np.linalg.svd(shifted, compute_uv=False)
-    cut = rank_rtol * max(1.0, float(sig[0]))
+    cut = max(rank_rtol * max(1.0, float(sig[0])), CLUSTER_RANK_FACTOR * radius)
     geo = n - int(np.count_nonzero(sig > cut))
     return alg, geo
+
+
+def defective_cluster(a, eigs, boundary, match_tol=1e-6):
+    """Mean of the first ball of `boundary` eigenvalues (a subset of the
+    spectrum `eigs` of `a`, clustered with ball_clusters) whose geometric
+    multiplicity falls short of the algebraic one, or None when every such
+    eigenvalue is semisimple."""
+    for rep, _ in ball_clusters(boundary, match_tol):
+        alg, geo = semisimple_multiplicities(a, rep, match_tol, eigs=eigs)
+        if geo < alg:
+            return rep
+    return None
 
 
 def ergodic_projection(a, re_tol=1e-9):

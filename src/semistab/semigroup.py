@@ -1,10 +1,10 @@
 """Multiplication operators and semigroups over a discretized measure space.
 
-A pointwise family assigns one generator matrix per cell; an operator
-sample assigns one operator matrix per cell (typically e^{tA(s)} at a fixed
-time); vector-valued functions carry one state vector per cell. The norm of
-a multiplication operator is the essential supremum of the pointwise
-operator norms and is independent of the exponent p.
+A pointwise family assigns one matrix per cell: a generator A(s), or an
+operator M(s) such as e^{tA(s)} at a fixed time; vector-valued functions
+carry one state vector per cell. The norm of a multiplication operator is
+the essential supremum of the pointwise operator norms and is independent of
+the exponent p.
 
 Cells may carry an `active_dims` entry smaller than the storage dimension:
 the cell's operator then lives on the leading block and the trailing
@@ -15,88 +15,77 @@ block.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NumericalFailureError, ShapeError
 from .measure import DiscretizedMeasureSpace, ess_sup
-
-
-def _check_active(active_dims, n_cells, dim):
-    if active_dims is None:
-        return None
-    active = np.asarray(active_dims, dtype=int)
-    if active.shape != (n_cells,):
-        raise ShapeError("active_dims must have one entry per cell")
-    if np.any(active < 1) or np.any(active > dim):
-        raise DomainError("active dimensions must lie in [1, dim]")
-    return active
-
-
-def _check_stack(space, dim, stack, what):
-    arr = np.asarray(stack, dtype=complex)
-    if arr.shape != (space.n_cells, dim, dim):
-        raise ShapeError(
-            f"{what} must have shape ({space.n_cells}, {dim}, {dim}), got {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ShapeError(f"{what} contain non-finite entries")
-    return arr
+from .report import Cluster
 
 
 @dataclass(frozen=True, eq=False)
 class PointwiseFamily:
-    """The map s -> A(s): one generator matrix per cell."""
-
-    space: DiscretizedMeasureSpace
-    dim: int
-    generators: np.ndarray
-    active_dims: np.ndarray | None = None
-    generator_rule: Callable[[float], np.ndarray] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "generators", _check_stack(self.space, self.dim, self.generators, "generators")
-        )
-        object.__setattr__(
-            self, "active_dims", _check_active(self.active_dims, self.space.n_cells, self.dim)
-        )
-
-    def block(self, cell):
-        """Active block of the generator at `cell`."""
-        g = self.generators[cell]
-        if self.active_dims is None:
-            return g
-        k = int(self.active_dims[cell])
-        return g[:k, :k]
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorSample:
-    """The map s -> M(s) at a fixed time (time_tag) or standalone."""
+    """The map s -> M(s): one matrix per cell. The matrices must not be
+    modified after construction, since each cell's spectrum is kept."""
 
     space: DiscretizedMeasureSpace
     dim: int
     matrices: np.ndarray
-    time_tag: float | None = None
     active_dims: np.ndarray | None = None
+    generator_rule: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "matrices", _check_stack(self.space, self.dim, self.matrices, "matrices")
-        )
-        object.__setattr__(
-            self, "active_dims", _check_active(self.active_dims, self.space.n_cells, self.dim)
-        )
+        n_cells, dim = self.space.n_cells, self.dim
+        arr = np.asarray(self.matrices, dtype=complex)
+        if arr.shape != (n_cells, dim, dim):
+            raise ShapeError(
+                f"matrices must have shape ({n_cells}, {dim}, {dim}), got {arr.shape}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise ShapeError("matrices contain non-finite entries")
+        object.__setattr__(self, "matrices", arr)
+        if self.active_dims is not None:
+            active = np.asarray(self.active_dims, dtype=int)
+            if active.shape != (n_cells,):
+                raise ShapeError("active_dims must have one entry per cell")
+            if np.any(active < 1) or np.any(active > dim):
+                raise DomainError("active dimensions must lie in [1, dim]")
+            object.__setattr__(self, "active_dims", active)
+        object.__setattr__(self, "_spectra", {})
 
     def block(self, cell):
+        """Active block of the matrix at `cell`."""
         m = self.matrices[cell]
         if self.active_dims is None:
             return m
         k = int(self.active_dims[cell])
         return m[:k, :k]
+
+    @cached_property
+    def mask(self):
+        """(cells, dim) booleans, True on the coordinates of each active block."""
+        active = self.active_dims
+        if active is None:
+            active = np.full(self.space.n_cells, self.dim)
+        return np.arange(self.dim) < active[:, None]
+
+    def restrict(self, f):
+        """f with every coordinate outside the active blocks set to zero."""
+        vectors = np.where(self.mask, f.vectors, 0.0)
+        return BochnerFunction(space=f.space, dim=f.dim, vectors=vectors)
+
+    def spectrum(self, cell):
+        """Eigenvalues of the active block at `cell`, computed on first use
+        and kept (read-only) for every later query."""
+        cell = int(cell)
+        if cell not in self._spectra:
+            eigs = linalg.eigenvalues(self.block(cell))
+            eigs.setflags(write=False)
+            self._spectra[cell] = eigs
+        return self._spectra[cell]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +107,13 @@ class BochnerFunction:
 
 def identity_sample(space, dim):
     mats = np.broadcast_to(np.eye(dim, dtype=complex), (space.n_cells, dim, dim)).copy()
-    return OperatorSample(space=space, dim=dim, matrices=mats, time_tag=0.0)
+    return PointwiseFamily(space=space, dim=dim, matrices=mats)
 
 
 def apply(sample, f):
     """(M f)(s) = M(s) f(s), cell by cell."""
     if sample.dim != f.dim or not sample.space.compatible_with(f.space):
-        raise ShapeError("operator sample and function live on different spaces")
+        raise ShapeError("family and function live on different spaces")
     out = np.einsum("cij,cj->ci", sample.matrices, f.vectors)
     return BochnerFunction(space=f.space, dim=f.dim, vectors=out)
 
@@ -156,8 +145,34 @@ def operator_norm(sample, p=2.0):
     return ess_sup(sample.space, sample_norms(sample))
 
 
+def point_spectrum(family, on_boundary, match_tol):
+    """Eigenvalues selected by `on_boundary` (a mask over a cell's spectrum)
+    on positive-weight cells, clustered across cells into balls of radius
+    match_tol. Each cluster reports its mean, the supporting cell ids and
+    their total measure."""
+    vals = []
+    cells = []
+    for c in family.space.positive_cells():
+        eigs = family.spectrum(c)
+        hits = eigs[on_boundary(eigs)]
+        vals.append(hits)
+        cells.extend([int(c)] * hits.size)
+    weights = family.space.weights
+    clusters = []
+    for mean, members in linalg.ball_clusters(np.concatenate(vals), match_tol, cells):
+        support = sorted(set(members.tolist()))
+        clusters.append(
+            Cluster(eigenvalue=mean, cells=tuple(support), measure=float(weights[support].sum()))
+        )
+    return clusters
+
+
 def trajectory(family, times):
-    """Operator samples e^{tA(s)} for each requested time."""
+    """Families e^{tA(s)} for each requested time.
+
+    Raises NumericalFailureError when an exponential overflows: the true
+    e^{tA} of a growing cell can exceed the double range at long times.
+    """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ShapeError("times must be nonempty")
@@ -167,13 +182,14 @@ def trajectory(family, times):
         raise DomainError("times must be nondecreasing")
     out = []
     for t in times:
-        mats = np.stack([linalg.expm(g, float(t)) for g in family.generators])
+        mats = np.stack([linalg.expm(g, float(t)) for g in family.matrices])
+        if not np.all(np.isfinite(mats)):
+            raise NumericalFailureError(f"e^{{tA}} is not finite at t = {float(t):g}")
         out.append(
-            OperatorSample(
+            PointwiseFamily(
                 space=family.space,
                 dim=family.dim,
                 matrices=mats,
-                time_tag=float(t),
                 active_dims=family.active_dims,
             )
         )
@@ -187,37 +203,6 @@ def norm_curves(family, times):
     return samples, norms
 
 
-class BoundEstimate(NamedTuple):
-    bound: float
-    certified: bool
-
-
-#: a cell norm counts as a contraction only when it sits below 1 by more
-#: than roundoff; unitary orbits evaluate to 1 +- few ulps.
-CONTRACTION_TOL = 1e-12
-
-
-def uniform_bound_estimate(family, t_grid, horizon):
-    """Observed sup_t ||e^{tA}|| over the grid, with a contraction certificate.
-
-    certified is True iff every positive-weight cell shows ||e^{dA(s)}|| < 1
-    at some grid time d > 0; submultiplicativity then caps the tail beyond
-    the grid, so the observed bound controls all t up to grid resolution.
-    Otherwise the bound is only what was observed on the grid.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
-    if t_grid.size and (t_grid.min() < 0 or t_grid.max() > horizon):
-        raise DomainError("t_grid must lie inside [0, horizon]")
-    _, norms = norm_curves(family, t_grid)
-    positive = family.space.positive_cells()
-    bound = float(norms[:, positive].max())
-    later = t_grid > 0
-    contracted = norms[np.ix_(later, positive)] < 1.0 - CONTRACTION_TOL
-    return BoundEstimate(bound=bound, certified=bool(contracted.any(axis=0).all()))
-
-
 def refine_family(family):
     """Refine the underlying space and re-sample generators at the new labels."""
     if family.generator_rule is None:
@@ -227,7 +212,7 @@ def refine_family(family):
     return PointwiseFamily(
         space=space,
         dim=family.dim,
-        generators=gens,
+        matrices=gens,
         generator_rule=family.generator_rule,
     )
 
@@ -242,10 +227,8 @@ def random_probes(family, count, seed):
         v = rng.standard_normal((family.space.n_cells, family.dim)) + 1j * rng.standard_normal(
             (family.space.n_cells, family.dim)
         )
-        if family.active_dims is not None:
-            for c, k in enumerate(family.active_dims):
-                v[c, int(k):] = 0.0
-        probes.append(BochnerFunction(space=family.space, dim=family.dim, vectors=v))
+        f = BochnerFunction(space=family.space, dim=family.dim, vectors=v)
+        probes.append(family.restrict(f))
     return probes
 
 

@@ -33,7 +33,6 @@ from .report import (
     NOT_STABLE,
     STABLE,
     AlmostWeakResult,
-    Cluster,
     StabilityReport,
     StrongResult,
     UniformResult,
@@ -49,6 +48,10 @@ PROBE_THRESHOLD = 1e-6
 
 #: a weak-orbit evidence test passes when the bad set has at most this density.
 DENSITY_CAP = 0.05
+
+#: a cell norm counts as a contraction only when it sits below 1 by more
+#: than roundoff; unitary orbits evaluate to 1 +- few ulps.
+CONTRACTION_TOL = 1e-12
 
 
 def _cell_radii_at(family, t0):
@@ -132,6 +135,13 @@ def classify_uniform(family, t0, margin, *, horizon=None, grid_points=48,
     )
 
 
+def _curves(family, horizon, grid_points, times, samples, norms):
+    if times is None:
+        times = semigroup.time_grid(horizon, grid_points)
+        samples, norms = semigroup.norm_curves(family, times)
+    return times, samples, norms
+
+
 class BoundednessCertificate(NamedTuple):
     certified: bool
     bound: float
@@ -149,57 +159,45 @@ def certify_bounded(family, horizon, *, grid_points=48, re_tol=1e-9, match_tol=1
     dimension; the spectral one also covers purely oscillatory cells that
     never contract.
     """
-    if times is None:
-        times = semigroup.time_grid(horizon, grid_points)
-        _, norms = semigroup.norm_curves(family, times)
+    times, _, norms = _curves(family, horizon, grid_points, times, None, norms)
     positive = family.space.positive_cells()
     bound = float(norms[:, positive].max())
     later = times > 0
     witnesses = []
     certified = True
     for c in positive:
-        if bool((norms[later, c] < 1.0 - semigroup.CONTRACTION_TOL).any()):
+        if bool((norms[later, c] < 1.0 - CONTRACTION_TOL).any()):
             continue
-        block = family.block(int(c))
-        eigs = linalg.eigenvalues(block)
+        eigs = family.spectrum(c)
         bound_re = float(eigs.real.max())
         if bound_re > re_tol:
             certified = False
             witnesses.append(Witness(int(c), bound_re, "positive-spectral-bound"))
             continue
         on_axis = eigs[np.abs(eigs.real) <= re_tol]
-        for rep in linalg.cluster_representatives(on_axis, match_tol):
-            alg, geo = linalg.semisimple_multiplicities(block, rep, match_tol)
-            if geo < alg:
-                certified = False
-                witnesses.append(Witness(int(c), rep, "defective-imaginary-eigenvalue"))
-                break
+        rep = linalg.defective_cluster(family.block(int(c)), eigs, on_axis, match_tol)
+        if rep is not None:
+            certified = False
+            witnesses.append(Witness(int(c), rep, "defective-imaginary-eigenvalue"))
     return BoundednessCertificate(certified, bound, tuple(witnesses))
 
 
-def _restrict_probe(family, probe):
-    if family.active_dims is None:
-        return probe
-    vectors = probe.vectors.copy()
-    for c, k in enumerate(family.active_dims):
-        vectors[c, int(k):] = 0.0
-    return semigroup.BochnerFunction(space=probe.space, dim=probe.dim, vectors=vectors)
-
-
 def classify_strong(family, horizon, probes, *, p=2.0, re_tol=1e-9, grid_points=48,
-                    probe_threshold=PROBE_THRESHOLD, match_tol=1e-6):
+                    probe_threshold=PROBE_THRESHOLD, match_tol=1e-6,
+                    times=None, samples=None, norms=None):
     """Strong stability: certified bound, then pointwise spectral bounds
     strictly negative on every positive-weight cell, corroborated by probe
     orbits decaying below `probe_threshold` of their initial norm.
 
     An uncertified bound or a non-decaying probe yields Inconclusive; a cell
     with nonnegative spectral bound yields NotStable with that cell as the
-    witness.
+    witness. `times` with the matching `norm_curves` output (`samples`,
+    `norms`) may be passed in; otherwise they are computed on
+    time_grid(horizon, grid_points).
     """
     if not probes:
         raise ShapeError("probes must be nonempty")
-    times = semigroup.time_grid(horizon, grid_points)
-    samples, norms = semigroup.norm_curves(family, times)
+    times, samples, norms = _curves(family, horizon, grid_points, times, samples, norms)
     gate = certify_bounded(
         family, horizon, re_tol=re_tol, match_tol=match_tol, times=times, norms=norms
     )
@@ -220,7 +218,7 @@ def classify_strong(family, horizon, probes, *, p=2.0, re_tol=1e-9, grid_points=
     witnesses = []
     verdict = STABLE
     for c in family.space.positive_cells():
-        eigs = linalg.eigenvalues(family.block(int(c)))
+        eigs = family.spectrum(c)
         lam = complex(eigs[np.argmax(eigs.real)])
         if lam.real >= 0.0:
             return StrongResult(
@@ -235,7 +233,7 @@ def classify_strong(family, horizon, probes, *, p=2.0, re_tol=1e-9, grid_points=
             witnesses.append(Witness(int(c), lam, "spectral-bound-inside-tolerance-band"))
     if verdict == STABLE:
         for idx, probe in enumerate(probes):
-            restricted = _restrict_probe(family, probe)
+            restricted = family.restrict(probe)
             base = semigroup.lp_norm(restricted, p)
             if base == 0.0:
                 raise DomainError(f"probe {idx} has zero norm on the active blocks")
@@ -268,42 +266,12 @@ def imaginary_point_spectrum(family, re_tol=1e-9, match_tol=1e-6):
     """
     if re_tol <= 0 or match_tol <= 0:
         raise DomainError("tolerances must be positive")
-    cand_vals = []
-    cand_cells = []
-    for c in family.space.positive_cells():
-        eigs = linalg.eigenvalues(family.block(int(c)))
-        for lam in eigs[np.abs(eigs.real) <= re_tol]:
-            cand_vals.append(complex(lam))
-            cand_cells.append(int(c))
-    if not cand_vals:
-        return []
-    vals = np.asarray(cand_vals)
-    cells = np.asarray(cand_cells)
-    order = np.lexsort((cells, vals.real, vals.imag))
-    vals = vals[order]
-    cells = cells[order]
-    assigned = np.zeros(vals.size, dtype=bool)
-    weights = family.space.weights
-    clusters = []
-    for i in range(vals.size):
-        if assigned[i]:
-            continue
-        members = (~assigned) & (np.abs(vals - vals[i]) <= match_tol)
-        assigned |= members
-        support = sorted(set(cells[members].tolist()))
-        clusters.append(
-            Cluster(
-                eigenvalue=complex(vals[members].mean()),
-                cells=tuple(support),
-                measure=float(weights[support].sum()),
-            )
-        )
-    return clusters
+    return semigroup.point_spectrum(family, lambda e: np.abs(e.real) <= re_tol, match_tol)
 
 
 def classify_almost_weak(family, *, mode=None, re_tol=1e-9, match_tol=1e-6, horizon=50.0,
                          grid_points=33, delta_sweep=(0.1, 0.05, 0.025), slope_cap=2.1,
-                         intercept_tol=None):
+                         intercept_tol=None, times=None, norms=None):
     """Almost weak stability via imaginary-axis point spectrum.
 
     Atomic mode: Stable iff no imaginary eigenvalue cluster of positive
@@ -311,7 +279,8 @@ def classify_almost_weak(family, *, mode=None, re_tol=1e-9, match_tol=1e-6, hori
     NotStable verdict). NonAtomicLimit mode: sweeps the cluster radius delta
     while refining the space, and declares stability in the limit iff the
     largest cluster measure vanishes linearly in delta (fitted slope at most
-    `slope_cap` and intercept within the finest cell width).
+    `slope_cap` and intercept within the finest cell width). `times` and
+    the matching `norm_curves` norms may be passed in, as for classify_strong.
     """
     if mode is None:
         mode = (
@@ -321,8 +290,7 @@ def classify_almost_weak(family, *, mode=None, re_tol=1e-9, match_tol=1e-6, hori
         )
     if mode not in (MODE_ATOMIC, MODE_NONATOMIC_LIMIT):
         raise DomainError(f"unknown analysis mode {mode!r}")
-    times = semigroup.time_grid(horizon, grid_points)
-    _, norms = semigroup.norm_curves(family, times)
+    times, _, norms = _curves(family, horizon, grid_points, times, None, norms)
     gate = certify_bounded(family, horizon, re_tol=re_tol, times=times, norms=norms)
     tolerances = {"re_tol": re_tol, "match_tol": match_tol, "horizon": horizon}
     if not gate.certified:

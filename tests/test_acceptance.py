@@ -34,7 +34,6 @@ from semistab.measure import DiscretizedMeasureSpace, ess_sup
 from semistab.report import INCONCLUSIVE, NOT_STABLE, STABLE
 from semistab.semigroup import (
     BochnerFunction,
-    OperatorSample,
     PointwiseFamily,
     apply,
     lp_norm,
@@ -72,7 +71,7 @@ def family_from(mats, weights=None):
     mats = np.asarray(mats, dtype=complex)
     weights = np.ones(mats.shape[0]) if weights is None else weights
     return PointwiseFamily(
-        space=atomic_space(weights), dim=mats.shape[1], generators=mats
+        space=atomic_space(weights), dim=mats.shape[1], matrices=mats
     )
 
 
@@ -114,7 +113,7 @@ def test_criterion_3_operator_norm_properties():
         mats = rng.standard_normal((cells, dim, dim)) + 1j * rng.standard_normal(
             (cells, dim, dim)
         )
-        sample = OperatorSample(space=space, dim=dim, matrices=mats)
+        sample = PointwiseFamily(space=space, dim=dim, matrices=mats)
         norms = [operator_norm(sample, p) for p in ps]
         assert len(set(norms)) == 1  # identical, same code path
         target = norms[0]
@@ -153,8 +152,8 @@ def test_criterion_4_uniform_subcheck_consistency():
         family = random_hurwitz_family(seed=1000 + k, dim=dim, cells=cells, margin=0.2)
         marginal = k % 2 == 1
         if marginal:
-            gens = family.generators + 0.2 * np.eye(dim)
-            family = PointwiseFamily(space=family.space, dim=dim, generators=gens)
+            gens = family.matrices + 0.2 * np.eye(dim)
+            family = PointwiseFamily(space=family.space, dim=dim, matrices=gens)
         result = classify_uniform(family, 1.0, 1e-3)
         if marginal:
             # radius check says not stable; norms agree by never decaying
@@ -193,10 +192,10 @@ def test_criterion_5_strong_both_directions():
                 col_mins = np.minimum(col_mins, np.linalg.norm(e_t, axis=0))
             assert np.all(col_mins <= 1e-6)
         # injecting one neutrally rotating cell flips the verdict
-        spoiled = family.generators.copy()
+        spoiled = family.matrices.copy()
         spoiled[0] = np.diag([1j] + [-1.0] * (dim - 1))
         flipped = classify_strong(
-            PointwiseFamily(space=family.space, dim=dim, generators=spoiled),
+            PointwiseFamily(space=family.space, dim=dim, matrices=spoiled),
             horizon,
             probes,
         )
@@ -287,7 +286,7 @@ def test_criterion_9_discrete_suite():
             else:  # contraction in radius, possibly non-normal
                 radius = max(np.abs(np.linalg.eigvals(g)))
                 mats[c] = rng.uniform(0.3, 0.9) * g / radius
-        sample = OperatorSample(space=atomic_space(np.ones(cells)), dim=dim, matrices=mats)
+        sample = PointwiseFamily(space=atomic_space(np.ones(cells)), dim=dim, matrices=mats)
         uniform = classify_discrete_uniform(sample, 1e-6)
         strong = classify_discrete_strong(sample, 128)
         weak = classify_discrete_almost_weak(sample, n_max=128, seed=k)
@@ -298,7 +297,7 @@ def test_criterion_9_discrete_suite():
     # the 0.9-radius family is certified power bounded and its norms cross
     # 1e-6 within a factor 3 of step 260
     phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 8))
-    sample = OperatorSample(
+    sample = PointwiseFamily(
         space=atomic_space(np.ones(8)),
         dim=1,
         matrices=(0.9 * phases).reshape(-1, 1, 1),
@@ -318,8 +317,8 @@ def test_criterion_9_discrete_suite():
     for k in range(10):
         family = random_hurwitz_family(seed=3000 + k, dim=3, cells=4, margin=0.2)
         if k % 3 == 2:
-            gens = family.generators + 0.2 * np.eye(3)
-            family = PointwiseFamily(space=family.space, dim=3, generators=gens)
+            gens = family.matrices + 0.2 * np.eye(3)
+            family = PointwiseFamily(space=family.space, dim=3, matrices=gens)
         continuous = classify_uniform(family, 1.0, 1e-3)
         discrete = classify_discrete_uniform(trajectory(family, [1.0])[0], 1e-3)
         assert discrete.verdict == continuous.verdict

@@ -12,8 +12,9 @@ from semistab.cases import (
 from semistab.errors import ShapeError
 from semistab.linalg import ergodic_projection, expm, norm2, spectral_bound
 from semistab.report import NOT_STABLE, STABLE
-from semistab.semigroup import time_grid, uniform_bound_estimate
+from semistab.semigroup import norm_curves, time_grid
 from semistab.stability import (
+    certify_bounded,
     classify_almost_weak,
     classify_uniform,
     imaginary_point_spectrum,
@@ -24,7 +25,7 @@ class TestZabczykFamily:
     def test_single_cell_is_scalar_block(self):
         family = zabczyk_family(1)
         assert family.dim == 1
-        assert family.generators[0, 0, 0] == 1j - 1.0
+        assert family.matrices[0, 0, 0] == 1j - 1.0
 
     def test_spectral_bound_per_cell(self):
         family = zabczyk_family(12)
@@ -35,11 +36,11 @@ class TestZabczykFamily:
 
     def test_embedding_pads_with_inert_zeros(self):
         family = zabczyk_family(3, embed_dim=5)
-        assert family.generators.shape == (3, 5, 5)
+        assert family.matrices.shape == (3, 5, 5)
         assert family.block(1).shape == (2, 2)
         # padding rows and columns are exactly zero
-        assert np.all(family.generators[1, 2:, :] == 0)
-        assert np.all(family.generators[1, :, 2:] == 0)
+        assert np.all(family.matrices[1, 2:, :] == 0)
+        assert np.all(family.matrices[1, :, 2:] == 0)
 
     def test_embed_dim_too_small(self):
         with pytest.raises(ShapeError):
@@ -67,9 +68,13 @@ class TestZabczykFamily:
 
     def test_bound_certified_with_generous_horizon(self):
         family = zabczyk_family(10)
-        est = uniform_bound_estimate(family, time_grid(600.0, 64), 600.0)
+        times = time_grid(600.0, 64)
+        _, norms = norm_curves(family, times)
+        est = certify_bounded(family, 600.0, times=times, norms=norms)
         assert est.certified
         assert est.bound > 1e3
+        # every cell contracts within the horizon: certified without the spectrum
+        assert (norms[times > 0] < 1.0).any(axis=0).all()
 
 
 class TestRotationFamily:
@@ -78,7 +83,7 @@ class TestRotationFamily:
         for c in range(8):
             label = family.space.labels[c]
             assert spectral_bound(family.block(c)) == pytest.approx(0.0, abs=1e-15)
-            assert family.generators[c, 0, 0] == 1j * label
+            assert family.matrices[c, 0, 0] == 1j * label
 
     def test_not_uniformly_stable(self):
         result = classify_uniform(rotation_family(8), 1.0, 1e-6)
@@ -113,12 +118,12 @@ class TestRandomHurwitzFamily:
     def test_same_seed_reproduces_bitwise(self):
         a = random_hurwitz_family(seed=9, dim=4, cells=3, margin=0.2)
         b = random_hurwitz_family(seed=9, dim=4, cells=3, margin=0.2)
-        np.testing.assert_array_equal(a.generators, b.generators)
+        np.testing.assert_array_equal(a.matrices, b.matrices)
 
     def test_different_seed_differs(self):
         a = random_hurwitz_family(seed=9, dim=4, cells=3, margin=0.2)
         b = random_hurwitz_family(seed=10, dim=4, cells=3, margin=0.2)
-        assert not np.array_equal(a.generators, b.generators)
+        assert not np.array_equal(a.matrices, b.matrices)
 
     def test_classified_stable_at_half_margin(self):
         family = random_hurwitz_family(seed=1, dim=4, cells=5, margin=0.2)

@@ -93,6 +93,32 @@ class TestAnalyze:
         assert cli.main(["analyze", write_config(tmp_path, cfg)]) == 3
         assert "stability.classify_uniform" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "trajectory"])
+    def test_overflowing_exponential_exits_3(self, tmp_path, capsys, command):
+        # e^{800} exceeds the double range: a numerical failure, not a config problem
+        cfg = {
+            "family": {"builtin": "diagonal", "rates": [[-1.0, 0.0], [1.0, 0.0]]},
+            "time": {"horizon": 800},
+        }
+        assert cli.main([command, write_config(tmp_path, cfg)]) == 3
+        assert "numerical failure in semigroup.norm_curves" in capsys.readouterr().err
+
+    def test_nan_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"family": {"matrices": [[[[NaN, 0.0]]]]}}')
+        assert cli.main(["analyze", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 5e-7])
+    def test_close_imaginary_pair_is_not_stable(self, tmp_path, capsys, scale):
+        # diag(i, i) and diag(i, (1 + 5e-7) i) are both bounded and carry
+        # imaginary point spectrum
+        cell = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, scale]]]
+        cfg = {"family": {"matrices": [cell]}, "time": {"horizon": 50}}
+        payload = analyze_payload(capsys, write_config(tmp_path, cfg))
+        assert payload["strong"]["verdict"] == "NotStable"
+        assert payload["almost_weak"]["verdict"] == "NotStable"
+
     def test_seed_override_changes_hash_and_probes(self, capsys):
         base = analyze_payload(capsys, str(CONFIG_DIR / "zabczyk.json"))
         seeded = analyze_payload(

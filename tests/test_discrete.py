@@ -18,7 +18,7 @@ from semistab.measure import DiscretizedMeasureSpace
 from semistab.report import INCONCLUSIVE, NOT_STABLE, STABLE
 from semistab.semigroup import (
     BochnerFunction,
-    OperatorSample,
+    PointwiseFamily,
     apply,
     identity_sample,
     lp_norm,
@@ -34,7 +34,7 @@ def sample_from(mats, weights=None):
     space = DiscretizedMeasureSpace(
         weights=weights, labels=np.arange(n_cells, dtype=float)
     )
-    return OperatorSample(space=space, dim=mats.shape[1], matrices=mats)
+    return PointwiseFamily(space=space, dim=mats.shape[1], matrices=mats)
 
 
 def scalar_sample(values, weights=None):
@@ -93,6 +93,14 @@ class TestPowerBoundedEstimate:
         est = power_bounded_estimate(sample_from(np.stack(mats)), 64)
         assert est.certified
         assert est.bound <= 1.0
+
+    def test_close_unimodular_pair_is_certified(self):
+        pair = np.diag([np.exp(1j), np.exp(1j * (1 + 5e-7))])
+        est = power_bounded_estimate(sample_from([pair]), 64)
+        assert est.certified
+        strong = classify_discrete_strong(sample_from([pair]), 64)
+        assert strong.verdict == NOT_STABLE
+        assert strong.witnesses[0].kind == "unimodular-eigenvalue"
 
     def test_unitary_semisimple_is_certified(self):
         est = power_bounded_estimate(sample_from([rotation_matrix(1.0)]), 64)

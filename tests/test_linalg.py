@@ -12,8 +12,8 @@ from semistab.linalg import (
     CLOSED_FORM,
     QUADRATURE,
     as_matrix,
+    ball_clusters,
     cesaro_mean,
-    cluster_representatives,
     eigenvalues,
     ergodic_projection,
     expm,
@@ -21,7 +21,6 @@ from semistab.linalg import (
     semisimple_multiplicities,
     spectral_bound,
     spectral_radius,
-    summarize,
 )
 
 
@@ -148,12 +147,6 @@ class TestSpectralFunctionals:
                 got = spectral_radius(expm(a, t))
                 assert abs(got - reference) <= 1e-8 * reference
 
-    def test_summary(self):
-        summary = summarize(np.diag([-1.0, 2j, 1e-12 + 3j]), re_tol=1e-9)
-        assert summary.spectral_bound == pytest.approx(1e-12)
-        assert len(summary.imaginary_eigs) == 2
-        assert summary.exp_radius_at(2.0) == pytest.approx(np.exp(2e-12))
-
 
 class TestCesaroMean:
     def test_full_rotation_averages_to_zero(self):
@@ -233,7 +226,7 @@ class TestErgodicProjection:
 class TestHelpers:
     def test_cluster_representatives(self):
         vals = np.array([1j, 1j + 1e-9, 2j, -1.0])
-        reps = cluster_representatives(vals, 1e-6)
+        reps = [mean for mean, _ in ball_clusters(vals, 1e-6)]
         assert len(reps) == 3
 
     def test_semisimple_multiplicities_on_jordan_block(self):
@@ -242,3 +235,16 @@ class TestHelpers:
         assert (alg, geo) == (2, 1)
         alg, geo = semisimple_multiplicities(np.eye(2, dtype=complex), 1.0)
         assert (alg, geo) == (2, 2)
+
+    def test_semisimple_multiplicities_on_close_pair(self):
+        # the cluster mean sits 2.5e-7 from both eigenvalues, far above the
+        # rank_rtol cut, yet the pair is semisimple
+        pair = np.diag([1j, (1 + 5e-7) * 1j])
+        alg, geo = semisimple_multiplicities(pair, (1 + 2.5e-7) * 1j)
+        assert (alg, geo) == (2, 2)
+        # a Jordan block whose computed eigenvalues split stays defective
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(random_complex(rng, 2))
+        jordan = q @ np.array([[1j, 1.0], [0.0, 1j]]) @ q.conj().T
+        alg, geo = semisimple_multiplicities(jordan, complex(eigenvalues(jordan).mean()))
+        assert (alg, geo) == (2, 1)

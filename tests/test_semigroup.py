@@ -3,24 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from semistab import linalg
 from semistab.errors import DomainError, ShapeError
 from semistab.linalg import norm2
 from semistab.measure import DiscretizedMeasureSpace
 from semistab.semigroup import (
     BochnerFunction,
-    OperatorSample,
     PointwiseFamily,
     apply,
     identity_sample,
     lp_norm,
+    norm_curves,
     operator_norm,
     random_probes,
     refine_family,
     sample_norms,
     time_grid,
     trajectory,
-    uniform_bound_estimate,
 )
+from semistab.stability import certify_bounded
 
 
 def space_of(weights):
@@ -31,7 +32,7 @@ def space_of(weights):
 def random_sample(rng, cells, dim, weights=None):
     space = space_of(np.ones(cells) if weights is None else weights)
     mats = rng.standard_normal((cells, dim, dim)) + 1j * rng.standard_normal((cells, dim, dim))
-    return OperatorSample(space=space, dim=dim, matrices=mats)
+    return PointwiseFamily(space=space, dim=dim, matrices=mats)
 
 
 def random_function(rng, space, dim):
@@ -50,7 +51,7 @@ class TestApply:
 
     def test_scalar_cell(self):
         space = space_of([1.0])
-        sample = OperatorSample(space=space, dim=1, matrices=np.array([[[2.0]]], dtype=complex))
+        sample = PointwiseFamily(space=space, dim=1, matrices=np.array([[[2.0]]], dtype=complex))
         f = BochnerFunction(space=space, dim=1, vectors=np.array([[3.0]], dtype=complex))
         assert apply(sample, f).vectors[0, 0] == 6.0
 
@@ -109,7 +110,7 @@ class TestOperatorNorm:
     def test_null_cell_excluded(self):
         space = space_of([1.0, 1.0, 0.0])
         mats = np.stack([0.5 * np.eye(2), 2.0 * np.eye(2), 7.0 * np.eye(2)]).astype(complex)
-        sample = OperatorSample(space=space, dim=2, matrices=mats)
+        sample = PointwiseFamily(space=space, dim=2, matrices=mats)
         assert operator_norm(sample) == pytest.approx(2.0)
 
     def test_p_independence_is_exact(self):
@@ -143,14 +144,13 @@ class TestTrajectory:
     def test_time_zero_is_identity_exactly(self):
         space = space_of([1.0, 1.0])
         gens = np.stack([np.diag([-1.0 + 0j]), np.diag([2j])])
-        family = PointwiseFamily(space=space, dim=1, generators=gens)
+        family = PointwiseFamily(space=space, dim=1, matrices=gens)
         sample = trajectory(family, [0.0])[0]
         np.testing.assert_array_equal(sample.matrices, np.ones((2, 1, 1)))
-        assert sample.time_tag == 0.0
 
     def test_scalar_decay(self):
         family = PointwiseFamily(
-            space=space_of([1.0]), dim=1, generators=np.array([[[-1.0 + 0j]]])
+            space=space_of([1.0]), dim=1, matrices=np.array([[[-1.0 + 0j]]])
         )
         sample = trajectory(family, [1.0])[0]
         assert sample.matrices[0, 0, 0] == pytest.approx(np.exp(-1.0))
@@ -158,7 +158,7 @@ class TestTrajectory:
     def test_semigroup_property_across_samples(self):
         rng = np.random.default_rng(5)
         gens = 0.5 * (rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
-        family = PointwiseFamily(space=space_of(np.ones(3)), dim=4, generators=gens)
+        family = PointwiseFamily(space=space_of(np.ones(3)), dim=4, matrices=gens)
         s1, s2, s12 = trajectory(family, [0.7, 1.1, 1.8])
         for c in range(3):
             err = norm2(s12.matrices[c] - s1.matrices[c] @ s2.matrices[c])
@@ -166,7 +166,7 @@ class TestTrajectory:
 
     def test_empty_and_negative_times_rejected(self):
         family = PointwiseFamily(
-            space=space_of([1.0]), dim=1, generators=np.array([[[0.0 + 0j]]])
+            space=space_of([1.0]), dim=1, matrices=np.array([[[0.0 + 0j]]])
         )
         with pytest.raises(ShapeError):
             trajectory(family, [])
@@ -175,40 +175,30 @@ class TestTrajectory:
 
 
 class TestUniformBoundEstimate:
+    """The grid estimate of sup_t ||e^{tA}|| that certify_bounded reports."""
+
     def diag_family(self, rates, weights=None):
         rates = np.asarray(rates, dtype=complex)
         space = space_of(np.ones(rates.size) if weights is None else weights)
-        return PointwiseFamily(space=space, dim=1, generators=rates.reshape(-1, 1, 1))
+        return PointwiseFamily(space=space, dim=1, matrices=rates.reshape(-1, 1, 1))
 
     def test_normal_decaying_family(self):
         family = self.diag_family([-1.0 / k for k in range(1, 11)])
-        grid = time_grid(100.0, 25)
-        est = uniform_bound_estimate(family, grid, 100.0)
+        est = certify_bounded(family, 100.0, grid_points=25)
         assert est.certified
-        assert est.bound == pytest.approx(1.0)
-
-    def test_unitary_family_never_certifies(self):
-        family = self.diag_family([1j])
-        est = uniform_bound_estimate(family, time_grid(50.0, 20), 50.0)
-        assert not est.certified
         assert est.bound == pytest.approx(1.0)
 
     def test_monotone_in_horizon_on_nested_grids(self):
         rng = np.random.default_rng(6)
         gens = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
         gens = np.stack([g - (np.linalg.eigvals(g).real.max() + 0.4) * np.eye(3) for g in gens])
-        family = PointwiseFamily(space=space_of(np.ones(4)), dim=3, generators=gens)
+        family = PointwiseFamily(space=space_of(np.ones(4)), dim=3, matrices=gens)
         grid1 = np.linspace(0.0, 40.0, 41)
         grid2 = np.linspace(0.0, 80.0, 81)  # contains grid1
-        est1 = uniform_bound_estimate(family, grid1, 40.0)
-        est2 = uniform_bound_estimate(family, grid2, 80.0)
+        est1 = certify_bounded(family, 40.0, times=grid1, norms=norm_curves(family, grid1)[1])
+        est2 = certify_bounded(family, 80.0, times=grid2, norms=norm_curves(family, grid2)[1])
         assert est1.certified and est2.certified
         assert est2.bound >= est1.bound
-
-    def test_grid_outside_horizon_rejected(self):
-        family = self.diag_family([-1.0])
-        with pytest.raises(DomainError):
-            uniform_bound_estimate(family, [0.0, 2.0], 1.0)
 
 
 class TestActiveBlocks:
@@ -218,7 +208,7 @@ class TestActiveBlocks:
         gens = np.zeros((1, 2, 2), dtype=complex)
         gens[0, 0, 0] = -1.0
         return PointwiseFamily(
-            space=space, dim=2, generators=gens, active_dims=np.array([1])
+            space=space, dim=2, matrices=gens, active_dims=np.array([1])
         )
 
     def test_norms_restrict_to_active_block(self):
@@ -234,10 +224,27 @@ class TestActiveBlocks:
             assert np.all(probe.vectors[:, 1:] == 0)
 
 
+class TestSpectrum:
+    def test_computed_once_on_first_use(self, monkeypatch):
+        calls = []
+        real = linalg.eigenvalues
+        monkeypatch.setattr(linalg, "eigenvalues", lambda a: calls.append(a) or real(a))
+        gens = np.zeros((2, 2, 2), dtype=complex)
+        gens[:, 0, 0] = [-1.0, 2j]
+        family = PointwiseFamily(
+            space=space_of([1.0, 1.0]), dim=2, matrices=gens, active_dims=np.array([1, 2])
+        )
+        assert calls == []
+        np.testing.assert_array_equal(family.spectrum(0), [-1.0])
+        family.spectrum(0)
+        np.testing.assert_array_equal(np.sort_complex(family.spectrum(1)), [0.0, 2j])
+        assert len(calls) == 2
+
+
 class TestRefineFamily:
     def test_requires_rule(self):
         family = PointwiseFamily(
-            space=space_of([1.0]), dim=1, generators=np.array([[[0j]]])
+            space=space_of([1.0]), dim=1, matrices=np.array([[[0j]]])
         )
         with pytest.raises(DomainError):
             refine_family(family)
@@ -248,13 +255,13 @@ class TestRefineFamily:
         family = PointwiseFamily(
             space=space,
             dim=1,
-            generators=np.stack([rule(s) for s in space.labels]),
+            matrices=np.stack([rule(s) for s in space.labels]),
             generator_rule=rule,
         )
         refined = refine_family(family)
         assert refined.space.n_cells == 4
         np.testing.assert_allclose(
-            refined.generators[:, 0, 0].imag, refined.space.labels
+            refined.matrices[:, 0, 0].imag, refined.space.labels
         )
 
 

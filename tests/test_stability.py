@@ -27,7 +27,7 @@ def family_from_matrices(mats, weights=None):
     space = DiscretizedMeasureSpace(
         weights=weights, labels=np.arange(n_cells, dtype=float)
     )
-    return PointwiseFamily(space=space, dim=mats.shape[1], generators=mats)
+    return PointwiseFamily(space=space, dim=mats.shape[1], matrices=mats)
 
 
 class TestClassifyUniform:
@@ -91,6 +91,13 @@ class TestCertifyBounded:
         cert = certify_bounded(family_from_matrices(shift), 20.0)
         assert not cert.certified
         assert any(w.kind == "defective-imaginary-eigenvalue" for w in cert.witnesses)
+
+    def test_close_semisimple_pair_is_certified(self):
+        # two distinct eigenvalues inside one match_tol ball are not a Jordan block
+        pair = np.diag([1j, (1 + 5e-7) * 1j])[None]
+        cert = certify_bounded(family_from_matrices(pair), 50.0)
+        assert cert.certified
+        assert cert.witnesses == ()
 
 
 class TestClassifyStrong:
@@ -175,6 +182,11 @@ class TestImaginaryPointSpectrum:
         with pytest.raises(DomainError):
             imaginary_point_spectrum(diagonal_family([1j]), re_tol=0.0)
 
+    def test_re_tol_band_counts_as_axis(self):
+        cell = np.diag([-1.0, 2j, 1e-12 + 3j])[None]
+        clusters = imaginary_point_spectrum(family_from_matrices(cell), re_tol=1e-9)
+        assert [c.eigenvalue for c in clusters] == [2j, 1e-12 + 3j]
+
 
 class TestClassifyAlmostWeak:
     def test_shifted_spectrum_is_stable(self):
@@ -212,7 +224,7 @@ class TestClassifyAlmostWeak:
         family = PointwiseFamily(
             space=space,
             dim=1,
-            generators=np.stack([rule(s) for s in space.labels]),
+            matrices=np.stack([rule(s) for s in space.labels]),
             generator_rule=rule,
         )
         result = classify_almost_weak(family, mode="NonAtomicLimit")
