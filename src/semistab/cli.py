@@ -227,8 +227,20 @@ def run_analysis(cfg):
         float(tol["margin"]),
         grid_points=grid_points,
     )
+    re_tol = float(tol["re_tol"])
+    match_tol = float(tol["match_tol"])
     times = semigroup.time_grid(horizon, grid_points)
     samples, norms = _stage("semigroup.norm_curves", semigroup.norm_curves, family, times)
+    gate = _stage(
+        "stability.certify_bounded",
+        stability.certify_bounded,
+        family,
+        horizon,
+        re_tol=re_tol,
+        match_tol=match_tol,
+        times=times,
+        norms=norms,
+    )
     strong = _stage(
         "stability.classify_strong",
         stability.classify_strong,
@@ -236,25 +248,24 @@ def run_analysis(cfg):
         horizon,
         probes,
         p=p,
-        re_tol=float(tol["re_tol"]),
+        re_tol=re_tol,
         grid_points=grid_points,
         times=times,
         samples=samples,
-        norms=norms,
+        gate=gate,
     )
     almost_weak = _stage(
         "stability.classify_almost_weak",
         stability.classify_almost_weak,
         family,
         mode=mode,
-        re_tol=float(tol["re_tol"]),
-        match_tol=float(tol["match_tol"]),
+        re_tol=re_tol,
+        match_tol=match_tol,
         horizon=horizon,
         grid_points=grid_points,
         delta_sweep=tuple(aw_cfg["delta_sweep"]),
         slope_cap=float(aw_cfg["slope_cap"]),
-        times=times,
-        norms=norms,
+        gate=gate,
     )
     report = stability.build_report(uniform, strong, almost_weak)
 
@@ -338,7 +349,7 @@ def run_sweep(cfg):
         )
         gate = _stage(
             "stability.certify_bounded", stability.certify_bounded, family, horizon,
-            grid_points=grid_points, re_tol=re_tol,
+            grid_points=grid_points, re_tol=re_tol, match_tol=match_tol,
         )
         clusters = _stage(
             "stability.imaginary_point_spectrum",

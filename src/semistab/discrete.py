@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg, semigroup
 from .errors import DomainError
-from .measure import density_discrete, ess_sup
+from .measure import ess_sup
 from .report import (
     INCONCLUSIVE,
     NOT_STABLE,
@@ -59,6 +59,15 @@ def _cell_radii(sample):
     return rhos
 
 
+def _power_norms(sample, stacks, n):
+    # ||M(s)^n|| per cell of the block stacks (zero elsewhere), one stacked
+    # matrix power and SVD per active dimension
+    norms = np.zeros(sample.space.n_cells)
+    for cells, blocks in stacks:
+        norms[cells] = np.linalg.norm(np.linalg.matrix_power(blocks, n), 2, axis=(-2, -1))
+    return norms
+
+
 class PowerBound(NamedTuple):
     bound: float
     certified: bool
@@ -71,12 +80,10 @@ def power_bounded_estimate(sample, n_max, *, uni_tol=1e-9, match_tol=1e-6):
     semisimple (rank test on M(s) - lambda I)."""
     schedule = power_schedule(n_max)
     positive = sample.space.positive_cells()
+    stacks = sample.block_stacks(positive)
     bound = 0.0
     for n in schedule:
-        cell_norms = np.zeros(sample.space.n_cells)
-        for c in positive:
-            cell_norms[c] = linalg.norm2(np.linalg.matrix_power(sample.block(int(c)), n))
-        bound = max(bound, ess_sup(sample.space, cell_norms))
+        bound = max(bound, ess_sup(sample.space, _power_norms(sample, stacks, n)))
     certified = True
     for c in positive:
         eigs = sample.spectrum(c)
@@ -125,10 +132,8 @@ def classify_discrete_uniform(sample, margin, *, norm_check=True,
             n_check = sample.dim
         else:
             n_check = max(1, math.ceil(safety * math.log(norm_threshold) / math.log(rho_star)))
-        cell_norms = np.zeros(sample.space.n_cells)
-        for c in positive:
-            cell_norms[c] = linalg.norm2(np.linalg.matrix_power(sample.block(int(c)), n_check))
-        observed = ess_sup(sample.space, cell_norms)
+        stacks = sample.block_stacks(positive)
+        observed = ess_sup(sample.space, _power_norms(sample, stacks, n_check))
         detail["norm_check_n"] = n_check
         detail["norm_check_value"] = observed
         if observed >= norm_threshold:
@@ -171,6 +176,36 @@ def unimodular_point_spectrum(sample, uni_tol=1e-9, match_tol=1e-6):
     )
 
 
+def orbit_densities(sample, n_steps, eps, seed):
+    """Density of {n < n_steps : |<M(s)^n x, phi>| >= eps ||x|| ||phi||} on
+    each positive-weight cell s, in cell order, for random x, phi drawn per
+    cell (in cell order) from default_rng(seed). The orbits of all cells with
+    the same active dimension advance together."""
+    rng = np.random.default_rng(seed)
+    positive = sample.space.positive_cells()
+    starts = {}
+    for c in positive:
+        d = sample.block(int(c)).shape[0]
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        scale = eps * float(np.linalg.norm(x)) * float(np.linalg.norm(phi))
+        starts[int(c)] = (x, phi, scale)
+    densities = np.zeros(sample.space.n_cells)
+    for cells, blocks in sample.block_stacks(positive):
+        v = np.stack([starts[c][0] for c in cells])[:, :, None]
+        phi_h = np.stack([starts[c][1].conj() for c in cells])[:, None, :]
+        scale = np.array([starts[c][2] for c in cells])
+        bad = np.zeros(cells.size, dtype=int)
+        for _ in range(n_steps):
+            # |<v, phi>| as the hypot of its parts, the rounding of abs()
+            # on one complex scalar
+            w = (phi_h @ v)[:, 0, 0]
+            bad += np.hypot(w.real, w.imag) >= scale
+            v = blocks @ v
+        densities[cells] = bad / float(n_steps)
+    return densities[positive]
+
+
 def classify_discrete_almost_weak(sample, *, n_max=512, eps=1e-3, seed=0,
                                   uni_tol=1e-9, match_tol=1e-6,
                                   density_cap=DENSITY_CAP, gate=None):
@@ -208,21 +243,7 @@ def classify_discrete_almost_weak(sample, *, n_max=512, eps=1e-3, seed=0,
         detail["bad_density"] = None
         detail["density_skipped"] = True
         return DiscreteClassification(STABLE, (), detail)
-    rng = np.random.default_rng(seed)
-    worst_density = 0.0
-    for c in sample.space.positive_cells():
-        block = sample.block(int(c))
-        d = block.shape[0]
-        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        scale = eps * float(np.linalg.norm(x)) * float(np.linalg.norm(phi))
-        bad = []
-        v = x.copy()
-        for n in range(n_steps):
-            if abs(np.vdot(phi, v)) >= scale:
-                bad.append(n)
-            v = block @ v
-        worst_density = max(worst_density, density_discrete(bad, n_steps))
+    worst_density = float(orbit_densities(sample, n_steps, eps, seed).max())
     detail["bad_density"] = worst_density
     if worst_density > density_cap:
         return DiscreteClassification(

@@ -1,7 +1,8 @@
 """Dense complex matrix kernels.
 
-Matrix exponential by scaling-and-squaring with diagonal Pade approximants,
-spectral functionals on top of the LAPACK dense eigensolver, Cesaro time
+Matrix exponential by scaling-and-squaring with diagonal Pade approximants
+(one implementation, run on stacks of matrices; a single matrix is a stack of
+one), spectral functionals on top of the LAPACK dense eigensolver, Cesaro time
 averages of a semigroup (closed form and composite Simpson), and the mean
 ergodic projection onto the kernel of a generator.
 
@@ -97,7 +98,7 @@ _PADE_THETA = (
 
 def _pade_low(a, coeffs):
     # odd/even split: u = a * (c1 I + c3 a^2 + ...), v = c0 I + c2 a^2 + ...
-    n = a.shape[0]
+    n = a.shape[-1]
     a2 = a @ a
     pows = [np.eye(n, dtype=complex)]
     for _ in range((len(coeffs) - 1) // 2):
@@ -109,7 +110,7 @@ def _pade_low(a, coeffs):
 
 def _pade13(a):
     c = _PADE_COEFFS[13]
-    n = a.shape[0]
+    n = a.shape[-1]
     ident = np.eye(n, dtype=complex)
     a2 = a @ a
     a4 = a2 @ a2
@@ -138,6 +139,68 @@ def _pade_solve(u, v):
         raise NumericalFailureError(f"Pade denominator solve failed: {exc}")
 
 
+#: largest size in bytes of one (B, n, n) stack that a stacked kernel works
+#: on at once; longer stacks run in chunks, which bounds the memory held by
+#: the Pade temporaries.
+STACK_BYTES = 1 << 16
+
+
+def stack_chunks(count, n):
+    """Slices splitting a stack of `count` complex n x n matrices into runs
+    of at most STACK_BYTES each (at least one matrix per run)."""
+    step = max(1, STACK_BYTES // (16 * n * n))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def _expm_chunk(a, t):
+    # Per matrix exactly the arithmetic of a one-matrix scaling-and-squaring:
+    # the same 1-norm, Pade order, approximant, solve and squaring count.
+    # Matrices with the same order and squaring count run as one stack.
+    m = t[:, None, None] * a
+    norm1 = np.abs(m).sum(axis=1).max(axis=1)
+    level = np.searchsorted([theta for _, theta in _PADE_THETA[:-1]], norm1)
+    squarings = np.zeros(level.size, dtype=int)
+    big = level == len(_PADE_THETA) - 1
+    theta13 = _PADE_THETA[-1][1]
+    squarings[big] = np.maximum(0, np.ceil(np.log2(norm1[big] / theta13)))
+    out = np.empty_like(m)
+    for lv, s in sorted(set(zip(level.tolist(), squarings.tolist()))):
+        idx = np.flatnonzero((level == lv) & (squarings == s))
+        order = _PADE_THETA[lv][0]
+        if order < 13:
+            out[idx] = _pade_solve(*_pade_low(m[idx], _PADE_COEFFS[order]))
+            continue
+        f = _pade_solve(*_pade13(m[idx] / (2.0**s)))
+        for _ in range(s):
+            f = f @ f
+        out[idx] = f
+    return out
+
+
+def expm_stack(a, t):
+    """e^{t_b A_b} for every matrix A_b of a (B, n, n) stack, with one time
+    per matrix (or one time for all), t >= 0. Each matrix gets exactly the
+    arithmetic of a one-matrix scaling-and-squaring, so its result does not
+    depend on the rest of the stack. The stack runs in chunks of at most
+    STACK_BYTES.
+
+    Raises NumericalFailureError when a result is not finite: the true
+    e^{tA} of a growing matrix can exceed the double range at long times.
+    """
+    a = np.asarray(a, dtype=complex)
+    t = np.broadcast_to(np.asarray(t, dtype=float), a.shape[:1])
+    out = np.empty_like(a)
+    # an overflow is reported by the finiteness check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in stack_chunks(a.shape[0], a.shape[-1]):
+            out[run] = _expm_chunk(a[run], t[run])
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        bad = float(t[np.argmin(finite)])
+        raise NumericalFailureError(f"e^{{tA}} is not finite at t = {bad:g}")
+    return out
+
+
 def expm(a, t=1.0):
     """e^{tA} for t >= 0 by scaling-and-squaring with diagonal Pade
     approximants. Accurate to ~1e-13 relative for well-conditioned inputs
@@ -145,29 +208,22 @@ def expm(a, t=1.0):
     a = as_matrix(a)
     if t < 0:
         raise DomainError("time must be nonnegative")
-    m = t * a
-    norm1 = float(np.abs(m).sum(axis=0).max())
-    for order, theta in _PADE_THETA[:-1]:
-        if norm1 <= theta:
-            return _pade_solve(*_pade_low(m, _PADE_COEFFS[order]))
-    theta13 = _PADE_THETA[-1][1]
-    squarings = max(0, int(np.ceil(np.log2(norm1 / theta13))))
-    f = _pade_solve(*_pade13(m / (2.0**squarings)))
-    for _ in range(squarings):
-        f = f @ f
-    return f
+    return expm_stack(a[None], t)[0]
 
 
-def eigenvalues(a):
-    """All n eigenvalues with multiplicity (dense QR algorithm)."""
-    a = as_matrix(a)
+def _eigvals(a):
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         # LAPACK caps the implicit QR sweep count at 30 per eigenvalue.
         raise NumericalFailureError(
-            f"dense eigensolver did not converge: {exc}", iterations=30 * a.shape[0]
+            f"dense eigensolver did not converge: {exc}", iterations=30 * a.shape[-1]
         )
+
+
+def eigenvalues(a):
+    """All n eigenvalues with multiplicity (dense QR algorithm)."""
+    return _eigvals(as_matrix(a))
 
 
 def spectral_bound(a):
@@ -178,6 +234,11 @@ def spectral_bound(a):
 def spectral_radius(a):
     """Largest modulus over the spectrum."""
     return float(np.abs(eigenvalues(a)).max())
+
+
+def spectral_radii(a):
+    """Largest eigenvalue modulus of each matrix of a (B, n, n) stack."""
+    return np.abs(_eigvals(np.asarray(a, dtype=complex))).max(axis=-1)
 
 
 def ball_clusters(values, tol, tags=None):

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, NumericalFailureError, ShapeError
+from .errors import DomainError, ShapeError
 from .measure import DiscretizedMeasureSpace, ess_sup
 from .report import Cluster
 
@@ -63,6 +63,20 @@ class PointwiseFamily:
             return m
         k = int(self.active_dims[cell])
         return m[:k, :k]
+
+    def block_stacks(self, cells=None):
+        """(cell ids, (len(ids), k, k) stack of their active blocks) for each
+        active dimension k among `cells` (default: every cell), in increasing
+        k; the ids keep their order."""
+        cells = np.arange(self.space.n_cells) if cells is None else np.asarray(cells)
+        if self.active_dims is None:
+            return [(cells, self.matrices[cells])]
+        dims = self.active_dims[cells]
+        out = []
+        for k in np.unique(dims):
+            ids = cells[dims == k]
+            out.append((ids, self.matrices[ids, :k, :k]))
+        return out
 
     @cached_property
     def mask(self):
@@ -130,8 +144,12 @@ def lp_norm(f, p=2.0):
 
 
 def sample_norms(sample):
-    """Per-cell operator 2-norms (active block)."""
-    return np.array([linalg.norm2(sample.block(c)) for c in range(sample.space.n_cells)])
+    """Per-cell operator 2-norms (active block), one stacked SVD per active
+    dimension."""
+    norms = np.zeros(sample.space.n_cells)
+    for cells, blocks in sample.block_stacks():
+        norms[cells] = np.linalg.norm(blocks, 2, axis=(-2, -1))
+    return norms
 
 
 def operator_norm(sample, p=2.0):
@@ -168,10 +186,11 @@ def point_spectrum(family, on_boundary, match_tol):
 
 
 def trajectory(family, times):
-    """Families e^{tA(s)} for each requested time.
+    """Families e^{tA(s)} for each requested time, all cells of one time in
+    one stacked exponential.
 
-    Raises NumericalFailureError when an exponential overflows: the true
-    e^{tA} of a growing cell can exceed the double range at long times.
+    Raises NumericalFailureError when an exponential overflows (see
+    linalg.expm_stack).
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -182,9 +201,7 @@ def trajectory(family, times):
         raise DomainError("times must be nondecreasing")
     out = []
     for t in times:
-        mats = np.stack([linalg.expm(g, float(t)) for g in family.matrices])
-        if not np.all(np.isfinite(mats)):
-            raise NumericalFailureError(f"e^{{tA}} is not finite at t = {float(t):g}")
+        mats = linalg.expm_stack(family.matrices, t)
         out.append(
             PointwiseFamily(
                 space=family.space,

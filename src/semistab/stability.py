@@ -55,11 +55,12 @@ CONTRACTION_TOL = 1e-12
 
 
 def _cell_radii_at(family, t0):
-    """Spectral radius of e^{t0 A(s)} per cell (active blocks); zero-weight
-    cells are skipped (they are invisible to the essential supremum)."""
+    """Spectral radius of e^{t0 A(s)} per cell (active blocks), one stacked
+    exponential per active dimension; zero-weight cells are skipped (they are
+    invisible to the essential supremum)."""
     rhos = np.zeros(family.space.n_cells)
-    for c in family.space.positive_cells():
-        rhos[c] = linalg.spectral_radius(linalg.expm(family.block(int(c)), t0))
+    for cells, blocks in family.block_stacks(family.space.positive_cells()):
+        rhos[cells] = linalg.spectral_radii(linalg.expm_stack(blocks, t0))
     return rhos
 
 
@@ -184,7 +185,7 @@ def certify_bounded(family, horizon, *, grid_points=48, re_tol=1e-9, match_tol=1
 
 def classify_strong(family, horizon, probes, *, p=2.0, re_tol=1e-9, grid_points=48,
                     probe_threshold=PROBE_THRESHOLD, match_tol=1e-6,
-                    times=None, samples=None, norms=None):
+                    times=None, samples=None, norms=None, gate=None):
     """Strong stability: certified bound, then pointwise spectral bounds
     strictly negative on every positive-weight cell, corroborated by probe
     orbits decaying below `probe_threshold` of their initial norm.
@@ -193,14 +194,16 @@ def classify_strong(family, horizon, probes, *, p=2.0, re_tol=1e-9, grid_points=
     with nonnegative spectral bound yields NotStable with that cell as the
     witness. `times` with the matching `norm_curves` output (`samples`,
     `norms`) may be passed in; otherwise they are computed on
-    time_grid(horizon, grid_points).
+    time_grid(horizon, grid_points). `gate` may pass the certify_bounded
+    result on those curves when it is already known; `norms` is then unused.
     """
     if not probes:
         raise ShapeError("probes must be nonempty")
     times, samples, norms = _curves(family, horizon, grid_points, times, samples, norms)
-    gate = certify_bounded(
-        family, horizon, re_tol=re_tol, match_tol=match_tol, times=times, norms=norms
-    )
+    if gate is None:
+        gate = certify_bounded(
+            family, horizon, re_tol=re_tol, match_tol=match_tol, times=times, norms=norms
+        )
     tolerances = {
         "horizon": horizon,
         "p": p,
@@ -271,7 +274,7 @@ def imaginary_point_spectrum(family, re_tol=1e-9, match_tol=1e-6):
 
 def classify_almost_weak(family, *, mode=None, re_tol=1e-9, match_tol=1e-6, horizon=50.0,
                          grid_points=33, delta_sweep=(0.1, 0.05, 0.025), slope_cap=2.1,
-                         intercept_tol=None, times=None, norms=None):
+                         intercept_tol=None, gate=None):
     """Almost weak stability via imaginary-axis point spectrum.
 
     Atomic mode: Stable iff no imaginary eigenvalue cluster of positive
@@ -279,8 +282,9 @@ def classify_almost_weak(family, *, mode=None, re_tol=1e-9, match_tol=1e-6, hori
     NotStable verdict). NonAtomicLimit mode: sweeps the cluster radius delta
     while refining the space, and declares stability in the limit iff the
     largest cluster measure vanishes linearly in delta (fitted slope at most
-    `slope_cap` and intercept within the finest cell width). `times` and
-    the matching `norm_curves` norms may be passed in, as for classify_strong.
+    `slope_cap` and intercept within the finest cell width). `gate` may pass
+    the certify_bounded result when it is already known; otherwise it is
+    computed on time_grid(horizon, grid_points).
     """
     if mode is None:
         mode = (
@@ -290,8 +294,10 @@ def classify_almost_weak(family, *, mode=None, re_tol=1e-9, match_tol=1e-6, hori
         )
     if mode not in (MODE_ATOMIC, MODE_NONATOMIC_LIMIT):
         raise DomainError(f"unknown analysis mode {mode!r}")
-    times, _, norms = _curves(family, horizon, grid_points, times, None, norms)
-    gate = certify_bounded(family, horizon, re_tol=re_tol, times=times, norms=norms)
+    if gate is None:
+        gate = certify_bounded(
+            family, horizon, grid_points=grid_points, re_tol=re_tol, match_tol=match_tol
+        )
     tolerances = {"re_tol": re_tol, "match_tol": match_tol, "horizon": horizon}
     if not gate.certified:
         return AlmostWeakResult(

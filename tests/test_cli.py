@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,13 +96,29 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("command", ["analyze", "trajectory"])
     def test_overflowing_exponential_exits_3(self, tmp_path, capsys, command):
-        # e^{800} exceeds the double range: a numerical failure, not a config problem
+        # e^{800} exceeds the double range: a numerical failure, not a config
+        # problem, reported by one line and no numpy warning
         cfg = {
             "family": {"builtin": "diagonal", "rates": [[-1.0, 0.0], [1.0, 0.0]]},
             "time": {"horizon": 800},
         }
-        assert cli.main([command, write_config(tmp_path, cfg)]) == 3
-        assert "numerical failure in semigroup.norm_curves" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure in semigroup.norm_curves")
+
+    def test_overflow_at_reference_time_exits_3(self, tmp_path, capsys):
+        # e^{800} already overflows at t0 = 1, inside the uniform classifier
+        cfg = {"family": {"builtin": "diagonal", "rates": [[-1.0, 0.0], [800.0, 0.0]]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["analyze", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "numerical failure in stability.classify_uniform: e^{tA} is not finite at t = 1"
+        ]
 
     def test_nan_entry_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
@@ -118,6 +135,36 @@ class TestAnalyze:
         payload = analyze_payload(capsys, write_config(tmp_path, cfg))
         assert payload["strong"]["verdict"] == "NotStable"
         assert payload["almost_weak"]["verdict"] == "NotStable"
+
+    @pytest.mark.parametrize(
+        "match_tol, verdict", [(1e-3, "Inconclusive"), (1e-6, "NotStable")]
+    )
+    def test_match_tol_reaches_the_boundedness_gate(self, tmp_path, capsys, match_tol, verdict):
+        # [[i(1+d), 1], [0, i(1-d)]], d = 2.5e-4: within match_tol 1e-3 the two
+        # imaginary eigenvalues form one cluster that is not semisimple
+        cell = [[[0.0, 1.00025], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.99975]]]
+        cfg = {
+            "family": {"matrices": [cell]},
+            "time": {"horizon": 50},
+            "tolerances": {"match_tol": match_tol},
+        }
+        payload = analyze_payload(capsys, write_config(tmp_path, cfg))
+        for part in ("strong", "almost_weak"):
+            assert payload[part]["verdict"] == verdict
+            kinds = [w["kind"] for w in payload[part]["witnesses"]]
+            assert ("defective-imaginary-eigenvalue" in kinds) == (verdict == "Inconclusive")
+
+    def test_boundedness_certificate_computed_once(self, monkeypatch, capsys):
+        calls = []
+        certify = cli.stability.certify_bounded
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(cli.stability, "certify_bounded", counted)
+        analyze_payload(capsys, str(CONFIG_DIR / "rotation.json"))
+        assert len(calls) == 1
 
     def test_seed_override_changes_hash_and_probes(self, capsys):
         base = analyze_payload(capsys, str(CONFIG_DIR / "zabczyk.json"))

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from semistab.cases import random_hurwitz_family
+from semistab.cases import random_hurwitz_family, zabczyk_family
 from semistab.discrete import (
     build_discrete_report,
     classify_discrete_almost_weak,
     classify_discrete_strong,
     classify_discrete_uniform,
+    orbit_densities,
     power_bounded_estimate,
     power_schedule,
     unimodular_point_spectrum,
 )
 from semistab.linalg import norm2
-from semistab.measure import DiscretizedMeasureSpace
+from semistab.measure import DiscretizedMeasureSpace, density_discrete
 from semistab.report import INCONCLUSIVE, NOT_STABLE, STABLE
 from semistab.semigroup import (
     BochnerFunction,
@@ -198,6 +199,50 @@ class TestClassifyDiscreteAlmostWeak:
         clusters = unimodular_point_spectrum(sample)
         assert len(clusters) == 1
         assert clusters[0].measure == pytest.approx(0.75)
+
+
+def reference_orbit_densities(sample, n_steps, eps, seed):
+    """The per-cell orbit loop the stacked one must reproduce."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for c in sample.space.positive_cells():
+        block = sample.block(int(c))
+        d = block.shape[0]
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        scale = eps * float(np.linalg.norm(x)) * float(np.linalg.norm(phi))
+        bad = []
+        v = x.copy()
+        for n in range(n_steps):
+            if abs(np.vdot(phi, v)) >= scale:
+                bad.append(n)
+            v = block @ v
+        out.append(density_discrete(bad, n_steps))
+    return out
+
+
+class TestStackedKernels:
+    def samples(self):
+        padded = trajectory(zabczyk_family(8, embed_dim=10), [1.0])[0]
+        dense = trajectory(random_hurwitz_family(seed=2, dim=4, cells=9, margin=0.05), [1.0])[0]
+        weighted = scalar_sample([0.99 * np.exp(0.3j), 0.5, 0.97 * np.exp(2j)], [1.0, 0.0, 2.0])
+        return padded, dense, weighted
+
+    def test_orbit_densities_match_per_cell_loop(self):
+        for sample in self.samples():
+            got = orbit_densities(sample, 400, 1e-3, 7)
+            want = reference_orbit_densities(sample, 400, 1e-3, 7)
+            assert max(want) > 0.0
+            assert got.tolist() == want
+
+    def test_power_bound_matches_per_cell_loop(self):
+        for sample in self.samples():
+            want = max(
+                norm2(np.linalg.matrix_power(sample.block(int(c)), n))
+                for n in power_schedule(64)
+                for c in sample.space.positive_cells()
+            )
+            assert power_bounded_estimate(sample, 64).bound == want
 
 
 class TestChainAndBridge:

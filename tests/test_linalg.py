@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from semistab import linalg
+from semistab.cases import zabczyk_family
 from semistab.errors import (
     DomainError,
     InvalidMatrixError,
@@ -17,10 +19,13 @@ from semistab.linalg import (
     eigenvalues,
     ergodic_projection,
     expm,
+    expm_stack,
     norm2,
     semisimple_multiplicities,
     spectral_bound,
     spectral_radius,
+    spectral_radii,
+    stack_chunks,
 )
 
 
@@ -93,6 +98,77 @@ class TestExpm:
     def test_non_square_rejected(self):
         with pytest.raises(InvalidMatrixError):
             as_matrix(np.ones((2, 3)))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def reference_expm(a, t):
+    """The one-matrix scaling-and-squaring loop, kept as the reference the
+    stacked kernel must reproduce bit for bit. Returns (e^{tA}, Pade order,
+    squaring count)."""
+    m = t * a
+    norm1 = float(np.abs(m).sum(axis=0).max())
+    for order, theta in linalg._PADE_THETA[:-1]:
+        if norm1 <= theta:
+            return linalg._pade_solve(*linalg._pade_low(m, linalg._PADE_COEFFS[order])), order, 0
+    squarings = max(0, int(np.ceil(np.log2(norm1 / linalg._PADE_THETA[-1][1]))))
+    f = linalg._pade_solve(*linalg._pade13(m / (2.0**squarings)))
+    for _ in range(squarings):
+        f = f @ f
+    return f, 13, squarings
+
+
+class TestExpmStack:
+    def mixed_stack(self):
+        # padded Zabczyk blocks (N=8 in 10x10) and random 10x10 matrices,
+        # at times from 0 up to norms that need several squarings
+        rng = np.random.default_rng(21)
+        zab = zabczyk_family(8, embed_dim=10).matrices
+        mats, times = [], []
+        for t in (0.0, 1e-3, 0.02, 0.1, 0.5, 3.0, 40.0):
+            mats.extend(zab)
+            times.extend([t] * len(zab))
+        for target in np.geomspace(1e-3, 300.0, 60):
+            a = random_complex(rng, 10)
+            mats.append(a)
+            times.append(target / np.abs(a).sum(axis=0).max())
+        return np.stack(mats), np.array(times)
+
+    def test_each_matrix_bit_equal_alone_and_in_a_stack(self):
+        stack, times = self.mixed_stack()
+        assert len(stack_chunks(len(stack), 10)) >= 3
+        out = expm_stack(stack, times)
+        orders, squarings = set(), set()
+        for a, t, got in zip(stack, times, out):
+            want, order, count = reference_expm(a, t)
+            orders.add(order)
+            squarings.add(count)
+            np.testing.assert_array_equal(bits(got), bits(want))
+            np.testing.assert_array_equal(bits(got), bits(expm(a, t)))
+        assert orders == {3, 5, 7, 9, 13}
+        assert len(squarings) >= 4
+
+    def test_scalar_cells(self):
+        rates = 1j * np.linspace(0.0, 1.0, 300) - np.linspace(0.0, 0.5, 300)
+        stack = rates.reshape(-1, 1, 1)
+        for t in (0.0, 0.01, 1.0, 50.0):
+            out = expm_stack(stack, t)
+            for a, got in zip(stack, out):
+                np.testing.assert_array_equal(bits(got), bits(reference_expm(a, t)[0]))
+
+    def test_chunks_cover_the_stack_within_the_byte_budget(self):
+        runs = stack_chunks(100, 10)
+        assert [i for run in runs for i in range(run.start, run.stop)] == list(range(100))
+        assert all((run.stop - run.start) * 16 * 100 <= linalg.STACK_BYTES for run in runs)
+        assert stack_chunks(3, 200) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_spectral_radii_match_one_matrix_radius(self):
+        rng = np.random.default_rng(22)
+        stack = np.stack([random_complex(rng, 5) for _ in range(20)])
+        radii = spectral_radii(stack)
+        assert [float(r) for r in radii] == [spectral_radius(a) for a in stack]
 
 
 class TestEigenvalues:

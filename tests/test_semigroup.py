@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semistab import linalg
+from semistab.cases import random_hurwitz_family, zabczyk_family
 from semistab.errors import DomainError, ShapeError
 from semistab.linalg import norm2
 from semistab.measure import DiscretizedMeasureSpace
@@ -217,6 +218,13 @@ class TestActiveBlocks:
         # the full matrix has an identity on the padding, the block does not
         assert norm2(sample.matrices[0]) == pytest.approx(1.0)
         assert sample_norms(sample)[0] == pytest.approx(np.exp(-3.0))
+
+    def test_grouped_norms_equal_per_cell_norms(self):
+        padded = trajectory(zabczyk_family(8, embed_dim=10), [2.5])[0]
+        dense = trajectory(random_hurwitz_family(seed=4, dim=5, cells=12, margin=0.2), [1.5])[0]
+        for sample in (padded, dense):
+            want = [norm2(sample.block(c)) for c in range(sample.space.n_cells)]
+            np.testing.assert_array_equal(sample_norms(sample), want)
 
     def test_random_probes_avoid_padding(self):
         probes = random_probes(self.padded_family(), 3, seed=0)
