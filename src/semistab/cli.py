@@ -185,7 +185,9 @@ def build_probes(cfg, family):
                 "inline probes must have shape (count, cells, dim) of [re, im] pairs"
             )
         return [
-            semigroup.BochnerFunction(space=family.space, dim=family.dim, vectors=v)
+            family.restrict(
+                semigroup.BochnerFunction(space=family.space, dim=family.dim, vectors=v)
+            )
             for v in arr
         ]
     count = _require(pr, "count", int, "probes")
@@ -216,7 +218,6 @@ def run_analysis(cfg):
     aw_cfg = cfg["almost_weak"]
     probes = build_probes(cfg, family)
     mode = analysis_mode(cfg, family)
-    horizon = float(time_cfg["horizon"])
     grid_points = int(time_cfg["grid_points"])
 
     uniform = _stage(
@@ -229,43 +230,33 @@ def run_analysis(cfg):
     )
     re_tol = float(tol["re_tol"])
     match_tol = float(tol["match_tol"])
-    times = semigroup.time_grid(horizon, grid_points)
-    samples, norms = _stage("semigroup.norm_curves", semigroup.norm_curves, family, times)
     gate = _stage(
         "stability.certify_bounded",
         stability.certify_bounded,
         family,
-        horizon,
+        semigroup.time_grid(float(time_cfg["horizon"]), grid_points),
         re_tol=re_tol,
         match_tol=match_tol,
-        times=times,
-        norms=norms,
     )
     strong = _stage(
         "stability.classify_strong",
         stability.classify_strong,
         family,
-        horizon,
         probes,
+        gate,
         p=p,
         re_tol=re_tol,
-        grid_points=grid_points,
-        times=times,
-        samples=samples,
-        gate=gate,
     )
     almost_weak = _stage(
         "stability.classify_almost_weak",
         stability.classify_almost_weak,
         family,
+        gate,
         mode=mode,
         re_tol=re_tol,
         match_tol=match_tol,
-        horizon=horizon,
-        grid_points=grid_points,
         delta_sweep=tuple(aw_cfg["delta_sweep"]),
         slope_cap=float(aw_cfg["slope_cap"]),
-        gate=gate,
     )
     report = stability.build_report(uniform, strong, almost_weak)
 
@@ -318,7 +309,6 @@ def run_sweep(cfg):
     time_cfg = cfg["time"]
     tol = cfg["tolerances"]
     t0 = float(time_cfg["t0"])
-    horizon = float(time_cfg["horizon"])
     grid_points = int(time_cfg["grid_points"])
     margin = float(tol["margin"])
     re_tol = float(tol["re_tol"])
@@ -330,6 +320,7 @@ def run_sweep(cfg):
     elif cfg["family"].get("builtin") != "zabczyk":
         raise ConfigError("truncation sweeps require the zabczyk builtin family")
 
+    times = semigroup.time_grid(float(time_cfg["horizon"]), grid_points)
     rows = []
     for value in values:
         if parameter == "truncation":
@@ -348,8 +339,8 @@ def run_sweep(cfg):
             grid_points=grid_points,
         )
         gate = _stage(
-            "stability.certify_bounded", stability.certify_bounded, family, horizon,
-            grid_points=grid_points, re_tol=re_tol, match_tol=match_tol,
+            "stability.certify_bounded", stability.certify_bounded, family, times,
+            re_tol=re_tol, match_tol=match_tol,
         )
         clusters = _stage(
             "stability.imaginary_point_spectrum",

@@ -105,52 +105,40 @@ class DiscreteClassification(NamedTuple):
     detail: dict
 
 
-def classify_discrete_uniform(sample, margin, *, norm_check=True,
-                              norm_threshold=NORM_CHECK_THRESHOLD,
-                              safety=NORM_CHECK_SAFETY):
+def classify_discrete_uniform(sample, margin):
     """Uniform stability of the powers: ess-sup of the pointwise spectral
     radii against 1. A Stable verdict is cross-checked on the equivalent
-    norm form: ess-sup ||M(s)^n|| must drop below `norm_threshold` within
-    safety * log(threshold)/log(rho*) steps."""
-    if margin <= linalg.RADIUS_ROUNDOFF:
-        raise DomainError("margin must exceed the spectral-radius roundoff floor")
-    rhos = _cell_radii(sample)
-    rho_star = ess_sup(sample.space, rhos)
-    positive = sample.space.positive_cells()
-    worst = int(positive[np.argmax(rhos[positive])])
+    norm form: ess-sup ||M(s)^n|| must drop below NORM_CHECK_THRESHOLD
+    within NORM_CHECK_SAFETY * log(threshold)/log(rho*) steps."""
+    verdict, rho_star, witnesses = semigroup.radius_verdict(
+        sample.space, _cell_radii(sample), margin
+    )
     detail = {"rho_star": rho_star}
-    if rho_star >= 1.0 - linalg.RADIUS_ROUNDOFF:
-        return DiscreteClassification(
-            NOT_STABLE, (Witness(worst, rho_star, "pointwise-spectral-radius"),), detail
+    if verdict != STABLE:
+        return DiscreteClassification(verdict, witnesses, detail)
+    if rho_star <= 1e-12:
+        n_check = sample.dim
+    else:
+        n_check = max(
+            1, math.ceil(NORM_CHECK_SAFETY * math.log(NORM_CHECK_THRESHOLD) / math.log(rho_star))
         )
-    if rho_star >= 1.0 - margin:
+    stacks = sample.block_stacks(sample.space.positive_cells())
+    observed = ess_sup(sample.space, _power_norms(sample, stacks, n_check))
+    detail["norm_check_n"] = n_check
+    detail["norm_check_value"] = observed
+    if observed >= NORM_CHECK_THRESHOLD:
         return DiscreteClassification(
-            INCONCLUSIVE, (Witness(worst, rho_star, "spectral-radius-in-margin-band"),), detail
+            INCONCLUSIVE, (Witness(None, observed, "norm-crosscheck-failed"),), detail
         )
-    if norm_check:
-        if rho_star <= 1e-12:
-            n_check = sample.dim
-        else:
-            n_check = max(1, math.ceil(safety * math.log(norm_threshold) / math.log(rho_star)))
-        stacks = sample.block_stacks(positive)
-        observed = ess_sup(sample.space, _power_norms(sample, stacks, n_check))
-        detail["norm_check_n"] = n_check
-        detail["norm_check_value"] = observed
-        if observed >= norm_threshold:
-            return DiscreteClassification(
-                INCONCLUSIVE, (Witness(None, observed, "norm-crosscheck-failed"),), detail
-            )
     return DiscreteClassification(STABLE, (), detail)
 
 
-def classify_discrete_strong(sample, n_max, *, uni_tol=1e-9, match_tol=1e-6, gate=None):
-    """Strong stability of the powers: needs a certified power bound, then
-    r(M(s)) < 1 on every positive-weight cell. A cell with a (necessarily
-    semisimple, after certification) unimodular eigenvalue is a NotStable
-    witness: its eigenvector is a non-decaying orbit. `gate` may pass the
-    power_bounded_estimate of the sample when it is already known."""
-    if gate is None:
-        gate = power_bounded_estimate(sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
+def classify_discrete_strong(sample, gate, *, uni_tol=1e-9):
+    """Strong stability of the powers: needs a certified power bound (the
+    power_bounded_estimate `gate` of the sample), then r(M(s)) < 1 on every
+    positive-weight cell. A cell with a (necessarily semisimple, after
+    certification) unimodular eigenvalue is a NotStable witness: its
+    eigenvector is a non-decaying orbit."""
     detail = {"power_bound": gate.bound, "power_certified": gate.certified}
     if not gate.certified:
         return DiscreteClassification(
@@ -206,17 +194,14 @@ def orbit_densities(sample, n_steps, eps, seed):
     return densities[positive]
 
 
-def classify_discrete_almost_weak(sample, *, n_max=512, eps=1e-3, seed=0,
-                                  uni_tol=1e-9, match_tol=1e-6,
-                                  density_cap=DENSITY_CAP, gate=None):
-    """Almost weak stability of the powers: certified power bound and no
-    unit-circle point spectrum on positive-weight cells (the criterion),
-    corroborated by an orbit density test: for random x, phi per cell the
-    set {n <= n_max : |<M^n x, phi>| >= eps ||x|| ||phi||} must have density
-    at most `density_cap` (evidence, not proof). `gate` is as for
-    classify_discrete_strong."""
-    if gate is None:
-        gate = power_bounded_estimate(sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
+def classify_discrete_almost_weak(sample, gate, *, n_max=512, eps=1e-3, seed=0,
+                                  uni_tol=1e-9, match_tol=1e-6):
+    """Almost weak stability of the powers: certified power bound (`gate`,
+    as for classify_discrete_strong) and no unit-circle point spectrum on
+    positive-weight cells (the criterion), corroborated by an orbit density
+    test: for random x, phi per cell the set
+    {n <= n_max : |<M^n x, phi>| >= eps ||x|| ||phi||} must have density at
+    most DENSITY_CAP (evidence, not proof)."""
     detail = {"power_bound": gate.bound, "power_certified": gate.certified}
     if not gate.certified:
         return DiscreteClassification(
@@ -245,7 +230,7 @@ def classify_discrete_almost_weak(sample, *, n_max=512, eps=1e-3, seed=0,
         return DiscreteClassification(STABLE, (), detail)
     worst_density = float(orbit_densities(sample, n_steps, eps, seed).max())
     detail["bad_density"] = worst_density
-    if worst_density > density_cap:
+    if worst_density > DENSITY_CAP:
         return DiscreteClassification(
             INCONCLUSIVE, (Witness(None, worst_density, "orbit-density-too-high"),), detail
         )
@@ -257,12 +242,9 @@ def build_discrete_report(sample, *, margin, n_max, eps=1e-3, seed=0,
     """Run all three discrete classifiers and assemble the report."""
     gate = power_bounded_estimate(sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
     uniform = classify_discrete_uniform(sample, margin)
-    strong = classify_discrete_strong(
-        sample, n_max, uni_tol=uni_tol, match_tol=match_tol, gate=gate
-    )
+    strong = classify_discrete_strong(sample, gate, uni_tol=uni_tol)
     almost = classify_discrete_almost_weak(
-        sample, n_max=n_max, eps=eps, seed=seed, uni_tol=uni_tol, match_tol=match_tol,
-        gate=gate,
+        sample, gate, n_max=n_max, eps=eps, seed=seed, uni_tol=uni_tol, match_tol=match_tol
     )
     return DiscreteReport(
         uniform=uniform.verdict,

@@ -56,10 +56,6 @@ class DiscretizedMeasureSpace:
         return self.weights.size
 
     @property
-    def cell_ids(self):
-        return np.arange(self.n_cells)
-
-    @property
     def total_weight(self):
         return float(self.weights.sum())
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, ShapeError
 from .measure import DiscretizedMeasureSpace, ess_sup
-from .report import Cluster
+from .report import INCONCLUSIVE, NOT_STABLE, STABLE, Cluster, Witness
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +185,24 @@ def point_spectrum(family, on_boundary, match_tol):
     return clusters
 
 
+def radius_verdict(space, rhos, margin):
+    """(verdict, rho*, witnesses) for rho* = ess-sup of the per-cell
+    spectral radii `rhos`: NotStable iff rho* >= 1 (up to roundoff),
+    Inconclusive inside the band [1 - margin, 1), Stable below it. A witness
+    names the positive-weight cell of largest radius."""
+    if margin <= linalg.RADIUS_ROUNDOFF:
+        raise DomainError("margin must exceed the spectral-radius roundoff floor")
+    rho_star = ess_sup(space, rhos)
+    positive = space.positive_cells()
+    worst = int(positive[np.argmax(rhos[positive])])
+    if rho_star >= 1.0 - linalg.RADIUS_ROUNDOFF:
+        return NOT_STABLE, rho_star, (Witness(worst, rho_star, "pointwise-spectral-radius"),)
+    if rho_star >= 1.0 - margin:
+        witness = Witness(worst, rho_star, "spectral-radius-in-margin-band")
+        return INCONCLUSIVE, rho_star, (witness,)
+    return STABLE, rho_star, ()
+
+
 def trajectory(family, times):
     """Families e^{tA(s)} for each requested time, all cells of one time in
     one stacked exponential.
@@ -263,4 +281,6 @@ def time_grid(horizon, points, log_spacing=True):
     if not log_spacing:
         return np.linspace(0.0, horizon, points)
     body = np.geomspace(horizon * 1e-3, horizon, points - 1)
+    # a one-point geomspace holds only its start
+    body[-1] = horizon
     return np.concatenate([[0.0], body])

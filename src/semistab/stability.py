@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg, semigroup
 from .errors import DomainError, ShapeError
-from .measure import REFINEMENT_FAMILY, density_continuous, ess_sup
+from .measure import REFINEMENT_FAMILY, density_continuous
 from .report import (
     INCONCLUSIVE,
     MODE_ATOMIC,
@@ -42,6 +42,9 @@ from .report import (
 #: ess-sup trajectory norms must drop below this before the horizon for the
 #: norm-decay cross-check of a Stable uniform verdict.
 DECAY_CROSSCHECK = 1e-3
+
+#: the uniform cross-check doubles its horizon at most this many times.
+MAX_EXTENSIONS = 6
 
 #: probe orbits must decay below this fraction of their initial norm.
 PROBE_THRESHOLD = 1e-6
@@ -64,8 +67,7 @@ def _cell_radii_at(family, t0):
     return rhos
 
 
-def classify_uniform(family, t0, margin, *, horizon=None, grid_points=48,
-                     decay_threshold=DECAY_CROSSCHECK, max_extensions=6):
+def classify_uniform(family, t0, margin, *, grid_points=48):
     """Uniform stability via the pointwise spectral radii at time t0.
 
     rho* = ess-sup_s r(e^{t0 A(s)}).  Stable iff rho* < 1 - margin, with
@@ -73,45 +75,29 @@ def classify_uniform(family, t0, margin, *, horizon=None, grid_points=48,
     sup_t ||e^{tA(s)}|| e^{eps t} over a trajectory grid; NotStable iff
     rho* >= 1; Inconclusive inside the margin band.  A Stable verdict is
     cross-checked by requiring the ess-sup trajectory norms to fall below
-    `decay_threshold` before the horizon (the horizon auto-extends when not
-    supplied, so slow transients do not cause false alarms).
+    DECAY_CROSSCHECK before the horizon, which starts from the decay rate
+    and doubles up to MAX_EXTENSIONS times, so slow transients do not cause
+    false alarms.
     """
     if t0 <= 0:
         raise DomainError("reference time t0 must be positive")
-    if margin <= linalg.RADIUS_ROUNDOFF:
-        raise DomainError("margin must exceed the spectral-radius roundoff floor")
-    rhos = _cell_radii_at(family, t0)
-    rho_star = ess_sup(family.space, rhos)
+    verdict, rho_star, witnesses = semigroup.radius_verdict(
+        family.space, _cell_radii_at(family, t0), margin
+    )
+    tolerances = {"t0": t0, "margin": margin, "decay_threshold": DECAY_CROSSCHECK}
+    if verdict != STABLE:
+        return UniformResult(verdict, rho_star, witnesses=witnesses, tolerances=tolerances)
     positive = family.space.positive_cells()
-    worst = int(positive[np.argmax(rhos[positive])])
-    tolerances = {"t0": t0, "margin": margin, "decay_threshold": decay_threshold}
-    if rho_star >= 1.0 - linalg.RADIUS_ROUNDOFF:
-        return UniformResult(
-            NOT_STABLE,
-            rho_star,
-            witnesses=(Witness(worst, rho_star, "pointwise-spectral-radius"),),
-            tolerances=tolerances,
-        )
-    if rho_star >= 1.0 - margin:
-        return UniformResult(
-            INCONCLUSIVE,
-            rho_star,
-            witnesses=(Witness(worst, rho_star, "spectral-radius-in-margin-band"),),
-            tolerances=tolerances,
-        )
     eps = -math.log(rho_star) / t0
     active = family.active_dims
     max_dim = family.dim if active is None else int(active.max())
-    fixed_horizon = horizon is not None
-    h = float(horizon) if fixed_horizon else max(2 * math.log(1e3) / eps, 4 * max_dim / eps)
-    times = ess_norms = None
-    decayed = False
-    for _ in range(max_extensions + 1):
+    h = max(2 * math.log(1e3) / eps, 4 * max_dim / eps)
+    for _ in range(MAX_EXTENSIONS + 1):
         times = semigroup.time_grid(h, grid_points)
         _, norms = semigroup.norm_curves(family, times)
         ess_norms = norms[:, positive].max(axis=1)
-        decayed = bool(ess_norms[times > 0].min() < decay_threshold)
-        if decayed or fixed_horizon:
+        decayed = bool(ess_norms[times > 0].min() < DECAY_CROSSCHECK)
+        if decayed:
             break
         h *= 2.0
     tolerances["horizon"] = h
@@ -136,22 +122,21 @@ def classify_uniform(family, t0, margin, *, horizon=None, grid_points=48,
     )
 
 
-def _curves(family, horizon, grid_points, times, samples, norms):
-    if times is None:
-        times = semigroup.time_grid(horizon, grid_points)
-        samples, norms = semigroup.norm_curves(family, times)
-    return times, samples, norms
-
-
 class BoundednessCertificate(NamedTuple):
+    """A boundedness verdict with the trajectory it was read from:
+    `samples[k]` is e^{times[k] A} and `norms[k, c]` its norm on cell c."""
+
     certified: bool
     bound: float
     witnesses: tuple
+    times: np.ndarray
+    samples: list
+    norms: np.ndarray
 
 
-def certify_bounded(family, horizon, *, grid_points=48, re_tol=1e-9, match_tol=1e-6,
-                    times=None, norms=None):
-    """Certify sup_t ||e^{tA}|| < inf and report the bound observed on a grid.
+def certify_bounded(family, times, *, re_tol=1e-9, match_tol=1e-6):
+    """Certify sup_t ||e^{tA}|| < inf and report the bound observed on the
+    time grid `times`, whose trajectory the certificate carries.
 
     A cell is certified either by eventual contraction (some grid norm < 1,
     which caps the tail by submultiplicativity) or spectrally: all
@@ -160,7 +145,8 @@ def certify_bounded(family, horizon, *, grid_points=48, re_tol=1e-9, match_tol=1
     dimension; the spectral one also covers purely oscillatory cells that
     never contract.
     """
-    times, _, norms = _curves(family, horizon, grid_points, times, None, norms)
+    times = np.asarray(times, dtype=float)
+    samples, norms = semigroup.norm_curves(family, times)
     positive = family.space.positive_cells()
     bound = float(norms[:, positive].max())
     later = times > 0
@@ -180,35 +166,26 @@ def certify_bounded(family, horizon, *, grid_points=48, re_tol=1e-9, match_tol=1
         if rep is not None:
             certified = False
             witnesses.append(Witness(int(c), rep, "defective-imaginary-eigenvalue"))
-    return BoundednessCertificate(certified, bound, tuple(witnesses))
+    return BoundednessCertificate(certified, bound, tuple(witnesses), times, samples, norms)
 
 
-def classify_strong(family, horizon, probes, *, p=2.0, re_tol=1e-9, grid_points=48,
-                    probe_threshold=PROBE_THRESHOLD, match_tol=1e-6,
-                    times=None, samples=None, norms=None, gate=None):
-    """Strong stability: certified bound, then pointwise spectral bounds
-    strictly negative on every positive-weight cell, corroborated by probe
-    orbits decaying below `probe_threshold` of their initial norm.
+def classify_strong(family, probes, gate, *, p=2.0, re_tol=1e-9):
+    """Strong stability: certified bound (the certify_bounded result `gate`),
+    then pointwise spectral bounds strictly negative on every positive-weight
+    cell, corroborated by probe orbits on the gate's trajectory decaying
+    below PROBE_THRESHOLD of their initial norm.
 
     An uncertified bound or a non-decaying probe yields Inconclusive; a cell
     with nonnegative spectral bound yields NotStable with that cell as the
-    witness. `times` with the matching `norm_curves` output (`samples`,
-    `norms`) may be passed in; otherwise they are computed on
-    time_grid(horizon, grid_points). `gate` may pass the certify_bounded
-    result on those curves when it is already known; `norms` is then unused.
+    witness.
     """
     if not probes:
         raise ShapeError("probes must be nonempty")
-    times, samples, norms = _curves(family, horizon, grid_points, times, samples, norms)
-    if gate is None:
-        gate = certify_bounded(
-            family, horizon, re_tol=re_tol, match_tol=match_tol, times=times, norms=norms
-        )
     tolerances = {
-        "horizon": horizon,
+        "horizon": float(gate.times[-1]),
         "p": p,
         "re_tol": re_tol,
-        "probe_threshold": probe_threshold,
+        "probe_threshold": PROBE_THRESHOLD,
     }
     if not gate.certified:
         return StrongResult(
@@ -241,14 +218,14 @@ def classify_strong(family, horizon, probes, *, p=2.0, re_tol=1e-9, grid_points=
             if base == 0.0:
                 raise DomainError(f"probe {idx} has zero norm on the active blocks")
             decayed = False
-            for sample in samples[1:]:
+            for sample in gate.samples[1:]:
                 ratio = semigroup.lp_norm(semigroup.apply(sample, restricted), p) / base
-                if ratio <= probe_threshold:
+                if ratio <= PROBE_THRESHOLD:
                     decayed = True
                     break
             if not decayed:
                 verdict = INCONCLUSIVE
-                witnesses.append(Witness(None, float(times[-1]), "probe-did-not-decay"))
+                witnesses.append(Witness(None, float(gate.times[-1]), "probe-did-not-decay"))
     return StrongResult(
         verdict,
         bound_M=gate.bound,
@@ -272,19 +249,17 @@ def imaginary_point_spectrum(family, re_tol=1e-9, match_tol=1e-6):
     return semigroup.point_spectrum(family, lambda e: np.abs(e.real) <= re_tol, match_tol)
 
 
-def classify_almost_weak(family, *, mode=None, re_tol=1e-9, match_tol=1e-6, horizon=50.0,
-                         grid_points=33, delta_sweep=(0.1, 0.05, 0.025), slope_cap=2.1,
-                         intercept_tol=None, gate=None):
-    """Almost weak stability via imaginary-axis point spectrum.
+def classify_almost_weak(family, gate, *, mode=None, re_tol=1e-9, match_tol=1e-6,
+                         delta_sweep=(0.1, 0.05, 0.025), slope_cap=2.1):
+    """Almost weak stability via imaginary-axis point spectrum, given the
+    certify_bounded result `gate`.
 
     Atomic mode: Stable iff no imaginary eigenvalue cluster of positive
     measure exists (the clusters are exactly the witness sets reported on a
     NotStable verdict). NonAtomicLimit mode: sweeps the cluster radius delta
     while refining the space, and declares stability in the limit iff the
     largest cluster measure vanishes linearly in delta (fitted slope at most
-    `slope_cap` and intercept within the finest cell width). `gate` may pass
-    the certify_bounded result when it is already known; otherwise it is
-    computed on time_grid(horizon, grid_points).
+    `slope_cap` and intercept within twice the finest cell width).
     """
     if mode is None:
         mode = (
@@ -294,11 +269,7 @@ def classify_almost_weak(family, *, mode=None, re_tol=1e-9, match_tol=1e-6, hori
         )
     if mode not in (MODE_ATOMIC, MODE_NONATOMIC_LIMIT):
         raise DomainError(f"unknown analysis mode {mode!r}")
-    if gate is None:
-        gate = certify_bounded(
-            family, horizon, grid_points=grid_points, re_tol=re_tol, match_tol=match_tol
-        )
-    tolerances = {"re_tol": re_tol, "match_tol": match_tol, "horizon": horizon}
+    tolerances = {"re_tol": re_tol, "match_tol": match_tol, "horizon": float(gate.times[-1])}
     if not gate.certified:
         return AlmostWeakResult(
             INCONCLUSIVE,
@@ -340,8 +311,7 @@ def classify_almost_weak(family, *, mode=None, re_tol=1e-9, match_tol=1e-6, hori
         )
     slope, intercept = (float(v) for v in np.polyfit(deltas, measures, 1))
     width = float(fam.space.widths.max()) if fam.space.widths is not None else 0.0
-    cap = max(2.0 * width, 1e-9) if intercept_tol is None else intercept_tol
-    if slope <= slope_cap and intercept <= cap:
+    if slope <= slope_cap and intercept <= max(2.0 * width, 1e-9):
         verdict, witnesses = STABLE, ()
     else:
         verdict = NOT_STABLE
@@ -365,13 +335,12 @@ class WeakOrbitEvidence(NamedTuple):
     passed: bool
 
 
-def weak_orbit_density_test(a, x, phi, horizon, eps, *, n_points=2048,
-                            density_cap=DENSITY_CAP):
+def weak_orbit_density_test(a, x, phi, horizon, eps, *, n_points=2048):
     """Finite-horizon evidence for weak decay of one orbit.
 
     Samples w(t) = |<e^{tA}x, phi>| on a uniform grid over [0, horizon] and
     estimates the density of the bad set {t : w(t) >= eps ||x|| ||phi||}.
-    Passes when that density is at most `density_cap`. Evidence only, not
+    Passes when that density is at most DENSITY_CAP. Evidence only, not
     proof: the horizon is finite.
     """
     a = linalg.as_matrix(a)
@@ -396,7 +365,7 @@ def weak_orbit_density_test(a, x, phi, horizon, eps, *, n_points=2048,
         v = step @ v
     bad = (vals >= eps * nx * nphi).astype(float)
     density = density_continuous(bad, horizon)
-    return WeakOrbitEvidence(bad_density=density, passed=density <= density_cap)
+    return WeakOrbitEvidence(bad_density=density, passed=density <= DENSITY_CAP)
 
 
 def cesaro_verify(a, x, t_list, *, re_tol=1e-9):

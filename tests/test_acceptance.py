@@ -46,6 +46,7 @@ from semistab.semigroup import (
     trajectory,
 )
 from semistab.stability import (
+    certify_bounded,
     cesaro_verify,
     classify_almost_weak,
     classify_strong,
@@ -181,7 +182,7 @@ def test_criterion_5_strong_both_directions():
         cells = int(rng.integers(2, 6))
         family = random_hurwitz_family(seed=2000 + k, dim=dim, cells=cells, margin=0.2)
         probes = random_probes(family, 3, seed=k)
-        result = classify_strong(family, horizon, probes)
+        result = classify_strong(family, probes, certify_bounded(family, time_grid(horizon, 48)))
         assert result.verdict == STABLE
         # forward direction at desk scale: every basis orbit decays pointwise
         for c in range(cells):
@@ -194,10 +195,9 @@ def test_criterion_5_strong_both_directions():
         # injecting one neutrally rotating cell flips the verdict
         spoiled = family.matrices.copy()
         spoiled[0] = np.diag([1j] + [-1.0] * (dim - 1))
+        spoiled_family = PointwiseFamily(space=family.space, dim=dim, matrices=spoiled)
         flipped = classify_strong(
-            PointwiseFamily(space=family.space, dim=dim, matrices=spoiled),
-            horizon,
-            probes,
+            spoiled_family, probes, certify_bounded(spoiled_family, time_grid(horizon, 48))
         )
         assert flipped.verdict == NOT_STABLE
         assert flipped.witnesses[0].cell == 0
@@ -212,10 +212,14 @@ def test_criterion_6_rotation_reproduction():
     family = rotation_family(64)
     stage = family
     for level in range(3):
-        atomic = classify_almost_weak(stage, mode="Atomic")
+        atomic = classify_almost_weak(
+            stage, certify_bounded(stage, time_grid(50.0, 33)), mode="Atomic"
+        )
         assert atomic.verdict == NOT_STABLE
         stage = refine_family(stage)
-    limit = classify_almost_weak(family, delta_sweep=deltas)
+    limit = classify_almost_weak(
+        family, certify_bounded(family, time_grid(50.0, 33)), delta_sweep=deltas
+    )
     assert limit.verdict == STABLE
     assert limit.mode == "NonAtomicLimit"
     widths = [1.0 / 64 / 2**j for j in range(3)]
@@ -288,8 +292,9 @@ def test_criterion_9_discrete_suite():
                 mats[c] = rng.uniform(0.3, 0.9) * g / radius
         sample = PointwiseFamily(space=atomic_space(np.ones(cells)), dim=dim, matrices=mats)
         uniform = classify_discrete_uniform(sample, 1e-6)
-        strong = classify_discrete_strong(sample, 128)
-        weak = classify_discrete_almost_weak(sample, n_max=128, seed=k)
+        gate = power_bounded_estimate(sample, 128)
+        strong = classify_discrete_strong(sample, gate)
+        weak = classify_discrete_almost_weak(sample, gate, n_max=128, seed=k)
         if uniform.verdict == STABLE:
             assert strong.verdict == STABLE
         if strong.verdict == STABLE:

@@ -1,7 +1,10 @@
-"""The benchmark tracer wraps functions by name; every name it lists must
-still exist in the package, or a traced benchmark run crashes."""
+"""The benchmark's contract with the package: the tracer wraps functions by
+name, so every name it lists must still exist, or a traced benchmark run
+crashes; and every workload report must pass the benchmark's oracle, or its
+ok_rate drops."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -9,9 +12,27 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import TARGETS  # noqa: E402
+from workloads import WORKLOADS, check_report, make_config  # noqa: E402
+
+from semistab import cli  # noqa: E402
 
 
 @pytest.mark.parametrize("module, name", [(t[0], t[1]) for t in TARGETS])
 def test_trace_target_resolves_to_a_callable(module, name):
     mod = importlib.import_module(f"semistab.{module}")
     assert callable(getattr(mod, name, None)), f"semistab.{module}.{name}"
+
+
+ORACLE_CASES = [(w, seed, "smoke") for w in WORKLOADS for seed in (1, 2)] + [
+    ("rot256", 1, "full"),
+    ("rh64", 1, "full"),
+]
+
+
+@pytest.mark.parametrize("workload, seed, scale", ORACLE_CASES)
+def test_report_passes_the_benchmark_oracle(tmp_path, workload, seed, scale):
+    # the verdicts the benchmark counts in ok_rate, checked in the test suite
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(make_config(workload, seed, scale)))
+    cfg = cli.load_config(path)
+    assert check_report(workload, cfg, cli.run_analysis(cfg)) == []

@@ -12,7 +12,7 @@ from semistab.cases import (
 from semistab.errors import ShapeError
 from semistab.linalg import ergodic_projection, expm, norm2, spectral_bound
 from semistab.report import NOT_STABLE, STABLE
-from semistab.semigroup import norm_curves, time_grid
+from semistab.semigroup import time_grid
 from semistab.stability import (
     certify_bounded,
     classify_almost_weak,
@@ -68,13 +68,11 @@ class TestZabczykFamily:
 
     def test_bound_certified_with_generous_horizon(self):
         family = zabczyk_family(10)
-        times = time_grid(600.0, 64)
-        _, norms = norm_curves(family, times)
-        est = certify_bounded(family, 600.0, times=times, norms=norms)
+        est = certify_bounded(family, time_grid(600.0, 64))
         assert est.certified
         assert est.bound > 1e3
         # every cell contracts within the horizon: certified without the spectrum
-        assert (norms[times > 0] < 1.0).any(axis=0).all()
+        assert (est.norms[est.times > 0] < 1.0).any(axis=0).all()
 
 
 class TestRotationFamily:
@@ -90,7 +88,8 @@ class TestRotationFamily:
         assert result.verdict == NOT_STABLE
 
     def test_stable_in_the_nonatomic_limit(self):
-        result = classify_almost_weak(rotation_family(64))
+        family = rotation_family(64)
+        result = classify_almost_weak(family, certify_bounded(family, time_grid(50.0, 33)))
         assert result.mode == "NonAtomicLimit"
         assert result.verdict == STABLE
 
@@ -139,7 +138,10 @@ class TestDiagonalFamily:
         assert result.decay_eps == pytest.approx(1.0, abs=1e-9)
 
     def test_imaginary_rate_fails_almost_weak(self):
-        result = classify_almost_weak(diagonal_family([1j]), mode="Atomic")
+        family = diagonal_family([1j])
+        result = classify_almost_weak(
+            family, certify_bounded(family, time_grid(50.0, 33)), mode="Atomic"
+        )
         assert result.verdict == NOT_STABLE
 
     def test_zero_rate_cell_has_identity_projection(self):

@@ -107,7 +107,9 @@ class TestAnalyze:
             assert cli.main([command, write_config(tmp_path, cfg)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("numerical failure in semigroup.norm_curves")
+        # analyze builds the trajectory inside the boundedness certificate
+        stage = {"analyze": "stability.certify_bounded", "trajectory": "semigroup.norm_curves"}
+        assert err[0].startswith(f"numerical failure in {stage[command]}")
 
     def test_overflow_at_reference_time_exits_3(self, tmp_path, capsys):
         # e^{800} already overflows at t0 = 1, inside the uniform classifier
@@ -251,6 +253,22 @@ class TestTrajectory:
         norms = [float(line.split(",")[1]) for line in lines[1:]]
         assert norms[0] == pytest.approx(1.0)
         assert max(norms) > 10.0
+
+    def test_inline_probe_lives_on_the_active_blocks(self, capsys, tmp_path):
+        # cells 1 and 2 of zabczyk N=3 are padded to 3x3; the padding of an
+        # all-ones probe must not hold its orbit norm at sqrt(3) while the
+        # strong verdict (which restricts the probe) is Stable
+        ones = [[[[1.0, 0.0]] * 3] * 3]
+        cfg = {
+            "family": {"builtin": "zabczyk", "N": 3},
+            "time": {"horizon": 400.0},
+            "probes": {"vectors": ones},
+        }
+        path = write_config(tmp_path, cfg)
+        assert analyze_payload(capsys, path)["strong"]["verdict"] == "Stable"
+        assert cli.main(["trajectory", path]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert float(lines[-1].split(",")[2]) < 1e-6
 
 
 class TestDeterminism:

@@ -99,7 +99,7 @@ class TestPowerBoundedEstimate:
         pair = np.diag([np.exp(1j), np.exp(1j * (1 + 5e-7))])
         est = power_bounded_estimate(sample_from([pair]), 64)
         assert est.certified
-        strong = classify_discrete_strong(sample_from([pair]), 64)
+        strong = classify_discrete_strong(sample_from([pair]), est)
         assert strong.verdict == NOT_STABLE
         assert strong.witnesses[0].kind == "unimodular-eigenvalue"
 
@@ -138,18 +138,21 @@ class TestClassifyDiscreteUniform:
 
 class TestClassifyDiscreteStrong:
     def test_near_unit_contraction(self):
-        result = classify_discrete_strong(scalar_sample([0.99, 0.5]), 64)
+        sample = scalar_sample([0.99, 0.5])
+        result = classify_discrete_strong(sample, power_bounded_estimate(sample, 64))
         assert result.verdict == STABLE
 
     def test_unimodular_cell_with_witness(self):
-        result = classify_discrete_strong(scalar_sample([0.5, np.exp(1j)]), 64)
+        sample = scalar_sample([0.5, np.exp(1j)])
+        result = classify_discrete_strong(sample, power_bounded_estimate(sample, 64))
         assert result.verdict == NOT_STABLE
         assert result.witnesses[0].cell == 1
         assert result.witnesses[0].value == pytest.approx(np.exp(1j))
 
     def test_defective_gate_is_inconclusive(self):
         jordan = np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
-        result = classify_discrete_strong(sample_from(jordan), 64)
+        sample = sample_from(jordan)
+        result = classify_discrete_strong(sample, power_bounded_estimate(sample, 64))
         assert result.verdict == INCONCLUSIVE
 
     def test_random_contraction_probes_decay(self):
@@ -159,7 +162,8 @@ class TestClassifyDiscreteStrong:
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             mats.append(0.8 * g / norm2(g))
         sample = sample_from(np.stack(mats))
-        assert classify_discrete_strong(sample, 128).verdict == STABLE
+        gate = power_bounded_estimate(sample, 128)
+        assert classify_discrete_strong(sample, gate).verdict == STABLE
         # orbit oracle: ||M^n f||_p -> 0 for random probes
         high_power = sample_from(
             np.stack([np.linalg.matrix_power(m, 80) for m in mats])
@@ -173,25 +177,29 @@ class TestClassifyDiscreteStrong:
 class TestClassifyDiscreteAlmostWeak:
     def test_contracting_rotation_is_stable(self):
         sample = scalar_sample([0.9 * np.exp(0.7j), 0.9 * np.exp(-0.3j)])
-        result = classify_discrete_almost_weak(sample)
+        result = classify_discrete_almost_weak(sample, power_bounded_estimate(sample, 512))
         assert result.verdict == STABLE
         assert result.detail["bad_density"] <= 0.05
 
     def test_irrational_rotation_is_not_stable(self):
         sample = scalar_sample([np.exp(1j)])  # angle 1: irrational multiple of pi
-        result = classify_discrete_almost_weak(sample)
+        result = classify_discrete_almost_weak(sample, power_bounded_estimate(sample, 512))
         assert result.verdict == NOT_STABLE
 
     def test_mixed_block_witnesses_unimodular_part(self):
         sample = sample_from([np.diag([0.5, np.exp(1j)])])
-        result = classify_discrete_almost_weak(sample)
+        result = classify_discrete_almost_weak(sample, power_bounded_estimate(sample, 512))
         assert result.verdict == NOT_STABLE
         assert result.witnesses[0].value == pytest.approx(np.exp(1j))
 
     def test_bad_density_shrinks_as_horizon_doubles(self):
         sample = scalar_sample([0.5])
-        d1 = classify_discrete_almost_weak(sample, n_max=1024).detail["bad_density"]
-        d2 = classify_discrete_almost_weak(sample, n_max=2048).detail["bad_density"]
+        d1 = classify_discrete_almost_weak(
+            sample, power_bounded_estimate(sample, 1024), n_max=1024
+        ).detail["bad_density"]
+        d2 = classify_discrete_almost_weak(
+            sample, power_bounded_estimate(sample, 2048), n_max=2048
+        ).detail["bad_density"]
         assert d2 <= d1 / 1.8
 
     def test_unimodular_spectrum_clusters(self):
@@ -257,8 +265,9 @@ class TestChainAndBridge:
             mats *= rng.uniform(0.2, 1.2) / max(norm2(m) for m in mats)
             sample = sample_from(mats)
             uniform = classify_discrete_uniform(sample, 1e-6)
-            strong = classify_discrete_strong(sample, 128)
-            weak = classify_discrete_almost_weak(sample, n_max=128)
+            gate = power_bounded_estimate(sample, 128)
+            strong = classify_discrete_strong(sample, gate)
+            weak = classify_discrete_almost_weak(sample, gate, n_max=128)
             if uniform.verdict == STABLE:
                 assert strong.verdict == STABLE
             if strong.verdict == STABLE:

@@ -14,7 +14,6 @@ from semistab.semigroup import (
     apply,
     identity_sample,
     lp_norm,
-    norm_curves,
     operator_norm,
     random_probes,
     refine_family,
@@ -185,7 +184,7 @@ class TestUniformBoundEstimate:
 
     def test_normal_decaying_family(self):
         family = self.diag_family([-1.0 / k for k in range(1, 11)])
-        est = certify_bounded(family, 100.0, grid_points=25)
+        est = certify_bounded(family, time_grid(100.0, 25))
         assert est.certified
         assert est.bound == pytest.approx(1.0)
 
@@ -196,8 +195,8 @@ class TestUniformBoundEstimate:
         family = PointwiseFamily(space=space_of(np.ones(4)), dim=3, matrices=gens)
         grid1 = np.linspace(0.0, 40.0, 41)
         grid2 = np.linspace(0.0, 80.0, 81)  # contains grid1
-        est1 = certify_bounded(family, 40.0, times=grid1, norms=norm_curves(family, grid1)[1])
-        est2 = certify_bounded(family, 80.0, times=grid2, norms=norm_curves(family, grid2)[1])
+        est1 = certify_bounded(family, grid1)
+        est2 = certify_bounded(family, grid2)
         assert est1.certified and est2.certified
         assert est2.bound >= est1.bound
 
@@ -283,3 +282,10 @@ class TestTimeGrid:
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(100.0)
         assert np.all(np.diff(grid) > 0)
+
+    @pytest.mark.parametrize("points", [2, 3, 17, 48, 129])
+    def test_log_grid_ends_exactly_at_horizon(self, points):
+        for horizon in (0.3, 50.0, 800.0, 4000.0):
+            grid = time_grid(horizon, points)
+            assert grid.size == points
+            assert grid[-1] == horizon

@@ -7,7 +7,7 @@ from semistab.cases import diagonal_family, random_hurwitz_family, zabczyk_famil
 from semistab.errors import DomainError, ShapeError, UnboundedSemigroupError
 from semistab.measure import DiscretizedMeasureSpace
 from semistab.report import INCONCLUSIVE, NOT_STABLE, STABLE
-from semistab.semigroup import PointwiseFamily, random_probes
+from semistab.semigroup import PointwiseFamily, random_probes, time_grid
 from semistab.stability import (
     build_report,
     certify_bounded,
@@ -18,6 +18,19 @@ from semistab.stability import (
     imaginary_point_spectrum,
     weak_orbit_density_test,
 )
+
+
+# the gate grids these tests were written for: time_grid(horizon,
+# grid_points) for strong and time_grid(50.0, 33) for almost weak
+
+
+def run_strong(family, horizon, probes, grid_points=48):
+    gate = certify_bounded(family, time_grid(horizon, grid_points))
+    return classify_strong(family, probes, gate)
+
+
+def run_almost_weak(family, **kwargs):
+    return classify_almost_weak(family, certify_bounded(family, time_grid(50.0, 33)), **kwargs)
 
 
 def family_from_matrices(mats, weights=None):
@@ -73,29 +86,29 @@ class TestClassifyUniform:
 
 class TestCertifyBounded:
     def test_contraction_certificate(self):
-        cert = certify_bounded(diagonal_family([-0.5, -1.0]), 20.0)
+        cert = certify_bounded(diagonal_family([-0.5, -1.0]), time_grid(20.0, 48))
         assert cert.certified
 
     def test_spectral_certificate_for_rotations(self):
-        cert = certify_bounded(diagonal_family([1j, 2j]), 20.0)
+        cert = certify_bounded(diagonal_family([1j, 2j]), time_grid(20.0, 48))
         assert cert.certified
         assert cert.bound == pytest.approx(1.0, abs=1e-12)
 
     def test_growing_cell_fails(self):
-        cert = certify_bounded(diagonal_family([0.1]), 20.0)
+        cert = certify_bounded(diagonal_family([0.1]), time_grid(20.0, 48))
         assert not cert.certified
         assert any(w.kind == "positive-spectral-bound" for w in cert.witnesses)
 
     def test_defective_imaginary_eigenvalue_fails(self):
         shift = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
-        cert = certify_bounded(family_from_matrices(shift), 20.0)
+        cert = certify_bounded(family_from_matrices(shift), time_grid(20.0, 48))
         assert not cert.certified
         assert any(w.kind == "defective-imaginary-eigenvalue" for w in cert.witnesses)
 
     def test_close_semisimple_pair_is_certified(self):
         # two distinct eigenvalues inside one match_tol ball are not a Jordan block
         pair = np.diag([1j, (1 + 5e-7) * 1j])[None]
-        cert = certify_bounded(family_from_matrices(pair), 50.0)
+        cert = certify_bounded(family_from_matrices(pair), time_grid(50.0, 48))
         assert cert.certified
         assert cert.witnesses == ()
 
@@ -105,7 +118,7 @@ class TestClassifyStrong:
         family = diagonal_family([-1.0 / k for k in range(1, 11)])
         probes = random_probes(family, 3, seed=0)
         # slowest decay time for the probe check is about 10 * ln(1e6) = 138
-        result = classify_strong(family, 200.0, probes)
+        result = run_strong(family, 200.0, probes)
         assert result.verdict == STABLE
         assert result.certified
         assert result.bound_M == pytest.approx(1.0)
@@ -113,7 +126,7 @@ class TestClassifyStrong:
     def test_single_rotating_cell_flips_verdict(self):
         family = diagonal_family([-1.0, 1j, -2.0])
         probes = random_probes(family, 2, seed=1)
-        result = classify_strong(family, 50.0, probes)
+        result = run_strong(family, 50.0, probes)
         assert result.verdict == NOT_STABLE
         witness = result.witnesses[0]
         assert witness.cell == 1
@@ -122,26 +135,26 @@ class TestClassifyStrong:
     def test_counterexample_truncation_reports_huge_bound(self):
         family = zabczyk_family(10)
         probes = random_probes(family, 2, seed=2)
-        result = classify_strong(family, 800.0, probes, grid_points=64)
+        result = run_strong(family, 800.0, probes, grid_points=64)
         assert result.verdict == STABLE
         assert result.bound_M > 1e3
 
     def test_uncertified_gate_is_inconclusive(self):
         shift = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
         family = family_from_matrices(shift)
-        result = classify_strong(family, 20.0, random_probes(family, 1, seed=3))
+        result = run_strong(family, 20.0, random_probes(family, 1, seed=3))
         assert result.verdict == INCONCLUSIVE
         assert not result.certified
 
     def test_too_short_horizon_downgrades(self):
         family = diagonal_family([-0.01])
-        result = classify_strong(family, 10.0, random_probes(family, 1, seed=4))
+        result = run_strong(family, 10.0, random_probes(family, 1, seed=4))
         assert result.verdict == INCONCLUSIVE
         assert any(w.kind == "probe-did-not-decay" for w in result.witnesses)
 
     def test_probes_required(self):
         with pytest.raises(ShapeError):
-            classify_strong(diagonal_family([-1.0]), 10.0, [])
+            run_strong(diagonal_family([-1.0]), 10.0, [])
 
 
 class TestImaginaryPointSpectrum:
@@ -190,12 +203,12 @@ class TestImaginaryPointSpectrum:
 
 class TestClassifyAlmostWeak:
     def test_shifted_spectrum_is_stable(self):
-        result = classify_almost_weak(diagonal_family([-1.0 + 5j, -1.0 + 5j]))
+        result = run_almost_weak(diagonal_family([-1.0 + 5j, -1.0 + 5j]))
         assert result.verdict == STABLE
         assert result.mode == "Atomic"
 
     def test_unitary_atomic_family_fails_with_full_measure(self):
-        result = classify_almost_weak(diagonal_family([1j, 1j]))
+        result = run_almost_weak(diagonal_family([1j, 1j]))
         assert result.verdict == NOT_STABLE
         assert result.clusters[0].measure == pytest.approx(2.0)
 
@@ -204,7 +217,7 @@ class TestClassifyAlmostWeak:
 
         family = rotation_family(64)
         deltas = (0.1, 0.05, 0.025)
-        result = classify_almost_weak(family, delta_sweep=deltas)
+        result = run_almost_weak(family, delta_sweep=deltas)
         assert result.verdict == STABLE
         assert result.mode == "NonAtomicLimit"
         # measured support of each eigenvalue ball stays within 2*delta + width
@@ -227,11 +240,11 @@ class TestClassifyAlmostWeak:
             matrices=np.stack([rule(s) for s in space.labels]),
             generator_rule=rule,
         )
-        result = classify_almost_weak(family, mode="NonAtomicLimit")
+        result = run_almost_weak(family, mode="NonAtomicLimit")
         assert result.verdict == NOT_STABLE
 
     def test_uncertified_gate_is_inconclusive(self):
-        result = classify_almost_weak(diagonal_family([0.1]))
+        result = run_almost_weak(diagonal_family([0.1]))
         assert result.verdict == INCONCLUSIVE
 
 
@@ -322,8 +335,8 @@ class TestImplicationChain:
         for seed in range(5):
             family = random_hurwitz_family(seed=seed, dim=4, cells=5, margin=0.25)
             uniform = classify_uniform(family, 1.0, 1e-3)
-            strong = classify_strong(family, 150.0, random_probes(family, 2, seed=seed))
-            weak = classify_almost_weak(family, mode="Atomic")
+            strong = run_strong(family, 150.0, random_probes(family, 2, seed=seed))
+            weak = run_almost_weak(family, mode="Atomic")
             if uniform.verdict == STABLE:
                 assert strong.verdict == STABLE
             if strong.verdict == STABLE:
@@ -333,8 +346,8 @@ class TestImplicationChain:
         family = random_hurwitz_family(seed=3, dim=3, cells=4, margin=0.3)
         report = build_report(
             classify_uniform(family, 1.0, 1e-3),
-            classify_strong(family, 120.0, random_probes(family, 2, seed=3)),
-            classify_almost_weak(family, mode="Atomic"),
+            run_strong(family, 120.0, random_probes(family, 2, seed=3)),
+            run_almost_weak(family, mode="Atomic"),
         )
         assert report.uniform.verdict == STABLE
         assert report.decay_eps == pytest.approx(0.3, abs=1e-8)
