@@ -322,6 +322,7 @@ def run_sweep(cfg):
 
     times = semigroup.time_grid(float(time_cfg["horizon"]), grid_points)
     rows = []
+    staged = None
     for value in values:
         if parameter == "truncation":
             family = cases.zabczyk_family(int(value))
@@ -334,14 +335,18 @@ def run_sweep(cfg):
         else:
             family = base_family
             radius = float(value)
-        uniform = _stage(
-            "stability.classify_uniform", stability.classify_uniform, family, t0, margin,
-            grid_points=grid_points,
-        )
-        gate = _stage(
-            "stability.certify_bounded", stability.certify_bounded, family, times,
-            re_tol=re_tol, match_tol=match_tol,
-        )
+        # the uniform and boundedness stages depend on the family alone, which
+        # a delta sweep keeps
+        if family is not staged:
+            staged = family
+            uniform = _stage(
+                "stability.classify_uniform", stability.classify_uniform, family, t0, margin,
+                grid_points=grid_points,
+            )
+            gate = _stage(
+                "stability.certify_bounded", stability.certify_bounded, family, times,
+                re_tol=re_tol, match_tol=match_tol,
+            )
         clusters = _stage(
             "stability.imaginary_point_spectrum",
             stability.imaginary_point_spectrum,

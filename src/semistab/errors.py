@@ -27,11 +27,14 @@ class InvalidMatrixError(SemistabError):
 
 
 class NumericalFailureError(SemistabError):
-    """An iterative kernel failed to converge."""
+    """An iterative kernel failed to converge, or a semigroup kernel's result
+    stopped being finite (`time` then names the earliest time at which it
+    did)."""
 
-    def __init__(self, message, iterations=None):
+    def __init__(self, message, iterations=None, time=None):
         super().__init__(message)
         self.iterations = iterations
+        self.time = time
 
 
 class SingularMatrixError(SemistabError):

@@ -145,10 +145,11 @@ def _pade_solve(u, v):
 STACK_BYTES = 1 << 16
 
 
-def stack_chunks(count, n):
-    """Slices splitting a stack of `count` complex n x n matrices into runs
-    of at most STACK_BYTES each (at least one matrix per run)."""
-    step = max(1, STACK_BYTES // (16 * n * n))
+def stack_chunks(count, n, per_item=1):
+    """Slices splitting `count` items, each `per_item` complex n x n
+    matrices, into runs of at most STACK_BYTES each (at least one item per
+    run)."""
+    step = max(1, STACK_BYTES // (16 * per_item * n * n))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
@@ -197,7 +198,7 @@ def expm_stack(a, t):
     finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
         bad = float(t[np.argmin(finite)])
-        raise NumericalFailureError(f"e^{{tA}} is not finite at t = {bad:g}")
+        raise NumericalFailureError(f"e^{{tA}} is not finite at t = {bad:g}", time=bad)
     return out
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NumericalFailureError, ShapeError
 from .measure import DiscretizedMeasureSpace, ess_sup
 from .report import INCONCLUSIVE, NOT_STABLE, STABLE, Cluster, Witness
 
@@ -203,12 +203,43 @@ def radius_verdict(space, rhos, margin):
     return STABLE, rho_star, ()
 
 
-def trajectory(family, times):
-    """Families e^{tA(s)} for each requested time, all cells of one time in
-    one stacked exponential.
+def block_exponentials(family, times, cells=None):
+    """Yield (cell ids, time slice, blocks) covering every active-dimension
+    group of `cells` (default: every cell) over the nondecreasing grid
+    `times`: blocks[j, i] = e^{times[slice][j] A(ids[i])} on the active
+    block, bit for bit linalg.expm(family.block(ids[i]), t). Each group runs
+    as one stacked exponential per time slice of at most linalg.STACK_BYTES
+    (at least one time step).
 
-    Raises NumericalFailureError when an exponential overflows (see
-    linalg.expm_stack).
+    Raises NumericalFailureError naming the earliest time at which any cell
+    is not finite, after every group has been tried up to that time.
+    """
+    times = np.asarray(times, dtype=float)
+    failure = None
+    for ids, blocks in family.block_stacks(cells):
+        m, k = blocks.shape[0], blocks.shape[-1]
+        count = times.size if failure is None else int(np.searchsorted(times, failure.time))
+        for steps in linalg.stack_chunks(count, k, per_item=m):
+            ts = times[steps]
+            try:
+                out = linalg.expm_stack(np.tile(blocks, (ts.size, 1, 1)), np.repeat(ts, m))
+            except NumericalFailureError as exc:
+                if exc.time is None:
+                    raise
+                failure = exc
+                break
+            yield ids, steps, out.reshape(ts.size, m, k, k)
+    if failure is not None:
+        raise failure
+
+
+def trajectory(family, times, norms=None):
+    """Families e^{tA(s)} for each requested time: the active blocks of
+    block_exponentials, with identity on the padding. When a (len(times),
+    cells) array `norms` is given, norms[k, c] is set to ||e^{t_k A(s_c)}||
+    on the active block, one time slice at a time while it is held.
+
+    Raises NumericalFailureError when an exponential overflows.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -217,25 +248,26 @@ def trajectory(family, times):
         raise DomainError("times must be nonnegative")
     if np.any(np.diff(times) < 0):
         raise DomainError("times must be nondecreasing")
-    out = []
-    for t in times:
-        mats = linalg.expm_stack(family.matrices, t)
-        out.append(
-            PointwiseFamily(
-                space=family.space,
-                dim=family.dim,
-                matrices=mats,
-                active_dims=family.active_dims,
-            )
+    dim = family.dim
+    mats = np.zeros((times.size, family.space.n_cells, dim, dim), dtype=complex)
+    mats[..., range(dim), range(dim)] = 1.0
+    for ids, steps, blocks in block_exponentials(family, times):
+        k = blocks.shape[-1]
+        mats[steps, ids, :k, :k] = blocks
+        if norms is not None:
+            norms[steps, ids] = np.linalg.norm(blocks, 2, axis=(-2, -1))
+    return [
+        PointwiseFamily(
+            space=family.space, dim=dim, matrices=m, active_dims=family.active_dims
         )
-    return out
+        for m in mats
+    ]
 
 
 def norm_curves(family, times):
     """(samples, norms) where norms[k, c] = ||e^{t_k A(s_c)}|| on the active block."""
-    samples = trajectory(family, times)
-    norms = np.stack([sample_norms(s) for s in samples])
-    return samples, norms
+    norms = np.zeros((np.size(times), family.space.n_cells))
+    return trajectory(family, times, norms), norms
 
 
 def refine_family(family):

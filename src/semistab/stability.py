@@ -62,8 +62,9 @@ def _cell_radii_at(family, t0):
     exponential per active dimension; zero-weight cells are skipped (they are
     invisible to the essential supremum)."""
     rhos = np.zeros(family.space.n_cells)
-    for cells, blocks in family.block_stacks(family.space.positive_cells()):
-        rhos[cells] = linalg.spectral_radii(linalg.expm_stack(blocks, t0))
+    positive = family.space.positive_cells()
+    for cells, _, blocks in semigroup.block_exponentials(family, [t0], positive):
+        rhos[cells] = linalg.spectral_radii(blocks[0])
     return rhos
 
 

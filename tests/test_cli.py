@@ -122,6 +122,44 @@ class TestAnalyze:
             "numerical failure in stability.classify_uniform: e^{tA} is not finite at t = 1"
         ]
 
+    @pytest.mark.parametrize("command", ["analyze", "trajectory"])
+    def test_overflow_names_the_earliest_time_across_groups(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # cell 0 is a 1x1 block e^{t} padded to 2x2, cell 1 a 2x2 block with
+        # e^{10 t}: the 2x2 group overflows at an earlier grid time than the
+        # 1x1 group, which runs first
+        cfg = {
+            "family": {
+                "matrices": [
+                    [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                    [[[10.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+                ]
+            },
+            "time": {"horizon": 800},
+        }
+        build = cli.build_family
+
+        def padded(config):
+            fam = build(config)
+            return cli.semigroup.PointwiseFamily(
+                space=fam.space, dim=2, matrices=fam.matrices, active_dims=np.array([1, 2])
+            )
+
+        monkeypatch.setattr(cli, "build_family", padded)
+        times = cli.semigroup.time_grid(800.0, 48)
+        overflow = np.log(np.finfo(float).max)
+        first = times[np.argmax(10.0 * times > overflow)]
+        assert first < times[np.argmax(times > overflow)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        stage = {"analyze": "stability.certify_bounded", "trajectory": "semigroup.norm_curves"}
+        assert err == [
+            f"numerical failure in {stage[command]}: e^{{tA}} is not finite at t = {first:g}"
+        ]
+
     def test_nan_entry_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"family": {"matrices": [[[[NaN, 0.0]]]]}}')
@@ -177,6 +215,20 @@ class TestAnalyze:
 
 
 class TestSweep:
+    def test_delta_sweep_runs_family_stages_once(self, monkeypatch, capsys):
+        calls = {"classify_uniform": 0, "certify_bounded": 0}
+        for name in calls:
+            real = getattr(cli.stability, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli.stability, name, counted)
+        assert cli.main(["sweep", str(CONFIG_DIR / "rotation_sweep.json")]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+        assert calls == {"classify_uniform": 1, "certify_bounded": 1}
+
     def test_truncation_decay_column(self, capsys):
         code = cli.main(["sweep", str(CONFIG_DIR / "zabczyk_sweep.json")])
         assert code == 0

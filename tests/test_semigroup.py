@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semistab import linalg
-from semistab.cases import random_hurwitz_family, zabczyk_family
+from semistab.cases import diagonal_family, random_hurwitz_family, zabczyk_family
 from semistab.errors import DomainError, ShapeError
 from semistab.linalg import norm2
 from semistab.measure import DiscretizedMeasureSpace
@@ -14,6 +14,7 @@ from semistab.semigroup import (
     apply,
     identity_sample,
     lp_norm,
+    norm_curves,
     operator_norm,
     random_probes,
     refine_family,
@@ -229,6 +230,70 @@ class TestActiveBlocks:
         probes = random_probes(self.padded_family(), 3, seed=0)
         for probe in probes:
             assert np.all(probe.vectors[:, 1:] == 0)
+
+
+def contract_families():
+    # padded Jordan blocks, dense 6x6 cells and scalar cells, with grids long
+    # enough that every family runs in several time slices
+    rates = 1j * np.linspace(-3.0, 3.0, 100) - np.linspace(0.01, 0.5, 100)
+    return [
+        zabczyk_family(12, embed_dim=40),
+        random_hurwitz_family(seed=8, dim=6, cells=30, margin=0.2),
+        diagonal_family(rates),
+    ]
+
+
+def recorded_stacks(monkeypatch):
+    stacks = []
+    real = linalg.expm_stack
+
+    def record(a, t):
+        stacks.append(np.asarray(a).shape)
+        return real(a, t)
+
+    monkeypatch.setattr(linalg, "expm_stack", record)
+    return stacks
+
+
+class TestGroupedExponentials:
+    """trajectory and norm_curves exponentiate each active block once per
+    time slice of its group, with the arithmetic of a one-matrix expm."""
+
+    @pytest.mark.parametrize("family", contract_families())
+    def test_blocks_bit_equal_one_matrix_expm_and_padding_is_identity(self, family, monkeypatch):
+        times = time_grid(300.0, 48)
+        stacks = recorded_stacks(monkeypatch)
+        samples = trajectory(family, times)
+        groups = len(family.block_stacks())
+        assert len(stacks) > groups
+        monkeypatch.undo()
+        for t, sample in zip(times, samples):
+            for c in range(family.space.n_cells):
+                k = family.block(c).shape[0]
+                got = sample.matrices[c]
+                want = linalg.expm(family.block(c), t)
+                np.testing.assert_array_equal(got[:k, :k].view(np.int64), want.view(np.int64))
+                padding = got.copy()
+                padding[:k, :k] = np.eye(k)
+                np.testing.assert_array_equal(padding, np.eye(family.dim))
+
+    @pytest.mark.parametrize("family", contract_families())
+    def test_norms_bit_equal_sample_norms(self, family):
+        samples, norms = norm_curves(family, time_grid(300.0, 48))
+        for sample, row in zip(samples, norms):
+            np.testing.assert_array_equal(row.view(np.int64), sample_norms(sample).view(np.int64))
+
+    @pytest.mark.parametrize(
+        "family",
+        contract_families() + [random_hurwitz_family(seed=9, dim=6, cells=400, margin=0.2)],
+    )
+    def test_stacks_stay_within_the_byte_budget(self, family, monkeypatch):
+        # one time step of one group may exceed the budget; nothing else may
+        step_bytes = {blocks.shape[-1]: blocks.nbytes for _, blocks in family.block_stacks()}
+        stacks = recorded_stacks(monkeypatch)
+        trajectory(family, time_grid(300.0, 48))
+        for count, k, _ in stacks:
+            assert count * k * k * 16 <= max(linalg.STACK_BYTES, step_bytes.get(k, 0))
 
 
 class TestSpectrum:

@@ -1,15 +1,17 @@
 """Print the sha256 of the 14 gate outputs of this checkout.
 
-    python3 tools/gate_digests.py
+    python3 tools/gate_digests.py [--keep DIR]
 
 The gate outputs are `analyze` and `trajectory` on each of the six
 `configs/*.json` and `sweep` on `rotation_sweep` and `zabczyk_sweep`. Each
 runs as its own `python -m semistab.cli` process from this checkout's `src/`,
 with BLAS pinned to one thread, writing into a temporary directory that is
-removed afterwards. A change that keeps the reports byte-identical prints the
-same table as its parent commit.
+removed afterwards, or into DIR (created if absent) with `--keep DIR`. A
+change that keeps the reports byte-identical prints the same table as its
+parent commit; `tools/report_diff.py` compares two kept directories.
 """
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -36,20 +38,25 @@ def gate_runs():
     return runs
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="sha256 of the 14 gate outputs")
+    parser.add_argument("--keep", metavar="DIR", help="write the outputs into DIR")
+    args = parser.parse_args(argv)
     env = dict(os.environ)
     env.update({var: "1" for var in THREAD_VARS})
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     rows = []
-    with tempfile.TemporaryDirectory() as out_dir:
-        for name, args, flag in gate_runs():
-            out = Path(out_dir) / name
-            cmd = [sys.executable, "-m", "semistab.cli", *args, flag, str(out), "--quiet"]
+    with tempfile.TemporaryDirectory() as scratch:
+        out_dir = Path(args.keep or scratch)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, cli_args, flag in gate_runs():
+            out = out_dir / name
+            cmd = [sys.executable, "-m", "semistab.cli", *cli_args, flag, str(out), "--quiet"]
             proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
             if proc.returncode != 0:
                 sys.stderr.write(proc.stderr)
-                print(f"{' '.join(args)} exited with code {proc.returncode}", file=sys.stderr)
+                print(f"{' '.join(cli_args)} exited with code {proc.returncode}", file=sys.stderr)
                 return 1
             rows.append((name, hashlib.sha256(out.read_bytes()).hexdigest()))
     for name, digest in rows:

@@ -1,0 +1,125 @@
+"""Size of the numeric diff between two directories of gate outputs.
+
+    python3 tools/gate_digests.py --keep A     # in the parent checkout
+    python3 tools/gate_digests.py --keep B     # in the changed checkout
+    python3 tools/report_diff.py A B
+
+For every output file in either directory it prints one line: the numbers
+compared, how many differ and the largest relative difference
+|a - b| / max(|a|, |b|). Below that line it lists every changed field that
+is not a number pair (a verdict, a witness kind, a number that became text,
+a field present on one side only) as `path: A -> B`. JSON reports are
+compared leaf by leaf, CSV files cell by cell under their header; any other
+file is compared as text, line by line. NaN equals NaN. The exit code is 0
+when no file differs and 1 otherwise.
+"""
+
+import argparse
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+_MISSING = "<absent>"
+
+
+def _leaves(obj, path=""):
+    """(path, value) for every leaf of a parsed JSON document."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], f"{path}.{key}" if path else str(key))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def _csv_number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _fields(path):
+    """{field path: leaf value} of one output file."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return dict(_leaves(json.loads(text)))
+    if path.suffix == ".csv":
+        rows = list(csv.reader(text.splitlines()))
+        if not rows:
+            return {}
+        header, out = rows[0], {"header": ",".join(rows[0])}
+        for r, row in enumerate(rows[1:], start=1):
+            for c, cell in enumerate(row):
+                name = header[c] if c < len(header) else str(c)
+                out[f"row {r} {name}"] = _csv_number(cell)
+        return out
+    return {f"line {i}": line for i, line in enumerate(text.splitlines(), start=1)}
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _rel_diff(a, b):
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(fields_a, fields_b):
+    """(numbers compared, numbers that differ, largest relative difference,
+    [(path, a, b)] of the other changed fields)."""
+    compared = differ = 0
+    largest = 0.0
+    changed = []
+    for key in list(fields_a) + [k for k in fields_b if k not in fields_a]:
+        a = fields_a.get(key, _MISSING)
+        b = fields_b.get(key, _MISSING)
+        if _is_number(a) and _is_number(b):
+            compared += 1
+            rel = _rel_diff(float(a), float(b))
+            if rel > 0.0:
+                differ += 1
+                largest = max(largest, rel)
+        elif a != b:
+            changed.append((key, a, b))
+    return compared, differ, largest, changed
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="numeric diff of two gate-output directories")
+    parser.add_argument("dir_a")
+    parser.add_argument("dir_b")
+    args = parser.parse_args(argv)
+    dir_a, dir_b = Path(args.dir_a), Path(args.dir_b)
+    for d in (dir_a, dir_b):
+        if not d.is_dir():
+            parser.error(f"{d} is not a directory")
+    names = sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir() if p.is_file()})
+    any_diff = False
+    for name in names:
+        fa, fb = dir_a / name, dir_b / name
+        if not (fa.is_file() and fb.is_file()):
+            print(f"{name}: only in {dir_a if fa.is_file() else dir_b}")
+            any_diff = True
+            continue
+        compared, differ, largest, changed = compare(_fields(fa), _fields(fb))
+        any_diff |= bool(differ or changed)
+        print(
+            f"{name}: {compared} numbers compared, {differ} differ, "
+            f"max relative difference {largest:.3g}"
+        )
+        for key, a, b in changed:
+            print(f"  {key}: {a!r} -> {b!r}")
+    return 1 if any_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
