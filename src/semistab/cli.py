@@ -210,6 +210,11 @@ def analysis_mode(cfg, family):
     return mapping[mode]
 
 
+def _time_grid(time_cfg):
+    horizon, points = float(time_cfg["horizon"]), int(time_cfg["grid_points"])
+    return semigroup.time_grid(horizon, points, bool(time_cfg["log_spacing"]))
+
+
 def run_analysis(cfg):
     family = build_family(cfg)
     p = _parse_p(cfg["p"])
@@ -218,34 +223,19 @@ def run_analysis(cfg):
     aw_cfg = cfg["almost_weak"]
     probes = build_probes(cfg, family)
     mode = analysis_mode(cfg, family)
-    grid_points = int(time_cfg["grid_points"])
 
     uniform = _stage(
-        "stability.classify_uniform",
-        stability.classify_uniform,
-        family,
-        float(time_cfg["t0"]),
-        float(tol["margin"]),
-        grid_points=grid_points,
+        "stability.classify_uniform", stability.classify_uniform, family,
+        float(time_cfg["t0"]), float(tol["margin"]), grid_points=int(time_cfg["grid_points"]),
     )
     re_tol = float(tol["re_tol"])
     match_tol = float(tol["match_tol"])
     gate = _stage(
-        "stability.certify_bounded",
-        stability.certify_bounded,
-        family,
-        semigroup.time_grid(float(time_cfg["horizon"]), grid_points),
-        re_tol=re_tol,
-        match_tol=match_tol,
+        "stability.certify_bounded", stability.certify_bounded, family, _time_grid(time_cfg),
+        probes, p=p, re_tol=re_tol, match_tol=match_tol,
     )
     strong = _stage(
-        "stability.classify_strong",
-        stability.classify_strong,
-        family,
-        probes,
-        gate,
-        p=p,
-        re_tol=re_tol,
+        "stability.classify_strong", stability.classify_strong, family, gate, re_tol=re_tol
     )
     almost_weak = _stage(
         "stability.classify_almost_weak",
@@ -320,7 +310,7 @@ def run_sweep(cfg):
     elif cfg["family"].get("builtin") != "zabczyk":
         raise ConfigError("truncation sweeps require the zabczyk builtin family")
 
-    times = semigroup.time_grid(float(time_cfg["horizon"]), grid_points)
+    times = _time_grid(time_cfg)
     rows = []
     staged = None
     for value in values:
@@ -366,23 +356,16 @@ def run_sweep(cfg):
 def run_trajectory(cfg):
     family = build_family(cfg)
     p = _parse_p(cfg["p"])
-    time_cfg = cfg["time"]
     probes = build_probes(cfg, family)
-    times = semigroup.time_grid(
-        float(time_cfg["horizon"]),
-        int(time_cfg["grid_points"]),
-        bool(time_cfg["log_spacing"]),
-    )
-    samples, norms = _stage(
-        "semigroup.norm_curves", semigroup.norm_curves, family, times
+    times = _time_grid(cfg["time"])
+    norms, probe_norms = _stage(
+        "semigroup.norm_curves", semigroup.orbit_norms, family, times, probes, p
     )
     positive = family.space.positive_cells()
     header = ["t", "ess_sup_norm"] + [f"probe_{i}" for i in range(len(probes))]
     lines = [",".join(header)]
-    for k, sample in enumerate(samples):
-        row = [times[k], float(norms[k, positive].max())]
-        for probe in probes:
-            row.append(semigroup.lp_norm(semigroup.apply(sample, probe), p))
+    for k, t in enumerate(times):
+        row = [t, float(norms[k, positive].max()), *probe_norms[k]]
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 

@@ -134,13 +134,16 @@ def apply(sample, f):
 
 def lp_norm(f, p=2.0):
     """Bochner p-norm: (sum_i ||f_i||^p mu_i)^(1/p), ess-sup norm for p=inf."""
+    return float(_cell_lp(f.space, np.linalg.norm(f.vectors, axis=1), p))
+
+
+def _cell_lp(space, cell, p):
+    """lp_norm from the per-cell vector norms `cell` (cells on the last axis)."""
     if p != math.inf and p < 1:
         raise DomainError("p must satisfy p >= 1 or p = inf")
-    cell = np.linalg.norm(f.vectors, axis=1)
     if p == math.inf:
-        return ess_sup(f.space, cell)
-    mu = f.space.weights
-    return float((cell**p @ mu) ** (1.0 / p))
+        return cell[..., space.positive_cells()].max(axis=-1)
+    return (cell**p @ space.weights) ** (1.0 / p)
 
 
 def sample_norms(sample):
@@ -215,6 +218,12 @@ def block_exponentials(family, times, cells=None):
     is not finite, after every group has been tried up to that time.
     """
     times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ShapeError("times must be nonempty")
+    if np.any(times < 0):
+        raise DomainError("times must be nonnegative")
+    if np.any(np.diff(times) < 0):
+        raise DomainError("times must be nondecreasing")
     failure = None
     for ids, blocks in family.block_stacks(cells):
         m, k = blocks.shape[0], blocks.shape[-1]
@@ -233,29 +242,18 @@ def block_exponentials(family, times, cells=None):
         raise failure
 
 
-def trajectory(family, times, norms=None):
+def trajectory(family, times):
     """Families e^{tA(s)} for each requested time: the active blocks of
-    block_exponentials, with identity on the padding. When a (len(times),
-    cells) array `norms` is given, norms[k, c] is set to ||e^{t_k A(s_c)}||
-    on the active block, one time slice at a time while it is held.
+    block_exponentials, with identity on the padding.
 
     Raises NumericalFailureError when an exponential overflows.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ShapeError("times must be nonempty")
-    if np.any(times < 0):
-        raise DomainError("times must be nonnegative")
-    if np.any(np.diff(times) < 0):
-        raise DomainError("times must be nondecreasing")
     dim = family.dim
-    mats = np.zeros((times.size, family.space.n_cells, dim, dim), dtype=complex)
+    mats = np.zeros((np.size(times), family.space.n_cells, dim, dim), dtype=complex)
     mats[..., range(dim), range(dim)] = 1.0
     for ids, steps, blocks in block_exponentials(family, times):
         k = blocks.shape[-1]
         mats[steps, ids, :k, :k] = blocks
-        if norms is not None:
-            norms[steps, ids] = np.linalg.norm(blocks, 2, axis=(-2, -1))
     return [
         PointwiseFamily(
             space=family.space, dim=dim, matrices=m, active_dims=family.active_dims
@@ -264,10 +262,37 @@ def trajectory(family, times, norms=None):
     ]
 
 
+def orbit_norms(family, times, probes=(), p=2.0):
+    """(norms, probe_norms) on the grid `times`: norms[k, c] = ||e^{t_k A(s_c)}||
+    on the active block and probe_norms[k, j] = ||e^{t_k A} f_j||_p for the
+    probe f_j restricted to the active blocks. Each time slice of
+    block_exponentials is held only while its norms are taken.
+
+    Raises DomainError when a probe is zero on the active blocks and
+    NumericalFailureError when an exponential overflows.
+    """
+    space, dim = family.space, family.dim
+    if any(f.dim != dim or not space.compatible_with(f.space) for f in probes):
+        raise ShapeError("family and function live on different spaces")
+    vectors = np.zeros((len(probes), space.n_cells, dim), dtype=complex)
+    for j, f in enumerate(probes):
+        vectors[j] = family.restrict(f).vectors
+    for j, base in enumerate(_cell_lp(space, np.linalg.norm(vectors, axis=-1), p)):
+        if base == 0.0:
+            raise DomainError(f"probe {j} has zero norm on the active blocks")
+    norms = np.zeros((np.size(times), space.n_cells))
+    cell_norms = np.zeros((np.size(times), len(probes), space.n_cells))
+    for ids, steps, blocks in block_exponentials(family, times):
+        k = blocks.shape[-1]
+        norms[steps, ids] = np.linalg.norm(blocks, 2, axis=(-2, -1))
+        orbits = blocks[:, None] @ vectors[None, :, ids, :k, None]
+        cell_norms[steps, :, ids] = np.linalg.norm(orbits[..., 0], axis=-1)
+    return norms, _cell_lp(space, cell_norms, p)
+
+
 def norm_curves(family, times):
-    """(samples, norms) where norms[k, c] = ||e^{t_k A(s_c)}|| on the active block."""
-    norms = np.zeros((np.size(times), family.space.n_cells))
-    return trajectory(family, times, norms), norms
+    """norms[k, c] = ||e^{t_k A(s_c)}|| on the active block."""
+    return orbit_norms(family, times)[0]
 
 
 def refine_family(family):

@@ -95,7 +95,7 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
     h = max(2 * math.log(1e3) / eps, 4 * max_dim / eps)
     for _ in range(MAX_EXTENSIONS + 1):
         times = semigroup.time_grid(h, grid_points)
-        _, norms = semigroup.norm_curves(family, times)
+        norms = semigroup.norm_curves(family, times)
         ess_norms = norms[:, positive].max(axis=1)
         decayed = bool(ess_norms[times > 0].min() < DECAY_CROSSCHECK)
         if decayed:
@@ -124,20 +124,21 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
 
 
 class BoundednessCertificate(NamedTuple):
-    """A boundedness verdict with the trajectory it was read from:
-    `samples[k]` is e^{times[k] A} and `norms[k, c]` its norm on cell c."""
+    """A boundedness verdict with the norms it was read from: `norms[k, c]` is
+    ||e^{times[k] A(s_c)}||, `probe_norms[k, j]` the p-norm of probe j's orbit."""
 
     certified: bool
     bound: float
     witnesses: tuple
     times: np.ndarray
-    samples: list
     norms: np.ndarray
+    probe_norms: np.ndarray
+    p: float
 
 
-def certify_bounded(family, times, *, re_tol=1e-9, match_tol=1e-6):
+def certify_bounded(family, times, probes=(), *, p=2.0, re_tol=1e-9, match_tol=1e-6):
     """Certify sup_t ||e^{tA}|| < inf and report the bound observed on the
-    time grid `times`, whose trajectory the certificate carries.
+    time grid `times` (from 0), with the p-norms of the orbits of `probes`.
 
     A cell is certified either by eventual contraction (some grid norm < 1,
     which caps the tail by submultiplicativity) or spectrally: all
@@ -147,7 +148,7 @@ def certify_bounded(family, times, *, re_tol=1e-9, match_tol=1e-6):
     never contract.
     """
     times = np.asarray(times, dtype=float)
-    samples, norms = semigroup.norm_curves(family, times)
+    norms, probe_norms = semigroup.orbit_norms(family, times, probes, p)
     positive = family.space.positive_cells()
     bound = float(norms[:, positive].max())
     later = times > 0
@@ -167,24 +168,24 @@ def certify_bounded(family, times, *, re_tol=1e-9, match_tol=1e-6):
         if rep is not None:
             certified = False
             witnesses.append(Witness(int(c), rep, "defective-imaginary-eigenvalue"))
-    return BoundednessCertificate(certified, bound, tuple(witnesses), times, samples, norms)
+    return BoundednessCertificate(certified, bound, tuple(witnesses), times, norms, probe_norms, p)
 
 
-def classify_strong(family, probes, gate, *, p=2.0, re_tol=1e-9):
+def classify_strong(family, gate, *, re_tol=1e-9):
     """Strong stability: certified bound (the certify_bounded result `gate`),
     then pointwise spectral bounds strictly negative on every positive-weight
-    cell, corroborated by probe orbits on the gate's trajectory decaying
-    below PROBE_THRESHOLD of their initial norm.
+    cell, corroborated by the gate's probe orbits decaying below
+    PROBE_THRESHOLD of their initial norm.
 
     An uncertified bound or a non-decaying probe yields Inconclusive; a cell
     with nonnegative spectral bound yields NotStable with that cell as the
     witness.
     """
-    if not probes:
-        raise ShapeError("probes must be nonempty")
+    if gate.probe_norms.shape[1] == 0:
+        raise ShapeError("the boundedness certificate carries no probe orbits")
     tolerances = {
         "horizon": float(gate.times[-1]),
-        "p": p,
+        "p": gate.p,
         "re_tol": re_tol,
         "probe_threshold": PROBE_THRESHOLD,
     }
@@ -213,17 +214,8 @@ def classify_strong(family, probes, gate, *, p=2.0, re_tol=1e-9):
             verdict = INCONCLUSIVE
             witnesses.append(Witness(int(c), lam, "spectral-bound-inside-tolerance-band"))
     if verdict == STABLE:
-        for idx, probe in enumerate(probes):
-            restricted = family.restrict(probe)
-            base = semigroup.lp_norm(restricted, p)
-            if base == 0.0:
-                raise DomainError(f"probe {idx} has zero norm on the active blocks")
-            decayed = False
-            for sample in gate.samples[1:]:
-                ratio = semigroup.lp_norm(semigroup.apply(sample, restricted), p) / base
-                if ratio <= PROBE_THRESHOLD:
-                    decayed = True
-                    break
+        ratios = gate.probe_norms[1:] / gate.probe_norms[0]
+        for decayed in (ratios <= PROBE_THRESHOLD).any(axis=0):
             if not decayed:
                 verdict = INCONCLUSIVE
                 witnesses.append(Witness(None, float(gate.times[-1]), "probe-did-not-decay"))

@@ -89,7 +89,7 @@ def test_criterion_1_counterexample_spectra():
 def test_criterion_2_unboundedness_shadow():
     family = zabczyk_family(10)
     # direct evaluation oracle on a dense grid over [0, 100]
-    _, norms = norm_curves(family, np.linspace(0.0, 100.0, 201))
+    norms = norm_curves(family, np.linspace(0.0, 100.0, 201))
     peak = float(norms.max())
     assert peak > 1e4
     result = classify_uniform(family, 1.0, 1e-6)
@@ -159,7 +159,7 @@ def test_criterion_4_uniform_subcheck_consistency():
         if marginal:
             # radius check says not stable; norms agree by never decaying
             assert result.verdict == NOT_STABLE
-            _, norms = norm_curves(family, time_grid(50.0, 17))
+            norms = norm_curves(family, time_grid(50.0, 17))
             assert norms.max(axis=1).min() >= 0.9
         else:
             # radius check says stable; norm decay observed; envelope holds
@@ -182,7 +182,7 @@ def test_criterion_5_strong_both_directions():
         cells = int(rng.integers(2, 6))
         family = random_hurwitz_family(seed=2000 + k, dim=dim, cells=cells, margin=0.2)
         probes = random_probes(family, 3, seed=k)
-        result = classify_strong(family, probes, certify_bounded(family, time_grid(horizon, 48)))
+        result = classify_strong(family, certify_bounded(family, time_grid(horizon, 48), probes))
         assert result.verdict == STABLE
         # forward direction at desk scale: every basis orbit decays pointwise
         for c in range(cells):
@@ -197,7 +197,7 @@ def test_criterion_5_strong_both_directions():
         spoiled[0] = np.diag([1j] + [-1.0] * (dim - 1))
         spoiled_family = PointwiseFamily(space=family.space, dim=dim, matrices=spoiled)
         flipped = classify_strong(
-            spoiled_family, probes, certify_bounded(spoiled_family, time_grid(horizon, 48))
+            spoiled_family, certify_bounded(spoiled_family, time_grid(horizon, 48), probes)
         )
         assert flipped.verdict == NOT_STABLE
         assert flipped.witnesses[0].cell == 0

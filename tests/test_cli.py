@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -321,6 +322,52 @@ class TestTrajectory:
         assert cli.main(["trajectory", path]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[-1].split(",")[2]) < 1e-6
+
+
+class TestAnalyzeAndTrajectoryAgree:
+    @pytest.mark.parametrize("log_spacing", [True, False])
+    def test_strong_bound_is_the_trajectory_peak(self, capsys, tmp_path, log_spacing):
+        cfg = {
+            "family": {"builtin": "zabczyk", "N": 6},
+            "time": {"horizon": 400, "grid_points": 16, "log_spacing": log_spacing},
+        }
+        path = write_config(tmp_path, cfg)
+        bound = analyze_payload(capsys, path)["strong"]["bound_M"]
+        assert cli.main(["trajectory", path]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert bound == max(float(line.split(",")[1]) for line in lines[1:])
+
+    @pytest.mark.parametrize("command", ["analyze", "trajectory"])
+    @pytest.mark.parametrize(
+        "family",
+        [{"builtin": "diagonal", "rates": [[-1, 0], [-2, 0]]}, {"builtin": "rotation", "cells": 3}],
+    )
+    def test_zero_probe_exits_2(self, capsys, tmp_path, command, family):
+        cells = len(family["rates"]) if "rates" in family else family["cells"]
+        cfg = {"family": family, "probes": {"vectors": [[[[0.0, 0.0]]] * cells]}}
+        assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == "error: probe 0 has zero norm on the active blocks\n"
+
+
+class TestMemory:
+    def test_analysis_keeps_no_padded_trajectory(self, tmp_path, monkeypatch):
+        # one padded (16, 32, 32, 32) complex trajectory is 8.4 MB
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the continuous analysis must not build a trajectory")
+
+        monkeypatch.setattr(cli.semigroup, "trajectory", forbidden)
+        cfg = cli.load_config(write_config(tmp_path, {
+            "family": {"builtin": "zabczyk", "N": 32},
+            "time": {"horizon": 3000, "grid_points": 16},
+        }))
+        assert not cfg["discrete"]["enabled"]
+        tracemalloc.start()
+        try:
+            cli.run_analysis(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 32**3 * 16 / 2
 
 
 class TestDeterminism:

@@ -16,6 +16,7 @@ from semistab.semigroup import (
     lp_norm,
     norm_curves,
     operator_norm,
+    orbit_norms,
     random_probes,
     refine_family,
     sample_norms,
@@ -279,8 +280,9 @@ class TestGroupedExponentials:
 
     @pytest.mark.parametrize("family", contract_families())
     def test_norms_bit_equal_sample_norms(self, family):
-        samples, norms = norm_curves(family, time_grid(300.0, 48))
-        for sample, row in zip(samples, norms):
+        times = time_grid(300.0, 48)
+        norms = norm_curves(family, times)
+        for sample, row in zip(trajectory(family, times), norms):
             np.testing.assert_array_equal(row.view(np.int64), sample_norms(sample).view(np.int64))
 
     @pytest.mark.parametrize(
@@ -294,6 +296,48 @@ class TestGroupedExponentials:
         trajectory(family, time_grid(300.0, 48))
         for count, k, _ in stacks:
             assert count * k * k * 16 <= max(linalg.STACK_BYTES, step_bytes.get(k, 0))
+
+
+def zero_weight_family():
+    # dense 4x4 cells, two of them null sets
+    family = random_hurwitz_family(seed=5, dim=4, cells=24, margin=0.2)
+    weights = np.ones(24)
+    weights[[3, 17]] = 0.0
+    return PointwiseFamily(space=space_of(weights), dim=4, matrices=family.matrices)
+
+
+class TestOrbitNorms:
+    """Probe orbit norms taken per time slice of the grouped exponentials."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("family", contract_families()[:2] + [zero_weight_family()])
+    def test_probe_norms_match_the_padded_reference(self, family, p, monkeypatch):
+        times = time_grid(300.0, 48)
+        probes = random_probes(family, 3, seed=1)
+        stacks = recorded_stacks(monkeypatch)
+        norms, probe_norms = orbit_norms(family, times, probes, p)
+        assert len(stacks) > len(family.block_stacks())
+        monkeypatch.undo()
+        np.testing.assert_array_equal(norms, norm_curves(family, times))
+        for k, t in enumerate(times):
+            sample = trajectory(family, [t])[0]
+            want = [lp_norm(apply(sample, f), p) for f in probes]
+            np.testing.assert_allclose(probe_norms[k], want, rtol=1e-14, atol=0.0)
+
+    def test_probes_are_restricted_to_the_active_blocks(self):
+        family = zabczyk_family(3)
+        ones = BochnerFunction(space=family.space, dim=3, vectors=np.ones((3, 3)))
+        _, probe_norms = orbit_norms(family, [0.0], [ones])
+        assert probe_norms[0, 0] == pytest.approx(math.sqrt(6.0), rel=1e-15)
+
+    def test_zero_probe_rejected(self):
+        family = zabczyk_family(3)
+        # nonzero only on the padding of cell 0
+        vecs = np.zeros((3, 3))
+        vecs[0, 2] = 1.0
+        probe = BochnerFunction(space=family.space, dim=3, vectors=vecs)
+        with pytest.raises(DomainError, match="probe 1 has zero norm on the active blocks"):
+            orbit_norms(family, [0.0, 1.0], random_probes(family, 1, seed=0) + [probe])
 
 
 class TestSpectrum:

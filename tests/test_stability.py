@@ -25,8 +25,8 @@ from semistab.stability import (
 
 
 def run_strong(family, horizon, probes, grid_points=48):
-    gate = certify_bounded(family, time_grid(horizon, grid_points))
-    return classify_strong(family, probes, gate)
+    gate = certify_bounded(family, time_grid(horizon, grid_points), probes)
+    return classify_strong(family, gate)
 
 
 def run_almost_weak(family, **kwargs):

@@ -32,9 +32,22 @@ def test_report_diff_counts_numbers_and_lists_changed_fields(tmp_path, capsys):
     assert report_diff.main([str(a), str(b)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
-        "analyze_x.json: 3 numbers compared, 1 differ, max relative difference 0.2",
+        "analyze_x.json: 3 numbers compared, 1 differ, max relative difference 0.2 in uniform",
         "  uniform.verdict: 'Stable' -> 'Inconclusive'",
-        "trajectory_x.csv: 9 numbers compared, 1 differ, max relative difference 2.22e-16",
+        "trajectory_x.csv: 9 numbers compared, 1 differ, max relative difference 2.22e-16"
+        " in probe_0",
+    ]
+
+
+def test_every_column_with_a_differing_number_is_named(tmp_path, capsys):
+    report_diff = load_report_diff()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, last in ((a, "4,5,6"), (b, "4.5,5,6.5")):
+        root.mkdir()
+        (root / "x.csv").write_text(f"t,norm,probe_0\n1,2,3\n{last}\n")
+    assert report_diff.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "x.csv: 6 numbers compared, 2 differ, max relative difference 0.111 in probe_0, t",
     ]
 
 

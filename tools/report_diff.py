@@ -5,8 +5,9 @@
     python3 tools/report_diff.py A B
 
 For every output file in either directory it prints one line: the numbers
-compared, how many differ and the largest relative difference
-|a - b| / max(|a|, |b|). Below that line it lists every changed field that
+compared, how many differ, the largest relative difference
+|a - b| / max(|a|, |b|) and, when numbers differ, the CSV columns (or
+top-level JSON keys) that hold them. Below that line it lists every changed field that
 is not a number pair (a verdict, a witness kind, a number that became text,
 a field present on one side only) as `path: A -> B`. JSON reports are
 compared leaf by leaf, CSV files cell by cell under their header; any other
@@ -44,21 +45,25 @@ def _csv_number(text):
 
 
 def _fields(path):
-    """{field path: leaf value} of one output file."""
+    """{(group, field path): leaf value} of one output file; the group is
+    the CSV column or the top-level JSON key of the field."""
     text = path.read_text()
     if path.suffix == ".json":
-        return dict(_leaves(json.loads(text)))
+        return {
+            (key.split(".")[0].split("[")[0], key): value
+            for key, value in _leaves(json.loads(text))
+        }
     if path.suffix == ".csv":
         rows = list(csv.reader(text.splitlines()))
         if not rows:
             return {}
-        header, out = rows[0], {"header": ",".join(rows[0])}
+        header, out = rows[0], {("header", "header"): ",".join(rows[0])}
         for r, row in enumerate(rows[1:], start=1):
             for c, cell in enumerate(row):
                 name = header[c] if c < len(header) else str(c)
-                out[f"row {r} {name}"] = _csv_number(cell)
+                out[(name, f"row {r} {name}")] = _csv_number(cell)
         return out
-    return {f"line {i}": line for i, line in enumerate(text.splitlines(), start=1)}
+    return {(None, f"line {i}"): line for i, line in enumerate(text.splitlines(), start=1)}
 
 
 def _is_number(value):
@@ -75,9 +80,11 @@ def _rel_diff(a, b):
 
 def compare(fields_a, fields_b):
     """(numbers compared, numbers that differ, largest relative difference,
-    [(path, a, b)] of the other changed fields)."""
+    sorted groups holding differing numbers, [(path, a, b)]
+    of the other changed fields)."""
     compared = differ = 0
     largest = 0.0
+    groups = set()
     changed = []
     for key in list(fields_a) + [k for k in fields_b if k not in fields_a]:
         a = fields_a.get(key, _MISSING)
@@ -88,9 +95,10 @@ def compare(fields_a, fields_b):
             if rel > 0.0:
                 differ += 1
                 largest = max(largest, rel)
+                groups.add(str(key[0]))
         elif a != b:
-            changed.append((key, a, b))
-    return compared, differ, largest, changed
+            changed.append((key[1], a, b))
+    return compared, differ, largest, sorted(groups), changed
 
 
 def main(argv=None):
@@ -110,11 +118,12 @@ def main(argv=None):
             print(f"{name}: only in {dir_a if fa.is_file() else dir_b}")
             any_diff = True
             continue
-        compared, differ, largest, changed = compare(_fields(fa), _fields(fb))
+        compared, differ, largest, groups, changed = compare(_fields(fa), _fields(fb))
         any_diff |= bool(differ or changed)
+        where = f" in {', '.join(groups)}" if groups else ""
         print(
             f"{name}: {compared} numbers compared, {differ} differ, "
-            f"max relative difference {largest:.3g}"
+            f"max relative difference {largest:.3g}{where}"
         )
         for key, a, b in changed:
             print(f"  {key}: {a!r} -> {b!r}")
