@@ -262,11 +262,17 @@ def trajectory(family, times):
     ]
 
 
-def orbit_norms(family, times, probes=(), p=2.0):
+def orbit_norms(family, times, probes=(), p=2.0, cells=None):
     """(norms, probe_norms) on the grid `times`: norms[k, c] = ||e^{t_k A(s_c)}||
     on the active block and probe_norms[k, j] = ||e^{t_k A} f_j||_p for the
     probe f_j restricted to the active blocks. Each time slice of
     block_exponentials is held only while its norms are taken.
+
+    Only `cells` are computed, by default the positive-weight cells: a
+    zero-weight cell is a null set, so its exponential is never formed and
+    its column of norms (and its share of every probe orbit) reads 0. Each
+    computed column is bit for bit the same whichever other cells are
+    computed with it.
 
     Raises DomainError when a probe is zero on the active blocks and
     NumericalFailureError when an exponential overflows.
@@ -282,7 +288,9 @@ def orbit_norms(family, times, probes=(), p=2.0):
             raise DomainError(f"probe {j} has zero norm on the active blocks")
     norms = np.zeros((np.size(times), space.n_cells))
     cell_norms = np.zeros((np.size(times), len(probes), space.n_cells))
-    for ids, steps, blocks in block_exponentials(family, times):
+    if cells is None:
+        cells = space.positive_cells()
+    for ids, steps, blocks in block_exponentials(family, times, cells):
         k = blocks.shape[-1]
         norms[steps, ids] = np.linalg.norm(blocks, 2, axis=(-2, -1))
         orbits = blocks[:, None] @ vectors[None, :, ids, :k, None]
@@ -291,7 +299,8 @@ def orbit_norms(family, times, probes=(), p=2.0):
 
 
 def norm_curves(family, times):
-    """norms[k, c] = ||e^{t_k A(s_c)}|| on the active block."""
+    """norms[k, c] = ||e^{t_k A(s_c)}|| on the active block, 0 on zero-weight
+    cells."""
     return orbit_norms(family, times)[0]
 
 

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from semistab import cli
+from semistab.cases import zabczyk_family
 from semistab.errors import ConfigError, NumericalFailureError
+from semistab.measure import DiscretizedMeasureSpace
+from semistab.semigroup import PointwiseFamily
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -347,6 +350,55 @@ class TestAnalyzeAndTrajectoryAgree:
         cfg = {"family": family, "probes": {"vectors": [[[[0.0, 0.0]]] * cells]}}
         assert cli.main([command, write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err == "error: probe 0 has zero norm on the active blocks\n"
+
+
+def analyze_and_trajectory(capsys, tmp_path, cfg, name):
+    path = write_config(tmp_path, cfg, name)
+    report = analyze_payload(capsys, path)
+    del report["meta"]["config_hash"]
+    assert cli.main(["trajectory", path]) == 0
+    return report, capsys.readouterr().out
+
+
+class TestZeroWeightCells:
+    """A zero-weight cell is a null set: appending one moves no output."""
+
+    def test_overflowing_null_cell(self, capsys, tmp_path):
+        # e^{800 t} overflows before t0 = 1 on the null cell
+        probe = [[[[1.0, 0.5]]], [[[-2.0, 0.0]]]]
+        base = {"family": {"builtin": "diagonal", "rates": [[-1, 0]]}, "probes": {"vectors": probe}}
+        null = {
+            "family": {"builtin": "diagonal", "rates": [[-1, 0], [800, 0]], "weights": [1, 0]},
+            "probes": {"vectors": [v + [[[3.0, 0.0]]] for v in probe]},
+        }
+        assert analyze_and_trajectory(capsys, tmp_path, null, "null.json") == (
+            analyze_and_trajectory(capsys, tmp_path, base, "base.json")
+        )
+
+    def test_wide_null_cell(self, capsys, tmp_path, monkeypatch):
+        # a zero-weight -I cell of active dimension 9 next to Zabczyk N=6
+        # embedded in dimension 9: the uniform horizon must not grow with it
+        base_family = zabczyk_family(6, embed_dim=9)
+        null_family = PointwiseFamily(
+            space=DiscretizedMeasureSpace(weights=[1.0] * 6 + [0.0], labels=np.arange(1.0, 8.0)),
+            dim=9,
+            matrices=np.concatenate([base_family.matrices, -np.eye(9)[None]]),
+            active_dims=np.r_[base_family.active_dims, 9],
+        )
+        families = {6: base_family, 7: null_family}
+        monkeypatch.setattr(cli, "build_family", lambda cfg: families[cfg["family"]["cells"]])
+        rng = np.random.default_rng(7)
+        vectors = rng.standard_normal((2, 7, 9, 2))
+        outputs = []
+        for cells in (6, 7):
+            cfg = {
+                "family": {"cells": cells},
+                "time": {"horizon": 400.0, "grid_points": 24},
+                "probes": {"vectors": vectors[:, :cells].tolist()},
+            }
+            outputs.append(analyze_and_trajectory(capsys, tmp_path, cfg, f"{cells}.json"))
+        assert outputs[1] == outputs[0]
+        assert outputs[0][0]["uniform"]["verdict"] == "Stable"
 
 
 class TestMemory:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from semistab import semigroup, stability
 from semistab.cases import diagonal_family, random_hurwitz_family, zabczyk_family
 from semistab.errors import DomainError, ShapeError, UnboundedSemigroupError
-from semistab.measure import DiscretizedMeasureSpace
+from semistab.measure import DiscretizedMeasureSpace, ess_sup
 from semistab.report import INCONCLUSIVE, NOT_STABLE, STABLE
-from semistab.semigroup import PointwiseFamily, random_probes, time_grid
+from semistab.semigroup import PointwiseFamily, norm_curves, random_probes, time_grid
 from semistab.stability import (
     build_report,
     certify_bounded,
@@ -82,6 +83,127 @@ class TestClassifyUniform:
             classify_uniform(family, 0.0, 1e-6)
         with pytest.raises(DomainError):
             classify_uniform(family, 1.0, 0.0)
+
+
+def full_grid_uniform(family, t0, grid_points=48):
+    """The uniform cross-check with every positive-weight cell computed on
+    every trial horizon: (rho*, eps, M, last horizon examined, its grid, its
+    ess-sup norms)."""
+    positive = family.space.positive_cells()
+    rho_star = ess_sup(family.space, stability._cell_radii_at(family, t0))
+    eps = -math.log(rho_star) / t0
+    active = family.active_dims
+    max_dim = family.dim if active is None else int(active[positive].max())
+    h = max(2 * math.log(1e3) / eps, 4 * max_dim / eps)
+    for attempt in range(stability.MAX_EXTENSIONS + 1):
+        if attempt:
+            h *= 2.0
+        times = time_grid(h, grid_points)
+        ess_norms = norm_curves(family, times)[:, positive].max(axis=1)
+        if ess_norms[times > 0].min() < stability.DECAY_CROSSCHECK:
+            break
+    bound = max(1.0, float((ess_norms * np.exp(eps * times)).max()))
+    return rho_star, eps, bound, h, times, ess_norms
+
+
+def count_full_passes(monkeypatch):
+    """Record the grid end of every semigroup.norm_curves call."""
+    ends = []
+    real = semigroup.norm_curves
+
+    def counted(family, times):
+        ends.append(float(times[-1]))
+        return real(family, times)
+
+    monkeypatch.setattr(semigroup, "norm_curves", counted)
+    return ends
+
+
+def two_cell_family(rate):
+    """The rho* lead, a normal cell decaying at rate 0.01, next to a cell
+    with spectral bound `rate` <= -0.01 and a non-normal transient that
+    outlasts the lead's decay."""
+    return family_from_matrices([np.diag([-0.01, -0.01]), [[rate, 1e8], [0.0, rate]]])
+
+
+def with_null_cells():
+    """Random-Hurwitz cells with two zero-weight cells, one of them
+    overflowing before t0."""
+    mats = list(random_hurwitz_family(seed=4, dim=3, cells=4, margin=0.3).matrices)
+    mats.insert(1, 800.0 * np.eye(3))
+    mats.append(np.diag([1j, 2.0, -5.0]))
+    return family_from_matrices(mats, weights=[1, 0, 1, 1, 1, 0])
+
+
+class TestUniformCrossCheck:
+    """classify_uniform settles a horizon from the lead cell's norms when it
+    can; results must equal the full grid on every horizon, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "build, full_passes",
+        [
+            pytest.param(lambda: zabczyk_family(6, embed_dim=8), 1, id="zabczyk-6"),
+            pytest.param(lambda: zabczyk_family(10, embed_dim=13), 1, id="zabczyk-10"),
+            pytest.param(lambda: zabczyk_family(16, embed_dim=20), 1, id="zabczyk-16"),
+            pytest.param(
+                lambda: random_hurwitz_family(seed=3, dim=6, cells=8, margin=0.2), 1,
+                id="random-hurwitz",
+            ),
+            pytest.param(with_null_cells, 1, id="null-cells"),
+            # the lead decays on the first horizon, the transient does not:
+            # the full grid runs there and again on the doubled horizon
+            pytest.param(lambda: two_cell_family(-0.02), 2, id="transient-outlasts-lead"),
+        ],
+    )
+    def test_equals_the_full_grid_on_every_horizon(self, monkeypatch, build, full_passes):
+        family = build()
+        ends = count_full_passes(monkeypatch)
+        result = classify_uniform(family, 1.0, 1e-6)
+        assert len(ends) == full_passes
+        rho_star, eps, bound, horizon, times, ess_norms = full_grid_uniform(family, 1.0)
+        assert result.verdict == STABLE
+        assert (result.rho_star, result.decay_eps, result.bound_M) == (rho_star, eps, bound)
+        assert result.tolerances == {
+            "t0": 1.0, "margin": 1e-6, "decay_threshold": stability.DECAY_CROSSCHECK,
+            "horizon": horizon,
+        }
+        assert np.array_equal(result.times, times)
+        assert np.array_equal(result.ess_norms, ess_norms)
+
+    def test_zabczyk_40_runs_one_full_pass(self, monkeypatch):
+        # the lead block (n = 40) has not decayed by the first horizon, 6400
+        ends = count_full_passes(monkeypatch)
+        assert classify_uniform(zabczyk_family(40), 1.0, 1e-6).verdict == STABLE
+        assert ends == [pytest.approx(12800.0)]
+
+    @pytest.mark.parametrize(
+        "build, extensions, horizon, full_passes",
+        [
+            pytest.param(lambda: zabczyk_family(8), 0, 256.0, 1, id="no-extension"),
+            # the lead (a non-normal slow cell) settles the first horizon
+            pytest.param(
+                lambda: family_from_matrices([[[-0.01, 1e10], [0.0, -0.01]]]), 1, 2763.1, 1,
+                id="lead-settles-first",
+            ),
+            # the full grid fails on the first horizon and on the last
+            pytest.param(lambda: two_cell_family(-0.01), 1, 2763.1, 2, id="full-grid-twice"),
+        ],
+    )
+    def test_failed_crosscheck_reports_the_examined_horizon(
+        self, monkeypatch, build, extensions, horizon, full_passes
+    ):
+        monkeypatch.setattr(stability, "MAX_EXTENSIONS", extensions)
+        family = build()
+        ends = count_full_passes(monkeypatch)
+        result = classify_uniform(family, 1.0, 1e-6)
+        assert len(ends) == full_passes
+        _, _, _, examined, times, ess_norms = full_grid_uniform(family, 1.0)
+        assert result.verdict == INCONCLUSIVE
+        assert result.tolerances["horizon"] == examined == times[-1]
+        assert examined == pytest.approx(horizon, rel=1e-4)
+        (witness,) = result.witnesses
+        assert witness.kind == "norm-decay-crosscheck-failed"
+        assert witness.value == ess_norms[times > 0].min()
 
 
 class TestCertifyBounded:

@@ -1,14 +1,17 @@
-"""Smoke test of tools/report_diff.py on two tiny output directories."""
+"""Tests of tools/report_diff.py on two tiny output directories and of the
+summary logic of tools/bench_pairs.py on synthetic run records."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_report_diff():
-    spec = importlib.util.spec_from_file_location("report_diff", TOOLS / "report_diff.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -26,7 +29,7 @@ def write_outputs(root, verdict, bound, probe):
 
 
 def test_report_diff_counts_numbers_and_lists_changed_fields(tmp_path, capsys):
-    report_diff = load_report_diff()
+    report_diff = load_tool("report_diff")
     a = write_outputs(tmp_path / "a", "Stable", 4.0, "0.25")
     b = write_outputs(tmp_path / "b", "Inconclusive", 5.0, "0.25000000000000006")
     assert report_diff.main([str(a), str(b)]) == 1
@@ -40,7 +43,7 @@ def test_report_diff_counts_numbers_and_lists_changed_fields(tmp_path, capsys):
 
 
 def test_every_column_with_a_differing_number_is_named(tmp_path, capsys):
-    report_diff = load_report_diff()
+    report_diff = load_tool("report_diff")
     a, b = tmp_path / "a", tmp_path / "b"
     for root, last in ((a, "4,5,6"), (b, "4.5,5,6.5")):
         root.mkdir()
@@ -52,8 +55,77 @@ def test_every_column_with_a_differing_number_is_named(tmp_path, capsys):
 
 
 def test_identical_directories_exit_0(tmp_path, capsys):
-    report_diff = load_report_diff()
+    report_diff = load_tool("report_diff")
     a = write_outputs(tmp_path / "a", "Stable", 4.0, "0.25")
     b = write_outputs(tmp_path / "b", "Stable", 4.0, "0.25")
     assert report_diff.main([str(a), str(b)]) == 0
     assert "0 differ" in capsys.readouterr().out
+
+
+METRICS = [
+    {"name": "wall_s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    {"name": "ok_rate", "better": "higher", "bound": 0.01},
+]
+
+
+def synthetic_pairs(parent_wall, change_wall, parent_rss, change_rss):
+    def run(wall, rss):
+        return {"metrics": {"wall_s": wall, "peak_rss_mb": rss, "ok_rate": 1.0}}
+
+    return [
+        {"parent": run(pw, pr), "change": run(cw, cr)}
+        for pw, cw, pr, cr in zip(parent_wall, change_wall, parent_rss, change_rss)
+    ]
+
+
+def test_bench_pairs_summary_counts_wins_and_checks_the_claim(monkeypatch):
+    bench_pairs = load_tool("bench_pairs")
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("the summary must not start a benchmark process")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_process)
+    parent = [1.00, 1.02, 0.98, 1.04, 0.96, 1.01, 0.99, 1.03, 0.97, 1.00]
+    change = [0.80, 0.82, 0.78, 0.84, 0.76, 0.81, 0.79, 0.83, 0.77, 1.10]
+    pairs = synthetic_pairs(parent, change, [40.0] * 10, [45.0] * 9 + [40.0])
+    wall, rss, ok = bench_pairs.summarize(pairs, METRICS)
+
+    assert wall["parent"] == pytest.approx({"median": 1.0, "q1": 0.9825, "q3": 1.0175})
+    assert wall["change"]["median"] == pytest.approx(0.805)
+    assert (wall["wins"], wall["ties"]) == (9, 0)
+    assert wall["ratio"] == pytest.approx(0.805)
+    assert wall["gain"] and wall["within_bound"]
+
+    # 45 MB is 12.5 % above the parent's 40 MB: past the 10 % bound
+    assert (rss["wins"], rss["ties"]) == (0, 1)
+    assert not rss["gain"] and not rss["within_bound"]
+
+    assert (ok["wins"], ok["ties"]) == (0, 10)
+    assert not ok["gain"] and ok["within_bound"]
+
+    row = bench_pairs.format_rows("zab40", [wall])[0]
+    assert row == (
+        "| zab40 | wall_s | 10 | 1 [0.9825, 1.018] | 0.805 [0.7825, 0.8275] | 0.805 | "
+        "9/10 (0 ties) | yes | yes |"
+    )
+
+
+SPREAD_PARENT = [1.0, 1.2, 0.8, 1.1, 0.9, 1.0, 1.2, 0.8, 1.1, 0.9]
+
+
+@pytest.mark.parametrize(
+    "change, wins",
+    [
+        # every pair won, but the medians sit closer than the parent's quartiles
+        ([p - 0.01 for p in SPREAD_PARENT], 10),
+        # a large gain on 8 pairs of 10
+        ([0.5] * 8 + [1.5, 1.5], 8),
+    ],
+)
+def test_bench_pairs_claim_needs_nine_tenths_and_more_than_the_parent_spread(change, wins):
+    bench_pairs = load_tool("bench_pairs")
+    pairs = synthetic_pairs(SPREAD_PARENT, change, [40.0] * 10, [40.0] * 10)
+    wall, _, _ = bench_pairs.summarize(pairs, METRICS)
+    assert wall["wins"] == wins
+    assert not wall["gain"]
