@@ -195,15 +195,12 @@ def build_probes(cfg, family):
     return semigroup.random_probes(family, count, seed)
 
 
-def analysis_mode(cfg, family):
-    space_cfg = cfg.get("space") or {}
-    mode = space_cfg.get("mode")
+def analysis_mode(cfg):
+    """The almost-weak mode named by `space.mode`, or None (the classifier's
+    default for the family's space) when the config names none."""
+    mode = (cfg.get("space") or {}).get("mode")
     if mode is None:
-        return (
-            MODE_NONATOMIC_LIMIT
-            if family.space.mode == REFINEMENT_FAMILY
-            else MODE_ATOMIC
-        )
+        return None
     mapping = {ATOMIC: MODE_ATOMIC, REFINEMENT_FAMILY: MODE_NONATOMIC_LIMIT}
     if mode not in mapping:
         raise ConfigError(f"space mode must be 'Atomic' or 'RefinementFamily', got {mode!r}")
@@ -222,7 +219,7 @@ def run_analysis(cfg):
     tol = cfg["tolerances"]
     aw_cfg = cfg["almost_weak"]
     probes = build_probes(cfg, family)
-    mode = analysis_mode(cfg, family)
+    mode = analysis_mode(cfg)
 
     uniform = _stage(
         "stability.classify_uniform", stability.classify_uniform, family,
@@ -253,8 +250,7 @@ def run_analysis(cfg):
     discrete_payload = None
     if cfg["discrete"].get("enabled"):
         sample = _stage(
-            "semigroup.trajectory",
-            lambda: semigroup.trajectory(family, [float(cfg["discrete"]["t"])])[0],
+            "semigroup.sample_at", semigroup.sample_at, family, float(cfg["discrete"]["t"])
         )
         dreport = _stage(
             "discrete.build_discrete_report",

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, semigroup
+from . import semigroup
 from .errors import DomainError
 from .measure import ess_sup
 from .report import (
@@ -52,13 +52,6 @@ def power_schedule(n_max):
     return sorted(n for n in ns if n <= n_max)
 
 
-def _cell_radii(sample):
-    rhos = np.zeros(sample.space.n_cells)
-    for c in sample.space.positive_cells():
-        rhos[c] = float(np.abs(sample.spectrum(c)).max())
-    return rhos
-
-
 def _power_norms(sample, stacks, n):
     # ||M(s)^n|| per cell of the block stacks (zero elsewhere), one stacked
     # matrix power and SVD per active dimension
@@ -73,6 +66,11 @@ class PowerBound(NamedTuple):
     certified: bool
 
 
+def _modulus_gap(eigs):
+    # signed distance to the unit circle
+    return np.abs(eigs) - 1.0
+
+
 def power_bounded_estimate(sample, n_max, *, uni_tol=1e-9, match_tol=1e-6):
     """Observed sup over scheduled n <= n_max of ||M^n||, plus a spectral
     certificate that the true supremum is finite: every positive-weight cell
@@ -84,19 +82,8 @@ def power_bounded_estimate(sample, n_max, *, uni_tol=1e-9, match_tol=1e-6):
     bound = 0.0
     for n in schedule:
         bound = max(bound, ess_sup(sample.space, _power_norms(sample, stacks, n)))
-    certified = True
-    for c in positive:
-        eigs = sample.spectrum(c)
-        radius = float(np.abs(eigs).max())
-        if radius < 1.0 - uni_tol:
-            continue
-        if radius > 1.0 + uni_tol:
-            certified = False
-            continue
-        unimodular = eigs[np.abs(eigs) >= 1.0 - uni_tol]
-        if linalg.defective_cluster(sample.block(int(c)), eigs, unimodular, match_tol) is not None:
-            certified = False
-    return PowerBound(bound=float(bound), certified=certified)
+    faults = semigroup.boundary_faults(sample, positive, _modulus_gap, uni_tol, match_tol)
+    return PowerBound(bound=float(bound), certified=not faults)
 
 
 class DiscreteClassification(NamedTuple):
@@ -111,7 +98,7 @@ def classify_discrete_uniform(sample, margin):
     norm form: ess-sup ||M(s)^n|| must drop below NORM_CHECK_THRESHOLD
     within NORM_CHECK_SAFETY * log(threshold)/log(rho*) steps."""
     verdict, rho_star, witnesses = semigroup.radius_verdict(
-        sample.space, _cell_radii(sample), margin
+        sample.space, semigroup.cell_radii(sample), margin
     )
     detail = {"rho_star": rho_star}
     if verdict != STABLE:
@@ -144,10 +131,10 @@ def classify_discrete_strong(sample, gate, *, uni_tol=1e-9):
         return DiscreteClassification(
             INCONCLUSIVE, (Witness(None, gate.bound, "power-bound-gate-uncertified"),), detail
         )
+    radii = semigroup.cell_radii(sample)
     for c in sample.space.positive_cells():
-        eigs = sample.spectrum(c)
-        radius = float(np.abs(eigs).max())
-        if radius >= 1.0 - uni_tol:
+        if radii[c] >= 1.0 - uni_tol:
+            eigs = sample.spectrum(c)
             lam = complex(eigs[np.argmax(np.abs(eigs))])
             return DiscreteClassification(
                 NOT_STABLE, (Witness(int(c), lam, "unimodular-eigenvalue"),), detail
@@ -159,9 +146,7 @@ def unimodular_point_spectrum(sample, uni_tol=1e-9, match_tol=1e-6):
     """Unit-circle eigenvalues carried by positive-weight cells, clustered
     into balls of radius match_tol (discrete analogue of the imaginary-axis
     point spectrum)."""
-    return semigroup.point_spectrum(
-        sample, lambda e: np.abs(np.abs(e) - 1.0) <= uni_tol, match_tol
-    )
+    return semigroup.point_spectrum(sample, _modulus_gap, uni_tol, match_tol)
 
 
 def orbit_densities(sample, n_steps, eps, seed):
@@ -217,7 +202,7 @@ def classify_discrete_almost_weak(sample, gate, *, n_max=512, eps=1e-3, seed=0,
         return DiscreteClassification(NOT_STABLE, witnesses, detail)
     # criterion holds; every pointwise radius is below one, so the bad set of
     # each orbit is finite. Give the evidence enough horizon to see that.
-    radii = _cell_radii(sample)
+    radii = semigroup.cell_radii(sample)
     r_max = float(radii[sample.space.positive_cells()].max())
     if 0.0 < r_max < 1.0:
         predicted = math.ceil(DENSITY_SAFETY * math.log(1.0 / eps) / -math.log(r_max))

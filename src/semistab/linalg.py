@@ -2,8 +2,9 @@
 
 Matrix exponential by scaling-and-squaring with diagonal Pade approximants
 (one implementation, run on stacks of matrices; a single matrix is a stack of
-one), spectral functionals on top of the LAPACK dense eigensolver, Cesaro time
-averages of a semigroup (closed form and composite Simpson), and the mean
+one), spectral functionals on top of the LAPACK dense eigensolver (also run on
+stacks), Cesaro time averages of a semigroup (closed form, and exact for any
+generator through one exponential of an augmented matrix), and the mean
 ergodic projection onto the kernel of a generator.
 
 Matrices are plain complex ndarrays; the operator norm is the 2-norm
@@ -212,19 +213,18 @@ def expm(a, t=1.0):
     return expm_stack(a[None], t)[0]
 
 
-def _eigvals(a):
+def eigenvalues(a):
+    """All n eigenvalues with multiplicity (dense QR algorithm) of a square
+    matrix, or of each matrix of a (B, n, n) stack; a stack gives each
+    matrix bit for bit its one-matrix result."""
+    m = np.asarray(a, dtype=complex)
     try:
-        return np.linalg.eigvals(a)
+        return np.linalg.eigvals(as_matrix(m) if m.ndim == 2 else m)
     except np.linalg.LinAlgError as exc:
         # LAPACK caps the implicit QR sweep count at 30 per eigenvalue.
         raise NumericalFailureError(
-            f"dense eigensolver did not converge: {exc}", iterations=30 * a.shape[-1]
+            f"dense eigensolver did not converge: {exc}", iterations=30 * m.shape[-1]
         )
-
-
-def eigenvalues(a):
-    """All n eigenvalues with multiplicity (dense QR algorithm)."""
-    return _eigvals(as_matrix(a))
 
 
 def spectral_bound(a):
@@ -235,11 +235,6 @@ def spectral_bound(a):
 def spectral_radius(a):
     """Largest modulus over the spectrum."""
     return float(np.abs(eigenvalues(a)).max())
-
-
-def spectral_radii(a):
-    """Largest eigenvalue modulus of each matrix of a (B, n, n) stack."""
-    return np.abs(_eigvals(np.asarray(a, dtype=complex))).max(axis=-1)
 
 
 def ball_clusters(values, tol, tags=None):
@@ -335,80 +330,26 @@ def ergodic_projection(a, re_tol=1e-9):
     return kernel @ inv[:null_dim]
 
 
-_SIMPSON_START = 64
-_SIMPSON_MAX_PANELS = 1 << 20
-_SIMPSON_CHUNK = 4096
-
-
-def _step_powers(e_step, count):
-    # e_step^0 .. e_step^{count-1}, filled by batched doubling.
-    n = e_step.shape[0]
-    out = np.empty((count, n, n), dtype=complex)
-    out[0] = np.eye(n)
-    filled = 1
-    while filled < count:
-        take = min(filled, count - filled)
-        head = out[filled - 1] @ e_step
-        out[filled : filled + take] = np.matmul(head, out[:take])
-        filled += take
-    return out
-
-
-def _simpson_estimate(a, t, panels):
-    nodes = panels + 1
-    h = t / panels
-    e_step = expm(a, h)
-    w = np.full(nodes, 2.0)
-    w[1::2] = 4.0
-    w[0] = 1.0
-    w[-1] = 1.0
-    w *= h / 3.0
-    n = a.shape[0]
-    table_len = min(_SIMPSON_CHUNK, nodes)
-    table = _step_powers(e_step, table_len)
-    e_block = table[-1] @ e_step
-    total = np.zeros((n, n), dtype=complex)
-    carry = np.eye(n, dtype=complex)
-    for start in range(0, nodes, table_len):
-        m = min(table_len, nodes - start)
-        block = table[:m] if start == 0 else np.matmul(carry, table[:m])
-        total += np.einsum("b,bij->ij", w[start : start + m], block)
-        carry = carry @ e_block
-    return total / t
-
-
 def cesaro_mean(a, t, method=CLOSED_FORM):
     """Time average (1/t) * integral_0^t e^{sA} ds.
 
     ClosedForm evaluates (1/t) A^{-1} (e^{tA} - I) and requires A to be
-    numerically nonsingular. Quadrature runs composite Simpson with the
-    panel count doubled until the extrapolated error estimate drops below
-    1e-10 * max(1, ||e^{tA}||).
+    numerically nonsingular. Quadrature holds for every generator: the
+    integral is the top-right block of e^{t [[A, I], [0, 0]]} (Van Loan,
+    IEEE TAC 1978), one exponential of the 2n x 2n augmented matrix.
     """
     a = as_matrix(a)
     if t <= 0:
         raise DomainError("averaging window must be positive")
+    n = a.shape[0]
     if method == CLOSED_FORM:
         sig = np.linalg.svd(a, compute_uv=False)
         if sig[0] == 0.0 or sig[-1] < 1e-12 * sig[0]:
             raise SingularMatrixError(
                 "generator is numerically singular; use the Quadrature method"
             )
-        e = expm(a, t)
-        return np.linalg.solve(a, e - np.eye(a.shape[0], dtype=complex)) / t
+        return np.linalg.solve(a, expm(a, t) - np.eye(n, dtype=complex)) / t
     if method == QUADRATURE:
-        tol = 1e-10 * max(1.0, norm2(expm(a, t)))
-        panels = _SIMPSON_START
-        prev = _simpson_estimate(a, t, panels)
-        while panels <= _SIMPSON_MAX_PANELS:
-            panels *= 2
-            cur = _simpson_estimate(a, t, panels)
-            # composite Simpson is O(h^4): Richardson error estimate
-            if norm2(cur - prev) <= 15.0 * tol:
-                return cur
-            prev = cur
-        raise NumericalFailureError(
-            f"Simpson refinement did not reach tolerance by {panels} panels",
-            iterations=int(np.log2(panels)),
-        )
+        zero = np.zeros((n, n))
+        return expm(np.block([[a, np.eye(n)], [zero, zero]]), t)[:n, n:] / t
     raise DomainError(f"unknown Cesaro method {method!r}")

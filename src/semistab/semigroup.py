@@ -29,7 +29,7 @@ from .report import INCONCLUSIVE, NOT_STABLE, STABLE, Cluster, Witness
 @dataclass(frozen=True, eq=False)
 class PointwiseFamily:
     """The map s -> M(s): one matrix per cell. The matrices must not be
-    modified after construction, since each cell's spectrum is kept."""
+    modified after construction, since the cell spectra are kept."""
 
     space: DiscretizedMeasureSpace
     dim: int
@@ -54,7 +54,6 @@ class PointwiseFamily:
             if np.any(active < 1) or np.any(active > dim):
                 raise DomainError("active dimensions must lie in [1, dim]")
             object.__setattr__(self, "active_dims", active)
-        object.__setattr__(self, "_spectra", {})
 
     def block(self, cell):
         """Active block of the matrix at `cell`."""
@@ -91,15 +90,24 @@ class PointwiseFamily:
         vectors = np.where(self.mask, f.vectors, 0.0)
         return BochnerFunction(space=f.space, dim=f.dim, vectors=vectors)
 
-    def spectrum(self, cell):
-        """Eigenvalues of the active block at `cell`, computed on first use
-        and kept (read-only) for every later query."""
-        cell = int(cell)
-        if cell not in self._spectra:
-            eigs = linalg.eigenvalues(self.block(cell))
+    @cached_property
+    def _spectrum_table(self):
+        table = {}
+        for ids, blocks in self.block_stacks(self.space.positive_cells()):
+            eigs = linalg.eigenvalues(blocks)
             eigs.setflags(write=False)
-            self._spectra[cell] = eigs
-        return self._spectra[cell]
+            table.update(zip(ids.tolist(), eigs))
+        return table
+
+    def spectrum(self, cell):
+        """Eigenvalues of the active block at `cell` (read-only). The first
+        query solves every positive-weight cell, one stacked eigensolve per
+        active dimension. A zero-weight cell is a null set without a
+        spectrum: asking for one raises DomainError."""
+        eigs = self._spectrum_table.get(int(cell))
+        if eigs is None:
+            raise DomainError(f"cell {cell} has zero weight and no spectrum")
+        return eigs
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,16 +174,16 @@ def operator_norm(sample, p=2.0):
     return ess_sup(sample.space, sample_norms(sample))
 
 
-def point_spectrum(family, on_boundary, match_tol):
-    """Eigenvalues selected by `on_boundary` (a mask over a cell's spectrum)
-    on positive-weight cells, clustered across cells into balls of radius
-    match_tol. Each cluster reports its mean, the supporting cell ids and
-    their total measure."""
+def point_spectrum(family, distance, tol, match_tol):
+    """Eigenvalues with |distance(lambda)| <= tol (a signed distance to some
+    boundary) on positive-weight cells, clustered across cells into balls of
+    radius match_tol. Each cluster reports its mean, the supporting cell ids
+    and their total measure."""
     vals = []
     cells = []
     for c in family.space.positive_cells():
         eigs = family.spectrum(c)
-        hits = eigs[on_boundary(eigs)]
+        hits = eigs[np.abs(distance(eigs)) <= tol]
         vals.append(hits)
         cells.extend([int(c)] * hits.size)
     weights = family.space.weights
@@ -186,6 +194,35 @@ def point_spectrum(family, on_boundary, match_tol):
             Cluster(eigenvalue=mean, cells=tuple(support), measure=float(weights[support].sum()))
         )
     return clusters
+
+
+def boundary_faults(family, cells, distance, tol, match_tol):
+    """(cell, value, crosses) for each of `cells` whose spectrum crosses the
+    boundary (signed `distance` > tol; value: the largest distance) or has a
+    defective cluster within tol of it (linalg.defective_cluster; value: the
+    cluster mean). The distance is negative inside the boundary."""
+    faults = []
+    for c in cells:
+        eigs = family.spectrum(c)
+        dist = distance(eigs)
+        worst = float(dist.max())
+        if worst > tol:
+            faults.append((int(c), worst, True))
+            continue
+        boundary = eigs[np.abs(dist) <= tol]
+        rep = linalg.defective_cluster(family.block(int(c)), eigs, boundary, match_tol)
+        if rep is not None:
+            faults.append((int(c), rep, False))
+    return faults
+
+
+def cell_radii(sample):
+    """Spectral radius of each cell's active block, 0 on the zero-weight
+    cells (null sets, invisible to the essential supremum)."""
+    rhos = np.zeros(sample.space.n_cells)
+    for c in sample.space.positive_cells():
+        rhos[c] = np.abs(sample.spectrum(c)).max()
+    return rhos
 
 
 def radius_verdict(space, rhos, margin):
@@ -206,6 +243,17 @@ def radius_verdict(space, rhos, margin):
     return STABLE, rho_star, ()
 
 
+def _time_points(times):
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ShapeError("times must be nonempty")
+    if np.any(times < 0):
+        raise DomainError("times must be nonnegative")
+    if np.any(np.diff(times) < 0):
+        raise DomainError("times must be nondecreasing")
+    return times
+
+
 def block_exponentials(family, times, cells=None):
     """Yield (cell ids, time slice, blocks) covering every active-dimension
     group of `cells` (default: every cell) over the nondecreasing grid
@@ -217,13 +265,7 @@ def block_exponentials(family, times, cells=None):
     Raises NumericalFailureError naming the earliest time at which any cell
     is not finite, after every group has been tried up to that time.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ShapeError("times must be nonempty")
-    if np.any(times < 0):
-        raise DomainError("times must be nonnegative")
-    if np.any(np.diff(times) < 0):
-        raise DomainError("times must be nondecreasing")
+    times = _time_points(times)
     failure = None
     for ids, blocks in family.block_stacks(cells):
         m, k = blocks.shape[0], blocks.shape[-1]
@@ -242,24 +284,25 @@ def block_exponentials(family, times, cells=None):
         raise failure
 
 
-def trajectory(family, times):
-    """Families e^{tA(s)} for each requested time: the active blocks of
-    block_exponentials, with identity on the padding.
+def sample_at(family, t):
+    """The family e^{tA(s)} at one time t >= 0: block_exponentials on the
+    active blocks of the positive-weight cells, identity on the padding and
+    on the zero-weight cells (null sets, never exponentiated).
 
     Raises NumericalFailureError when an exponential overflows.
     """
-    dim = family.dim
-    mats = np.zeros((np.size(times), family.space.n_cells, dim, dim), dtype=complex)
-    mats[..., range(dim), range(dim)] = 1.0
-    for ids, steps, blocks in block_exponentials(family, times):
+    mats = np.tile(np.eye(family.dim, dtype=complex), (family.space.n_cells, 1, 1))
+    for ids, _, blocks in block_exponentials(family, [t], family.space.positive_cells()):
         k = blocks.shape[-1]
-        mats[steps, ids, :k, :k] = blocks
-    return [
-        PointwiseFamily(
-            space=family.space, dim=dim, matrices=m, active_dims=family.active_dims
-        )
-        for m in mats
-    ]
+        mats[ids, :k, :k] = blocks[0]
+    return PointwiseFamily(space=family.space, dim=family.dim, matrices=mats,
+                           active_dims=family.active_dims)
+
+
+def trajectory(family, times):
+    """sample_at(family, t) for each of the nondecreasing `times`; raises
+    NumericalFailureError when an exponential overflows."""
+    return [sample_at(family, t) for t in _time_points(times)]
 
 
 def orbit_norms(family, times, probes=(), p=2.0, cells=None):

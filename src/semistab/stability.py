@@ -13,6 +13,9 @@ Three notions, in decreasing strength:
                 absence of imaginary-axis point spectrum carried by cells of
                 positive measure.
 
+Also finite-horizon evidence: weak-orbit densities, and the residuals of the
+Cesaro means (exact for every generator) against the mean ergodic projection.
+
 Every verdict that depends on a hypothesis (boundedness, margins, horizons)
 degrades to Inconclusive rather than guessing when the hypothesis cannot be
 certified.
@@ -57,17 +60,6 @@ DENSITY_CAP = 0.05
 CONTRACTION_TOL = 1e-12
 
 
-def _cell_radii_at(family, t0):
-    """Spectral radius of e^{t0 A(s)} per cell (active blocks), one stacked
-    exponential per active dimension; zero-weight cells are skipped (they are
-    invisible to the essential supremum)."""
-    rhos = np.zeros(family.space.n_cells)
-    positive = family.space.positive_cells()
-    for cells, _, blocks in semigroup.block_exponentials(family, [t0], positive):
-        rhos[cells] = linalg.spectral_radii(blocks[0])
-    return rhos
-
-
 def classify_uniform(family, t0, margin, *, grid_points=48):
     """Uniform stability via the pointwise spectral radii at time t0.
 
@@ -94,7 +86,7 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
     """
     if t0 <= 0:
         raise DomainError("reference time t0 must be positive")
-    rhos = _cell_radii_at(family, t0)
+    rhos = semigroup.cell_radii(semigroup.sample_at(family, t0))
     verdict, rho_star, witnesses = semigroup.radius_verdict(family.space, rhos, margin)
     tolerances = {"t0": t0, "margin": margin, "decay_threshold": DECAY_CROSSCHECK}
     if verdict != STABLE:
@@ -165,24 +157,14 @@ def certify_bounded(family, times, probes=(), *, p=2.0, re_tol=1e-9, match_tol=1
     norms, probe_norms = semigroup.orbit_norms(family, times, probes, p)
     positive = family.space.positive_cells()
     bound = float(norms[:, positive].max())
-    later = times > 0
-    witnesses = []
-    certified = True
-    for c in positive:
-        if bool((norms[later, c] < 1.0 - CONTRACTION_TOL).any()):
-            continue
-        eigs = family.spectrum(c)
-        bound_re = float(eigs.real.max())
-        if bound_re > re_tol:
-            certified = False
-            witnesses.append(Witness(int(c), bound_re, "positive-spectral-bound"))
-            continue
-        on_axis = eigs[np.abs(eigs.real) <= re_tol]
-        rep = linalg.defective_cluster(family.block(int(c)), eigs, on_axis, match_tol)
-        if rep is not None:
-            certified = False
-            witnesses.append(Witness(int(c), rep, "defective-imaginary-eigenvalue"))
-    return BoundednessCertificate(certified, bound, tuple(witnesses), times, norms, probe_norms, p)
+    contracting = (norms[times > 0] < 1.0 - CONTRACTION_TOL).any(axis=0)
+    # Re(lambda) is the signed distance to the imaginary axis
+    faults = semigroup.boundary_faults(
+        family, positive[~contracting[positive]], np.real, re_tol, match_tol
+    )
+    kinds = {True: "positive-spectral-bound", False: "defective-imaginary-eigenvalue"}
+    witnesses = tuple(Witness(c, value, kinds[crosses]) for c, value, crosses in faults)
+    return BoundednessCertificate(not witnesses, bound, witnesses, times, norms, probe_norms, p)
 
 
 def classify_strong(family, gate, *, re_tol=1e-9):
@@ -253,7 +235,7 @@ def imaginary_point_spectrum(family, re_tol=1e-9, match_tol=1e-6):
     """
     if re_tol <= 0 or match_tol <= 0:
         raise DomainError("tolerances must be positive")
-    return semigroup.point_spectrum(family, lambda e: np.abs(e.real) <= re_tol, match_tol)
+    return semigroup.point_spectrum(family, np.real, re_tol, match_tol)
 
 
 def classify_almost_weak(family, gate, *, mode=None, re_tol=1e-9, match_tol=1e-6,
@@ -376,12 +358,12 @@ def weak_orbit_density_test(a, x, phi, horizon, eps, *, n_points=2048):
 
 
 def cesaro_verify(a, x, t_list, *, re_tol=1e-9):
-    """Residuals ||S(t)x - Px|| of the Cesaro means against the mean ergodic
-    projection, at the requested times.
+    """Residuals ||S(t)x - Px|| of the Cesaro means S(t) (the exact
+    augmented-exponential kernel of linalg.cesaro_mean, for any generator)
+    against the mean ergodic projection P, at the requested times.
 
-    Uses the closed form when the generator is nonsingular and Simpson
-    quadrature otherwise. Raises UnboundedSemigroupError (via the
-    projection) when the zero eigenvalue is defective.
+    Raises UnboundedSemigroupError (via the projection) when the zero
+    eigenvalue is defective.
     """
     a = linalg.as_matrix(a)
     x = np.asarray(x, dtype=complex).ravel()
@@ -394,12 +376,9 @@ def cesaro_verify(a, x, t_list, *, re_tol=1e-9):
         raise DomainError("times must be positive and nondecreasing")
     projection = linalg.ergodic_projection(a, re_tol)
     px = projection @ x
-    sig = np.linalg.svd(a, compute_uv=False)
-    nonsingular = sig[0] > 0 and sig[-1] >= 1e-12 * sig[0]
-    method = linalg.CLOSED_FORM if nonsingular else linalg.QUADRATURE
     out = []
     for t in t_arr:
-        mean = linalg.cesaro_mean(a, float(t), method)
+        mean = linalg.cesaro_mean(a, float(t), linalg.QUADRATURE)
         out.append((float(t), float(np.linalg.norm(mean @ x - px))))
     return out
 

@@ -375,6 +375,21 @@ class TestZeroWeightCells:
             analyze_and_trajectory(capsys, tmp_path, base, "base.json")
         )
 
+    def test_overflowing_null_cell_in_the_discrete_stage(self, capsys, tmp_path):
+        # the discrete sample at t = 1 leaves the null cell alone
+        base = {"family": {"builtin": "diagonal", "rates": [[-1, 0]]}, "discrete": {"enabled": True}}
+        null = {
+            "family": {"builtin": "diagonal", "rates": [[-1, 0], [800, 0]], "weights": [1, 0]},
+            "discrete": {"enabled": True},
+        }
+        reports = []
+        for name, cfg in (("base.json", base), ("null.json", null)):
+            report = analyze_payload(capsys, write_config(tmp_path, cfg, name))
+            del report["meta"]["config_hash"]
+            reports.append(report)
+        assert reports[1] == reports[0]
+        assert reports[0]["discrete"]["uniform"]["verdict"] == "Stable"
+
     def test_wide_null_cell(self, capsys, tmp_path, monkeypatch):
         # a zero-weight -I cell of active dimension 9 next to Zabczyk N=6
         # embedded in dimension 9: the uniform horizon must not grow with it

@@ -24,7 +24,6 @@ from semistab.linalg import (
     semisimple_multiplicities,
     spectral_bound,
     spectral_radius,
-    spectral_radii,
     stack_chunks,
 )
 
@@ -164,11 +163,13 @@ class TestExpmStack:
         assert all((run.stop - run.start) * 16 * 100 <= linalg.STACK_BYTES for run in runs)
         assert stack_chunks(3, 200) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
-    def test_spectral_radii_match_one_matrix_radius(self):
+    def test_stacked_eigenvalues_bit_equal_one_matrix_call(self):
         rng = np.random.default_rng(22)
         stack = np.stack([random_complex(rng, 5) for _ in range(20)])
-        radii = spectral_radii(stack)
-        assert [float(r) for r in radii] == [spectral_radius(a) for a in stack]
+        got = eigenvalues(stack)
+        assert got.shape == (20, 5)
+        for a, row in zip(stack, got):
+            np.testing.assert_array_equal(bits(row), bits(eigenvalues(a)))
 
 
 class TestEigenvalues:
@@ -251,6 +252,25 @@ class TestCesaroMean:
             closed = cesaro_mean(a, 2.0, CLOSED_FORM)
             quad = cesaro_mean(a, 2.0, QUADRATURE)
             assert norm2(closed - quad) <= 1e-8
+
+    def test_quadrature_matches_closed_form_on_hurwitz_generators(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            a = random_complex(rng, n)
+            a -= (spectral_bound(a) + rng.uniform(0.05, 1.0)) * np.eye(n)
+            for t in (0.5, 5.0, 50.0, 500.0):
+                closed = cesaro_mean(a, t, CLOSED_FORM)
+                quad = cesaro_mean(a, t, QUADRATURE)
+                assert norm2(quad - closed) <= 1e-12 * norm2(closed)
+
+    def test_quadrature_on_defective_singular_generator(self):
+        # e^{sA} = [[1, s], [0, 1]] averages to [[1, t/2], [0, 1]]
+        shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for t in (0.5, 3.0, 40.0, 1000.0):
+            want = np.array([[1.0, t / 2.0], [0.0, 1.0]])
+            got = cesaro_mean(shift, t, QUADRATURE)
+            assert norm2(got - want) <= 1e-13 * norm2(want)
 
     def test_bad_method_and_time(self):
         with pytest.raises(DomainError):

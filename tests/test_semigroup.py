@@ -19,6 +19,7 @@ from semistab.semigroup import (
     orbit_norms,
     random_probes,
     refine_family,
+    sample_at,
     sample_norms,
     time_grid,
     trajectory,
@@ -166,6 +167,14 @@ class TestTrajectory:
             err = norm2(s12.matrices[c] - s1.matrices[c] @ s2.matrices[c])
             assert err <= 1e-9
 
+    def test_null_cells_stay_identity(self):
+        # e^{800 t} overflows at t = 1 on the zero-weight cell
+        family = diagonal_family([-1.0, 800.0, 2j], [1.0, 0.0, 2.0])
+        sample = sample_at(family, 1.0)
+        want = [linalg.expm([[-1.0]])[0, 0], 1.0, linalg.expm([[2j]])[0, 0]]
+        np.testing.assert_array_equal(sample.matrices[:, 0, 0], want)
+        assert [s.matrices[1, 0, 0] for s in trajectory(family, [0.5, 1.0])] == [1.0, 1.0]
+
     def test_empty_and_negative_times_rejected(self):
         family = PointwiseFamily(
             space=space_of([1.0]), dim=1, matrices=np.array([[[0.0 + 0j]]])
@@ -174,6 +183,8 @@ class TestTrajectory:
             trajectory(family, [])
         with pytest.raises(DomainError):
             trajectory(family, [-1.0])
+        with pytest.raises(DomainError):
+            trajectory(family, [2.0, 1.0])
 
 
 class TestUniformBoundEstimate:
@@ -355,6 +366,12 @@ class TestSpectrum:
         family.spectrum(0)
         np.testing.assert_array_equal(np.sort_complex(family.spectrum(1)), [0.0, 2j])
         assert len(calls) == 2
+
+    def test_null_cell_has_no_spectrum(self):
+        family = diagonal_family([-1.0, 2j], [1.0, 0.0])
+        np.testing.assert_array_equal(family.spectrum(0), [-1.0])
+        with pytest.raises(DomainError):
+            family.spectrum(1)
 
 
 class TestRefineFamily:

@@ -8,7 +8,14 @@ from semistab.cases import diagonal_family, random_hurwitz_family, zabczyk_famil
 from semistab.errors import DomainError, ShapeError, UnboundedSemigroupError
 from semistab.measure import DiscretizedMeasureSpace, ess_sup
 from semistab.report import INCONCLUSIVE, NOT_STABLE, STABLE
-from semistab.semigroup import PointwiseFamily, norm_curves, random_probes, time_grid
+from semistab.semigroup import (
+    PointwiseFamily,
+    cell_radii,
+    norm_curves,
+    random_probes,
+    sample_at,
+    time_grid,
+)
 from semistab.stability import (
     build_report,
     certify_bounded,
@@ -90,7 +97,7 @@ def full_grid_uniform(family, t0, grid_points=48):
     every trial horizon: (rho*, eps, M, last horizon examined, its grid, its
     ess-sup norms)."""
     positive = family.space.positive_cells()
-    rho_star = ess_sup(family.space, stability._cell_radii_at(family, t0))
+    rho_star = ess_sup(family.space, cell_radii(sample_at(family, t0)))
     eps = -math.log(rho_star) / t0
     active = family.active_dims
     max_dim = family.dim if active is None else int(active[positive].max())
