@@ -74,13 +74,13 @@ def random_hurwitz_family(seed, dim, cells, margin):
     if dim < 1 or cells < 1:
         raise DomainError("dim and cells must be positive")
     rng = np.random.default_rng(seed)
-    eye = np.eye(dim, dtype=complex)
-    generators = np.empty((cells, dim, dim), dtype=complex)
+    draws = np.empty((cells, dim, dim), dtype=complex)
     for c in range(cells):
-        g = (
+        draws[c] = (
             rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         ) / np.sqrt(2.0 * dim)
-        generators[c] = g - (linalg.spectral_bound(g) + margin) * eye
+    shifts = linalg.eigenvalues(draws).real.max(axis=1) + margin
+    generators = draws - shifts[:, None, None] * np.eye(dim, dtype=complex)
     space = DiscretizedMeasureSpace(
         weights=np.ones(cells), labels=np.arange(cells, dtype=float), mode=ATOMIC
     )

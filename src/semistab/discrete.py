@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import semigroup
+from . import linalg, semigroup
 from .errors import DomainError
 from .measure import ess_sup
 from .report import (
@@ -54,10 +54,10 @@ def power_schedule(n_max):
 
 def _power_norms(sample, stacks, n):
     # ||M(s)^n|| per cell of the block stacks (zero elsewhere), one stacked
-    # matrix power and SVD per active dimension
+    # matrix power and linalg.norm2 per active dimension
     norms = np.zeros(sample.space.n_cells)
     for cells, blocks in stacks:
-        norms[cells] = np.linalg.norm(np.linalg.matrix_power(blocks, n), 2, axis=(-2, -1))
+        norms[cells] = linalg.norm2(np.linalg.matrix_power(blocks, n))
     return norms
 
 

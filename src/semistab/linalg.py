@@ -2,13 +2,16 @@
 
 Matrix exponential by scaling-and-squaring with diagonal Pade approximants
 (one implementation, run on stacks of matrices; a single matrix is a stack of
-one), spectral functionals on top of the LAPACK dense eigensolver (also run on
+one) after shifting the mean imaginary part of the diagonal out of tA,
+spectral functionals on top of the LAPACK dense eigensolver (also run on
 stacks), Cesaro time averages of a semigroup (closed form, and exact for any
 generator through one exponential of an augmented matrix), and the mean
 ergodic projection onto the kernel of a generator.
 
 Matrices are plain complex ndarrays; the operator norm is the 2-norm
-(largest singular value) throughout.
+(largest singular value) throughout. norm2 takes it as the square root of
+the largest eigenvalue of the Gram matrix C^H C (Hermitian eigensolver) of
+the matrix scaled by a power of two, C = 2^-e A, one stacked call per stack.
 """
 
 import numpy as np
@@ -46,11 +49,25 @@ def as_matrix(a):
 
 
 def norm2(a):
-    """Operator 2-norm (largest singular value)."""
+    """Operator 2-norm (largest singular value) of a matrix, as a float, or
+    of each matrix of a stack (..., n, n), as an array.
+
+    Each matrix A is scaled to C = 2^-e A, with e the binary exponent of its
+    largest |Re| or |Im| entry, and its norm is 2^e sqrt(lambda_max(C^H C))
+    from the Hermitian eigensolver; the power-of-two scaling is exact and
+    keeps the Gram matrix clear of overflow and underflow.
+    """
     m = np.asarray(a, dtype=complex)
     if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+        return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
+    _, e = np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1)))
+    c = np.empty_like(m)
+    c.real = np.ldexp(m.real, -e[..., None, None])
+    c.imag = np.ldexp(m.imag, -e[..., None, None])
+    gram = c.conj().swapaxes(-2, -1) @ c
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    norms = np.ldexp(np.sqrt(top), e)
+    return float(norms) if m.ndim == 2 else norms
 
 
 # Diagonal Pade coefficients and 1-norm switchover thresholds for the
@@ -155,36 +172,49 @@ def stack_chunks(count, n, per_item=1):
 
 
 def _expm_chunk(a, t):
-    # Per matrix exactly the arithmetic of a one-matrix scaling-and-squaring:
-    # the same 1-norm, Pade order, approximant, solve and squaring count.
-    # Matrices with the same order and squaring count run as one stack.
+    # Per matrix exactly the arithmetic of a one-matrix scaling-and-squaring
+    # of tA - i theta I, theta = Im tr(tA) / n, times e^{i theta}: the same
+    # 1-norm, Pade order, approximant, solve and squaring count. The shift
+    # is imaginary, so its factor has modulus 1 and cannot overflow. One
+    # Pade evaluation runs per order; the order-13 matrices run sorted by
+    # squaring count, and each squaring runs on the suffix still needing it.
+    n = a.shape[-1]
     m = t[:, None, None] * a
+    shift = np.trace(m, axis1=1, axis2=2).imag / n
+    diag = np.arange(n)
+    m[:, diag, diag] -= 1j * shift[:, None]
     norm1 = np.abs(m).sum(axis=1).max(axis=1)
+    # an overflowed tA gets the cheapest order; its result is not finite
+    # either, and expm_stack reports that
+    norm1[~np.isfinite(norm1)] = 0.0
     level = np.searchsorted([theta for _, theta in _PADE_THETA[:-1]], norm1)
-    squarings = np.zeros(level.size, dtype=int)
-    big = level == len(_PADE_THETA) - 1
-    theta13 = _PADE_THETA[-1][1]
-    squarings[big] = np.maximum(0, np.ceil(np.log2(norm1[big] / theta13)))
     out = np.empty_like(m)
-    for lv, s in sorted(set(zip(level.tolist(), squarings.tolist()))):
-        idx = np.flatnonzero((level == lv) & (squarings == s))
+    for lv in sorted(set(level.tolist())):
+        idx = np.flatnonzero(level == lv)
         order = _PADE_THETA[lv][0]
         if order < 13:
             out[idx] = _pade_solve(*_pade_low(m[idx], _PADE_COEFFS[order]))
             continue
-        f = _pade_solve(*_pade13(m[idx] / (2.0**s)))
-        for _ in range(s):
-            f = f @ f
+        squarings = np.maximum(0, np.ceil(np.log2(norm1[idx] / _PADE_THETA[-1][1])))
+        perm = np.argsort(squarings, kind="stable")
+        idx, squarings = idx[perm], squarings[perm]
+        f = _pade_solve(*_pade13(m[idx] / (2.0**squarings)[:, None, None]))
+        for j in range(1, int(squarings[-1]) + 1):
+            lo = int(np.searchsorted(squarings, j))
+            f[lo:] = f[lo:] @ f[lo:]
         out[idx] = f
+    out *= np.exp(1j * shift)[:, None, None]
     return out
 
 
 def expm_stack(a, t):
     """e^{t_b A_b} for every matrix A_b of a (B, n, n) stack, with one time
     per matrix (or one time for all), t >= 0. Each matrix gets exactly the
-    arithmetic of a one-matrix scaling-and-squaring, so its result does not
-    depend on the rest of the stack. The stack runs in chunks of at most
-    STACK_BYTES.
+    arithmetic of a one-matrix scaling-and-squaring of t_b A_b - i theta_b I,
+    theta_b = Im tr(t_b A_b) / n, times the unimodular e^{i theta_b}, so its
+    result does not depend on the rest of the stack. The shift removes the
+    squarings a large imaginary diagonal would cost. The stack runs in
+    chunks of at most STACK_BYTES.
 
     Raises NumericalFailureError when a result is not finite: the true
     e^{tA} of a growing matrix can exceed the double range at long times.

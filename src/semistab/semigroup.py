@@ -155,11 +155,11 @@ def _cell_lp(space, cell, p):
 
 
 def sample_norms(sample):
-    """Per-cell operator 2-norms (active block), one stacked SVD per active
-    dimension."""
+    """Per-cell operator 2-norms (active block), one stacked linalg.norm2 per
+    active dimension."""
     norms = np.zeros(sample.space.n_cells)
     for cells, blocks in sample.block_stacks():
-        norms[cells] = np.linalg.norm(blocks, 2, axis=(-2, -1))
+        norms[cells] = linalg.norm2(blocks)
     return norms
 
 
@@ -335,7 +335,7 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None):
         cells = space.positive_cells()
     for ids, steps, blocks in block_exponentials(family, times, cells):
         k = blocks.shape[-1]
-        norms[steps, ids] = np.linalg.norm(blocks, 2, axis=(-2, -1))
+        norms[steps, ids] = linalg.norm2(blocks)
         orbits = blocks[:, None] @ vectors[None, :, ids, :k, None]
         cell_norms[steps, :, ids] = np.linalg.norm(orbits[..., 0], axis=-1)
     return norms, _cell_lp(space, cell_norms, p)

@@ -31,6 +31,71 @@ def analyze_payload(capsys, path, extra=()):
     return json.loads(out)
 
 
+#: verdict and witness kinds (sorted, with repeats) of each stage of
+#: `analyze` on every bundled config; where the config enables the discrete
+#: stages, "discrete" holds their verdicts and their shared witness kinds. Witness cells and reported numbers are not
+#: pinned: the last ulps of a kernel may pick another cell among equals.
+_CLUSTER = "imaginary-eigenvalue-cluster"
+BUNDLED_VERDICTS = {
+    "diagonal": {
+        "uniform": ("Stable", []),
+        "strong": ("Stable", []),
+        "almost_weak": ("Stable", []),
+        "discrete": ({"uniform": "Stable", "strong": "Stable", "almost_weak": "Stable"}, []),
+    },
+    "rotation": {
+        "uniform": ("NotStable", ["pointwise-spectral-radius"]),
+        "strong": ("NotStable", ["nonnegative-spectral-bound"]),
+        "almost_weak": ("NotStable", [_CLUSTER] * 64),
+    },
+    "rotation_limit": {
+        "uniform": ("NotStable", ["pointwise-spectral-radius"]),
+        "strong": ("NotStable", ["nonnegative-spectral-bound"]),
+        "almost_weak": ("Stable", []),
+    },
+    "rotation_sweep": {
+        "uniform": ("NotStable", ["pointwise-spectral-radius"]),
+        "strong": ("NotStable", ["nonnegative-spectral-bound"]),
+        "almost_weak": ("Stable", []),
+    },
+    "zabczyk": {
+        "uniform": ("Stable", []),
+        "strong": ("Stable", []),
+        "almost_weak": ("Stable", []),
+    },
+    "zabczyk_sweep": {
+        "uniform": ("Stable", []),
+        "strong": ("Inconclusive", ["probe-did-not-decay"] * 3),
+        "almost_weak": ("Stable", []),
+    },
+}
+
+
+STAGES = ("uniform", "strong", "almost_weak")
+
+
+def witness_kinds(part):
+    return sorted(w["kind"] for w in part["witnesses"])
+
+
+def test_bundled_configs_cover_the_pinned_verdicts():
+    assert sorted(BUNDLED_VERDICTS) == sorted(cfg.stem for cfg in CONFIG_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("stem", sorted(BUNDLED_VERDICTS))
+def test_bundled_config_verdicts_and_witness_kinds(capsys, stem):
+    want = dict(BUNDLED_VERDICTS[stem])
+    discrete = want.pop("discrete", None)
+    payload = analyze_payload(capsys, str(CONFIG_DIR / f"{stem}.json"))
+    assert {stage: (payload[stage]["verdict"], witness_kinds(payload[stage]))
+            for stage in STAGES} == want
+    if discrete is None:
+        assert not payload.get("discrete")
+    else:
+        part = payload["discrete"]
+        assert ({stage: part[stage]["verdict"] for stage in STAGES}, witness_kinds(part)) == discrete
+
+
 class TestAnalyze:
     def test_bundled_zabczyk_config(self, capsys):
         payload = analyze_payload(capsys, str(CONFIG_DIR / "zabczyk.json"))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from semistab.cases import zabczyk_family
 from semistab.errors import (
     DomainError,
     InvalidMatrixError,
+    NumericalFailureError,
     SingularMatrixError,
     UnboundedSemigroupError,
 )
@@ -26,6 +29,7 @@ from semistab.linalg import (
     spectral_radius,
     stack_chunks,
 )
+from semistab.semigroup import time_grid
 
 
 def random_complex(rng, n, scale=1.0):
@@ -105,18 +109,24 @@ def bits(a):
 
 def reference_expm(a, t):
     """The one-matrix scaling-and-squaring loop, kept as the reference the
-    stacked kernel must reproduce bit for bit. Returns (e^{tA}, Pade order,
-    squaring count)."""
+    stacked kernel must reproduce bit for bit: shift tA by i theta I,
+    theta = Im tr(tA) / n, exponentiate, multiply by e^{i theta}. Returns
+    (e^{tA}, Pade order, squaring count)."""
+    n = a.shape[-1]
     m = t * a
+    theta = np.trace(m).imag / n
+    m[np.arange(n), np.arange(n)] -= 1j * theta
     norm1 = float(np.abs(m).sum(axis=0).max())
-    for order, theta in linalg._PADE_THETA[:-1]:
-        if norm1 <= theta:
-            return linalg._pade_solve(*linalg._pade_low(m, linalg._PADE_COEFFS[order])), order, 0
+    phase = np.exp(1j * theta)
+    for order, bound in linalg._PADE_THETA[:-1]:
+        if norm1 <= bound:
+            f = linalg._pade_solve(*linalg._pade_low(m, linalg._PADE_COEFFS[order]))
+            return f * phase, order, 0
     squarings = max(0, int(np.ceil(np.log2(norm1 / linalg._PADE_THETA[-1][1]))))
     f = linalg._pade_solve(*linalg._pade13(m / (2.0**squarings)))
     for _ in range(squarings):
         f = f @ f
-    return f, 13, squarings
+    return f * phase, 13, squarings
 
 
 class TestExpmStack:
@@ -170,6 +180,87 @@ class TestExpmStack:
         assert got.shape == (20, 5)
         for a, row in zip(stack, got):
             np.testing.assert_array_equal(bits(row), bits(eigenvalues(a)))
+
+
+class TestImaginaryShift:
+    @pytest.mark.parametrize("horizon", [4000.0, 12800.0])
+    def test_zabczyk_blocks_match_the_closed_form(self, horizon):
+        # |e^{tA}|_{i,i+j} = e^{-t/n} t^j / j! for the block with diagonal
+        # i n - 1/n and ones above it; every entry within 2e-12 of the
+        # largest entry (blocks whose largest entry is subnormal skipped)
+        worst = 0.0
+        for n in range(1, 41):
+            offset = np.subtract.outer(np.arange(n), np.arange(n)).T
+            upper = offset >= 0
+            for t in time_grid(horizon, 16):
+                want = np.zeros((n, n))
+                if t == 0.0:
+                    want[offset == 0] = 1.0
+                else:
+                    j = offset[upper]
+                    want[upper] = np.exp(
+                        -t / n + j * math.log(t) - np.array([math.lgamma(k + 1) for k in j])
+                    )
+                if want.max() < np.finfo(float).tiny:
+                    continue
+                got = np.abs(expm(upper_block(n), t))
+                worst = max(worst, float(np.abs(got - want).max() / want.max()))
+        assert worst <= 2e-12
+
+    def test_pure_rotation_stays_unimodular(self):
+        assert abs(abs(expm(np.array([[37j]]), 50.0)[0, 0]) - 1.0) <= 1e-15
+
+    def test_shift_leaves_the_real_part_alone(self):
+        # a real shift by the mean -1000 would form e^{1000} * e^{-1000},
+        # inf * 0; the imaginary shift keeps the result finite
+        out = expm(np.diag([0.0, -2000.0 + 5000.0j]), 1.0)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), rtol=0, atol=1e-13)
+
+    def test_overflowed_product_is_a_numerical_failure(self):
+        for a in ([[1e300]], [[1e300j, 1e300], [0.0, -1e300j]]):
+            with pytest.raises(NumericalFailureError):
+                expm_stack(np.array([a], dtype=complex), 1e10)
+
+
+class TestNorm2:
+    @pytest.mark.parametrize("n", [1, 2, 6, 40])
+    def test_stack_matches_the_svd_norm(self, n):
+        rng = np.random.default_rng(40 + n)
+        mats = [random_complex(rng, n, scale) for scale in np.geomspace(1e-3, 1e3, 9)]
+        mats.append(np.outer(mats[0][0], mats[1][:, 0]))  # rank one
+        mats.append(expm(upper_block(n), 3.0))  # non-normal
+        stack = np.stack(mats)
+        got = norm2(stack)
+        assert got.shape == (len(mats),)
+        want = np.array([np.linalg.norm(a, 2) for a in mats])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_each_matrix_bit_equal_alone_and_in_a_stack(self):
+        rng = np.random.default_rng(47)
+        stack = np.stack([random_complex(rng, 6) for _ in range(20)])
+        got = norm2(stack)
+        for a, value in zip(stack, got):
+            assert value == norm2(a)
+        np.testing.assert_array_equal(norm2(stack.reshape(4, 5, 6, 6)), got.reshape(4, 5))
+
+    def test_matrix_gives_a_float_and_zero_gives_zero(self):
+        value = norm2(np.diag([3.0, -4.0j]))
+        assert type(value) is float
+        assert value == pytest.approx(4.0, rel=1e-15)
+        assert norm2(np.zeros((3, 3))) == 0.0
+        np.testing.assert_array_equal(norm2(np.zeros((2, 4, 4))), [0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [3e-321, 3e-321j, 1e300 + 1e300j])
+    def test_extreme_entries_keep_a_finite_accurate_norm(self, scale):
+        # |z| and a division by the largest entry would overflow here
+        rng = np.random.default_rng(48)
+        stack = scale * rng.integers(-3, 4, (6, 5, 5)) * (1 + (rng.random((6, 5, 5)) < 0.5) * 1j)
+        stack[0] = np.eye(5)  # a normal matrix in the same stack
+        got = norm2(stack)
+        assert np.isfinite(got).all()
+        want = np.array([np.linalg.norm(a, 2) for a in stack])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 class TestEigenvalues:
