@@ -7,13 +7,10 @@ from .measure import (
     ATOMIC,
     REFINEMENT_FAMILY,
     DiscretizedMeasureSpace,
-    density_continuous,
     density_discrete,
     ess_sup,
 )
 from .linalg import (
-    CLOSED_FORM,
-    QUADRATURE,
     as_matrix,
     cesaro_mean,
     eigenvalues,
@@ -57,7 +54,6 @@ from .stability import (
     classify_strong,
     classify_uniform,
     imaginary_point_spectrum,
-    weak_orbit_density_test,
 )
 from .discrete import (
     build_discrete_report,

@@ -27,7 +27,6 @@ from .errors import (
     ConfigError,
     NumericalFailureError,
     SemistabError,
-    SingularMatrixError,
     UnboundedSemigroupError,
 )
 from .measure import ATOMIC, REFINEMENT_FAMILY, DiscretizedMeasureSpace
@@ -57,7 +56,7 @@ class _StageFailure(Exception):
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (NumericalFailureError, SingularMatrixError, UnboundedSemigroupError) as exc:
+    except (NumericalFailureError, UnboundedSemigroupError) as exc:
         raise _StageFailure(name, exc) from exc
 
 
@@ -260,6 +259,7 @@ def run_analysis(cfg):
             n_max=int(cfg["discrete"]["n_max"]),
             eps=float(tol["eps"]),
             seed=int(cfg["probes"]["seed"]),
+            match_tol=match_tol,
         )
         discrete_payload = dreport.as_dict()
 

@@ -37,11 +37,6 @@ class NumericalFailureError(SemistabError):
         self.time = time
 
 
-class SingularMatrixError(SemistabError):
-    """A closed-form path needs an invertible matrix; caller should fall
-    back to the quadrature route."""
-
-
 class UnboundedSemigroupError(SemistabError):
     """Defective eigenvalue on the imaginary axis (or unit circle): the
     generated semigroup admits no uniform bound and time averages diverge."""

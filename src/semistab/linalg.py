@@ -4,9 +4,9 @@ Matrix exponential by scaling-and-squaring with diagonal Pade approximants
 (one implementation, run on stacks of matrices; a single matrix is a stack of
 one) after shifting the mean imaginary part of the diagonal out of tA,
 spectral functionals on top of the LAPACK dense eigensolver (also run on
-stacks), Cesaro time averages of a semigroup (closed form, and exact for any
-generator through one exponential of an augmented matrix), and the mean
-ergodic projection onto the kernel of a generator.
+stacks), Cesaro time averages of a semigroup (exact for any generator
+through one exponential of an augmented matrix), and the mean ergodic
+projection onto the kernel of a generator.
 
 Matrices are plain complex ndarrays; the operator norm is the 2-norm
 (largest singular value) throughout. norm2 takes it as the square root of
@@ -20,12 +20,8 @@ from .errors import (
     DomainError,
     InvalidMatrixError,
     NumericalFailureError,
-    SingularMatrixError,
     UnboundedSemigroupError,
 )
-
-CLOSED_FORM = "ClosedForm"
-QUADRATURE = "Quadrature"
 
 _EPS = float(np.finfo(float).eps)
 
@@ -36,6 +32,10 @@ RADIUS_ROUNDOFF = 1e-12
 #: the rank test of semisimple_multiplicities counts singular values up to
 #: this multiple of the eigenvalue cluster's radius as zero.
 CLUSTER_RANK_FACTOR = 2.0
+
+#: it also counts singular values up to this fraction of max(1, largest
+#: singular value) as zero, whatever the cluster's radius.
+RANK_RTOL = 1e-8
 
 
 def as_matrix(a):
@@ -288,7 +288,7 @@ def ball_clusters(values, tol, tags=None):
     return clusters
 
 
-def semisimple_multiplicities(a, lam, match_tol=1e-6, rank_rtol=1e-8, eigs=None):
+def semisimple_multiplicities(a, lam, match_tol=1e-6, eigs=None):
     """(algebraic, geometric) multiplicity of the eigenvalue cluster of `a`
     within match_tol of lam; geometric via a rank test on a - lam*I.
 
@@ -308,7 +308,7 @@ def semisimple_multiplicities(a, lam, match_tol=1e-6, rank_rtol=1e-8, eigs=None)
     radius = float(dist[near].max()) if alg else 0.0
     shifted = a - lam * np.eye(n)
     sig = np.linalg.svd(shifted, compute_uv=False)
-    cut = max(rank_rtol * max(1.0, float(sig[0])), CLUSTER_RANK_FACTOR * radius)
+    cut = max(RANK_RTOL * max(1.0, float(sig[0])), CLUSTER_RANK_FACTOR * radius)
     geo = n - int(np.count_nonzero(sig > cut))
     return alg, geo
 
@@ -360,26 +360,14 @@ def ergodic_projection(a, re_tol=1e-9):
     return kernel @ inv[:null_dim]
 
 
-def cesaro_mean(a, t, method=CLOSED_FORM):
-    """Time average (1/t) * integral_0^t e^{sA} ds.
-
-    ClosedForm evaluates (1/t) A^{-1} (e^{tA} - I) and requires A to be
-    numerically nonsingular. Quadrature holds for every generator: the
-    integral is the top-right block of e^{t [[A, I], [0, 0]]} (Van Loan,
-    IEEE TAC 1978), one exponential of the 2n x 2n augmented matrix.
-    """
+def cesaro_mean(a, t):
+    """Time average (1/t) * integral_0^t e^{sA} ds, exact for every
+    generator: the integral is the top-right block of e^{t [[A, I], [0, 0]]}
+    (Van Loan, IEEE TAC 1978), one exponential of the 2n x 2n augmented
+    matrix."""
     a = as_matrix(a)
     if t <= 0:
         raise DomainError("averaging window must be positive")
     n = a.shape[0]
-    if method == CLOSED_FORM:
-        sig = np.linalg.svd(a, compute_uv=False)
-        if sig[0] == 0.0 or sig[-1] < 1e-12 * sig[0]:
-            raise SingularMatrixError(
-                "generator is numerically singular; use the Quadrature method"
-            )
-        return np.linalg.solve(a, expm(a, t) - np.eye(n, dtype=complex)) / t
-    if method == QUADRATURE:
-        zero = np.zeros((n, n))
-        return expm(np.block([[a, np.eye(n)], [zero, zero]]), t)[:n, n:] / t
-    raise DomainError(f"unknown Cesaro method {method!r}")
+    zero = np.zeros((n, n))
+    return expm(np.block([[a, np.eye(n)], [zero, zero]]), t)[:n, n:] / t

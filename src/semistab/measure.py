@@ -124,23 +124,6 @@ def ess_sup(space, values):
     return float(values[positive].max())
 
 
-def density_continuous(indicator_values, horizon):
-    """Fraction of [0, horizon] occupied by a time set, estimated by the
-    trapezoid rule from 0/1 samples on a uniform grid (endpoints included).
-
-    This is a finite-horizon estimate of the asymptotic density; the true
-    limit is not computable from samples.
-    """
-    values = np.asarray(indicator_values, dtype=float).ravel()
-    if values.size < 2:
-        raise ShapeError("need at least two grid samples (positive spacing)")
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
-    spacing = horizon / (values.size - 1)
-    occupied = float(np.trapezoid(values, dx=spacing))
-    return occupied / horizon
-
-
 def density_discrete(members, horizon):
     """|{k : n_k < horizon}| / horizon for a set of naturals."""
     if horizon < 1:

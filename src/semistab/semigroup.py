@@ -72,7 +72,7 @@ class PointwiseFamily:
             return [(cells, self.matrices[cells])]
         dims = self.active_dims[cells]
         out = []
-        for k in np.unique(dims):
+        for k in sorted(set(dims.tolist())):
             ids = cells[dims == k]
             out.append((ids, self.matrices[ids, :k, :k]))
         return out

@@ -13,8 +13,10 @@ Three notions, in decreasing strength:
                 absence of imaginary-axis point spectrum carried by cells of
                 positive measure.
 
-Also finite-horizon evidence: weak-orbit densities, and the residuals of the
-Cesaro means (exact for every generator) against the mean ergodic projection.
+Also finite-horizon evidence: the residuals of the Cesaro means (exact for
+every generator) against the mean ergodic projection. Weak-orbit densities
+come from discrete.orbit_densities: sampled at step h, the orbit of e^{tA}
+is the orbit of the powers of e^{hA} = semigroup.sample_at(family, h).
 
 Every verdict that depends on a hypothesis (boundedness, margins, horizons)
 degrades to Inconclusive rather than guessing when the hypothesis cannot be
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import linalg, semigroup
 from .errors import DomainError, ShapeError
-from .measure import REFINEMENT_FAMILY, density_continuous
+from .measure import REFINEMENT_FAMILY
 from .report import (
     INCONCLUSIVE,
     MODE_ATOMIC,
@@ -51,9 +53,6 @@ MAX_EXTENSIONS = 6
 
 #: probe orbits must decay below this fraction of their initial norm.
 PROBE_THRESHOLD = 1e-6
-
-#: a weak-orbit evidence test passes when the bad set has at most this density.
-DENSITY_CAP = 0.05
 
 #: a cell norm counts as a contraction only when it sits below 1 by more
 #: than roundoff; unitary orbits evaluate to 1 +- few ulps.
@@ -319,44 +318,6 @@ def classify_almost_weak(family, gate, *, mode=None, re_tol=1e-9, match_tol=1e-6
     )
 
 
-class WeakOrbitEvidence(NamedTuple):
-    bad_density: float
-    passed: bool
-
-
-def weak_orbit_density_test(a, x, phi, horizon, eps, *, n_points=2048):
-    """Finite-horizon evidence for weak decay of one orbit.
-
-    Samples w(t) = |<e^{tA}x, phi>| on a uniform grid over [0, horizon] and
-    estimates the density of the bad set {t : w(t) >= eps ||x|| ||phi||}.
-    Passes when that density is at most DENSITY_CAP. Evidence only, not
-    proof: the horizon is finite.
-    """
-    a = linalg.as_matrix(a)
-    x = np.asarray(x, dtype=complex).ravel()
-    phi = np.asarray(phi, dtype=complex).ravel()
-    n = a.shape[0]
-    if x.shape != (n,) or phi.shape != (n,):
-        raise ShapeError("x and phi must match the matrix dimension")
-    nx = float(np.linalg.norm(x))
-    nphi = float(np.linalg.norm(phi))
-    if nx == 0.0 or nphi == 0.0:
-        raise DomainError("x and phi must be nonzero")
-    if horizon <= 0 or eps <= 0:
-        raise DomainError("horizon and eps must be positive")
-    if n_points < 2:
-        raise DomainError("need at least two sample points")
-    step = linalg.expm(a, horizon / (n_points - 1))
-    vals = np.empty(n_points)
-    v = x.copy()
-    for k in range(n_points):
-        vals[k] = abs(np.vdot(phi, v))
-        v = step @ v
-    bad = (vals >= eps * nx * nphi).astype(float)
-    density = density_continuous(bad, horizon)
-    return WeakOrbitEvidence(bad_density=density, passed=density <= DENSITY_CAP)
-
-
 def cesaro_verify(a, x, t_list, *, re_tol=1e-9):
     """Residuals ||S(t)x - Px|| of the Cesaro means S(t) (the exact
     augmented-exponential kernel of linalg.cesaro_mean, for any generator)
@@ -378,7 +339,7 @@ def cesaro_verify(a, x, t_list, *, re_tol=1e-9):
     px = projection @ x
     out = []
     for t in t_arr:
-        mean = linalg.cesaro_mean(a, float(t), linalg.QUADRATURE)
+        mean = linalg.cesaro_mean(a, float(t))
         out.append((float(t), float(np.linalg.norm(mean @ x - px))))
     return out
 

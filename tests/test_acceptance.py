@@ -23,7 +23,6 @@ from semistab.discrete import (
     power_schedule,
 )
 from semistab.linalg import (
-    QUADRATURE,
     ergodic_projection,
     expm,
     norm2,

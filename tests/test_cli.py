@@ -263,6 +263,20 @@ class TestAnalyze:
             kinds = [w["kind"] for w in payload[part]["witnesses"]]
             assert ("defective-imaginary-eigenvalue" in kinds) == (verdict == "Inconclusive")
 
+    def test_match_tol_reaches_the_discrete_stage(self, tmp_path, capsys):
+        # rates i and 1.00001 i: within match_tol 1e-4 one cluster on the
+        # imaginary axis, and one on the unit circle at t = 1
+        cfg = {
+            "family": {"builtin": "diagonal", "rates": [[0.0, 1.0], [0.0, 1.00001]]},
+            "time": {"horizon": 50},
+            "tolerances": {"match_tol": 1e-4},
+            "discrete": {"enabled": True},
+        }
+        payload = analyze_payload(capsys, write_config(tmp_path, cfg))
+        assert witness_kinds(payload["almost_weak"]) == ["imaginary-eigenvalue-cluster"]
+        kinds = witness_kinds(payload["discrete"])
+        assert kinds.count("unimodular-eigenvalue-cluster") == 1
+
     def test_boundedness_certificate_computed_once(self, monkeypatch, capsys):
         calls = []
         certify = cli.stability.certify_bounded

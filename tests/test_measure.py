@@ -10,7 +10,6 @@ from semistab.measure import (
     ATOMIC,
     REFINEMENT_FAMILY,
     DiscretizedMeasureSpace,
-    density_continuous,
     density_discrete,
     ess_sup,
 )
@@ -88,33 +87,6 @@ class TestRefinement:
     def test_modes(self):
         assert space_of([1.0]).mode == ATOMIC
         assert DiscretizedMeasureSpace.uniform_grid(4).mode == REFINEMENT_FAMILY
-
-
-class TestDensityContinuous:
-    def test_full_set(self):
-        assert density_continuous(np.ones(101), 10.0) == pytest.approx(1.0)
-
-    def test_empty_set(self):
-        assert density_continuous(np.zeros(101), 10.0) == 0.0
-
-    def test_half_interval_within_grid_spacing(self):
-        horizon = 10.0
-        grid = np.linspace(0, horizon, 201)
-        indicator = (grid <= horizon / 2).astype(float)
-        spacing = horizon / 200
-        assert density_continuous(indicator, horizon) == pytest.approx(
-            0.5, abs=spacing / horizon
-        )
-
-    def test_empty_grid_raises(self):
-        with pytest.raises(ShapeError):
-            density_continuous([], 1.0)
-        with pytest.raises(ShapeError):
-            density_continuous([1.0], 1.0)
-
-    def test_bad_horizon(self):
-        with pytest.raises(DomainError):
-            density_continuous([1.0, 1.0], 0.0)
 
 
 class TestDensityDiscrete:

@@ -238,6 +238,20 @@ class TestActiveBlocks:
             want = [norm2(sample.block(c)) for c in range(sample.space.n_cells)]
             np.testing.assert_array_equal(sample_norms(sample), want)
 
+    def test_block_stacks_on_unsorted_dims_and_a_cell_subset(self):
+        rng = np.random.default_rng(2)
+        active = np.array([3, 1, 4, 1, 3, 2, 4])
+        mats = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
+        family = PointwiseFamily(
+            space=space_of(np.ones(7)), dim=4, matrices=mats, active_dims=active
+        )
+        stacks = family.block_stacks([6, 4, 1, 0, 3])
+        assert [blocks.shape for _, blocks in stacks] == [(2, 1, 1), (2, 3, 3), (1, 4, 4)]
+        assert [ids.tolist() for ids, _ in stacks] == [[1, 3], [4, 0], [6]]
+        for ids, blocks in stacks:
+            k = blocks.shape[-1]
+            np.testing.assert_array_equal(blocks, mats[ids, :k, :k])
+
     def test_random_probes_avoid_padding(self):
         probes = random_probes(self.padded_family(), 3, seed=0)
         for probe in probes:

@@ -5,6 +5,7 @@ import pytest
 
 from semistab import semigroup, stability
 from semistab.cases import diagonal_family, random_hurwitz_family, zabczyk_family
+from semistab.discrete import DENSITY_CAP, orbit_densities
 from semistab.errors import DomainError, ShapeError, UnboundedSemigroupError
 from semistab.measure import DiscretizedMeasureSpace, ess_sup
 from semistab.report import INCONCLUSIVE, NOT_STABLE, STABLE
@@ -24,7 +25,6 @@ from semistab.stability import (
     classify_strong,
     classify_uniform,
     imaginary_point_spectrum,
-    weak_orbit_density_test,
 )
 
 
@@ -377,36 +377,33 @@ class TestClassifyAlmostWeak:
         assert result.verdict == INCONCLUSIVE
 
 
+def weak_orbit_density(a, horizon, eps, seed=0, n=2048):
+    """Bad-set density of a random weak orbit of e^{tA} sampled at n points
+    of [0, horizon]: the orbit of the powers of e^{hA}, h = horizon/(n - 1),
+    through discrete.orbit_densities on a one-cell family."""
+    family = family_from_matrices([a])
+    return float(orbit_densities(sample_at(family, horizon / (n - 1)), n, eps, seed)[0])
+
+
 class TestWeakOrbitDensityTest:
     def test_scalar_decay_needs_long_horizon(self):
-        a = np.array([[-1.0]], dtype=complex)
-        x = np.array([1.0])
-        short = weak_orbit_density_test(a, x, x, 100.0, 1e-3)
-        long = weak_orbit_density_test(a, x, x, 200.0, 1e-3)
+        a = np.array([[-1.0]])
+        short = weak_orbit_density(a, 100.0, 1e-3)
+        long = weak_orbit_density(a, 200.0, 1e-3)
         # bad set is [0, ln(1e3)] ~ [0, 6.9]
-        assert short.bad_density == pytest.approx(math.log(1e3) / 100.0, abs=0.01)
-        assert not short.passed
-        assert long.passed
+        assert short == pytest.approx(math.log(1e3) / 100.0, abs=0.01)
+        assert short > DENSITY_CAP
+        assert long <= DENSITY_CAP
 
     def test_unimodular_orbit_never_passes(self):
-        a = np.array([[1j]], dtype=complex)
-        x = np.array([1.0])
-        result = weak_orbit_density_test(a, x, x, 100.0, 1e-3)
-        assert result.bad_density == pytest.approx(1.0)
-        assert not result.passed
+        density = weak_orbit_density(np.array([[1j]]), 100.0, 1e-3)
+        assert density == pytest.approx(1.0)
+        assert density > DENSITY_CAP
 
     def test_two_frequency_almost_periodic_orbit_fails(self):
-        a = np.diag([1j, 2j])
-        x = np.array([1.0, 1.0]) / math.sqrt(2)
-        result = weak_orbit_density_test(a, x, x, 500.0, 1e-3)
-        # w(t) = |cos(t/2)|: essentially never below 1e-3
-        assert not result.passed
-        assert result.bad_density > 0.9
-
-    def test_zero_vectors_rejected(self):
-        a = np.array([[-1.0]], dtype=complex)
-        with pytest.raises(DomainError):
-            weak_orbit_density_test(a, np.array([0.0]), np.array([1.0]), 10.0, 1e-3)
+        # w(t) = |a + b e^{it}| stays above ||a| - |b|| >> 1e-3 ||x|| ||phi||
+        density = weak_orbit_density(np.diag([1j, 2j]), 500.0, 1e-3)
+        assert density > 0.9
 
     def test_pass_rates_split_cleanly_by_spectrum(self):
         rng = np.random.default_rng(25)
@@ -415,14 +412,12 @@ class TestWeakOrbitDensityTest:
             n = int(rng.integers(2, 7))
             g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
             hurwitz = g - (np.linalg.eigvals(g).real.max() + 0.5) * np.eye(n)
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert weak_orbit_density_test(hurwitz, x, phi, horizon, eps).passed
+            assert weak_orbit_density(hurwitz, horizon, eps, seed=k) <= DENSITY_CAP
             # plant a semisimple eigenvalue on the imaginary axis
             neutral = np.diag([1j * rng.uniform(0.5, 2.0)] + list(-1 - rng.uniform(0, 1, n - 1)))
             basis = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 2 * np.eye(n)
             planted = basis @ neutral @ np.linalg.inv(basis)
-            assert not weak_orbit_density_test(planted, x, phi, horizon, eps).passed
+            assert weak_orbit_density(planted, horizon, eps, seed=k) > DENSITY_CAP
 
 
 class TestCesaroVerify:
