@@ -362,8 +362,6 @@ class TestCesaroMean:
     def test_bad_method_and_time(self):
         with pytest.raises(DomainError):
             cesaro_mean(np.eye(2), 0.0)
-        with pytest.raises(DomainError):
-            cesaro_mean(np.eye(2), -1.0)
 
 
 class TestErgodicProjection:

@@ -377,10 +377,12 @@ class TestClassifyAlmostWeak:
         assert result.verdict == INCONCLUSIVE
 
 
-def weak_orbit_density(a, horizon, eps, seed=0, n=2048):
-    """Bad-set density of a random weak orbit of e^{tA} sampled at n points
-    of [0, horizon]: the orbit of the powers of e^{hA}, h = horizon/(n - 1),
-    through discrete.orbit_densities on a one-cell family."""
+def weak_orbit_density(a, horizon, eps, seed=0):
+    """Bad-set density of a random weak orbit of e^{tA} sampled at n = 2048
+    points of [0, horizon]: the orbit of the powers of e^{hA},
+    h = horizon/(n - 1), through discrete.orbit_densities on a one-cell
+    family."""
+    n = 2048
     family = family_from_matrices([a])
     return float(orbit_densities(sample_at(family, horizon / (n - 1)), n, eps, seed)[0])
 
