@@ -6,7 +6,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, ShapeError
 from .measure import ATOMIC, DiscretizedMeasureSpace
-from .semigroup import PointwiseFamily
+from .semigroup import PointwiseFamily, rule_matrices
 
 
 def zabczyk_family(n_max, embed_dim=None):
@@ -47,22 +47,19 @@ def zabczyk_family(n_max, embed_dim=None):
 
 
 def rotation_family(cells):
-    """Scalar rotations A(s) = i s on a uniform grid over [0, 1].
+    """Scalar rotations A(s) = i s on a uniform grid over [0, 1], with the
+    rule [0, i] kept for refinement and the non-atomic limit.
 
     Every cell has an eigenvalue on the imaginary axis (so no pointwise
-    semigroup is almost weakly stable), yet under refinement the measure
-    supporting any single eigenvalue neighborhood shrinks to zero.
+    semigroup is almost weakly stable), yet each level set of s -> i s is a
+    single point, so no imaginary eigenvalue has positive measure.
     """
     if cells < 1:
         raise DomainError("need at least one cell")
     space = DiscretizedMeasureSpace.uniform_grid(cells, 0.0, 1.0)
-
-    def rule(s):
-        return np.array([[1j * s]], dtype=complex)
-
-    generators = np.stack([rule(float(s)) for s in space.labels])
+    rule = np.array([[[0.0]], [[1j]]], dtype=complex)
     return PointwiseFamily(
-        space=space, dim=1, matrices=generators, generator_rule=rule
+        space=space, dim=1, matrices=rule_matrices(rule, space.labels), rule=rule
     )
 
 

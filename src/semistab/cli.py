@@ -38,7 +38,6 @@ _DEFAULTS = {
     "tolerances": {"re_tol": 1e-9, "match_tol": 1e-6, "margin": 1e-6, "eps": 1e-3},
     "probes": {"count": 3, "seed": 12345},
     "discrete": {"enabled": False, "n_max": 256, "t": 1.0},
-    "almost_weak": {"delta_sweep": [0.1, 0.05, 0.025], "slope_cap": 2.1},
 }
 
 _MATRIX_NORM_NOTE = "operator 2-norm (largest singular value)"
@@ -85,6 +84,15 @@ def load_config(path):
             cfg[key] = {**default, **section}
         else:
             cfg[key] = raw.get(key, default)
+    # json.loads accepts NaN and Infinity
+    for key in ("time", "tolerances", "discrete"):
+        for name, value in cfg[key].items():
+            try:
+                finite = math.isfinite(float(value))
+            except (TypeError, ValueError):
+                continue
+            if not finite:
+                raise ConfigError(f"{key}.{name} must be finite, got {value!r}")
     for key in ("family", "space", "sweep", "output"):
         if key in raw:
             cfg[key] = raw[key]
@@ -116,7 +124,7 @@ def _parse_p(value):
         p = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"p must be a number >= 1 or 'inf', got {value!r}")
-    if p < 1:
+    if not p >= 1:
         raise ConfigError("p must be >= 1 or 'inf'")
     return p
 
@@ -216,7 +224,6 @@ def run_analysis(cfg):
     p = _parse_p(cfg["p"])
     time_cfg = cfg["time"]
     tol = cfg["tolerances"]
-    aw_cfg = cfg["almost_weak"]
     probes = build_probes(cfg, family)
     mode = analysis_mode(cfg)
 
@@ -234,15 +241,8 @@ def run_analysis(cfg):
         "stability.classify_strong", stability.classify_strong, family, gate, re_tol=re_tol
     )
     almost_weak = _stage(
-        "stability.classify_almost_weak",
-        stability.classify_almost_weak,
-        family,
-        gate,
-        mode=mode,
-        re_tol=re_tol,
-        match_tol=match_tol,
-        delta_sweep=tuple(aw_cfg["delta_sweep"]),
-        slope_cap=float(aw_cfg["slope_cap"]),
+        "stability.classify_almost_weak", stability.classify_almost_weak, family, gate,
+        mode=mode, re_tol=re_tol, match_tol=match_tol,
     )
     report = stability.build_report(uniform, strong, almost_weak)
 

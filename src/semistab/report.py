@@ -110,10 +110,6 @@ class AlmostWeakResult:
     mode: str
     clusters: tuple = ()
     witnesses: tuple = ()
-    slope: float | None = None
-    intercept: float | None = None
-    deltas: tuple = ()
-    measures: tuple = ()
     tolerances: dict = field(default_factory=dict)
 
     def as_dict(self):
@@ -122,10 +118,6 @@ class AlmostWeakResult:
             "mode": self.mode,
             "clusters": [c.as_dict() for c in self.clusters],
             "witnesses": _witness_list(self.witnesses),
-            "slope": None if self.slope is None else float(self.slope),
-            "intercept": None if self.intercept is None else float(self.intercept),
-            "deltas": [float(d) for d in self.deltas],
-            "measures": [float(m) for m in self.measures],
         }
 
 

@@ -16,7 +16,6 @@ block.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -29,13 +28,15 @@ from .report import INCONCLUSIVE, NOT_STABLE, STABLE, Cluster, Witness
 @dataclass(frozen=True, eq=False)
 class PointwiseFamily:
     """The map s -> M(s): one matrix per cell. The matrices must not be
-    modified after construction, since the cell spectra are kept."""
+    modified after construction, since the cell spectra are kept. `rule`,
+    when given, is the (d+1, dim, dim) coefficient stack of the generator
+    polynomial the matrices were sampled from (rule_matrices)."""
 
     space: DiscretizedMeasureSpace
     dim: int
     matrices: np.ndarray
     active_dims: np.ndarray | None = None
-    generator_rule: Callable[[float], np.ndarray] | None = None
+    rule: np.ndarray | None = None
 
     def __post_init__(self):
         n_cells, dim = self.space.n_cells, self.dim
@@ -54,6 +55,13 @@ class PointwiseFamily:
             if np.any(active < 1) or np.any(active > dim):
                 raise DomainError("active dimensions must lie in [1, dim]")
             object.__setattr__(self, "active_dims", active)
+        if self.rule is not None:
+            rule = np.asarray(self.rule, dtype=complex)
+            if rule.ndim != 3 or rule.shape[0] < 1 or rule.shape[1:] != (dim, dim):
+                raise ShapeError(f"rule must have shape (d + 1, {dim}, {dim}), got {rule.shape}")
+            if not np.all(np.isfinite(rule)):
+                raise ShapeError("rule contains non-finite coefficients")
+            object.__setattr__(self, "rule", rule)
 
     def block(self, cell):
         """Active block of the matrix at `cell`."""
@@ -347,17 +355,25 @@ def norm_curves(family, times):
     return orbit_norms(family, times)[0]
 
 
+def rule_matrices(rule, points):
+    """(len(points), n, n) stack of A(s) = sum_k rule[k] s^k at each of the
+    real `points`, by Horner's scheme on the (d+1, n, n) coefficients."""
+    s = np.asarray(points, dtype=float)[:, None, None]
+    out = np.broadcast_to(rule[-1], (s.shape[0],) + rule.shape[1:])
+    for coeff in rule[-2::-1]:
+        out = out * s + coeff
+    return np.array(out, dtype=complex)
+
+
 def refine_family(family):
-    """Refine the underlying space and re-sample generators at the new labels."""
-    if family.generator_rule is None:
+    """Refine the underlying space and re-sample the generator rule at the
+    new labels."""
+    if family.rule is None:
         raise DomainError("refining a family requires its generator rule")
     space = family.space.refine()
-    gens = np.stack([linalg.as_matrix(family.generator_rule(float(s))) for s in space.labels])
     return PointwiseFamily(
-        space=space,
-        dim=family.dim,
-        matrices=gens,
-        generator_rule=family.generator_rule,
+        space=space, dim=family.dim, matrices=rule_matrices(family.rule, space.labels),
+        rule=family.rule,
     )
 
 

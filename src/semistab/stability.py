@@ -10,8 +10,10 @@ Three notions, in decreasing strength:
                 by probe orbits.
 * almost weak-- weak convergence to 0 along a time set of density one;
                 equivalent (for bounded semigroups on our spaces) to the
-                absence of imaginary-axis point spectrum carried by cells of
-                positive measure.
+                absence of imaginary-axis point spectrum carried by a set of
+                positive measure: clusters across atomic cells, or, in the
+                non-atomic limit, eigenvalues of a polynomial generator rule
+                present at every point of the interval.
 
 Also finite-horizon evidence: the residuals of the Cesaro means (exact for
 every generator) against the mean ergodic projection. Weak-orbit densities
@@ -38,6 +40,7 @@ from .report import (
     NOT_STABLE,
     STABLE,
     AlmostWeakResult,
+    Cluster,
     StabilityReport,
     StrongResult,
     UniformResult,
@@ -237,26 +240,50 @@ def imaginary_point_spectrum(family, re_tol=1e-9, match_tol=1e-6):
     return semigroup.point_spectrum(family, np.real, re_tol, match_tol)
 
 
-def classify_almost_weak(family, gate, *, mode=None, re_tol=1e-9, match_tol=1e-6,
-                         delta_sweep=(0.1, 0.05, 0.025), slope_cap=2.1):
-    """Almost weak stability via imaginary-axis point spectrum, given the
-    certify_bounded result `gate`.
+def _limit_point_spectrum(family, re_tol, match_tol):
+    """Imaginary eigenvalues of the multiplication generator of the family's
+    rule on the interval its positive-weight cells cover, clustered into
+    balls of radius match_tol; each cluster carries every positive-weight
+    cell and their total weight.
 
-    Atomic mode: Stable iff no imaginary eigenvalue cluster of positive
-    measure exists (the clusters are exactly the witness sets reported on a
-    NotStable verdict). NonAtomicLimit mode: sweeps the cluster radius delta
-    while refining the space, and declares stability in the limit iff the
-    largest cluster measure vanishes linearly in delta (fitted slope at most
-    `slope_cap` and intercept within twice the finest cell width).
+    det(i eta I - A(s)) is a polynomial of degree at most n d in s, so it
+    vanishes on a set of positive measure only if it vanishes at n d + 1
+    points. The candidates are the eigenvalues with |Re| <= re_tol at the
+    first of n d + 1 Chebyshev nodes, kept when every node has an
+    eigenvalue within match_tol of them.
+    """
+    space = family.space
+    positive = space.positive_cells()
+    half = space.widths[positive] / 2.0
+    lo, hi = (space.labels[positive] - half).min(), (space.labels[positive] + half).max()
+    count = family.dim * (family.rule.shape[0] - 1) + 1
+    nodes = (lo + hi) / 2 + (hi - lo) / 2 * np.cos((np.arange(count) + 0.5) * np.pi / count)
+    eigs = linalg.eigenvalues(semigroup.rule_matrices(family.rule, nodes))
+    candidates = eigs[0][np.abs(eigs[0].real) <= re_tol]
+    kept = [lam for lam in candidates if (np.abs(eigs - lam).min(axis=1) <= match_tol).all()]
+    cells = tuple(positive.tolist())
+    weight = float(space.weights[positive].sum())
+    return [Cluster(mean, cells, weight) for mean, _ in linalg.ball_clusters(kept, match_tol)]
+
+
+def classify_almost_weak(family, gate, *, mode=None, re_tol=1e-9, match_tol=1e-6):
+    """Almost weak stability, given the certify_bounded result `gate`: NotStable
+    with one witness per cluster of imaginary point spectrum of positive
+    measure, Stable when there is none (i eta is an eigenvalue of the
+    multiplication generator iff {s : i eta in sigma_p(A(s))} has positive
+    measure).
+
+    Atomic mode treats the cells as atoms (imaginary_point_spectrum).
+    NonAtomicLimit mode reads the family's generator rule on the interval
+    its cells cover, whatever the grid; a family without a rule or without
+    cell widths raises DomainError.
     """
     if mode is None:
-        mode = (
-            MODE_NONATOMIC_LIMIT
-            if family.space.mode == REFINEMENT_FAMILY
-            else MODE_ATOMIC
-        )
+        mode = MODE_NONATOMIC_LIMIT if family.space.mode == REFINEMENT_FAMILY else MODE_ATOMIC
     if mode not in (MODE_ATOMIC, MODE_NONATOMIC_LIMIT):
         raise DomainError(f"unknown analysis mode {mode!r}")
+    if mode == MODE_NONATOMIC_LIMIT and (family.rule is None or family.space.widths is None):
+        raise DomainError("the non-atomic limit needs the family's generator rule and cell widths")
     tolerances = {"re_tol": re_tol, "match_tol": match_tol, "horizon": float(gate.times[-1])}
     if not gate.certified:
         return AlmostWeakResult(
@@ -265,57 +292,14 @@ def classify_almost_weak(family, gate, *, mode=None, re_tol=1e-9, match_tol=1e-6
             witnesses=gate.witnesses + (Witness(None, gate.bound, "boundedness-gate-uncertified"),),
             tolerances=tolerances,
         )
-    if mode == MODE_ATOMIC:
-        clusters = imaginary_point_spectrum(family, re_tol, match_tol)
-        if clusters:
-            witnesses = tuple(
-                Witness(cl.cells[0], cl.eigenvalue, "imaginary-eigenvalue-cluster")
-                for cl in clusters
-            )
-            return AlmostWeakResult(
-                NOT_STABLE, mode, tuple(clusters), witnesses, tolerances=tolerances
-            )
+    spectrum = imaginary_point_spectrum if mode == MODE_ATOMIC else _limit_point_spectrum
+    clusters = spectrum(family, re_tol, match_tol)
+    if not clusters:
         return AlmostWeakResult(STABLE, mode, tolerances=tolerances)
-    deltas = tuple(float(d) for d in delta_sweep)
-    if len(deltas) < 2:
-        raise DomainError("the delta sweep needs at least two radii")
-    if any(d <= 0 for d in deltas):
-        raise DomainError("cluster radii must be positive")
-    measures = []
-    fam = family
-    last_clusters = ()
-    for j, delta in enumerate(deltas):
-        if j > 0:
-            fam = semigroup.refine_family(fam)
-        clusters = imaginary_point_spectrum(fam, re_tol, match_tol=delta)
-        last_clusters = tuple(clusters)
-        measures.append(max((cl.measure for cl in clusters), default=0.0))
-    tolerances["delta_sweep"] = list(deltas)
-    tolerances["slope_cap"] = slope_cap
-    if max(measures) == 0.0:
-        return AlmostWeakResult(
-            STABLE, mode, slope=0.0, intercept=0.0, deltas=deltas,
-            measures=tuple(measures), tolerances=tolerances,
-        )
-    slope, intercept = (float(v) for v in np.polyfit(deltas, measures, 1))
-    width = float(fam.space.widths.max()) if fam.space.widths is not None else 0.0
-    if slope <= slope_cap and intercept <= max(2.0 * width, 1e-9):
-        verdict, witnesses = STABLE, ()
-    else:
-        verdict = NOT_STABLE
-        worst = max(last_clusters, key=lambda cl: cl.measure)
-        witnesses = (Witness(worst.cells[0], worst.eigenvalue, "cluster-measure-does-not-vanish"),)
-    return AlmostWeakResult(
-        verdict,
-        mode,
-        last_clusters,
-        witnesses,
-        slope=slope,
-        intercept=intercept,
-        deltas=deltas,
-        measures=tuple(measures),
-        tolerances=tolerances,
+    witnesses = tuple(
+        Witness(cl.cells[0], cl.eigenvalue, "imaginary-eigenvalue-cluster") for cl in clusters
     )
+    return AlmostWeakResult(NOT_STABLE, mode, tuple(clusters), witnesses, tolerances=tolerances)
 
 
 def cesaro_verify(a, x, t_list, *, re_tol=1e-9):

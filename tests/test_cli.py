@@ -117,7 +117,15 @@ class TestAnalyze:
         aw = payload["almost_weak"]
         assert aw["verdict"] == "Stable"
         assert aw["mode"] == "NonAtomicLimit"
-        assert aw["slope"] <= 2.1
+        assert aw["clusters"] == []
+
+    @pytest.mark.parametrize(
+        "family", [{"builtin": "zabczyk", "N": 3}, {"matrices": [[[[-1.0, 0.0]]]]}]
+    )
+    def test_limit_mode_without_a_rule_exits_2(self, tmp_path, capsys, family):
+        cfg = {"family": family, "space": {"mode": "RefinementFamily"}}
+        assert cli.main(["analyze", write_config(tmp_path, cfg)]) == 2
+        assert "rule" in capsys.readouterr().err
 
     def test_inline_matrices_and_discrete(self, capsys, tmp_path):
         cfg = {
@@ -229,6 +237,24 @@ class TestAnalyze:
             f"numerical failure in {stage[command]}: e^{{tA}} is not finite at t = {first:g}"
         ]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"p": math.nan},
+            {"p": "nan"},
+            {"time": {"t0": math.nan}},
+            {"time": {"horizon": math.nan}},
+            {"discrete": {"enabled": True, "t": math.nan}},
+            {"tolerances": {"margin": math.nan}},
+            {"tolerances": {"eps": math.nan}, "discrete": {"enabled": True}},
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, extra):
+        cfg = {"family": {"builtin": "diagonal", "rates": [[-1.0, 0.0]]}, **extra}
+        assert cli.main(["analyze", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and ("finite" in err or "p must" in err)
+
     def test_nan_entry_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"family": {"matrices": [[[[NaN, 0.0]]]]}}')
@@ -298,7 +324,7 @@ class TestAnalyze:
 
 
 class TestSweep:
-    def test_delta_sweep_runs_family_stages_once(self, monkeypatch, capsys):
+    def test_sweep_over_delta_runs_family_stages_once(self, monkeypatch, capsys):
         calls = {"classify_uniform": 0, "certify_bounded": 0}
         for name in calls:
             real = getattr(cli.stability, name)

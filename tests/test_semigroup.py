@@ -19,6 +19,7 @@ from semistab.semigroup import (
     orbit_norms,
     random_probes,
     refine_family,
+    rule_matrices,
     sample_at,
     sample_norms,
     time_grid,
@@ -398,18 +399,39 @@ class TestRefineFamily:
 
     def test_resamples_rule_at_new_labels(self):
         space = DiscretizedMeasureSpace.uniform_grid(2)
-        rule = lambda s: np.array([[1j * s]])
+        rule = np.array([[[0.0]], [[1j]]])
         family = PointwiseFamily(
-            space=space,
-            dim=1,
-            matrices=np.stack([rule(s) for s in space.labels]),
-            generator_rule=rule,
+            space=space, dim=1, matrices=rule_matrices(rule, space.labels), rule=rule
         )
         refined = refine_family(family)
         assert refined.space.n_cells == 4
         np.testing.assert_allclose(
             refined.matrices[:, 0, 0].imag, refined.space.labels
         )
+
+
+class TestRule:
+    def test_horner_agrees_with_direct_evaluation(self):
+        rng = np.random.default_rng(3)
+        rule = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        points = np.linspace(-2.0, 3.0, 11)
+        direct = np.stack([sum(c * s**k for k, c in enumerate(rule)) for s in points])
+        np.testing.assert_allclose(rule_matrices(rule, points), direct, rtol=1e-13, atol=1e-13)
+        np.testing.assert_array_equal(rule_matrices(rule[:1], points), np.broadcast_to(rule[0], (11, 3, 3)))
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            np.zeros((2, 1)),            # not a coefficient stack
+            np.zeros((0, 1, 1)),         # no coefficient
+            np.zeros((2, 2, 2)),         # wrong matrix size
+            np.array([[[np.nan]]]),      # non-finite coefficient
+        ],
+    )
+    def test_malformed_rule_raises(self, rule):
+        space = DiscretizedMeasureSpace.uniform_grid(2)
+        with pytest.raises(ShapeError):
+            PointwiseFamily(space=space, dim=1, matrices=np.zeros((2, 1, 1)), rule=rule)
 
 
 class TestTimeGrid:

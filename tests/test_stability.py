@@ -41,6 +41,30 @@ def run_almost_weak(family, **kwargs):
     return classify_almost_weak(family, certify_bounded(family, time_grid(50.0, 33)), **kwargs)
 
 
+def rule_family(cells, coefficients, lo=0.0, hi=1.0):
+    """The family of the rule A(s) = sum_k coefficients[k] s^k (scalars or
+    n x n matrices) on a uniform grid of `cells` cells over [lo, hi]."""
+    rule = np.asarray(coefficients, dtype=complex)
+    rule = rule.reshape(rule.shape[0], 1, 1) if rule.ndim == 1 else rule
+    space = DiscretizedMeasureSpace.uniform_grid(cells, lo, hi)
+    return PointwiseFamily(
+        space=space, dim=rule.shape[1], matrices=semigroup.rule_matrices(rule, space.labels),
+        rule=rule,
+    )
+
+
+#: polynomial rules and the imaginary eigenvalues of their multiplication
+#: generators on any interval
+LIMIT_RULES = {
+    "i s": ([0, 1j], []),
+    "i (s - 1/2)^3": ([-1j / 8, 3j / 4, -1.5j, 1j], []),
+    "i s^2": ([0, 0, 1j], []),
+    "i (s - 1/2)^2": ([0.25j, -1j, 1j], []),
+    "diag(i/2, -1 + i s)": ([np.diag([0.5j, -1.0]), np.diag([0.0, 1j])], [0.5j]),
+    "i": ([1j], [1j]),
+}
+
+
 def family_from_matrices(mats, weights=None):
     mats = np.asarray(mats, dtype=complex)
     n_cells = mats.shape[0]
@@ -345,32 +369,51 @@ class TestClassifyAlmostWeak:
         from semistab.cases import rotation_family
 
         family = rotation_family(64)
-        deltas = (0.1, 0.05, 0.025)
-        result = run_almost_weak(family, delta_sweep=deltas)
+        result = run_almost_weak(family)
         assert result.verdict == STABLE
         assert result.mode == "NonAtomicLimit"
         # measured support of each eigenvalue ball stays within 2*delta + width
+        deltas = (0.1, 0.05, 0.025)
         widths = [1.0 / 64, 1.0 / 128, 1.0 / 256]
-        for delta, width, measure in zip(deltas, widths, result.measures):
+        refined = family
+        for delta, width in zip(deltas, widths):
+            measure = max(c.measure for c in imaginary_point_spectrum(refined, match_tol=delta))
             assert measure <= 2 * delta + width + 1e-12
-        assert result.slope <= 2.1
+            refined = semigroup.refine_family(refined)
 
     def test_fixed_atom_is_caught_in_limit_mode(self):
-        # one persistent eigenvalue carried by fixed measure: the cluster
-        # measure does not shrink with delta, so the limit verdict is NotStable
-        space = DiscretizedMeasureSpace.uniform_grid(16)
-
-        def rule(s):
-            return np.array([[1j]])
-
-        family = PointwiseFamily(
-            space=space,
-            dim=1,
-            matrices=np.stack([rule(s) for s in space.labels]),
-            generator_rule=rule,
-        )
-        result = run_almost_weak(family, mode="NonAtomicLimit")
+        # one persistent eigenvalue carried by the whole interval
+        result = run_almost_weak(rule_family(16, [1j]), mode="NonAtomicLimit")
         assert result.verdict == NOT_STABLE
+        assert [(c.eigenvalue, c.measure) for c in result.clusters] == [(1j, 1.0)]
+
+    def test_limit_mode_needs_a_rule_and_cell_widths(self):
+        with pytest.raises(DomainError, match="rule"):
+            run_almost_weak(diagonal_family([-1.0]), mode="NonAtomicLimit")
+        # one atomic cell with the rule i s has no interval to read it on
+        space = DiscretizedMeasureSpace(weights=[1.0], labels=[0.5])
+        rule = np.array([[[0.0]], [[1j]]])
+        family = PointwiseFamily(space=space, dim=1, matrices=[[[0.5j]]], rule=rule)
+        with pytest.raises(DomainError, match="widths"):
+            run_almost_weak(family, mode="NonAtomicLimit")
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 2.0)])
+    @pytest.mark.parametrize("name", sorted(LIMIT_RULES))
+    def test_limit_verdict_does_not_depend_on_the_grid(self, name, lo, hi):
+        # det(i eta - A(s)) is a polynomial in s: an imaginary eigenvalue has
+        # positive measure only when it is present for every s
+        coefficients, eigenvalues = LIMIT_RULES[name]
+        want = [(lam, hi - lo) for lam in eigenvalues]
+        base = rule_family(16, coefficients, lo, hi)
+        for family in (base, rule_family(64, coefficients, lo, hi),
+                       rule_family(256, coefficients, lo, hi), semigroup.refine_family(base)):
+            result = run_almost_weak(family)
+            assert result.mode == "NonAtomicLimit"
+            assert result.verdict == (NOT_STABLE if want else STABLE)
+            got = [(c.eigenvalue, pytest.approx(c.measure)) for c in result.clusters]
+            assert got == want
+            for c in result.clusters:
+                assert c.cells == tuple(range(family.space.n_cells))
 
     def test_uncertified_gate_is_inconclusive(self):
         result = run_almost_weak(diagonal_family([0.1]))
