@@ -40,6 +40,16 @@ _DEFAULTS = {
     "discrete": {"enabled": False, "n_max": 256, "t": 1.0},
 }
 
+#: the keys each config section accepts; the keys of `family` depend on its
+#: builtin and are read by build_family
+_SECTION_KEYS = {
+    **{key: set(default) for key, default in _DEFAULTS.items() if isinstance(default, dict)},
+    "probes": {"count", "seed", "vectors"},
+    "space": {"mode", "weights", "labels"},
+    "sweep": {"parameter", "values"},
+    "output": {"json_path", "csv_path"},
+}
+
 _MATRIX_NORM_NOTE = "operator 2-norm (largest singular value)"
 
 
@@ -75,13 +85,21 @@ def load_config(path):
         )
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    # a misspelt key would otherwise fall back to its default unnoticed
+    unknown = sorted(set(raw) - {"p", "family", *_SECTION_KEYS})
+    if unknown:
+        raise ConfigError(f"unknown config section(s): {', '.join(map(repr, unknown))}")
+    for key, allowed in _SECTION_KEYS.items():
+        section = raw.get(key, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"section {key!r} must be an object")
+        unknown = sorted(set(section) - allowed)
+        if unknown:
+            raise ConfigError(f"unknown key(s) in section {key!r}: {', '.join(map(repr, unknown))}")
     cfg = {}
     for key, default in _DEFAULTS.items():
         if isinstance(default, dict):
-            section = raw.get(key, {})
-            if not isinstance(section, dict):
-                raise ConfigError(f"section {key!r} must be an object")
-            cfg[key] = {**default, **section}
+            cfg[key] = {**default, **raw.get(key, {})}
         else:
             cfg[key] = raw.get(key, default)
     # json.loads accepts NaN and Infinity
@@ -226,10 +244,19 @@ def run_analysis(cfg):
     tol = cfg["tolerances"]
     probes = build_probes(cfg, family)
     mode = analysis_mode(cfg)
+    t0 = float(time_cfg["t0"])
+    discrete_t = float(cfg["discrete"]["t"]) if cfg["discrete"].get("enabled") else None
 
+    # sample_at shares a sample while someone holds it. The uniform stage
+    # starts from e^{t0 A} (and rejects t0 <= 0 itself); when the discrete
+    # stage needs the same sample, holding it from here gives both one
+    # exponential and one spectrum.
+    sample = None
+    if discrete_t == t0 and t0 > 0:
+        sample = _stage("stability.classify_uniform", semigroup.sample_at, family, t0)
     uniform = _stage(
         "stability.classify_uniform", stability.classify_uniform, family,
-        float(time_cfg["t0"]), float(tol["margin"]), grid_points=int(time_cfg["grid_points"]),
+        t0, float(tol["margin"]), grid_points=int(time_cfg["grid_points"]),
     )
     re_tol = float(tol["re_tol"])
     match_tol = float(tol["match_tol"])
@@ -247,10 +274,9 @@ def run_analysis(cfg):
     report = stability.build_report(uniform, strong, almost_weak)
 
     discrete_payload = None
-    if cfg["discrete"].get("enabled"):
-        sample = _stage(
-            "semigroup.sample_at", semigroup.sample_at, family, float(cfg["discrete"]["t"])
-        )
+    if discrete_t is not None:
+        if sample is None:
+            sample = _stage("semigroup.sample_at", semigroup.sample_at, family, discrete_t)
         dreport = _stage(
             "discrete.build_discrete_report",
             discrete.build_discrete_report,

@@ -1,18 +1,24 @@
 """Dense complex matrix kernels.
 
-Matrix exponential by scaling-and-squaring with diagonal Pade approximants
-(one implementation, run on stacks of matrices; a single matrix is a stack of
-one) after shifting the mean imaginary part of the diagonal out of tA,
-spectral functionals on top of the LAPACK dense eigensolver (also run on
-stacks), Cesaro time averages of a semigroup (exact for any generator
-through one exponential of an augmented matrix), and the mean ergodic
-projection onto the kernel of a generator.
+Matrix exponential of a stack of blocks over a grid of times (one kernel; a
+single matrix is a stack of one at one time), by one of two paths per block:
+a block lambda I + N with N strictly upper triangular, real and entrywise
+nonnegative takes the finite sum e^{t lambda} sum_{j<k} t^j/j! N^j, accurate
+entry by entry; every other block takes scaling-and-squaring with diagonal
+Pade approximants after shifting the mean imaginary part of the diagonal out
+of tA. Either way a block's result is bit for bit the same alone or in any
+stack and time grid. Also spectral functionals on top of the LAPACK dense
+eigensolver (also run on stacks), Cesaro time averages of a semigroup
+(exact for any generator through one exponential of an augmented matrix),
+and the mean ergodic projection onto the kernel of a generator.
 
 Matrices are plain complex ndarrays; the operator norm is the 2-norm
 (largest singular value) throughout. norm2 takes it as the square root of
 the largest eigenvalue of the Gram matrix C^H C (Hermitian eigensolver) of
 the matrix scaled by a power of two, C = 2^-e A, one stacked call per stack.
 """
+
+import math
 
 import numpy as np
 
@@ -159,7 +165,8 @@ def _pade_solve(u, v):
 
 #: largest size in bytes of one (B, n, n) stack that a stacked kernel works
 #: on at once; longer stacks run in chunks, which bounds the memory held by
-#: the Pade temporaries.
+#: the Pade temporaries. The (k, k, k) power basis of one closed-form block
+#: is the one exception: a chunk holds at least one block.
 STACK_BYTES = 1 << 16
 
 
@@ -171,7 +178,7 @@ def stack_chunks(count, n, per_item=1):
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def _expm_chunk(a, t):
+def _pade_chunk(a, t):
     # Per matrix exactly the arithmetic of a one-matrix scaling-and-squaring
     # of tA - i theta I, theta = Im tr(tA) / n, times e^{i theta}: the same
     # 1-norm, Pade order, approximant, solve and squaring count. The shift
@@ -207,40 +214,145 @@ def _expm_chunk(a, t):
     return out
 
 
-def expm_stack(a, t):
-    """e^{t_b A_b} for every matrix A_b of a (B, n, n) stack, with one time
-    per matrix (or one time for all), t >= 0. Each matrix gets exactly the
-    arithmetic of a one-matrix scaling-and-squaring of t_b A_b - i theta_b I,
-    theta_b = Im tr(t_b A_b) / n, times the unimodular e^{i theta_b}, so its
-    result does not depend on the rest of the stack. The shift removes the
-    squarings a large imaginary diagonal would cost. The stack runs in
-    chunks of at most STACK_BYTES.
+def _closed_form_blocks(a):
+    """(m,) booleans: which blocks of a (m, k, k) stack are lambda I + N with
+    N strictly upper triangular, real and entrywise nonnegative."""
+    k = a.shape[-1]
+    nil = a - a[:, :1, :1] * np.eye(k)
+    lower = np.tri(k, dtype=bool)
+    bad = (nil.imag != 0) | (nil.real < 0) | (lower & (nil.real != 0))
+    return ~bad.any(axis=(1, 2))
 
-    Raises NumericalFailureError when a result is not finite: the true
-    e^{tA} of a growing matrix can exceed the double range at long times.
+
+#: the latest _power_basis call, ((shape, bytes) of its blocks, its basis).
+#: block_exponentials passes the same blocks once per time slice, which for
+#: k > 64 is one time per call; a basis costs k - 1 products of k x k
+#: matrices. The key is the exact bytes, so a hit returns the very basis a
+#: rebuild would.
+_BASIS_MEMO = [(None, None)]
+
+
+def _power_basis(a):
+    # (offsets, powers, present, count) of (q, k, k) closed-form blocks
+    # lambda I + N. With 2^e the power of two that scales the largest entry
+    # of N into [1, 2): powers[:, j] = (2^-e N)^j, present[:, j] says whether
+    # it is nonzero, offsets[:, j] = j e ln 2 - ln j! is the time-free part
+    # of the log weight of term j, and terms j >= count are zero in every
+    # block.
+    key = (a.shape, a.tobytes())
+    cached_key, basis = _BASIS_MEMO[0]
+    if cached_key == key:
+        return basis
+    q, k = a.shape[0], a.shape[-1]
+    diag = np.arange(k)
+    nil = a.real.copy()
+    nil[:, diag, diag] = 0.0
+    top = nil.max(axis=(1, 2))
+    e = np.where(top > 0, np.frexp(top)[1] - 1, 0)
+    powers = np.empty((q, k, k, k))
+    powers[:, 0] = np.eye(k)
+    powers[:, 1:2] = np.ldexp(nil, -e[:, None, None])[:, None]
+    # N^{h+1}, ..., N^{2h} = N^1 N^h, ..., N^h N^h
+    h = 1
+    while h + 1 < k:
+        top_j = min(2 * h, k - 1)
+        powers[:, h + 1 : top_j + 1] = powers[:, 1 : top_j - h + 1] @ powers[:, h : h + 1]
+        h = top_j
+    log_factorials = np.array([math.lgamma(j + 1) for j in range(k)])
+    offsets = np.outer(e, diag) * math.log(2.0) - log_factorials
+    present = powers.any(axis=(2, 3))
+    count = int(np.flatnonzero(present.any(axis=0))[-1]) + 1
+    basis = offsets, powers, present, count
+    _BASIS_MEMO[0] = (key, basis)
+    return basis
+
+
+def _closed_form(a, t):
+    # e^{t(lambda I + N)} = e^{i t Im lambda} sum_{j<k} e^{t Re lambda} t^j/j! N^j
+    # for (q, k, k) blocks passing _closed_form_blocks, at every time of t:
+    # (T, q, k, k). N is scaled exactly by a power of two 2^-e, and each
+    # weight e^{t Re lambda} (2^e t)^j / j! is one exp of its logarithm, so
+    # neither a weight nor a power overflows or underflows on its own
+    # account. A zero power gets a zero weight, so an overflowed weight never
+    # meets it as inf * 0. All terms are nonnegative and are added entrywise
+    # in increasing j; the terms another block of the chunk adds past this
+    # block's nilpotency index are exact zeros. So every entry is accurate
+    # relative to itself, and its bits depend on its block and time alone.
+    lam = a[:, 0, 0]
+    offsets, powers, present, count = _power_basis(a)
+    j = np.arange(a.shape[-1])
+    log_w = (
+        (t[:, None] * lam.real)[:, :, None]
+        + np.where(j > 0, j * np.log(t)[:, None, None], 0.0)
+        + offsets
+    )
+    weights = np.where(present, np.exp(log_w), 0.0)[..., None, None]
+    acc = weights[:, :, 0] * powers[:, 0]
+    term = np.empty_like(acc)
+    for i in range(1, count):
+        acc += np.multiply(weights[:, :, i], powers[:, i], out=term)
+    return acc * np.exp(1j * (t[:, None] * lam.imag))[:, :, None, None]
+
+
+def expm_stack(a, t):
+    """e^{t A_b} for every matrix A_b of a (m, k, k) stack and every time t of
+    a 1-D grid of times >= 0: a (len(t), m, k, k) array.
+
+    Each block takes one of two paths, and its result does not depend on
+    the rest of the stack or the grid:
+
+    * lambda I + N with N strictly upper triangular, real and entrywise
+      nonnegative (every Zabczyk block and every 1 x 1 block) takes the
+      finite sum e^{t Re lambda} e^{i t Im lambda} sum_{j<k} t^j/j! N^j. Its
+      weights are formed in the log domain and its nonnegative terms added
+      entrywise in a fixed order, so every entry is accurate relative to
+      itself.
+    * Every other block gets exactly the arithmetic of a one-matrix
+      scaling-and-squaring of tA - i theta I, theta = Im tr(tA) / k, times
+      the unimodular e^{i theta}. The shift removes the squarings a large
+      imaginary diagonal would cost.
+
+    Both paths run in chunks of at most STACK_BYTES (at least one block
+    and time).
+
+    Raises NumericalFailureError naming the earliest time at which a result
+    is not finite: the true e^{tA} of a growing matrix can exceed the double
+    range at long times.
     """
     a = np.asarray(a, dtype=complex)
-    t = np.broadcast_to(np.asarray(t, dtype=float), a.shape[:1])
-    out = np.empty_like(a)
+    t = np.asarray(t, dtype=float).reshape(-1)
+    m, k = a.shape[0], a.shape[-1]
+    out = np.empty((t.size, m, k, k), dtype=complex)
+    closed = _closed_form_blocks(a)
     # an overflow is reported by the finiteness check below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for run in stack_chunks(a.shape[0], a.shape[-1]):
-            out[run] = _expm_chunk(a[run], t[run])
-    finite = np.isfinite(out).all(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ids = np.flatnonzero(closed)
+        for blocks in stack_chunks(ids.size, k, per_item=k):
+            sub = ids[blocks]
+            part = a[sub]
+            for steps in stack_chunks(t.size, k, per_item=sub.size):
+                out[steps, sub] = _closed_form(part, t[steps])
+        ids = np.flatnonzero(~closed)
+        for run in stack_chunks(t.size * ids.size, k):
+            flat = np.arange(run.start, run.stop)
+            steps, sub = np.divmod(flat, ids.size)
+            out[steps, ids[sub]] = _pade_chunk(a[ids[sub]], t[steps])
+    finite = np.isfinite(out).all(axis=(1, 2, 3))
     if not finite.all():
-        bad = float(t[np.argmin(finite)])
+        bad = float(t[~finite].min())
         raise NumericalFailureError(f"e^{{tA}} is not finite at t = {bad:g}", time=bad)
     return out
 
 
 def expm(a, t=1.0):
-    """e^{tA} for t >= 0 by scaling-and-squaring with diagonal Pade
-    approximants. Accurate to ~1e-13 relative for well-conditioned inputs
-    of moderate norm."""
+    """e^{tA} for t >= 0: the one-matrix view of expm_stack. Accurate to
+    ~1e-13 relative for well-conditioned inputs of moderate norm, and
+    entrywise for lambda I + N with N strictly upper triangular and
+    nonnegative."""
     a = as_matrix(a)
     if t < 0:
         raise DomainError("time must be nonnegative")
-    return expm_stack(a[None], t)[0]
+    return expm_stack(a[None], [t])[0, 0]
 
 
 def eigenvalues(a):

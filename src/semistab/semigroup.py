@@ -14,6 +14,7 @@ block.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,6 +107,11 @@ class PointwiseFamily:
             eigs.setflags(write=False)
             table.update(zip(ids.tolist(), eigs))
         return table
+
+    @cached_property
+    def _samples(self):
+        # {t: sample_at(self, t)} for the samples someone still holds
+        return weakref.WeakValueDictionary()
 
     def spectrum(self, cell):
         """Eigenvalues of the active block at `cell` (read-only). The first
@@ -267,8 +273,8 @@ def block_exponentials(family, times, cells=None):
     group of `cells` (default: every cell) over the nondecreasing grid
     `times`: blocks[j, i] = e^{times[slice][j] A(ids[i])} on the active
     block, bit for bit linalg.expm(family.block(ids[i]), t). Each group runs
-    as one stacked exponential per time slice of at most linalg.STACK_BYTES
-    (at least one time step).
+    as one linalg.expm_stack call per time slice of at most
+    linalg.STACK_BYTES (at least one time step).
 
     Raises NumericalFailureError naming the earliest time at which any cell
     is not finite, after every group has been tried up to that time.
@@ -279,15 +285,14 @@ def block_exponentials(family, times, cells=None):
         m, k = blocks.shape[0], blocks.shape[-1]
         count = times.size if failure is None else int(np.searchsorted(times, failure.time))
         for steps in linalg.stack_chunks(count, k, per_item=m):
-            ts = times[steps]
             try:
-                out = linalg.expm_stack(np.tile(blocks, (ts.size, 1, 1)), np.repeat(ts, m))
+                out = linalg.expm_stack(blocks, times[steps])
             except NumericalFailureError as exc:
                 if exc.time is None:
                     raise
                 failure = exc
                 break
-            yield ids, steps, out.reshape(ts.size, m, k, k)
+            yield ids, steps, out
     if failure is not None:
         raise failure
 
@@ -297,14 +302,23 @@ def sample_at(family, t):
     active blocks of the positive-weight cells, identity on the padding and
     on the zero-weight cells (null sets, never exponentiated).
 
+    While a caller holds a sample, asking again for the same t returns that
+    same object, with whatever spectrum it has already solved; a sample no
+    one holds is freed.
+
     Raises NumericalFailureError when an exponential overflows.
     """
-    mats = np.tile(np.eye(family.dim, dtype=complex), (family.space.n_cells, 1, 1))
-    for ids, _, blocks in block_exponentials(family, [t], family.space.positive_cells()):
-        k = blocks.shape[-1]
-        mats[ids, :k, :k] = blocks[0]
-    return PointwiseFamily(space=family.space, dim=family.dim, matrices=mats,
-                           active_dims=family.active_dims)
+    t = float(t)
+    sample = family._samples.get(t)
+    if sample is None:
+        mats = np.tile(np.eye(family.dim, dtype=complex), (family.space.n_cells, 1, 1))
+        for ids, _, blocks in block_exponentials(family, [t], family.space.positive_cells()):
+            k = blocks.shape[-1]
+            mats[ids, :k, :k] = blocks[0]
+        sample = PointwiseFamily(space=family.space, dim=family.dim, matrices=mats,
+                                 active_dims=family.active_dims)
+        family._samples[t] = sample
+    return sample
 
 
 def trajectory(family, times):

@@ -521,6 +521,36 @@ class TestZeroWeightCells:
         assert outputs[0][0]["uniform"]["verdict"] == "Stable"
 
 
+class TestOneSamplePerTime:
+    def test_discrete_stage_reuses_the_uniform_sample(self, tmp_path, capsys, monkeypatch):
+        # discrete.t == time.t0 == 1: one e^{A} and one spectrum of it, the
+        # same report
+        cfg = {
+            "family": {"builtin": "random-hurwitz", "seed": 3, "dim": 4, "cells": 8,
+                       "margin": 0.2},
+            "discrete": {"enabled": True},
+        }
+        path = write_config(tmp_path, cfg)
+        expected = analyze_payload(capsys, path)
+        grids, spectra = [], []
+        real_exp = cli.semigroup.block_exponentials
+        real_eigs = cli.semigroup.linalg.eigenvalues
+
+        def exponentials(family, times, cells=None):
+            grids.append(list(times))
+            return real_exp(family, times, cells)
+
+        def eigenvalues(a):
+            spectra.append(np.asarray(a).copy())
+            return real_eigs(a)
+
+        monkeypatch.setattr(cli.semigroup, "block_exponentials", exponentials)
+        monkeypatch.setattr(cli.semigroup.linalg, "eigenvalues", eigenvalues)
+        assert analyze_payload(capsys, path) == expected
+        assert grids.count([1.0]) == 1
+        assert len(spectra) == len({a.tobytes() for a in spectra})
+
+
 class TestMemory:
     def test_analysis_keeps_no_padded_trajectory(self, tmp_path, monkeypatch):
         # one padded (16, 32, 32, 32) complex trajectory is 8.4 MB
@@ -581,6 +611,22 @@ class TestConfigParsing:
             cli._parse_p(0.5)
         with pytest.raises(ConfigError):
             cli._parse_p("three")
+
+    @pytest.mark.parametrize(
+        "extra, name",
+        [
+            # with the misspelt section the margin would stay at 1e-6, which
+            # reads the rate -0.01 as uniform Stable
+            ({"tolerance": {"margin": 0.5}}, "'tolerance'"),
+            ({"time": {"horizonn": 5}}, "'horizonn'"),
+            ({"almost_weak": {"slope_cap": 0.5}}, "'almost_weak'"),
+        ],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, extra, name):
+        cfg = {"family": {"builtin": "diagonal", "rates": [[-0.01, 0.0]]}, **extra}
+        assert cli.main(["analyze", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown") and name in err
 
     def test_complex_pairs_required(self):
         with pytest.raises(ConfigError):

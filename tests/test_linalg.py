@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,6 +28,7 @@ from semistab.linalg import (
     stack_chunks,
 )
 from semistab.semigroup import time_grid
+from semistab.stability import certify_bounded, classify_uniform
 
 
 def random_complex(rng, n, scale=1.0):
@@ -100,6 +102,13 @@ class TestExpm:
             as_matrix(np.ones((2, 3)))
 
 
+def mp_expm(a, t):
+    """e^{tA} in 40-digit arithmetic, rounded to complex doubles."""
+    with mpmath.workdps(40):
+        exact = mpmath.expm(mpmath.matrix(a.tolist()) * t)
+        return np.array(exact.tolist(), dtype=complex)
+
+
 def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
@@ -128,41 +137,86 @@ def reference_expm(a, t):
 
 class TestExpmStack:
     def mixed_stack(self):
-        # padded Zabczyk blocks (N=8 in 10x10) and random 10x10 matrices,
-        # at times from 0 up to norms that need several squarings
+        # padded Zabczyk blocks (N=8 in 10x10: the padding breaks the constant
+        # diagonal) and random 10x10 matrices scaled to unit 1-norm, so that
+        # one grid from 0 up to norms that need several squarings reaches
+        # every Pade order
         rng = np.random.default_rng(21)
         zab = zabczyk_family(8, embed_dim=10).matrices
-        mats, times = [], []
-        for t in (0.0, 1e-3, 0.02, 0.1, 0.5, 3.0, 40.0):
-            mats.extend(zab)
-            times.extend([t] * len(zab))
-        for target in np.geomspace(1e-3, 300.0, 60):
-            a = random_complex(rng, 10)
-            mats.append(a)
-            times.append(target / np.abs(a).sum(axis=0).max())
-        return np.stack(mats), np.array(times)
+        rand = [random_complex(rng, 10) for _ in range(6)]
+        rand = [a / np.abs(a).sum(axis=0).max() for a in rand]
+        times = np.concatenate([[0.0, 0.02, 0.5, 3.0, 40.0], np.geomspace(1e-3, 300.0, 9)])
+        return np.concatenate([zab, np.stack(rand)]), times
 
     def test_each_matrix_bit_equal_alone_and_in_a_stack(self):
         stack, times = self.mixed_stack()
-        assert len(stack_chunks(len(stack), 10)) >= 3
+        assert len(stack_chunks(len(stack) * len(times), 10)) >= 3
+        assert not linalg._closed_form_blocks(stack).any()
         out = expm_stack(stack, times)
+        assert out.shape == (len(times), len(stack), 10, 10)
         orders, squarings = set(), set()
-        for a, t, got in zip(stack, times, out):
-            want, order, count = reference_expm(a, t)
-            orders.add(order)
-            squarings.add(count)
-            np.testing.assert_array_equal(bits(got), bits(want))
-            np.testing.assert_array_equal(bits(got), bits(expm(a, t)))
+        for t, row in zip(times, out):
+            for a, got in zip(stack, row):
+                want, order, count = reference_expm(a, t)
+                orders.add(order)
+                squarings.add(count)
+                np.testing.assert_array_equal(bits(got), bits(want))
+                np.testing.assert_array_equal(bits(got), bits(expm(a, t)))
         assert orders == {3, 5, 7, 9, 13}
         assert len(squarings) >= 4
 
     def test_scalar_cells(self):
-        rates = 1j * np.linspace(0.0, 1.0, 300) - np.linspace(0.0, 0.5, 300)
+        # 1 x 1 cells take the closed form e^{t Re a} e^{i t Im a}; the
+        # purely imaginary cells (the rotation family's) give the shifted
+        # Pade result bit for bit
+        rates = np.concatenate([
+            1j * np.linspace(0.0, 1.0, 300) - np.linspace(0.0, 0.5, 300),
+            1j * np.linspace(-3.0, 3.0, 50),
+        ])
         stack = rates.reshape(-1, 1, 1)
-        for t in (0.0, 0.01, 1.0, 50.0):
-            out = expm_stack(stack, t)
-            for a, got in zip(stack, out):
-                np.testing.assert_array_equal(bits(got), bits(reference_expm(a, t)[0]))
+        times = np.array([0.0, 0.01, 1.0, 50.0])
+        out = expm_stack(stack, times)
+        for t, row in zip(times, out):
+            want = np.exp(t * rates.real) * np.exp(1j * (t * rates.imag))
+            np.testing.assert_array_equal(bits(row[:, 0, 0]), bits(want))
+            for a, got in zip(stack, row):
+                np.testing.assert_array_equal(bits(got), bits(expm(a, t)))
+                if a.real[0, 0] == 0.0:
+                    np.testing.assert_array_equal(bits(got), bits(reference_expm(a, t)[0]))
+
+    def test_mixed_closed_form_and_pade_blocks_bit_equal_alone(self):
+        # closed-form blocks (Zabczyk, random nonnegative upper parts, a
+        # scalar multiple of I, a nilpotent N) beside Pade blocks (dense,
+        # a complex upper part, a negative upper entry, a varying diagonal)
+        rng = np.random.default_rng(23)
+        k = 6
+        closed = [upper_block(k), np.triu(rng.random((k, k)), 1) * 50 + (-0.3 + 2j) * np.eye(k),
+                  (0.5 - 1j) * np.eye(k), np.diag(np.ones(k - 1), 1) * 1e-3]
+        upper = np.triu(rng.random((k, k)), 1)
+        pade = [random_complex(rng, k), upper * 1j - np.eye(k), upper - 2 * np.eye(k),
+                upper + np.diag(np.arange(k) * 0.1)]
+        pade[2][0, 3] = -0.5
+        stack = np.stack(closed + pade)
+        np.testing.assert_array_equal(
+            linalg._closed_form_blocks(stack), [True] * len(closed) + [False] * len(pade)
+        )
+        times = np.array([0.0, 1e-3, 0.7, 5.0, 30.0, 31.0])
+        out = expm_stack(stack, times)
+        for t, row in zip(times, out):
+            for i, (a, got) in enumerate(zip(stack, row)):
+                alone = expm_stack(a[None], [t])[0, 0]
+                np.testing.assert_array_equal(bits(got), bits(alone))
+                if i >= len(closed):
+                    np.testing.assert_array_equal(bits(got), bits(reference_expm(a, t)[0]))
+                else:
+                    want = mp_expm(a, t)
+                    nonzero = want != 0
+                    assert (got[~nonzero] == 0).all()
+                    rel = np.abs(got - want)[nonzero] / np.abs(want)[nonzero]
+                    assert rel.max() <= 1e-12
+        for steps in (slice(0, 1), slice(2, 5), slice(5, 6)):
+            np.testing.assert_array_equal(bits(expm_stack(stack[::-1], times[steps])),
+                                          bits(out[steps, ::-1]))
 
     def test_chunks_cover_the_stack_within_the_byte_budget(self):
         runs = stack_chunks(100, 10)
@@ -218,6 +272,85 @@ class TestImaginaryShift:
         for a in ([[1e300]], [[1e300j, 1e300], [0.0, -1e300j]]):
             with pytest.raises(NumericalFailureError):
                 expm_stack(np.array([a], dtype=complex), 1e10)
+
+
+def zabczyk_closed_form(n, t):
+    """|e^{tA}| of the block with diagonal i n - 1/n and ones above it:
+    e^{-t/n} t^j / j! on the j-th superdiagonal."""
+    offset = np.subtract.outer(np.arange(n), np.arange(n)).T
+    upper = offset >= 0
+    want = np.zeros((n, n))
+    if t == 0.0:
+        want[offset == 0] = 1.0
+    else:
+        j = offset[upper]
+        want[upper] = np.exp(-t / n + j * math.log(t) - np.array([math.lgamma(k + 1) for k in j]))
+    return want
+
+
+class TestClosedForm:
+    """lambda I + N with N strictly upper triangular and nonnegative takes
+    the finite sum e^{t lambda} sum_j t^j/j! N^j, entrywise accurate."""
+
+    def test_huge_superdiagonal_is_not_lost(self):
+        got = expm(np.array([[-0.02, 1e20], [0.0, -0.02]]), 1.0)
+        assert got[0, 1].real == pytest.approx(math.exp(-0.02) * 1e20, rel=1e-12, abs=0)
+        assert got[0, 0].real == pytest.approx(math.exp(-0.02), rel=1e-15, abs=0)
+
+    def test_far_corner_of_the_largest_zabczyk_block(self):
+        with mpmath.workdps(30):
+            exact = float(mpmath.exp(-0.1) * mpmath.mpf(4) ** 39 / mpmath.factorial(39))
+        assert f"{exact:.10e}" == "1.3406800187e-23"
+        block = zabczyk_family(40).block(39)
+        got = abs(expm(block, 4.0)[0, 39])
+        assert got == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("horizon", [4000.0, 12800.0])
+    def test_every_zabczyk_entry_accurate_relative_to_itself(self, horizon):
+        # entries in the normal range only: a subnormal has no relative
+        # accuracy to keep
+        worst = 0.0
+        for n in range(1, 41):
+            for t in time_grid(horizon, 16):
+                want = zabczyk_closed_form(n, t)
+                got = np.abs(expm(upper_block(n), t))
+                normal = want >= np.finfo(float).tiny
+                assert (got[want == 0.0] == 0.0).all()
+                if normal.any():
+                    worst = max(worst, float((np.abs(got - want)[normal] / want[normal]).max()))
+        assert worst <= 1e-12
+
+    def test_nilpotent_part_stops_the_sum_before_an_overflowed_weight(self):
+        # N^2 = 0, and t^2/2 alone overflows at t = 1e160: the sum stops at
+        # j = 1 instead of forming inf * 0
+        block = np.zeros((3, 3), dtype=complex)
+        block[0, 2] = 1.0
+        got = expm(block, 1e160)
+        assert np.isfinite(got).all()
+        want = np.eye(3)
+        want[0, 2] = 1e160
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_overflowed_closed_form_names_the_earliest_bad_time(self):
+        stack = np.array([[[1e300]], [[-1.0]]], dtype=complex)
+        times = np.array([0.0, 1e-298, 1e-297, 1.0, 1e10])
+        assert linalg._closed_form_blocks(stack).all()
+        with pytest.raises(NumericalFailureError) as info:
+            expm_stack(stack, times)
+        assert info.value.time == 1e-297
+        with pytest.raises(NumericalFailureError) as info:
+            expm_stack(stack[:1], [1e10])
+        assert info.value.time == 1e10
+
+    def test_zabczyk_family_never_runs_pade(self, monkeypatch):
+        def no_pade(*args):
+            raise AssertionError("a Zabczyk block reached the Pade path")
+
+        monkeypatch.setattr(linalg, "_pade13", no_pade)
+        monkeypatch.setattr(linalg, "_pade_solve", no_pade)
+        family = zabczyk_family(40)
+        classify_uniform(family, 1.0, 1e-6, grid_points=16)
+        certify_bounded(family, time_grid(4000.0, 16))
 
 
 class TestNorm2:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -176,6 +177,16 @@ class TestTrajectory:
         np.testing.assert_array_equal(sample.matrices[:, 0, 0], want)
         assert [s.matrices[1, 0, 0] for s in trajectory(family, [0.5, 1.0])] == [1.0, 1.0]
 
+    def test_a_held_sample_is_shared_and_a_dropped_one_freed(self):
+        family = zabczyk_family(5)
+        held = sample_at(family, 2.0)
+        assert sample_at(family, 2) is held
+        assert sample_at(family, 3.0) is not held
+        assert sample_at(family, 2.0) is held
+        gone = weakref.ref(held)
+        del held
+        assert gone() is None
+
     def test_empty_and_negative_times_rejected(self):
         family = PointwiseFamily(
             space=space_of([1.0]), dim=1, matrices=np.array([[[0.0 + 0j]]])
@@ -275,7 +286,8 @@ def recorded_stacks(monkeypatch):
     real = linalg.expm_stack
 
     def record(a, t):
-        stacks.append(np.asarray(a).shape)
+        # (times, blocks, k, k) of one call
+        stacks.append((np.size(t),) + np.asarray(a).shape)
         return real(a, t)
 
     monkeypatch.setattr(linalg, "expm_stack", record)
@@ -317,11 +329,13 @@ class TestGroupedExponentials:
     )
     def test_stacks_stay_within_the_byte_budget(self, family, monkeypatch):
         # one time step of one group may exceed the budget; nothing else may
-        step_bytes = {blocks.shape[-1]: blocks.nbytes for _, blocks in family.block_stacks()}
+        # (each call passes its whole group once, untiled)
+        groups = {blocks.shape[-1]: blocks for _, blocks in family.block_stacks()}
         stacks = recorded_stacks(monkeypatch)
         trajectory(family, time_grid(300.0, 48))
-        for count, k, _ in stacks:
-            assert count * k * k * 16 <= max(linalg.STACK_BYTES, step_bytes.get(k, 0))
+        for steps, count, k, _ in stacks:
+            assert count == len(groups[k])
+            assert steps * count * k * k * 16 <= max(linalg.STACK_BYTES, groups[k].nbytes)
 
 
 def zero_weight_family():

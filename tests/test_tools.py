@@ -1,5 +1,6 @@
-"""Tests of tools/report_diff.py on two tiny output directories and of the
-summary logic of tools/bench_pairs.py on synthetic run records."""
+"""Tests of tools/report_diff.py on two tiny output directories and on two
+files, and of the summary logic of tools/bench_pairs.py on synthetic run
+records."""
 
 import importlib.util
 import json
@@ -52,6 +53,25 @@ def test_every_column_with_a_differing_number_is_named(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "x.csv: 6 numbers compared, 2 differ, max relative difference 0.111 in probe_0, t",
     ]
+
+
+def test_two_report_files_are_compared_directly(tmp_path, capsys):
+    report_diff = load_tool("report_diff")
+    a = write_outputs(tmp_path / "a", "Stable", 4.0, "0.25")
+    b = write_outputs(tmp_path / "b", "Stable", 5.0, "0.25")
+    (b / "analyze_x.json").rename(b / "analyze_y.json")
+    assert report_diff.main([str(a / "analyze_x.json"), str(b / "analyze_y.json")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "analyze_x.json vs analyze_y.json: 3 numbers compared, 1 differ, "
+        "max relative difference 0.2 in uniform",
+    ]
+    same = str(a / "trajectory_x.csv")
+    assert report_diff.main([same, same]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "trajectory_x.csv: 9 numbers compared, 0 differ, max relative difference 0",
+    ]
+    with pytest.raises(SystemExit):
+        report_diff.main([str(a), same])
 
 
 def test_identical_directories_exit_0(tmp_path, capsys):

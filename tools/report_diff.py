@@ -1,14 +1,16 @@
-"""Size of the numeric diff between two directories of gate outputs.
+"""Size of the numeric diff between two directories of gate outputs, or
+between two output files.
 
     python3 tools/gate_digests.py --keep A     # in the parent checkout
     python3 tools/gate_digests.py --keep B     # in the changed checkout
     python3 tools/report_diff.py A B
+    python3 tools/report_diff.py old.json new.json
 
-For every output file in either directory it prints one line: the numbers
-compared, how many differ, the largest relative difference
-|a - b| / max(|a|, |b|) and, when numbers differ, the CSV columns (or
-top-level JSON keys) that hold them. Below that line it lists every changed field that
-is not a number pair (a verdict, a witness kind, a number that became text,
+For every output file in either directory, or for the one pair of files,
+it prints one line: the numbers compared, how many differ, the largest
+relative difference |a - b| / max(|a|, |b|) and, when numbers differ, the
+CSV columns (or top-level JSON keys) that hold them. Below that line it
+lists every changed field that is not a number pair (a verdict, a witness kind, a number that became text,
 a field present on one side only) as `path: A -> B`. JSON reports are
 compared leaf by leaf, CSV files cell by cell under their header; any other
 file is compared as text, line by line. NaN equals NaN. The exit code is 0
@@ -101,21 +103,32 @@ def compare(fields_a, fields_b):
     return compared, differ, largest, sorted(groups), changed
 
 
+def _pairs(a, b):
+    """(name, file in a, file in b) for two files, or for every file name in
+    either of two directories."""
+    if a.is_file() and b.is_file():
+        return [(a.name if a.name == b.name else f"{a.name} vs {b.name}", a, b)]
+    if not (a.is_dir() and b.is_dir()):
+        return None
+    names = sorted({p.name for d in (a, b) for p in d.iterdir() if p.is_file()})
+    return [(name, a / name, b / name) for name in names]
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="numeric diff of two gate-output directories")
-    parser.add_argument("dir_a")
-    parser.add_argument("dir_b")
+    parser = argparse.ArgumentParser(
+        description="numeric diff of two gate-output directories or two output files"
+    )
+    parser.add_argument("a")
+    parser.add_argument("b")
     args = parser.parse_args(argv)
-    dir_a, dir_b = Path(args.dir_a), Path(args.dir_b)
-    for d in (dir_a, dir_b):
-        if not d.is_dir():
-            parser.error(f"{d} is not a directory")
-    names = sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir() if p.is_file()})
+    a, b = Path(args.a), Path(args.b)
+    pairs = _pairs(a, b)
+    if pairs is None:
+        parser.error(f"{a} and {b} must be two directories or two files")
     any_diff = False
-    for name in names:
-        fa, fb = dir_a / name, dir_b / name
+    for name, fa, fb in pairs:
         if not (fa.is_file() and fb.is_file()):
-            print(f"{name}: only in {dir_a if fa.is_file() else dir_b}")
+            print(f"{name}: only in {a if fa.is_file() else b}")
             any_diff = True
             continue
         compared, differ, largest, groups, changed = compare(_fields(fa), _fields(fb))
