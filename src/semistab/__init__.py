@@ -26,7 +26,6 @@ from .semigroup import (
     apply,
     identity_sample,
     lp_norm,
-    operator_norm,
     random_probes,
     refine_family,
     time_grid,

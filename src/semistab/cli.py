@@ -50,6 +50,16 @@ _SECTION_KEYS = {
     "output": {"json_path", "csv_path"},
 }
 
+#: the keys of `family` each builtin reads besides `builtin` (None: inline
+#: matrices)
+_FAMILY_KEYS = {
+    "zabczyk": {"N", "embed_dim"},
+    "rotation": {"cells"},
+    "random-hurwitz": {"seed", "dim", "cells", "margin"},
+    "diagonal": {"rates", "weights"},
+    None: {"matrices", "active_dims"},
+}
+
 _MATRIX_NORM_NOTE = "operator 2-norm (largest singular value)"
 
 
@@ -166,9 +176,43 @@ def _require(section, key, caster, what):
         raise ConfigError(f"{what} field {key!r} has the wrong type")
 
 
+def _family_builtin(fam):
+    """The family's builtin (None for inline matrices), after checking that
+    it exists and that the family has no key it does not read."""
+    builtin = fam.get("builtin")
+    known = isinstance(builtin, str) or builtin is None
+    if not known or builtin not in _FAMILY_KEYS or (builtin is None and "matrices" not in fam):
+        raise ConfigError(f"unknown or missing family builtin {builtin!r}")
+    unknown = sorted(set(fam) - _FAMILY_KEYS[builtin] - {"builtin"})
+    if unknown:
+        name = "inline matrices" if builtin is None else builtin
+        raise ConfigError(f"unknown key(s) in family {name!r}: {', '.join(map(repr, unknown))}")
+    return builtin
+
+
+def _inline_active_dims(fam, mats):
+    """The `active_dims` of an inline family, or None when it gives none: one
+    integer in [1, n] per cell, with every entry outside the active blocks
+    zero."""
+    active = fam.get("active_dims")
+    if active is None:
+        return None
+    cells, n = mats.shape[:2]
+    if (
+        not isinstance(active, list)
+        or len(active) != cells
+        or not all(isinstance(d, int) and not isinstance(d, bool) and 1 <= d <= n for d in active)
+    ):
+        raise ConfigError(f"family 'active_dims' must list one integer in [1, {n}] per cell")
+    rows = np.arange(n) < np.array(active)[:, None]
+    if np.any(mats[~(rows[:, :, None] & rows[:, None, :])]):
+        raise ConfigError("inline matrices must be zero outside each cell's active block")
+    return np.array(active)
+
+
 def build_family(cfg):
     fam = cfg["family"]
-    builtin = fam.get("builtin")
+    builtin = _family_builtin(fam)
     if builtin == "zabczyk":
         n = _require(fam, "N", int, "zabczyk family")
         embed = int(fam["embed_dim"]) if "embed_dim" in fam else None
@@ -186,19 +230,18 @@ def build_family(cfg):
         rates = _complex_array(fam.get("rates"), "diagonal rates")
         weights = fam.get("weights")
         return cases.diagonal_family(rates, weights)
-    if builtin is None and "matrices" in fam:
-        mats = _complex_array(fam["matrices"], "inline matrices")
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ConfigError("inline matrices must have shape (cells, n, n)")
-        cells = mats.shape[0]
-        space_cfg = cfg.get("space") or {}
-        weights = np.asarray(space_cfg.get("weights", np.ones(cells)), dtype=float)
-        labels = np.asarray(
-            space_cfg.get("labels", np.arange(cells, dtype=float)), dtype=float
-        )
-        space = DiscretizedMeasureSpace(weights=weights, labels=labels, mode=ATOMIC)
-        return semigroup.PointwiseFamily(space=space, dim=mats.shape[1], matrices=mats)
-    raise ConfigError(f"unknown or missing family builtin {builtin!r}")
+    mats = _complex_array(fam["matrices"], "inline matrices")
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ConfigError("inline matrices must have shape (cells, n, n)")
+    cells = mats.shape[0]
+    space_cfg = cfg.get("space") or {}
+    weights = np.asarray(space_cfg.get("weights", np.ones(cells)), dtype=float)
+    labels = np.asarray(space_cfg.get("labels", np.arange(cells, dtype=float)), dtype=float)
+    space = DiscretizedMeasureSpace(weights=weights, labels=labels, mode=ATOMIC)
+    return semigroup.PointwiseFamily(
+        space=space, dim=mats.shape[1], matrices=mats,
+        active_dims=_inline_active_dims(fam, mats),
+    )
 
 
 def build_probes(cfg, family):
@@ -329,7 +372,7 @@ def run_sweep(cfg):
     base_family = None
     if parameter != "truncation":
         base_family = build_family(cfg)
-    elif cfg["family"].get("builtin") != "zabczyk":
+    elif _family_builtin(cfg["family"]) != "zabczyk":
         raise ConfigError("truncation sweeps require the zabczyk builtin family")
 
     times = _time_grid(time_cfg)

@@ -1,21 +1,25 @@
 """Dense complex matrix kernels.
 
-Matrix exponential of a stack of blocks over a grid of times (one kernel; a
+Matrix exponential of a stack of blocks over a grid of times (expm_stack; a
 single matrix is a stack of one at one time), by one of two paths per block:
 a block lambda I + N with N strictly upper triangular, real and entrywise
-nonnegative takes the finite sum e^{t lambda} sum_{j<k} t^j/j! N^j, accurate
-entry by entry; every other block takes scaling-and-squaring with diagonal
-Pade approximants after shifting the mean imaginary part of the diagonal out
-of tA. Either way a block's result is bit for bit the same alone or in any
-stack and time grid. Also spectral functionals on top of the LAPACK dense
+nonnegative takes the finite sum e^{i t Im lambda} R(t), with the real
+factor R(t) = e^{t Re lambda} sum_{j<k} t^j/j! N^j accurate entry by entry;
+every other block takes scaling-and-squaring with diagonal Pade
+approximants after shifting the mean imaginary part of the diagonal out of
+tA. expm_norms takes ||e^{tA}|| and ||e^{tA} v|| over the same stack and
+grid, from R alone on the closed-form path (the phase has modulus 1).
+Either way a block's result is bit for bit the same alone or in any stack
+and time grid. Also spectral functionals on top of the LAPACK dense
 eigensolver (also run on stacks), Cesaro time averages of a semigroup
 (exact for any generator through one exponential of an augmented matrix),
 and the mean ergodic projection onto the kernel of a generator.
 
 Matrices are plain complex ndarrays; the operator norm is the 2-norm
 (largest singular value) throughout. norm2 takes it as the square root of
-the largest eigenvalue of the Gram matrix C^H C (Hermitian eigensolver) of
-the matrix scaled by a power of two, C = 2^-e A, one stacked call per stack.
+the largest eigenvalue of the Gram matrix C^H C (symmetric or Hermitian
+eigensolver, real for a real matrix) of the matrix scaled by a power of
+two, C = 2^-e A, one stacked call per stack.
 """
 
 import math
@@ -56,21 +60,29 @@ def as_matrix(a):
 
 def norm2(a):
     """Operator 2-norm (largest singular value) of a matrix, as a float, or
-    of each matrix of a stack (..., n, n), as an array.
+    of each matrix of a stack (..., n, n), as an array; a real input stays
+    real.
 
     Each matrix A is scaled to C = 2^-e A, with e the binary exponent of its
     largest |Re| or |Im| entry, and its norm is 2^e sqrt(lambda_max(C^H C))
-    from the Hermitian eigensolver; the power-of-two scaling is exact and
-    keeps the Gram matrix clear of overflow and underflow.
+    from the symmetric or Hermitian eigensolver; the power-of-two scaling is
+    exact and keeps the Gram matrix clear of overflow and underflow.
     """
-    m = np.asarray(a, dtype=complex)
+    m = np.asarray(a)
+    real = not np.iscomplexobj(m)
+    m = m.astype(float if real else complex, copy=False)
     if m.size == 0:
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
-    _, e = np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1)))
-    c = np.empty_like(m)
-    c.real = np.ldexp(m.real, -e[..., None, None])
-    c.imag = np.ldexp(m.imag, -e[..., None, None])
-    gram = c.conj().swapaxes(-2, -1) @ c
+    if real:
+        _, e = np.frexp(np.abs(m).max(axis=(-2, -1)))
+        c = np.ldexp(m, -e[..., None, None])
+        gram = c.swapaxes(-2, -1) @ c
+    else:
+        _, e = np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1)))
+        c = np.empty_like(m)
+        c.real = np.ldexp(m.real, -e[..., None, None])
+        c.imag = np.ldexp(m.imag, -e[..., None, None])
+        gram = c.conj().swapaxes(-2, -1) @ c
     top = np.linalg.eigvalsh(gram)[..., -1]
     norms = np.ldexp(np.sqrt(top), e)
     return float(norms) if m.ndim == 2 else norms
@@ -165,8 +177,9 @@ def _pade_solve(u, v):
 
 #: largest size in bytes of one (B, n, n) stack that a stacked kernel works
 #: on at once; longer stacks run in chunks, which bounds the memory held by
-#: the Pade temporaries. The (k, k, k) power basis of one closed-form block
-#: is the one exception: a chunk holds at least one block.
+#: the Pade temporaries. The closed form is the one exception: a chunk holds
+#: at least one block's (k, k, k) power basis, and its time passes may use
+#: as many bytes as the basis of their blocks (_closed_form_runs).
 STACK_BYTES = 1 << 16
 
 
@@ -224,14 +237,6 @@ def _closed_form_blocks(a):
     return ~bad.any(axis=(1, 2))
 
 
-#: the latest _power_basis call, ((shape, bytes) of its blocks, its basis).
-#: block_exponentials passes the same blocks once per time slice, which for
-#: k > 64 is one time per call; a basis costs k - 1 products of k x k
-#: matrices. The key is the exact bytes, so a hit returns the very basis a
-#: rebuild would.
-_BASIS_MEMO = [(None, None)]
-
-
 def _power_basis(a):
     # (offsets, powers, present, count) of (q, k, k) closed-form blocks
     # lambda I + N. With 2^e the power of two that scales the largest entry
@@ -239,10 +244,6 @@ def _power_basis(a):
     # it is nonzero, offsets[:, j] = j e ln 2 - ln j! is the time-free part
     # of the log weight of term j, and terms j >= count are zero in every
     # block.
-    key = (a.shape, a.tobytes())
-    cached_key, basis = _BASIS_MEMO[0]
-    if cached_key == key:
-        return basis
     q, k = a.shape[0], a.shape[-1]
     diag = np.arange(k)
     nil = a.real.copy()
@@ -262,27 +263,25 @@ def _power_basis(a):
     offsets = np.outer(e, diag) * math.log(2.0) - log_factorials
     present = powers.any(axis=(2, 3))
     count = int(np.flatnonzero(present.any(axis=0))[-1]) + 1
-    basis = offsets, powers, present, count
-    _BASIS_MEMO[0] = (key, basis)
-    return basis
+    return offsets, powers, present, count
 
 
-def _closed_form(a, t):
-    # e^{t(lambda I + N)} = e^{i t Im lambda} sum_{j<k} e^{t Re lambda} t^j/j! N^j
-    # for (q, k, k) blocks passing _closed_form_blocks, at every time of t:
-    # (T, q, k, k). N is scaled exactly by a power of two 2^-e, and each
-    # weight e^{t Re lambda} (2^e t)^j / j! is one exp of its logarithm, so
-    # neither a weight nor a power overflows or underflows on its own
-    # account. A zero power gets a zero weight, so an overflowed weight never
-    # meets it as inf * 0. All terms are nonnegative and are added entrywise
-    # in increasing j; the terms another block of the chunk adds past this
-    # block's nilpotency index are exact zeros. So every entry is accurate
-    # relative to itself, and its bits depend on its block and time alone.
-    lam = a[:, 0, 0]
-    offsets, powers, present, count = _power_basis(a)
+def _real_factor(a, t, basis):
+    # R(t) = sum_{j<k} e^{t Re lambda} t^j/j! N^j for (q, k, k) blocks
+    # passing _closed_form_blocks, at every time of t: (T, q, k, k) reals,
+    # with e^{t(lambda I + N)} = e^{i t Im lambda} R(t). N is scaled exactly
+    # by a power of two 2^-e, and each weight e^{t Re lambda} (2^e t)^j / j!
+    # is one exp of its logarithm, so neither a weight nor a power overflows
+    # or underflows on its own account. A zero power gets a zero weight, so
+    # an overflowed weight never meets it as inf * 0. All terms are
+    # nonnegative and are added entrywise in increasing j; the terms another
+    # block of the chunk adds past this block's nilpotency index are exact
+    # zeros. So every entry is accurate relative to itself, and its bits
+    # depend on its block and time alone.
+    offsets, powers, present, count = basis
     j = np.arange(a.shape[-1])
     log_w = (
-        (t[:, None] * lam.real)[:, :, None]
+        (t[:, None] * a[:, 0, 0].real)[:, :, None]
         + np.where(j > 0, j * np.log(t)[:, None, None], 0.0)
         + offsets
     )
@@ -291,7 +290,30 @@ def _closed_form(a, t):
     term = np.empty_like(acc)
     for i in range(1, count):
         acc += np.multiply(weights[:, :, i], powers[:, i], out=term)
-    return acc * np.exp(1j * (t[:, None] * lam.imag))[:, :, None, None]
+    return acc
+
+
+def _closed_form_runs(a, t):
+    """(blocks, steps, R) covering a (m, k, k) stack of closed-form blocks
+    over the grid t: R = _real_factor(a[blocks], t[steps]).
+
+    The blocks run in chunks whose complex power basis would fit
+    STACK_BYTES (at least one block); each chunk builds its real basis,
+    q k^3 doubles, once, and its times run in passes whose (T, q, k, k)
+    temporaries fit max(STACK_BYTES, q k^3 doubles), the basis' own size.
+    """
+    k = a.shape[-1]
+    for blocks in stack_chunks(len(a), k, per_item=k):
+        part = a[blocks]
+        basis = _power_basis(part)
+        step = max(k, STACK_BYTES // (8 * len(part) * k * k))
+        for start in range(0, t.size, step):
+            steps = slice(start, min(start + step, t.size))
+            yield blocks, steps, _real_factor(part, t[steps], basis)
+
+
+def _not_finite(t):
+    return NumericalFailureError(f"e^{{tA}} is not finite at t = {t:g}", time=t)
 
 
 def expm_stack(a, t):
@@ -303,17 +325,17 @@ def expm_stack(a, t):
 
     * lambda I + N with N strictly upper triangular, real and entrywise
       nonnegative (every Zabczyk block and every 1 x 1 block) takes the
-      finite sum e^{t Re lambda} e^{i t Im lambda} sum_{j<k} t^j/j! N^j. Its
-      weights are formed in the log domain and its nonnegative terms added
-      entrywise in a fixed order, so every entry is accurate relative to
-      itself.
+      finite sum e^{i t Im lambda} R(t), R(t) = sum_{j<k} e^{t Re lambda}
+      t^j/j! N^j. The weights of R are formed in the log domain and its
+      nonnegative terms added entrywise in a fixed order, so every entry is
+      accurate relative to itself.
     * Every other block gets exactly the arithmetic of a one-matrix
       scaling-and-squaring of tA - i theta I, theta = Im tr(tA) / k, times
       the unimodular e^{i theta}. The shift removes the squarings a large
       imaginary diagonal would cost.
 
-    Both paths run in chunks of at most STACK_BYTES (at least one block
-    and time).
+    The Pade path runs in chunks of at most STACK_BYTES (at least one block
+    and time); the closed form in the passes of _closed_form_runs.
 
     Raises NumericalFailureError naming the earliest time at which a result
     is not finite: the true e^{tA} of a growing matrix can exceed the double
@@ -327,11 +349,9 @@ def expm_stack(a, t):
     # an overflow is reported by the finiteness check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ids = np.flatnonzero(closed)
-        for blocks in stack_chunks(ids.size, k, per_item=k):
-            sub = ids[blocks]
-            part = a[sub]
-            for steps in stack_chunks(t.size, k, per_item=sub.size):
-                out[steps, sub] = _closed_form(part, t[steps])
+        phases = np.exp(1j * (t[:, None] * a[ids, 0, 0].imag))
+        for blocks, steps, r in _closed_form_runs(a[ids], t):
+            out[steps, ids[blocks]] = r * phases[steps, blocks, None, None]
         ids = np.flatnonzero(~closed)
         for run in stack_chunks(t.size * ids.size, k):
             flat = np.arange(run.start, run.stop)
@@ -339,9 +359,71 @@ def expm_stack(a, t):
             out[steps, ids[sub]] = _pade_chunk(a[ids[sub]], t[steps])
     finite = np.isfinite(out).all(axis=(1, 2, 3))
     if not finite.all():
-        bad = float(t[~finite].min())
-        raise NumericalFailureError(f"e^{{tA}} is not finite at t = {bad:g}", time=bad)
+        raise _not_finite(float(t[~finite].min()))
     return out
+
+
+def expm_norms(a, t, v):
+    """(norms, vnorms) of e^{t A_b} for every matrix A_b of a (m, k, k) stack,
+    every time t of a 1-D grid of times >= 0 and vectors v, a (P, m, k)
+    stack: norms[i, b] = ||e^{t_i A_b}|| (norm2) and vnorms[i, p, b] =
+    ||e^{t_i A_b} v[p, b]|| (Euclidean).
+
+    Each block takes the path expm_stack gives it, and its norms do not
+    depend on the rest of the stack or the grid:
+
+    * a closed-form block has e^{tA} = e^{i t Im lambda} R(t) with R real
+      and the phase unimodular, so both norms are those of R: the norm2 of
+      the real matrix and |R v|. The real factor runs in the passes of
+      _closed_form_runs (one pass per group of a Zabczyk family).
+    * every other block is exponentiated by expm_stack in time slices of
+      at most STACK_BYTES (at least one time), and its norms are those of
+      the complex result.
+
+    Raises NumericalFailureError naming the earliest time at which e^{tA}
+    is not finite for some block, as expm_stack would.
+    """
+    a = np.asarray(a, dtype=complex)
+    t = np.asarray(t, dtype=float).reshape(-1)
+    v = np.asarray(v, dtype=complex)
+    k = a.shape[-1]
+    norms = np.zeros((t.size, a.shape[0]))
+    vnorms = np.zeros((t.size, v.shape[0], a.shape[0]))
+    bad = math.inf
+    closed = _closed_form_blocks(a)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ids = np.flatnonzero(closed)
+        # the real and the imaginary parts of the vectors as columns: (q, k, P)
+        parts = [part[:, ids].transpose(1, 2, 0) for part in (v.real, v.imag)]
+        for blocks, steps, r in _closed_form_runs(a[ids], t):
+            cols = ids[blocks]
+            # e^{tA} = R e^{i t Im lambda} is finite where R and t Im lambda are
+            phase_arg = t[steps, None] * a[cols, 0, 0].imag
+            finite = (np.isfinite(r).all(axis=(2, 3)) & np.isfinite(phase_arg)).all(axis=1)
+            if not finite.all():
+                bad = min(bad, float(t[steps][~finite].min()))
+                continue
+            norms[steps, cols] = norm2(r)
+            sq = 0.0
+            for part in parts:
+                y = r @ part[blocks]
+                sq = sq + np.square(y, out=y).sum(axis=2)
+            vnorms[steps, :, cols] = np.sqrt(sq).swapaxes(1, 2)
+        ids = np.flatnonzero(~closed)
+        for steps in stack_chunks(t.size, k, per_item=ids.size) if ids.size else ():
+            if t[steps].min() >= bad:
+                continue
+            try:
+                e = expm_stack(a[ids], t[steps])
+            except NumericalFailureError as exc:
+                bad = min(bad, exc.time)
+                continue
+            norms[steps, ids] = norm2(e)
+            orbits = e[:, None] @ v[None, :, ids, :, None]
+            vnorms[steps, :, ids] = np.linalg.norm(orbits[..., 0], axis=-1)
+    if bad < math.inf:
+        raise _not_finite(bad)
+    return norms, vnorms
 
 
 def expm(a, t=1.0):

@@ -168,26 +168,6 @@ def _cell_lp(space, cell, p):
     return (cell**p @ space.weights) ** (1.0 / p)
 
 
-def sample_norms(sample):
-    """Per-cell operator 2-norms (active block), one stacked linalg.norm2 per
-    active dimension."""
-    norms = np.zeros(sample.space.n_cells)
-    for cells, blocks in sample.block_stacks():
-        norms[cells] = linalg.norm2(blocks)
-    return norms
-
-
-def operator_norm(sample, p=2.0):
-    """Norm of the multiplication operator: ess-sup over cells of ||M(s)||.
-
-    Independent of p (the same essential supremum for every 1 <= p <= inf);
-    p is accepted and validated for interface symmetry only.
-    """
-    if p != math.inf and p < 1:
-        raise DomainError("p must satisfy p >= 1 or p = inf")
-    return ess_sup(sample.space, sample_norms(sample))
-
-
 def point_spectrum(family, distance, tol, match_tol):
     """Eigenvalues with |distance(lambda)| <= tol (a signed distance to some
     boundary) on positive-weight cells, clustered across cells into balls of
@@ -268,39 +248,11 @@ def _time_points(times):
     return times
 
 
-def block_exponentials(family, times, cells=None):
-    """Yield (cell ids, time slice, blocks) covering every active-dimension
-    group of `cells` (default: every cell) over the nondecreasing grid
-    `times`: blocks[j, i] = e^{times[slice][j] A(ids[i])} on the active
-    block, bit for bit linalg.expm(family.block(ids[i]), t). Each group runs
-    as one linalg.expm_stack call per time slice of at most
-    linalg.STACK_BYTES (at least one time step).
-
-    Raises NumericalFailureError naming the earliest time at which any cell
-    is not finite, after every group has been tried up to that time.
-    """
-    times = _time_points(times)
-    failure = None
-    for ids, blocks in family.block_stacks(cells):
-        m, k = blocks.shape[0], blocks.shape[-1]
-        count = times.size if failure is None else int(np.searchsorted(times, failure.time))
-        for steps in linalg.stack_chunks(count, k, per_item=m):
-            try:
-                out = linalg.expm_stack(blocks, times[steps])
-            except NumericalFailureError as exc:
-                if exc.time is None:
-                    raise
-                failure = exc
-                break
-            yield ids, steps, out
-    if failure is not None:
-        raise failure
-
-
 def sample_at(family, t):
-    """The family e^{tA(s)} at one time t >= 0: block_exponentials on the
-    active blocks of the positive-weight cells, identity on the padding and
-    on the zero-weight cells (null sets, never exponentiated).
+    """The family e^{tA(s)} at one time t >= 0: one linalg.expm_stack call per
+    active-dimension group of the positive-weight cells, identity on the
+    padding and on the zero-weight cells (null sets, never exponentiated).
+    Each block is bit for bit linalg.expm(family.block(c), t).
 
     While a caller holds a sample, asking again for the same t returns that
     same object, with whatever spectrum it has already solved; a sample no
@@ -309,12 +261,14 @@ def sample_at(family, t):
     Raises NumericalFailureError when an exponential overflows.
     """
     t = float(t)
+    if t < 0:
+        raise DomainError("times must be nonnegative")
     sample = family._samples.get(t)
     if sample is None:
         mats = np.tile(np.eye(family.dim, dtype=complex), (family.space.n_cells, 1, 1))
-        for ids, _, blocks in block_exponentials(family, [t], family.space.positive_cells()):
+        for ids, blocks in family.block_stacks(family.space.positive_cells()):
             k = blocks.shape[-1]
-            mats[ids, :k, :k] = blocks[0]
+            mats[ids, :k, :k] = linalg.expm_stack(blocks, [t])[0]
         sample = PointwiseFamily(space=family.space, dim=family.dim, matrices=mats,
                                  active_dims=family.active_dims)
         family._samples[t] = sample
@@ -330,8 +284,9 @@ def trajectory(family, times):
 def orbit_norms(family, times, probes=(), p=2.0, cells=None):
     """(norms, probe_norms) on the grid `times`: norms[k, c] = ||e^{t_k A(s_c)}||
     on the active block and probe_norms[k, j] = ||e^{t_k A} f_j||_p for the
-    probe f_j restricted to the active blocks. Each time slice of
-    block_exponentials is held only while its norms are taken.
+    probe f_j restricted to the active blocks. Each active-dimension group
+    takes one linalg.expm_norms call over the whole grid, which keeps no
+    exponential beyond its own time slices.
 
     Only `cells` are computed, by default the positive-weight cells: a
     zero-weight cell is a null set, so its exponential is never formed and
@@ -340,8 +295,11 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None):
     computed with it.
 
     Raises DomainError when a probe is zero on the active blocks and
-    NumericalFailureError when an exponential overflows.
+    NumericalFailureError naming the earliest time at which any cell's
+    exponential is not finite, after every group has been tried up to that
+    time.
     """
+    times = _time_points(times)
     space, dim = family.space, family.dim
     if any(f.dim != dim or not space.compatible_with(f.space) for f in probes):
         raise ShapeError("family and function live on different spaces")
@@ -351,15 +309,24 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None):
     for j, base in enumerate(_cell_lp(space, np.linalg.norm(vectors, axis=-1), p)):
         if base == 0.0:
             raise DomainError(f"probe {j} has zero norm on the active blocks")
-    norms = np.zeros((np.size(times), space.n_cells))
-    cell_norms = np.zeros((np.size(times), len(probes), space.n_cells))
+    norms = np.zeros((times.size, space.n_cells))
+    cell_norms = np.zeros((times.size, len(probes), space.n_cells))
     if cells is None:
         cells = space.positive_cells()
-    for ids, steps, blocks in block_exponentials(family, times, cells):
+    failure = None
+    for ids, blocks in family.block_stacks(cells):
         k = blocks.shape[-1]
-        norms[steps, ids] = linalg.norm2(blocks)
-        orbits = blocks[:, None] @ vectors[None, :, ids, :k, None]
-        cell_norms[steps, :, ids] = np.linalg.norm(orbits[..., 0], axis=-1)
+        count = times.size if failure is None else int(np.searchsorted(times, failure.time))
+        try:
+            norms[:count, ids], cell_norms[:count, :, ids] = linalg.expm_norms(
+                blocks, times[:count], vectors[:, ids, :k]
+            )
+        except NumericalFailureError as exc:
+            if exc.time is None:
+                raise
+            failure = exc
+    if failure is not None:
+        raise failure
     return norms, _cell_lp(space, cell_norms, p)
 
 

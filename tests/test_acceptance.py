@@ -37,10 +37,8 @@ from semistab.semigroup import (
     apply,
     lp_norm,
     norm_curves,
-    operator_norm,
     random_probes,
     refine_family,
-    sample_norms,
     time_grid,
     trajectory,
 )
@@ -52,6 +50,8 @@ from semistab.stability import (
     classify_uniform,
     imaginary_point_spectrum,
 )
+
+from oracles import operator_norm, sample_norms
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

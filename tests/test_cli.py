@@ -139,6 +139,38 @@ class TestAnalyze:
         assert payload["discrete"]["uniform"]["verdict"] == "Stable"
         assert payload["discrete"]["power_certified"] is True
 
+    def test_inline_active_dims_drop_the_padding(self, capsys, tmp_path):
+        # a 2x2 Jordan block and a 1x1 cell -1 padded to 2x2: without
+        # active_dims the padding's eigenvalue 0 reads NotStable everywhere
+        cells = [[[[-1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+                 [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+        stages = ("uniform", "strong", "almost_weak")
+        padded = analyze_payload(capsys, write_config(tmp_path, {"family": {"matrices": cells}}))
+        assert [padded[s]["verdict"] for s in stages] == ["NotStable"] * 3
+        cfg = {"family": {"matrices": cells, "active_dims": [2, 1]}}
+        payload = analyze_payload(capsys, write_config(tmp_path, cfg))
+        assert [payload[s]["verdict"] for s in stages] == ["Stable"] * 3
+        assert payload["uniform"]["decay_eps"] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "active, message",
+        [
+            ([2], "one integer in [1, 2] per cell"),
+            ([2, 0], "one integer in [1, 2] per cell"),
+            ([2, 3], "one integer in [1, 2] per cell"),
+            ([2, 1.0], "one integer in [1, 2] per cell"),
+            ([2, True], "one integer in [1, 2] per cell"),
+            ("2 1", "one integer in [1, 2] per cell"),
+            ([1, 1], "zero outside each cell's active block"),
+        ],
+    )
+    def test_bad_inline_active_dims_exit_2(self, tmp_path, capsys, active, message):
+        cells = [[[[-1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+                 [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+        cfg = {"family": {"matrices": cells, "active_dims": active}}
+        assert cli.main(["analyze", write_config(tmp_path, cfg)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = cli.main(
@@ -533,18 +565,18 @@ class TestOneSamplePerTime:
         path = write_config(tmp_path, cfg)
         expected = analyze_payload(capsys, path)
         grids, spectra = [], []
-        real_exp = cli.semigroup.block_exponentials
+        real_exp = cli.semigroup.linalg.expm_stack
         real_eigs = cli.semigroup.linalg.eigenvalues
 
-        def exponentials(family, times, cells=None):
-            grids.append(list(times))
-            return real_exp(family, times, cells)
+        def exponentials(a, t):
+            grids.append(list(t))
+            return real_exp(a, t)
 
         def eigenvalues(a):
             spectra.append(np.asarray(a).copy())
             return real_eigs(a)
 
-        monkeypatch.setattr(cli.semigroup, "block_exponentials", exponentials)
+        monkeypatch.setattr(cli.semigroup.linalg, "expm_stack", exponentials)
         monkeypatch.setattr(cli.semigroup.linalg, "eigenvalues", eigenvalues)
         assert analyze_payload(capsys, path) == expected
         assert grids.count([1.0]) == 1
@@ -627,6 +659,25 @@ class TestConfigParsing:
         assert cli.main(["analyze", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: unknown") and name in err
+
+    @pytest.mark.parametrize(
+        "family, name",
+        [
+            ({"builtin": "zabczyk", "N": 4, "embed": 6}, "'embed'"),
+            ({"builtin": "rotation", "cells": 8, "rule": [0, 1]}, "'rule'"),
+            ({"builtin": "random-hurwitz", "seed": 1, "dim": 2, "cells": 3, "margin": 0.2,
+              "weights": [1, 1, 1]}, "'weights'"),
+            ({"builtin": "diagonal", "rates": [[-1.0, 0.0]], "active_dims": [1]}, "'active_dims'"),
+            ({"matrices": [[[[-1.0, 0.0]]]], "activedims": [1]}, "'activedims'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "trajectory", "sweep"])
+    def test_unknown_family_key_exits_2(self, tmp_path, capsys, family, name, command):
+        # a truncation sweep reads only the builtin of its zabczyk family
+        cfg = {"family": family, "sweep": {"parameter": "truncation", "values": [2]}}
+        assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown key(s) in family") and name in err
 
     def test_complex_pairs_required(self):
         with pytest.raises(ConfigError):

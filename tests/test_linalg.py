@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from semistab.linalg import (
     eigenvalues,
     ergodic_projection,
     expm,
+    expm_norms,
     expm_stack,
     norm2,
     semisimple_multiplicities,
@@ -29,6 +31,8 @@ from semistab.linalg import (
 )
 from semistab.semigroup import time_grid
 from semistab.stability import certify_bounded, classify_uniform
+
+from oracles import real_factor
 
 
 def random_complex(rng, n, scale=1.0):
@@ -353,6 +357,129 @@ class TestClosedForm:
         certify_bounded(family, time_grid(4000.0, 16))
 
 
+def norm_stack(rng, k):
+    """Closed-form blocks (a Zabczyk block, a random nonnegative upper part
+    with a complex diagonal, a multiple of I, a nilpotent N) and Pade blocks
+    (dense, a varying diagonal), with a time grid from 0 past the peaks."""
+    closed = [upper_block(k), np.triu(rng.random((k, k)), 1) * 5 + (-0.3 + 2j) * np.eye(k),
+              (0.5 - 1j) * np.eye(k), np.diag(np.ones(k - 1), 1)]
+    pade = [random_complex(rng, k, 0.3) - np.eye(k),
+            np.triu(rng.random((k, k)), 1) + np.diag(-np.arange(1, k + 1) * 0.1)]
+    return np.stack(closed + pade), len(closed), time_grid(300.0, 24)
+
+
+def ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+class TestExpmNorms:
+    """||e^{tA}|| and ||e^{tA} v|| for a stack over a grid: from the real
+    factor on the closed-form path, from e^{tA} on the Pade path."""
+
+    def test_norms_bit_equal_one_block_alone_in_any_stack_or_chunk(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        stack, n_closed, times = norm_stack(rng, 6)
+        v = rng.standard_normal((3, len(stack), 6)) + 1j * rng.standard_normal((3, len(stack), 6))
+        norms, vnorms = expm_norms(stack, times, v)
+        assert norms.shape == (len(times), len(stack))
+        assert vnorms.shape == (len(times), 3, len(stack))
+        for i, t in enumerate(times):
+            for b, a in enumerate(stack):
+                if b < n_closed:
+                    r = real_factor(a, t)
+                    want = norm2(r)
+                    want_v = np.sqrt((np.abs(r @ v[:, b].T) ** 2).sum(axis=0))
+                    np.testing.assert_allclose(vnorms[i, :, b], want_v, rtol=1e-15, atol=0)
+                else:
+                    want = norm2(expm_stack(a[None], [t])[0, 0])
+                assert bits(norms[i, b]) == bits(want)
+                alone = expm_norms(a[None], [t], v[:, b : b + 1])
+                assert bits(alone[0][0, 0]) == bits(norms[i, b])
+                np.testing.assert_array_equal(bits(alone[1][0, :, 0]), bits(vnorms[i, :, b]))
+        # a reversed stack on a sub-grid, and every block and time in a
+        # chunk of its own
+        got = expm_norms(stack[::-1], times[3:9], v[:, ::-1])
+        np.testing.assert_array_equal(bits(got[0]), bits(norms[3:9, ::-1]))
+        np.testing.assert_array_equal(bits(got[1]), bits(vnorms[3:9, :, ::-1]))
+        monkeypatch.setattr(linalg, "STACK_BYTES", 1)
+        got = expm_norms(stack, times, v)
+        np.testing.assert_array_equal(bits(got[0]), bits(norms))
+        np.testing.assert_array_equal(bits(got[1]), bits(vnorms))
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 12])
+    def test_within_4_ulps_of_the_complex_exponential(self, k):
+        rng = np.random.default_rng(61 + k)
+        stack = np.stack([upper_block(k), (0.2 - 3j) * np.eye(k) + np.triu(rng.random((k, k)), 1),
+                          -np.eye(k) * 0.05 + np.diag(np.full(k - 1, 7.0), 1)])
+        assert linalg._closed_form_blocks(stack).all()
+        v = rng.standard_normal((2, 3, k)) + 1j * rng.standard_normal((2, 3, k))
+        times = time_grid(300.0, 48)
+        norms, vnorms = expm_norms(stack, times, v)
+        e = expm_stack(stack, times)
+        orbits = np.linalg.norm((e[:, None] @ v[None, ..., None])[..., 0], axis=-1)
+        assert ulps(norms, norm2(e)).max() <= 4
+        assert ulps(vnorms, orbits).max() <= 4
+
+    def test_zabczyk_block_matches_mpmath(self):
+        # the N=10 block on the bundled config's grid; the exact real factor
+        # has entries e^{-t/10} t^j / j!
+        n = 10
+        times = time_grid(800.0, 64)
+        rng = np.random.default_rng(62)
+        v = rng.standard_normal((1, 1, n)) + 1j * rng.standard_normal((1, 1, n))
+        norms, vnorms = expm_norms(upper_block(n)[None], times, v)
+        with mpmath.workdps(40):
+            vec = mpmath.matrix([mpmath.mpc(complex(x)) for x in v[0, 0]])
+            for i, t in enumerate(times):
+                t = mpmath.mpf(float(t))
+                r = mpmath.matrix(n, n)
+                for row in range(n):
+                    for j in range(n - row):
+                        r[row, row + j] = mpmath.exp(-t / n) * t**j / mpmath.factorial(j)
+                exact = max(mpmath.svd_r(r, compute_uv=False))
+                assert norms[i, 0] == pytest.approx(float(exact), rel=1e-13, abs=0)
+                exact_v = mpmath.norm(r * vec)
+                assert vnorms[i, 0, 0] == pytest.approx(float(exact_v), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
+        "closed_rate, pade_rate, first", [(10.0, 5.0, 80.0), (5.0, 20.0, 40.0)]
+    )
+    def test_failure_names_the_earliest_time_of_either_path(self, closed_rate, pade_rate, first):
+        # e^{10 t} overflows past t = 71, e^{20 t} past t = 36, e^{5 t} past 142
+        closed = np.array([[closed_rate, 1.0], [0.0, closed_rate]])
+        pade = np.array([[pade_rate, 0.0], [1.0, pade_rate]])
+        stack = np.stack([closed, pade]).astype(complex)
+        np.testing.assert_array_equal(linalg._closed_form_blocks(stack), [True, False])
+        times = np.array([0.0, 1.0, 40.0, 80.0, 150.0, 200.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError) as info:
+                expm_norms(stack, times, np.ones((1, 2, 2)))
+            assert info.value.time == first
+            with pytest.raises(NumericalFailureError) as info:
+                expm_stack(stack, times)
+            assert info.value.time == first
+
+    def test_a_zabczyk_group_runs_in_one_pass(self, monkeypatch):
+        # one power basis and one real factor per group of zab40's grid, and
+        # the Pade blocks of a dense group in STACK_BYTES time slices
+        calls = []
+        for name in ("_power_basis", "_real_factor", "expm_stack"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(
+                linalg, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+            )
+        times = time_grid(4000.0, 16)
+        for _, blocks in zabczyk_family(40).block_stacks():
+            expm_norms(blocks, times, np.ones((3, 1, blocks.shape[-1])))
+        assert calls == ["_power_basis", "_real_factor"] * 40
+        calls.clear()
+        dense = np.stack([random_complex(np.random.default_rng(c), 6, 0.3) - 2 * np.eye(6)
+                          for c in range(64)])
+        expm_norms(dense, time_grid(200.0, 48), np.ones((3, 64, 6)))
+        assert calls == ["expm_stack"] * len(stack_chunks(48, 6, per_item=64))
+
+
 class TestNorm2:
     @pytest.mark.parametrize("n", [1, 2, 6, 40])
     def test_stack_matches_the_svd_norm(self, n):
@@ -380,6 +507,20 @@ class TestNorm2:
         assert value == pytest.approx(4.0, rel=1e-15)
         assert norm2(np.zeros((3, 3))) == 0.0
         np.testing.assert_array_equal(norm2(np.zeros((2, 4, 4))), [0.0, 0.0])
+
+    @pytest.mark.parametrize("n", [1, 6, 40])
+    def test_real_stack_stays_real_and_matches_the_svd_norm(self, n, monkeypatch):
+        rng = np.random.default_rng(50 + n)
+        stack = np.stack([scale * rng.standard_normal((n, n)) for scale in (1e-300, 1.0, 1e300)])
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(g.dtype) or real(g))
+        got = norm2(stack)
+        assert calls == [np.dtype(float)]
+        want = np.array([np.linalg.norm(a, 2) for a in stack])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        for a, value in zip(stack, got):
+            assert value == norm2(a)
 
     @pytest.mark.parametrize("scale", [3e-321, 3e-321j, 1e300 + 1e300j])
     def test_extreme_entries_keep_a_finite_accurate_norm(self, scale):

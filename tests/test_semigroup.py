@@ -16,17 +16,17 @@ from semistab.semigroup import (
     identity_sample,
     lp_norm,
     norm_curves,
-    operator_norm,
     orbit_norms,
     random_probes,
     refine_family,
     rule_matrices,
     sample_at,
-    sample_norms,
     time_grid,
     trajectory,
 )
 from semistab.stability import certify_bounded
+
+from oracles import operator_norm, real_factor, sample_norms
 
 
 def space_of(weights):
@@ -295,8 +295,8 @@ def recorded_stacks(monkeypatch):
 
 
 class TestGroupedExponentials:
-    """trajectory and norm_curves exponentiate each active block once per
-    time slice of its group, with the arithmetic of a one-matrix expm."""
+    """trajectory exponentiates each active block once per time, and
+    norm_curves takes its norms, with the arithmetic of one block alone."""
 
     @pytest.mark.parametrize("family", contract_families())
     def test_blocks_bit_equal_one_matrix_expm_and_padding_is_identity(self, family, monkeypatch):
@@ -317,11 +317,21 @@ class TestGroupedExponentials:
                 np.testing.assert_array_equal(padding, np.eye(family.dim))
 
     @pytest.mark.parametrize("family", contract_families())
-    def test_norms_bit_equal_sample_norms(self, family):
+    def test_norms_bit_equal_one_block_norms(self, family):
+        # a closed-form block's norm is norm2 of its real factor alone, within
+        # 4 ulps of the norm of its complex exponential; any other block's is
+        # the norm of its complex exponential
         times = time_grid(300.0, 48)
         norms = norm_curves(family, times)
-        for sample, row in zip(trajectory(family, times), norms):
-            np.testing.assert_array_equal(row.view(np.int64), sample_norms(sample).view(np.int64))
+        closed = [linalg._closed_form_blocks(family.block(c)[None])[0]
+                  for c in range(family.space.n_cells)]
+        for t, sample, row in zip(times, trajectory(family, times), norms):
+            reference = sample_norms(sample)
+            want = reference.copy()
+            for c in np.flatnonzero(closed):
+                want[c] = norm2(real_factor(family.block(c), t))
+            np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
+            assert (np.abs(row - reference) <= 4 * np.spacing(reference)).all()
 
     @pytest.mark.parametrize(
         "family",
@@ -354,9 +364,14 @@ class TestOrbitNorms:
     def test_probe_norms_match_the_padded_reference(self, family, p, monkeypatch):
         times = time_grid(300.0, 48)
         probes = random_probes(family, 3, seed=1)
-        stacks = recorded_stacks(monkeypatch)
+        calls = []
+        real = linalg.expm_norms
+        monkeypatch.setattr(linalg, "expm_norms", lambda *args: calls.append(args) or real(*args))
         norms, probe_norms = orbit_norms(family, times, probes, p)
-        assert len(stacks) > len(family.block_stacks())
+        # one kernel call per active-dimension group, over the whole grid
+        groups = family.block_stacks(family.space.positive_cells())
+        assert [blocks.shape for blocks, _, _ in calls] == [b.shape for _, b in groups]
+        assert all(len(grid) == len(times) for _, grid, _ in calls)
         monkeypatch.undo()
         np.testing.assert_array_equal(norms, norm_curves(family, times))
         for k, t in enumerate(times):
