@@ -349,9 +349,10 @@ def expm_stack(a, t):
     # an overflow is reported by the finiteness check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ids = np.flatnonzero(closed)
-        phases = np.exp(1j * (t[:, None] * a[ids, 0, 0].imag))
-        for blocks, steps, r in _closed_form_runs(a[ids], t):
-            out[steps, ids[blocks]] = r * phases[steps, blocks, None, None]
+        if ids.size:
+            phases = np.exp(1j * (t[:, None] * a[ids, 0, 0].imag))
+            for blocks, steps, r in _closed_form_runs(a[ids], t):
+                out[steps, ids[blocks]] = r * phases[steps, blocks, None, None]
         ids = np.flatnonzero(~closed)
         for run in stack_chunks(t.size * ids.size, k):
             flat = np.arange(run.start, run.stop)
@@ -410,17 +411,15 @@ def expm_norms(a, t, v):
                 sq = sq + np.square(y, out=y).sum(axis=2)
             vnorms[steps, :, cols] = np.sqrt(sq).swapaxes(1, 2)
         ids = np.flatnonzero(~closed)
+        pade, w = a[ids], v[None, :, ids, :, None]
         for steps in stack_chunks(t.size, k, per_item=ids.size) if ids.size else ():
-            if t[steps].min() >= bad:
-                continue
             try:
-                e = expm_stack(a[ids], t[steps])
+                e = expm_stack(pade, t[steps])
             except NumericalFailureError as exc:
                 bad = min(bad, exc.time)
                 continue
             norms[steps, ids] = norm2(e)
-            orbits = e[:, None] @ v[None, :, ids, :, None]
-            vnorms[steps, :, ids] = np.linalg.norm(orbits[..., 0], axis=-1)
+            vnorms[steps, :, ids] = np.linalg.norm((e[:, None] @ w)[..., 0], axis=-1)
     if bad < math.inf:
         raise _not_finite(bad)
     return norms, vnorms
