@@ -176,9 +176,27 @@ def _require(section, key, caster, what):
         raise ConfigError(f"{what} field {key!r} has the wrong type")
 
 
-def _family_builtin(fam):
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_integer(value) or isinstance(value, float)
+
+
+def _numbers(section, key, what):
+    """section[key] as a float array, when it is a list of numbers."""
+    value = section[key]
+    if not isinstance(value, list) or not all(_is_number(x) for x in value):
+        raise ConfigError(f"{what} field {key!r} must be a list of numbers")
+    return np.array(value, dtype=float)
+
+
+def _family_builtin(cfg):
     """The family's builtin (None for inline matrices), after checking that
-    it exists and that the family has no key it does not read."""
+    it exists and that neither the family nor the space has a key it does
+    not read."""
+    fam = cfg["family"]
     builtin = fam.get("builtin")
     known = isinstance(builtin, str) or builtin is None
     if not known or builtin not in _FAMILY_KEYS or (builtin is None and "matrices" not in fam):
@@ -187,6 +205,13 @@ def _family_builtin(fam):
     if unknown:
         name = "inline matrices" if builtin is None else builtin
         raise ConfigError(f"unknown key(s) in family {name!r}: {', '.join(map(repr, unknown))}")
+    # a builtin family brings its own weights and labels
+    ignored = sorted({"weights", "labels"} & set(cfg.get("space") or {}))
+    if builtin is not None and ignored:
+        raise ConfigError(
+            f"space key(s) {', '.join(map(repr, ignored))} apply only to inline matrices, "
+            f"not to the {builtin!r} family"
+        )
     return builtin
 
 
@@ -201,7 +226,7 @@ def _inline_active_dims(fam, mats):
     if (
         not isinstance(active, list)
         or len(active) != cells
-        or not all(isinstance(d, int) and not isinstance(d, bool) and 1 <= d <= n for d in active)
+        or not all(_is_integer(d) and 1 <= d <= n for d in active)
     ):
         raise ConfigError(f"family 'active_dims' must list one integer in [1, {n}] per cell")
     rows = np.arange(n) < np.array(active)[:, None]
@@ -212,10 +237,10 @@ def _inline_active_dims(fam, mats):
 
 def build_family(cfg):
     fam = cfg["family"]
-    builtin = _family_builtin(fam)
+    builtin = _family_builtin(cfg)
     if builtin == "zabczyk":
         n = _require(fam, "N", int, "zabczyk family")
-        embed = int(fam["embed_dim"]) if "embed_dim" in fam else None
+        embed = _require(fam, "embed_dim", int, "zabczyk family") if "embed_dim" in fam else None
         return cases.zabczyk_family(n, embed)
     if builtin == "rotation":
         return cases.rotation_family(_require(fam, "cells", int, "rotation family"))
@@ -228,15 +253,16 @@ def build_family(cfg):
         )
     if builtin == "diagonal":
         rates = _complex_array(fam.get("rates"), "diagonal rates")
-        weights = fam.get("weights")
+        weights = _numbers(fam, "weights", "diagonal family") if "weights" in fam else None
         return cases.diagonal_family(rates, weights)
     mats = _complex_array(fam["matrices"], "inline matrices")
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ConfigError("inline matrices must have shape (cells, n, n)")
     cells = mats.shape[0]
     space_cfg = cfg.get("space") or {}
-    weights = np.asarray(space_cfg.get("weights", np.ones(cells)), dtype=float)
-    labels = np.asarray(space_cfg.get("labels", np.arange(cells, dtype=float)), dtype=float)
+    weights = _numbers(space_cfg, "weights", "space") if "weights" in space_cfg else np.ones(cells)
+    labels = (_numbers(space_cfg, "labels", "space") if "labels" in space_cfg
+              else np.arange(cells, dtype=float))
     space = DiscretizedMeasureSpace(weights=weights, labels=labels, mode=ATOMIC)
     return semigroup.PointwiseFamily(
         space=space, dim=mats.shape[1], matrices=mats,
@@ -361,6 +387,13 @@ def run_sweep(cfg):
         raise ConfigError("sweep parameter must be 'truncation', 'refinement', or 'delta'")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep values must be a nonempty list")
+    integers = all(map(_is_integer, values))
+    if parameter == "truncation" and not (integers and min(values) >= 1):
+        raise ConfigError("sweep values of a truncation sweep must be positive integers")
+    if parameter == "refinement" and not (integers and min(values) >= 0):
+        raise ConfigError("sweep values of a refinement sweep must be nonnegative integers")
+    if parameter == "delta" and not all(_is_number(x) and math.isfinite(x) for x in values):
+        raise ConfigError("sweep values of a delta sweep must be finite numbers")
     time_cfg = cfg["time"]
     tol = cfg["tolerances"]
     t0 = float(time_cfg["t0"])
@@ -372,7 +405,7 @@ def run_sweep(cfg):
     base_family = None
     if parameter != "truncation":
         base_family = build_family(cfg)
-    elif _family_builtin(cfg["family"]) != "zabczyk":
+    elif _family_builtin(cfg) != "zabczyk":
         raise ConfigError("truncation sweeps require the zabczyk builtin family")
 
     times = _time_grid(time_cfg)
@@ -380,11 +413,11 @@ def run_sweep(cfg):
     staged = None
     for value in values:
         if parameter == "truncation":
-            family = cases.zabczyk_family(int(value))
+            family = cases.zabczyk_family(value)
             radius = match_tol
         elif parameter == "refinement":
             family = base_family
-            for _ in range(int(value)):
+            for _ in range(value):
                 family = semigroup.refine_family(family)
             radius = match_tol
         else:

@@ -1,16 +1,17 @@
 """Dense complex matrix kernels.
 
-Matrix exponential of a stack of blocks over a grid of times (expm_stack; a
-single matrix is a stack of one at one time), by one of two paths per block:
-a block lambda I + N with N strictly upper triangular, real and entrywise
-nonnegative takes the finite sum e^{i t Im lambda} R(t), with the real
-factor R(t) = e^{t Re lambda} sum_{j<k} t^j/j! N^j accurate entry by entry;
-every other block takes scaling-and-squaring with diagonal Pade
-approximants after shifting the mean imaginary part of the diagonal out of
-tA. expm_norms takes ||e^{tA}|| and ||e^{tA} v|| over the same stack and
-grid, from R alone on the closed-form path (the phase has modulus 1).
-Either way a block's result is bit for bit the same alone or in any stack
-and time grid. Also spectral functionals on top of the LAPACK dense
+Matrix exponential of a stack of blocks over a grid of times. One generator,
+_runs, sends each block down one of two paths, chunks each path and drops
+the runs that are not finite: a block lambda I + N with N strictly upper
+triangular, real and entrywise nonnegative takes the finite sum
+e^{i t Im lambda} R(t), with the real factor R(t) = e^{t Re lambda}
+sum_{j<k} t^j/j! N^j accurate entry by entry; every other block takes
+scaling-and-squaring with diagonal Pade approximants after shifting the
+mean imaginary part of the diagonal out of tA. expm_stack stores e^{tA}
+from the runs (a single matrix is a stack of one at one time), expm_norms
+||e^{tA}|| and ||e^{tA} v|| (from R alone on the closed-form path: the
+phase has modulus 1). A block's result is bit for bit the same alone or in
+any stack and time grid. Also spectral functionals on top of the LAPACK dense
 eigensolver (also run on stacks), Cesaro time averages of a semigroup
 (exact for any generator through one exponential of an augmented matrix),
 and the mean ergodic projection onto the kernel of a generator.
@@ -175,20 +176,11 @@ def _pade_solve(u, v):
         raise NumericalFailureError(f"Pade denominator solve failed: {exc}")
 
 
-#: largest size in bytes of one (B, n, n) stack that a stacked kernel works
-#: on at once; longer stacks run in chunks, which bounds the memory held by
-#: the Pade temporaries. The closed form is the one exception: a chunk holds
-#: at least one block's (k, k, k) power basis, and its time passes may use
-#: as many bytes as the basis of their blocks (_closed_form_runs).
+#: largest size in bytes of the complex matrices of one Pade chunk of _runs
+#: (at least one (time, block) pair), which bounds the memory of the Pade
+#: temporaries. A closed-form chunk holds at least one block's (k, k, k)
+#: power basis, and its time passes may use as many bytes as its real basis.
 STACK_BYTES = 1 << 16
-
-
-def stack_chunks(count, n, per_item=1):
-    """Slices splitting `count` items, each `per_item` complex n x n
-    matrices, into runs of at most STACK_BYTES each (at least one item per
-    run)."""
-    step = max(1, STACK_BYTES // (16 * per_item * n * n))
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _pade_chunk(a, t):
@@ -205,7 +197,7 @@ def _pade_chunk(a, t):
     m[:, diag, diag] -= 1j * shift[:, None]
     norm1 = np.abs(m).sum(axis=1).max(axis=1)
     # an overflowed tA gets the cheapest order; its result is not finite
-    # either, and expm_stack reports that
+    # either, and _runs reports that
     norm1[~np.isfinite(norm1)] = 0.0
     level = np.searchsorted([theta for _, theta in _PADE_THETA[:-1]], norm1)
     out = np.empty_like(m)
@@ -293,32 +285,65 @@ def _real_factor(a, t, basis):
     return acc
 
 
-def _closed_form_runs(a, t):
-    """(blocks, steps, R) covering a (m, k, k) stack of closed-form blocks
-    over the grid t: R = _real_factor(a[blocks], t[steps]).
+def _runs(a, t):
+    """(steps, cols, f, angle) runs covering every (time, block) pair of a
+    (m, k, k) stack over the grid t once, with e^{tA} = f e^{i angle}:
 
-    The blocks run in chunks whose complex power basis would fit
-    STACK_BYTES (at least one block); each chunk builds its real basis,
-    q k^3 doubles, once, and its times run in passes whose (T, q, k, k)
-    temporaries fit max(STACK_BYTES, q k^3 doubles), the basis' own size.
+    * closed-form blocks (_closed_form_blocks) run in chunks whose complex
+      power basis would fit STACK_BYTES (at least one block); a chunk builds
+      its real basis, q k^3 doubles, once and runs its times in passes of
+      (T, q, k, k) temporaries within max(STACK_BYTES, q k^3 doubles):
+      steps is a slice of t, cols the q blocks, f = R and angle
+      = t Im lambda, (T, q).
+    * every other block runs through _pade_chunk in time-major chunks of
+      (time, block) pairs within STACK_BYTES (at least one pair): steps and
+      cols index the pairs, f is e^{tA} (pairs, k, k), angle is None.
+
+    Only runs whose every e^{tA} is finite are yielded; the errstate that
+    silences the overflow of the others stays in force while a consumer
+    handles a run. After the last run, raises NumericalFailureError naming
+    the earliest time at which a result is not finite: the true e^{tA} of a
+    growing matrix can exceed the double range at long times.
     """
     k = a.shape[-1]
-    for blocks in stack_chunks(len(a), k, per_item=k):
-        part = a[blocks]
-        basis = _power_basis(part)
-        step = max(k, STACK_BYTES // (8 * len(part) * k * k))
-        for start in range(0, t.size, step):
-            steps = slice(start, min(start + step, t.size))
-            yield blocks, steps, _real_factor(part, t[steps], basis)
+    closed = _closed_form_blocks(a)
 
+    def computed():
+        ids = np.flatnonzero(closed)
+        size = max(1, STACK_BYTES // (16 * k**3))
+        for first in range(0, ids.size, size):
+            cols = ids[first : first + size]
+            part = a[cols]
+            basis = _power_basis(part)
+            step = max(k, STACK_BYTES // (8 * cols.size * k * k))
+            for start in range(0, t.size, step):
+                steps = slice(start, start + step)
+                r = _real_factor(part, t[steps], basis)
+                # e^{tA} = R e^{i t Im lambda} is finite where R and t Im lambda are
+                angle = t[steps, None] * part[:, 0, 0].imag
+                finite = (np.isfinite(r).all(axis=(2, 3)) & np.isfinite(angle)).all(axis=1)
+                yield steps, cols, r, angle, finite
+        ids = np.flatnonzero(~closed)
+        size = max(1, STACK_BYTES // (16 * k * k))
+        for start in range(0, t.size * ids.size, size):
+            steps, sub = np.divmod(np.arange(start, min(start + size, t.size * ids.size)), ids.size)
+            f = _pade_chunk(a[ids[sub]], t[steps])
+            yield steps, ids[sub], f, None, np.isfinite(f).all(axis=(1, 2))
 
-def _not_finite(t):
-    return NumericalFailureError(f"e^{{tA}} is not finite at t = {t:g}", time=t)
+    bad = math.inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for steps, cols, f, angle, finite in computed():
+            if finite.all():
+                yield steps, cols, f, angle
+            else:
+                bad = min(bad, float(t[steps][~finite].min()))
+    if bad < math.inf:
+        raise NumericalFailureError(f"e^{{tA}} is not finite at t = {bad:g}", time=bad)
 
 
 def expm_stack(a, t):
     """e^{t A_b} for every matrix A_b of a (m, k, k) stack and every time t of
-    a 1-D grid of times >= 0: a (len(t), m, k, k) array.
+    a 1-D grid of times >= 0: a (len(t), m, k, k) array stored from _runs.
 
     Each block takes one of two paths, and its result does not depend on
     the rest of the stack or the grid:
@@ -334,33 +359,14 @@ def expm_stack(a, t):
       the unimodular e^{i theta}. The shift removes the squarings a large
       imaginary diagonal would cost.
 
-    The Pade path runs in chunks of at most STACK_BYTES (at least one block
-    and time); the closed form in the passes of _closed_form_runs.
-
     Raises NumericalFailureError naming the earliest time at which a result
-    is not finite: the true e^{tA} of a growing matrix can exceed the double
-    range at long times.
+    is not finite.
     """
     a = np.asarray(a, dtype=complex)
     t = np.asarray(t, dtype=float).reshape(-1)
-    m, k = a.shape[0], a.shape[-1]
-    out = np.empty((t.size, m, k, k), dtype=complex)
-    closed = _closed_form_blocks(a)
-    # an overflow is reported by the finiteness check below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ids = np.flatnonzero(closed)
-        if ids.size:
-            phases = np.exp(1j * (t[:, None] * a[ids, 0, 0].imag))
-            for blocks, steps, r in _closed_form_runs(a[ids], t):
-                out[steps, ids[blocks]] = r * phases[steps, blocks, None, None]
-        ids = np.flatnonzero(~closed)
-        for run in stack_chunks(t.size * ids.size, k):
-            flat = np.arange(run.start, run.stop)
-            steps, sub = np.divmod(flat, ids.size)
-            out[steps, ids[sub]] = _pade_chunk(a[ids[sub]], t[steps])
-    finite = np.isfinite(out).all(axis=(1, 2, 3))
-    if not finite.all():
-        raise _not_finite(float(t[~finite].min()))
+    out = np.empty((t.size,) + a.shape, dtype=complex)
+    for steps, cols, f, angle in _runs(a, t):
+        out[steps, cols] = f if angle is None else f * np.exp(1j * angle)[..., None, None]
     return out
 
 
@@ -368,18 +374,12 @@ def expm_norms(a, t, v):
     """(norms, vnorms) of e^{t A_b} for every matrix A_b of a (m, k, k) stack,
     every time t of a 1-D grid of times >= 0 and vectors v, a (P, m, k)
     stack: norms[i, b] = ||e^{t_i A_b}|| (norm2) and vnorms[i, p, b] =
-    ||e^{t_i A_b} v[p, b]|| (Euclidean).
-
-    Each block takes the path expm_stack gives it, and its norms do not
-    depend on the rest of the stack or the grid:
-
-    * a closed-form block has e^{tA} = e^{i t Im lambda} R(t) with R real
-      and the phase unimodular, so both norms are those of R: the norm2 of
-      the real matrix and |R v|. The real factor runs in the passes of
-      _closed_form_runs (one pass per group of a Zabczyk family).
-    * every other block is exponentiated by expm_stack in time slices of
-      at most STACK_BYTES (at least one time), and its norms are those of
-      the complex result.
+    ||e^{t_i A_b} v[p, b]|| (Euclidean), taken from the runs expm_stack
+    stores, so a block's norms do not depend on the rest of the stack or
+    the grid. A closed-form run has e^{tA} = R e^{i t Im lambda} with R real
+    and the phase unimodular, so both norms are those of R: the norm2 of the
+    real matrix and |R v| from two real products. A Pade run's norms are
+    those of its complex e^{tA}, one (k x k)(k x 1) product per vector.
 
     Raises NumericalFailureError naming the earliest time at which e^{tA}
     is not finite for some block, as expm_stack would.
@@ -387,41 +387,20 @@ def expm_norms(a, t, v):
     a = np.asarray(a, dtype=complex)
     t = np.asarray(t, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=complex)
-    k = a.shape[-1]
     norms = np.zeros((t.size, a.shape[0]))
     vnorms = np.zeros((t.size, v.shape[0], a.shape[0]))
-    bad = math.inf
-    closed = _closed_form_blocks(a)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ids = np.flatnonzero(closed)
+    for steps, cols, f, angle in _runs(a, t):
+        norms[steps, cols] = norm2(f)
+        if angle is None:
+            w = v[:, cols].swapaxes(0, 1)[..., None]
+            vnorms[steps, :, cols] = np.linalg.norm((f[:, None] @ w)[..., 0], axis=-1)
+            continue
+        sq = 0.0
         # the real and the imaginary parts of the vectors as columns: (q, k, P)
-        parts = [part[:, ids].transpose(1, 2, 0) for part in (v.real, v.imag)]
-        for blocks, steps, r in _closed_form_runs(a[ids], t):
-            cols = ids[blocks]
-            # e^{tA} = R e^{i t Im lambda} is finite where R and t Im lambda are
-            phase_arg = t[steps, None] * a[cols, 0, 0].imag
-            finite = (np.isfinite(r).all(axis=(2, 3)) & np.isfinite(phase_arg)).all(axis=1)
-            if not finite.all():
-                bad = min(bad, float(t[steps][~finite].min()))
-                continue
-            norms[steps, cols] = norm2(r)
-            sq = 0.0
-            for part in parts:
-                y = r @ part[blocks]
-                sq = sq + np.square(y, out=y).sum(axis=2)
-            vnorms[steps, :, cols] = np.sqrt(sq).swapaxes(1, 2)
-        ids = np.flatnonzero(~closed)
-        pade, w = a[ids], v[None, :, ids, :, None]
-        for steps in stack_chunks(t.size, k, per_item=ids.size) if ids.size else ():
-            try:
-                e = expm_stack(pade, t[steps])
-            except NumericalFailureError as exc:
-                bad = min(bad, exc.time)
-                continue
-            norms[steps, ids] = norm2(e)
-            vnorms[steps, :, ids] = np.linalg.norm((e[:, None] @ w)[..., 0], axis=-1)
-    if bad < math.inf:
-        raise _not_finite(bad)
+        for part in (v.real, v.imag):
+            y = f @ part[:, cols].transpose(1, 2, 0)
+            sq = sq + np.square(y, out=y).sum(axis=2)
+        vnorms[steps, :, cols] = np.sqrt(sq).swapaxes(1, 2)
     return norms, vnorms
 
 

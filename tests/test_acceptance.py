@@ -335,21 +335,23 @@ def test_criterion_9_discrete_suite():
 
 
 def test_criterion_10_determinism():
-    config = str(CONFIG_DIR / "zabczyk.json")
-    outputs = []
-    for threads in ("1", "2", "1", "2"):
-        env = dict(os.environ)
-        env["OMP_NUM_THREADS"] = threads
-        env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run(
-            [sys.executable, "-m", "semistab.cli", "analyze", config],
-            capture_output=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-        outputs.append(proc.stdout)
-    assert len(set(outputs)) == 1
+    # zabczyk takes the closed form only, random_hurwitz the Pade path only
+    for name in ("zabczyk.json", "random_hurwitz.json"):
+        config = str(CONFIG_DIR / name)
+        outputs = []
+        for threads in ("1", "2", "1", "2"):
+            env = dict(os.environ)
+            env["OMP_NUM_THREADS"] = threads
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "semistab.cli", "analyze", config],
+                capture_output=True,
+                env=env,
+            )
+            assert proc.returncode == 0
+            outputs.append(proc.stdout)
+        assert len(set(outputs)) == 1, name
     report(
         "criterion 10: byte-identical JSON across repeated runs and across "
-        "BLAS thread counts"
+        "BLAS thread counts, on zabczyk.json and random_hurwitz.json"
     )

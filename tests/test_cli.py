@@ -58,6 +58,12 @@ BUNDLED_VERDICTS = {
         "strong": ("NotStable", ["nonnegative-spectral-bound"]),
         "almost_weak": ("Stable", []),
     },
+    "random_hurwitz": {
+        "uniform": ("Stable", []),
+        "strong": ("Stable", []),
+        "almost_weak": ("Stable", []),
+        "discrete": ({"uniform": "Stable", "strong": "Stable", "almost_weak": "Stable"}, []),
+    },
     "zabczyk": {
         "uniform": ("Stable", []),
         "strong": ("Stable", []),
@@ -678,6 +684,43 @@ class TestConfigParsing:
         assert cli.main([command, write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: unknown key(s) in family") and name in err
+
+    _INLINE = {"matrices": [[[[-1.0, 0.0]]], [[[-2.0, 0.0]]]]}
+    _TRUNCATION = {"builtin": "zabczyk", "N": 3}
+    _ROTATION = {"builtin": "rotation", "cells": 8}
+
+    @pytest.mark.parametrize(
+        "command, cfg, name",
+        [
+            # wrong-typed values, which used to end in a Python traceback
+            ("analyze", {"family": {"builtin": "zabczyk", "N": 3, "embed_dim": "abc"}},
+             "'embed_dim'"),
+            ("analyze", {"family": {"builtin": "diagonal", "rates": [[-1.0, 0.0], [-2.0, 0.0]],
+                                    "weights": ["a", 1]}}, "'weights'"),
+            ("analyze", {"family": _INLINE, "space": {"weights": ["a", 1]}}, "'weights'"),
+            ("sweep", {"family": _TRUNCATION,
+                       "sweep": {"parameter": "truncation", "values": ["x"]}}, "sweep values"),
+            ("sweep", {"family": _ROTATION, "sweep": {"parameter": "delta", "values": [None]}},
+             "sweep values"),
+            # values that used to be coerced or ignored without a word
+            ("sweep", {"family": _TRUNCATION,
+                       "sweep": {"parameter": "truncation", "values": [5.5, True]}},
+             "positive integers"),
+            ("sweep", {"family": _ROTATION,
+                       "sweep": {"parameter": "refinement", "values": [-2]}},
+             "nonnegative integers"),
+            ("analyze", {"family": _ROTATION, "space": {"weights": [1.0] * 8}}, "'weights'"),
+            ("trajectory", {"family": _TRUNCATION, "space": {"labels": [0.0, 1.0, 2.0]}},
+             "'labels'"),
+            ("sweep", {"family": _TRUNCATION, "space": {"weights": [1.0] * 3},
+                       "sweep": {"parameter": "truncation", "values": [2]}}, "'weights'"),
+        ],
+    )
+    def test_wrong_or_coerced_value_exits_2_naming_the_key(self, tmp_path, capsys, command,
+                                                            cfg, name):
+        assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err
 
     def test_complex_pairs_required(self):
         with pytest.raises(ConfigError):

@@ -27,7 +27,6 @@ from semistab.linalg import (
     semisimple_multiplicities,
     spectral_bound,
     spectral_radius,
-    stack_chunks,
 )
 from semistab.semigroup import time_grid
 from semistab.stability import certify_bounded, classify_uniform
@@ -154,7 +153,7 @@ class TestExpmStack:
 
     def test_each_matrix_bit_equal_alone_and_in_a_stack(self):
         stack, times = self.mixed_stack()
-        assert len(stack_chunks(len(stack) * len(times), 10)) >= 3
+        assert len(list(linalg._runs(stack, times))) >= 3
         assert not linalg._closed_form_blocks(stack).any()
         out = expm_stack(stack, times)
         assert out.shape == (len(times), len(stack), 10, 10)
@@ -223,10 +222,48 @@ class TestExpmStack:
                                           bits(out[steps, ::-1]))
 
     def test_chunks_cover_the_stack_within_the_byte_budget(self):
-        runs = stack_chunks(100, 10)
-        assert [i for run in runs for i in range(run.start, run.stop)] == list(range(100))
-        assert all((run.stop - run.start) * 16 * 100 <= linalg.STACK_BYTES for run in runs)
-        assert stack_chunks(3, 200) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        # Pade blocks: 100 (time, block) pairs of 10 x 10 run in chunks of at
+        # most STACK_BYTES, time-major; a 200 x 200 pair alone exceeds the
+        # budget and runs on its own
+        rng = np.random.default_rng(25)
+        stack = np.stack([random_complex(rng, 10, 0.1) for _ in range(20)])
+        runs = list(linalg._runs(stack, np.linspace(0.0, 1.0, 5)))
+        pairs = [(int(i), int(b)) for steps, cols, _, _ in runs for i, b in zip(steps, cols)]
+        assert pairs == [(i, b) for i in range(5) for b in range(20)]
+        assert all(f.nbytes <= linalg.STACK_BYTES for _, _, f, _ in runs)
+        big = np.stack([random_complex(rng, 200, 1e-3) for _ in range(3)])
+        runs = list(linalg._runs(big, np.ones(1)))
+        assert [(list(steps), list(cols)) for steps, cols, _, _ in runs] == [
+            ([0], [0]), ([0], [1]), ([0], [2])
+        ]
+
+    @pytest.mark.parametrize("k", [2, 6, 24])
+    def test_runs_cover_every_pair_once_within_the_budget(self, k):
+        # closed-form and Pade blocks shuffled together: every (time, block)
+        # pair in exactly one run of its own path; a Pade run fits
+        # STACK_BYTES (at least one pair); a closed-form chunk's complex power
+        # basis fits it (at least one block) and its passes fit
+        # max(STACK_BYTES, q k^3 doubles)
+        rng = np.random.default_rng(26 + k)
+        closed = [upper_block(k) + 0.1 * c * np.eye(k) for c in range(40)]
+        pade = [random_complex(rng, k, 0.3) - np.eye(k) for _ in range(30)]
+        stack = np.stack(closed + pade)[rng.permutation(70)]
+        is_closed = linalg._closed_form_blocks(stack)
+        assert is_closed.sum() == 40
+        times = time_grid(50.0, 48)
+        seen = np.zeros((len(times), len(stack)), dtype=int)
+        for steps, cols, f, angle in linalg._runs(stack, times):
+            if angle is None:
+                assert not is_closed[cols].any()
+                assert len(cols) >= 1 and f.nbytes <= max(linalg.STACK_BYTES, 16 * k * k)
+                np.add.at(seen, (steps, cols), 1)
+            else:
+                q = len(cols)
+                assert is_closed[cols].all() and angle.shape == f.shape[:2]
+                assert q == 1 or 16 * q * k**3 <= linalg.STACK_BYTES
+                assert f.nbytes <= max(linalg.STACK_BYTES, 8 * q * k**3)
+                seen[steps, cols] += 1
+        assert (seen == 1).all()
 
     def test_stacked_eigenvalues_bit_equal_one_matrix_call(self):
         rng = np.random.default_rng(22)
@@ -462,22 +499,25 @@ class TestExpmNorms:
 
     def test_a_zabczyk_group_runs_in_one_pass(self, monkeypatch):
         # one power basis and one real factor per group of zab40's grid, and
-        # the Pade blocks of a dense group in STACK_BYTES time slices
+        # the 48 x 64 (time, block) pairs of a dense 6 x 6 group in Pade
+        # chunks of at most 113 pairs (STACK_BYTES of 6 x 6 complex matrices)
         calls = []
-        for name in ("_power_basis", "_real_factor", "expm_stack"):
+        for name in ("_power_basis", "_real_factor", "_pade_chunk", "expm_stack"):
             real = getattr(linalg, name)
             monkeypatch.setattr(
-                linalg, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+                linalg, name,
+                lambda *args, real=real, name=name: calls.append((name, len(args[0])))
+                or real(*args),
             )
         times = time_grid(4000.0, 16)
         for _, blocks in zabczyk_family(40).block_stacks():
             expm_norms(blocks, times, np.ones((3, 1, blocks.shape[-1])))
-        assert calls == ["_power_basis", "_real_factor"] * 40
+        assert [name for name, _ in calls] == ["_power_basis", "_real_factor"] * 40
         calls.clear()
         dense = np.stack([random_complex(np.random.default_rng(c), 6, 0.3) - 2 * np.eye(6)
                           for c in range(64)])
         expm_norms(dense, time_grid(200.0, 48), np.ones((3, 64, 6)))
-        assert calls == ["expm_stack"] * len(stack_chunks(48, 6, per_item=64))
+        assert calls == [("_pade_chunk", 113)] * 27 + [("_pade_chunk", 48 * 64 - 27 * 113)]
 
 
 class TestNorm2:

@@ -1,8 +1,8 @@
-"""Print the sha256 of the 14 gate outputs of this checkout.
+"""Print the sha256 of the 16 gate outputs of this checkout.
 
     python3 tools/gate_digests.py [--keep DIR]
 
-The gate outputs are `analyze` and `trajectory` on each of the six
+The gate outputs are `analyze` and `trajectory` on each of the seven
 `configs/*.json` and `sweep` on `rotation_sweep` and `zabczyk_sweep`. Each
 runs as its own `python -m semistab.cli` process from this checkout's `src/`,
 with BLAS pinned to one thread, writing into a temporary directory that is
@@ -39,7 +39,7 @@ def gate_runs():
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="sha256 of the 14 gate outputs")
+    parser = argparse.ArgumentParser(description="sha256 of the 16 gate outputs")
     parser.add_argument("--keep", metavar="DIR", help="write the outputs into DIR")
     args = parser.parse_args(argv)
     env = dict(os.environ)
