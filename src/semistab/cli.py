@@ -253,7 +253,9 @@ def build_family(cfg):
         )
     if builtin == "diagonal":
         rates = _complex_array(fam.get("rates"), "diagonal rates")
-        weights = _numbers(fam, "weights", "diagonal family") if "weights" in fam else None
+        weights = fam.get("weights")
+        if weights is not None:
+            weights = _numbers(fam, "weights", "diagonal family")
         return cases.diagonal_family(rates, weights)
     mats = _complex_array(fam["matrices"], "inline matrices")
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
