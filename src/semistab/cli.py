@@ -32,32 +32,83 @@ from .errors import (
 from .measure import ATOMIC, REFINEMENT_FAMILY, DiscretizedMeasureSpace
 from .report import MODE_ATOMIC, MODE_NONATOMIC_LIMIT
 
-_DEFAULTS = {
-    "p": 2.0,
-    "time": {"t0": 1.0, "horizon": 200.0, "grid_points": 48, "log_spacing": True},
-    "tolerances": {"re_tol": 1e-9, "match_tol": 1e-6, "margin": 1e-6, "eps": 1e-3},
-    "probes": {"count": 3, "seed": 12345},
-    "discrete": {"enabled": False, "n_max": 256, "t": 1.0},
+_REQUIRED = object()  # the default of a key a config must give
+
+
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    """A JSON number a float can hold (NaN and the infinities included)."""
+    return isinstance(value, float) or _is_integer(value) and abs(value) <= sys.float_info.max
+
+
+def _is_finite(value):
+    return _is_number(value) and math.isfinite(value)
+
+
+def _integer(low):
+    return lambda value: _is_integer(value) and value >= low
+
+
+def _one_of(*names):
+    return (lambda value: value in names), " or ".join(map(repr, names))
+
+
+#: the kinds of config values: (test, what a value that passes is)
+_POSITIVE = _integer(1), "a positive integer"
+_NONNEGATIVE = _integer(0), "a nonnegative integer"
+_NUMBER = _is_finite, "a finite number"
+_BOOLEAN = (lambda value: isinstance(value, bool)), "true or false"
+_STRING = (lambda value: isinstance(value, str)), "a string"
+_OBJECT = (lambda value: isinstance(value, dict)), "an object"
+_NUMBERS = (lambda value: isinstance(value, list) and all(map(_is_finite, value)),
+            "a list of finite numbers")
+#: nested lists of numbers, whose shape build_family checks
+_PAIRS = (lambda value: isinstance(value, list)), "a nested list of [re, im] pairs"
+_ANY = (lambda value: True), "anything"
+_INF = ("inf", "Inf", "Infinity")
+_P = (lambda value: value in _INF or _is_number(value) and value >= 1,
+      "a finite number >= 1 or 'inf'")
+_SWEEP_VALUES = {
+    "truncation": (_integer(1), "positive integers"),
+    "refinement": (_integer(0), "nonnegative integers"),
+    "delta": (_is_finite, "finite numbers"),
 }
 
-#: the keys each config section accepts; the keys of `family` depend on its
-#: builtin and are read by build_family
-_SECTION_KEYS = {
-    **{key: set(default) for key, default in _DEFAULTS.items() if isinstance(default, dict)},
-    "probes": {"count", "seed", "vectors"},
-    "space": {"mode", "weights", "labels"},
-    "sweep": {"parameter", "values"},
-    "output": {"json_path", "csv_path"},
+#: every config key as (kind, default): the kind of a section is the table
+#: of its keys; the default None marks a key that may be absent (or null, if
+#: it is no section) and _REQUIRED one that must be given
+_SCHEMA = {
+    "p": (_P, 2.0),
+    "time": ({"t0": (_NUMBER, 1.0), "horizon": (_NUMBER, 200.0),
+              "grid_points": (_POSITIVE, 48), "log_spacing": (_BOOLEAN, True)}, {}),
+    "tolerances": ({"re_tol": (_NUMBER, 1e-9), "match_tol": (_NUMBER, 1e-6),
+                    "margin": (_NUMBER, 1e-6), "eps": (_NUMBER, 1e-3)}, {}),
+    "probes": ({"count": (_POSITIVE, 3), "seed": (_NONNEGATIVE, 12345),
+                "vectors": (_PAIRS, None)}, {}),
+    "discrete": ({"enabled": (_BOOLEAN, False), "n_max": (_POSITIVE, 256),
+                  "t": (_NUMBER, 1.0)}, {}),
+    "family": (_OBJECT, _REQUIRED),
+    "space": ({"mode": (_one_of(ATOMIC, REFINEMENT_FAMILY), None),
+               "weights": (_NUMBERS, None), "labels": (_NUMBERS, None)}, None),
+    "sweep": ({"parameter": (_one_of(*_SWEEP_VALUES), _REQUIRED),
+               "values": ((lambda value: isinstance(value, list) and value != [],
+                           "a nonempty list"), _REQUIRED)}, None),
+    "output": ({"json_path": (_STRING, None), "csv_path": (_STRING, None)}, None),
 }
 
 #: the keys of `family` each builtin reads besides `builtin` (None: inline
-#: matrices)
-_FAMILY_KEYS = {
-    "zabczyk": {"N", "embed_dim"},
-    "rotation": {"cells"},
-    "random-hurwitz": {"seed", "dim", "cells", "margin"},
-    "diagonal": {"rates", "weights"},
-    None: {"matrices", "active_dims"},
+#: matrices), as in _SCHEMA
+_FAMILIES = {
+    "zabczyk": {"N": (_POSITIVE, _REQUIRED), "embed_dim": (_POSITIVE, None)},
+    "rotation": {"cells": (_POSITIVE, _REQUIRED)},
+    "random-hurwitz": {"seed": (_NONNEGATIVE, _REQUIRED), "dim": (_POSITIVE, _REQUIRED),
+                       "cells": (_POSITIVE, _REQUIRED), "margin": (_NUMBER, _REQUIRED)},
+    "diagonal": {"rates": (_PAIRS, _REQUIRED), "weights": (_NUMBERS, None)},
+    # what active_dims may hold depends on the matrices: build_family checks it
+    None: {"matrices": (_PAIRS, _REQUIRED), "active_dims": (_ANY, None)},
 }
 
 _MATRIX_NORM_NOTE = "operator 2-norm (largest singular value)"
@@ -79,63 +130,91 @@ def _stage(name, fn, *args, **kwargs):
         raise _StageFailure(name, exc) from exc
 
 
-def load_config(path):
-    """Read and validate a JSON config, merging section defaults."""
+def _read_config(path):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             line=exc.lineno,
             column=exc.colno,
         )
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise ConfigError(f"parse error: {exc}")
+
+
+def _checked(where, given, keys):
+    """`given` over the defaults of `keys`, after checking that it is an
+    object with no key outside `keys`, every required key and every value of
+    its key's kind (null is left out unchecked where the default is None)."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be an object")
     # a misspelt key would otherwise fall back to its default unnoticed
-    unknown = sorted(set(raw) - {"p", "family", *_SECTION_KEYS})
+    unknown = sorted(set(given) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown config section(s): {', '.join(map(repr, unknown))}")
-    for key, allowed in _SECTION_KEYS.items():
-        section = raw.get(key, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"section {key!r} must be an object")
-        unknown = sorted(set(section) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown key(s) in section {key!r}: {', '.join(map(repr, unknown))}")
-    cfg = {}
-    for key, default in _DEFAULTS.items():
-        if isinstance(default, dict):
-            cfg[key] = {**default, **raw.get(key, {})}
-        else:
-            cfg[key] = raw.get(key, default)
-    # json.loads accepts NaN and Infinity
-    for key in ("time", "tolerances", "discrete"):
-        for name, value in cfg[key].items():
-            try:
-                finite = math.isfinite(float(value))
-            except (TypeError, ValueError):
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+    merged = {}
+    for key, (kind, default) in keys.items():
+        if key not in given:
+            if default is _REQUIRED:
+                raise ConfigError(f"{where} requires {key!r}")
+            if default is None:
                 continue
-            if not finite:
-                raise ConfigError(f"{key}.{name} must be finite, got {value!r}")
-    for key in ("family", "space", "sweep", "output"):
-        if key in raw:
-            cfg[key] = raw[key]
-    if "family" not in cfg or not isinstance(cfg["family"], dict):
-        raise ConfigError("config needs a 'family' object")
+        value = given.get(key, default)
+        if isinstance(kind, dict):
+            value = _checked(f"section {key!r}", value, kind)
+        elif not (value is None and default is None or kind[0](value)):
+            raise ConfigError(f"{key!r} in {where} must be {kind[1]}")
+        merged[key] = value
+    return merged
+
+
+def _check_config(raw):
+    """The config `raw` over its section defaults, after checking every key
+    against _SCHEMA and the family against the keys of its builtin."""
+    cfg = _checked("config", raw, _SCHEMA)
+    fam = cfg["family"]
+    builtin = fam.get("builtin")
+    if not (builtin is None or isinstance(builtin, str)) or builtin not in _FAMILIES:
+        raise ConfigError(f"unknown or missing family builtin {builtin!r}")
+    name = "inline matrices" if builtin is None else builtin
+    keys = {key: value for key, value in fam.items() if key != "builtin"}
+    _checked(f"family {name!r}", keys, _FAMILIES[builtin])
+    # a builtin family brings its own weights and labels
+    ignored = sorted({"weights", "labels"} & set(cfg.get("space", {})))
+    if builtin is not None and ignored:
+        raise ConfigError(
+            f"space key(s) {', '.join(map(repr, ignored))} apply only to inline matrices, "
+            f"not to the {builtin!r} family"
+        )
+    if "sweep" in cfg:
+        parameter = cfg["sweep"]["parameter"]
+        test, what = _SWEEP_VALUES[parameter]
+        if not all(map(test, cfg["sweep"]["values"])):
+            raise ConfigError(f"sweep values of a {parameter} sweep must be {what}")
     return cfg
 
 
-def apply_seed_override(cfg, seed):
-    if seed is None:
-        return cfg
-    cfg["probes"]["seed"] = int(seed)
-    if cfg["family"].get("builtin") == "random-hurwitz":
-        cfg["family"]["seed"] = int(seed)
-    return cfg
+def load_config(path):
+    """Read and check a JSON config, merging section defaults."""
+    return _check_config(_read_config(path))
+
+
+def apply_seed_override(raw, seed):
+    """Set the probe seed, and the seed of a random-hurwitz family, of a
+    config that has not been checked yet."""
+    if seed is None or not isinstance(raw, dict):
+        return raw
+    probes, fam = raw.setdefault("probes", {}), raw.get("family")
+    if isinstance(probes, dict):
+        probes["seed"] = seed
+    if isinstance(fam, dict) and fam.get("builtin") == "random-hurwitz":
+        fam["seed"] = seed
+    return raw
 
 
 def config_hash(cfg):
@@ -146,73 +225,25 @@ def config_hash(cfg):
 
 
 def _parse_p(value):
-    if value in ("inf", "Inf", "Infinity"):
-        return math.inf
-    try:
-        p = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"p must be a number >= 1 or 'inf', got {value!r}")
-    if not p >= 1:
-        raise ConfigError("p must be >= 1 or 'inf'")
-    return p
+    if not _P[0](value):
+        raise ConfigError(f"p must be {_P[1]}, got {value!r}")
+    return math.inf if value in _INF else float(value)
+
+
+def _numeric(data):
+    return all(map(_numeric, data)) if isinstance(data, list) else _is_number(data)
 
 
 def _complex_array(data, what):
+    if not _numeric(data):
+        raise ConfigError(f"{what} must be numeric nested arrays of [re, im] pairs")
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be numeric nested arrays of [re, im] pairs")
-    if arr.ndim < 1 or arr.shape[-1] != 2:
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.ndim < 1 or arr.shape[-1] != 2:
         raise ConfigError(f"{what} must be nested arrays of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _require(section, key, caster, what):
-    if key not in section:
-        raise ConfigError(f"{what} requires {key!r}")
-    try:
-        return caster(section[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} field {key!r} has the wrong type")
-
-
-def _is_integer(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return _is_integer(value) or isinstance(value, float)
-
-
-def _numbers(section, key, what):
-    """section[key] as a float array, when it is a list of numbers."""
-    value = section[key]
-    if not isinstance(value, list) or not all(_is_number(x) for x in value):
-        raise ConfigError(f"{what} field {key!r} must be a list of numbers")
-    return np.array(value, dtype=float)
-
-
-def _family_builtin(cfg):
-    """The family's builtin (None for inline matrices), after checking that
-    it exists and that neither the family nor the space has a key it does
-    not read."""
-    fam = cfg["family"]
-    builtin = fam.get("builtin")
-    known = isinstance(builtin, str) or builtin is None
-    if not known or builtin not in _FAMILY_KEYS or (builtin is None and "matrices" not in fam):
-        raise ConfigError(f"unknown or missing family builtin {builtin!r}")
-    unknown = sorted(set(fam) - _FAMILY_KEYS[builtin] - {"builtin"})
-    if unknown:
-        name = "inline matrices" if builtin is None else builtin
-        raise ConfigError(f"unknown key(s) in family {name!r}: {', '.join(map(repr, unknown))}")
-    # a builtin family brings its own weights and labels
-    ignored = sorted({"weights", "labels"} & set(cfg.get("space") or {}))
-    if builtin is not None and ignored:
-        raise ConfigError(
-            f"space key(s) {', '.join(map(repr, ignored))} apply only to inline matrices, "
-            f"not to the {builtin!r} family"
-        )
-    return builtin
 
 
 def _inline_active_dims(fam, mats):
@@ -237,35 +268,30 @@ def _inline_active_dims(fam, mats):
 
 def build_family(cfg):
     fam = cfg["family"]
-    builtin = _family_builtin(cfg)
+    builtin = fam.get("builtin")
     if builtin == "zabczyk":
-        n = _require(fam, "N", int, "zabczyk family")
-        embed = _require(fam, "embed_dim", int, "zabczyk family") if "embed_dim" in fam else None
-        return cases.zabczyk_family(n, embed)
+        return cases.zabczyk_family(fam["N"], fam.get("embed_dim"))
     if builtin == "rotation":
-        return cases.rotation_family(_require(fam, "cells", int, "rotation family"))
+        return cases.rotation_family(fam["cells"])
     if builtin == "random-hurwitz":
         return cases.random_hurwitz_family(
-            _require(fam, "seed", int, "random-hurwitz family"),
-            _require(fam, "dim", int, "random-hurwitz family"),
-            _require(fam, "cells", int, "random-hurwitz family"),
-            _require(fam, "margin", float, "random-hurwitz family"),
+            fam["seed"], fam["dim"], fam["cells"], float(fam["margin"])
         )
     if builtin == "diagonal":
-        rates = _complex_array(fam.get("rates"), "diagonal rates")
         weights = fam.get("weights")
-        if weights is not None:
-            weights = _numbers(fam, "weights", "diagonal family")
-        return cases.diagonal_family(rates, weights)
-    mats = _complex_array(fam["matrices"], "inline matrices")
+        return cases.diagonal_family(
+            _complex_array(fam["rates"], "family 'rates'"),
+            None if weights is None else np.array(weights, dtype=float),
+        )
+    mats = _complex_array(fam["matrices"], "family 'matrices'")
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ConfigError("inline matrices must have shape (cells, n, n)")
-    cells = mats.shape[0]
-    space_cfg = cfg.get("space") or {}
-    weights = _numbers(space_cfg, "weights", "space") if "weights" in space_cfg else np.ones(cells)
-    labels = (_numbers(space_cfg, "labels", "space") if "labels" in space_cfg
-              else np.arange(cells, dtype=float))
-    space = DiscretizedMeasureSpace(weights=weights, labels=labels, mode=ATOMIC)
+    weights, labels = (cfg.get("space", {}).get(key) for key in ("weights", "labels"))
+    space = DiscretizedMeasureSpace(
+        weights=np.ones(len(mats)) if weights is None else np.array(weights, dtype=float),
+        labels=np.arange(len(mats), dtype=float) if labels is None else np.array(labels, float),
+        mode=ATOMIC,
+    )
     return semigroup.PointwiseFamily(
         space=space, dim=mats.shape[1], matrices=mats,
         active_dims=_inline_active_dims(fam, mats),
@@ -274,8 +300,8 @@ def build_family(cfg):
 
 def build_probes(cfg, family):
     pr = cfg["probes"]
-    if "vectors" in pr:
-        arr = _complex_array(pr["vectors"], "inline probes")
+    if pr.get("vectors") is not None:
+        arr = _complex_array(pr["vectors"], "probes 'vectors'")
         if arr.ndim != 3 or arr.shape[1:] != (family.space.n_cells, family.dim):
             raise ConfigError(
                 "inline probes must have shape (count, cells, dim) of [re, im] pairs"
@@ -286,26 +312,20 @@ def build_probes(cfg, family):
             )
             for v in arr
         ]
-    count = _require(pr, "count", int, "probes")
-    seed = _require(pr, "seed", int, "probes")
-    return semigroup.random_probes(family, count, seed)
+    return semigroup.random_probes(family, pr["count"], pr["seed"])
 
 
 def analysis_mode(cfg):
     """The almost-weak mode named by `space.mode`, or None (the classifier's
     default for the family's space) when the config names none."""
-    mode = (cfg.get("space") or {}).get("mode")
-    if mode is None:
-        return None
-    mapping = {ATOMIC: MODE_ATOMIC, REFINEMENT_FAMILY: MODE_NONATOMIC_LIMIT}
-    if mode not in mapping:
-        raise ConfigError(f"space mode must be 'Atomic' or 'RefinementFamily', got {mode!r}")
-    return mapping[mode]
+    mode = cfg.get("space", {}).get("mode")
+    return {None: None, ATOMIC: MODE_ATOMIC, REFINEMENT_FAMILY: MODE_NONATOMIC_LIMIT}[mode]
 
 
 def _time_grid(time_cfg):
-    horizon, points = float(time_cfg["horizon"]), int(time_cfg["grid_points"])
-    return semigroup.time_grid(horizon, points, bool(time_cfg["log_spacing"]))
+    return semigroup.time_grid(
+        float(time_cfg["horizon"]), time_cfg["grid_points"], time_cfg["log_spacing"]
+    )
 
 
 def run_analysis(cfg):
@@ -316,7 +336,7 @@ def run_analysis(cfg):
     probes = build_probes(cfg, family)
     mode = analysis_mode(cfg)
     t0 = float(time_cfg["t0"])
-    discrete_t = float(cfg["discrete"]["t"]) if cfg["discrete"].get("enabled") else None
+    discrete_t = float(cfg["discrete"]["t"]) if cfg["discrete"]["enabled"] else None
 
     # sample_at shares a sample while someone holds it. The uniform stage
     # starts from e^{t0 A} (and rejects t0 <= 0 itself); when the discrete
@@ -327,7 +347,7 @@ def run_analysis(cfg):
         sample = _stage("stability.classify_uniform", semigroup.sample_at, family, t0)
     uniform = _stage(
         "stability.classify_uniform", stability.classify_uniform, family,
-        t0, float(tol["margin"]), grid_points=int(time_cfg["grid_points"]),
+        t0, float(tol["margin"]), grid_points=time_cfg["grid_points"],
     )
     re_tol = float(tol["re_tol"])
     match_tol = float(tol["match_tol"])
@@ -353,9 +373,9 @@ def run_analysis(cfg):
             discrete.build_discrete_report,
             sample,
             margin=float(tol["margin"]),
-            n_max=int(cfg["discrete"]["n_max"]),
+            n_max=cfg["discrete"]["n_max"],
             eps=float(tol["eps"]),
-            seed=int(cfg["probes"]["seed"]),
+            seed=cfg["probes"]["seed"],
             match_tol=match_tol,
         )
         discrete_payload = dreport.as_dict()
@@ -380,26 +400,13 @@ def _fmt(value):
 
 
 def run_sweep(cfg):
-    sweep = cfg.get("sweep")
-    if not isinstance(sweep, dict):
+    if "sweep" not in cfg:
         raise ConfigError("sweep command needs a 'sweep' section")
-    parameter = sweep.get("parameter")
-    values = sweep.get("values")
-    if parameter not in ("truncation", "refinement", "delta"):
-        raise ConfigError("sweep parameter must be 'truncation', 'refinement', or 'delta'")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep values must be a nonempty list")
-    integers = all(map(_is_integer, values))
-    if parameter == "truncation" and not (integers and min(values) >= 1):
-        raise ConfigError("sweep values of a truncation sweep must be positive integers")
-    if parameter == "refinement" and not (integers and min(values) >= 0):
-        raise ConfigError("sweep values of a refinement sweep must be nonnegative integers")
-    if parameter == "delta" and not all(_is_number(x) and math.isfinite(x) for x in values):
-        raise ConfigError("sweep values of a delta sweep must be finite numbers")
+    parameter, values = cfg["sweep"]["parameter"], cfg["sweep"]["values"]
     time_cfg = cfg["time"]
     tol = cfg["tolerances"]
     t0 = float(time_cfg["t0"])
-    grid_points = int(time_cfg["grid_points"])
+    grid_points = time_cfg["grid_points"]
     margin = float(tol["margin"])
     re_tol = float(tol["re_tol"])
     match_tol = float(tol["match_tol"])
@@ -407,7 +414,7 @@ def run_sweep(cfg):
     base_family = None
     if parameter != "truncation":
         base_family = build_family(cfg)
-    elif _family_builtin(cfg) != "zabczyk":
+    elif cfg["family"].get("builtin") != "zabczyk":
         raise ConfigError("truncation sweeps require the zabczyk builtin family")
 
     times = _time_grid(time_cfg)
@@ -438,11 +445,8 @@ def run_sweep(cfg):
                 re_tol=re_tol, match_tol=match_tol,
             )
         clusters = _stage(
-            "stability.imaginary_point_spectrum",
-            stability.imaginary_point_spectrum,
-            family,
-            re_tol,
-            radius,
+            "stability.imaginary_point_spectrum", stability.imaginary_point_spectrum, family,
+            re_tol, radius,
         )
         max_measure = max((c.measure for c in clusters), default=0.0)
         rows.append((float(value), uniform.decay_eps, gate.bound, max_measure))
@@ -470,37 +474,20 @@ def run_trajectory(cfg):
     return "\n".join(lines) + "\n"
 
 
-def _emit(text, path, quiet):
+def _command(args):
+    cfg = _check_config(apply_seed_override(_read_config(args.config), args.seed))
+    if args.command == "analyze":
+        text = json.dumps(run_analysis(cfg), indent=2, sort_keys=True) + "\n"
+    else:
+        text = (run_sweep if args.command == "sweep" else run_trajectory)(cfg)
+    key = "json_path" if args.command == "analyze" else "csv_path"
+    path = args.out or cfg.get("output", {}).get(key)
     if path:
         Path(path).write_text(text)
-        if not quiet:
+        if not args.quiet:
             print(f"wrote {path}")
-    elif not quiet:
+    elif not args.quiet:
         sys.stdout.write(text)
-
-
-def cmd_analyze(args):
-    cfg = apply_seed_override(load_config(args.config), args.seed)
-    payload = run_analysis(cfg)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = args.out or (cfg.get("output") or {}).get("json_path")
-    _emit(text, out, args.quiet)
-    return 0
-
-
-def cmd_sweep(args):
-    cfg = apply_seed_override(load_config(args.config), args.seed)
-    text = run_sweep(cfg)
-    out = args.csv or (cfg.get("output") or {}).get("csv_path")
-    _emit(text, out, args.quiet)
-    return 0
-
-
-def cmd_trajectory(args):
-    cfg = apply_seed_override(load_config(args.config), args.seed)
-    text = run_trajectory(cfg)
-    out = args.csv or (cfg.get("output") or {}).get("csv_path")
-    _emit(text, out, args.quiet)
     return 0
 
 
@@ -511,34 +498,23 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="classify stability and emit a JSON report")
-    analyze.add_argument("config", help="path to a JSON config")
-    analyze.add_argument("--out", default=None, help="write the JSON report here")
-    analyze.add_argument("--seed", type=int, default=None, help="override config seeds")
-    analyze.add_argument("--quiet", action="store_true", help="suppress stdout")
-    analyze.set_defaults(handler=cmd_analyze)
-
-    sweep = sub.add_parser("sweep", help="sweep one parameter and emit CSV")
-    sweep.add_argument("config")
-    sweep.add_argument("--csv", default=None, help="write the CSV here")
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--quiet", action="store_true")
-    sweep.set_defaults(handler=cmd_sweep)
-
-    traj = sub.add_parser("trajectory", help="emit norm curves as CSV")
-    traj.add_argument("config")
-    traj.add_argument("--csv", default=None)
-    traj.add_argument("--seed", type=int, default=None)
-    traj.add_argument("--quiet", action="store_true")
-    traj.set_defaults(handler=cmd_trajectory)
+    for name, flag, output, what in (
+        ("analyze", "--out", "JSON report", "classify stability and emit a JSON report"),
+        ("sweep", "--csv", "CSV", "sweep one parameter and emit CSV"),
+        ("trajectory", "--csv", "CSV", "emit norm curves as CSV"),
+    ):
+        command = sub.add_parser(name, help=what)
+        command.add_argument("config", help="path to a JSON config")
+        command.add_argument(flag, dest="out", metavar="PATH", help=f"write the {output} here")
+        command.add_argument("--seed", type=int, default=None, help="override config seeds")
+        command.add_argument("--quiet", action="store_true", help="suppress stdout")
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return _command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -74,19 +74,25 @@ def norm2(a):
     m = m.astype(float if real else complex, copy=False)
     if m.size == 0:
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
-    if real:
-        _, e = np.frexp(np.abs(m).max(axis=(-2, -1)))
-        c = np.ldexp(m, -e[..., None, None])
-        gram = c.swapaxes(-2, -1) @ c
-    else:
-        _, e = np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1)))
-        c = np.empty_like(m)
-        c.real = np.ldexp(m.real, -e[..., None, None])
-        c.imag = np.ldexp(m.imag, -e[..., None, None])
-        gram = c.conj().swapaxes(-2, -1) @ c
+    c, e = _scaled(m, (-2, -1))
+    gram = (c if real else c.conj()).swapaxes(-2, -1) @ c
     top = np.linalg.eigvalsh(gram)[..., -1]
-    norms = np.ldexp(np.sqrt(top), e)
+    norms = np.ldexp(np.sqrt(top), e[..., 0, 0])
     return float(norms) if m.ndim == 2 else norms
+
+
+def _scaled(m, axis):
+    """(c, e) with m = 2^e c exactly, e the binary exponent of the largest |Re|
+    or |Im| entry along `axis` (kept as length-1 axes): squares of c cannot
+    overflow, and those that underflow are too small to move a sum."""
+    if not np.iscomplexobj(m):
+        _, e = np.frexp(np.abs(m).max(axis=axis, keepdims=True))
+        return np.ldexp(m, -e), e
+    _, e = np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=axis, keepdims=True))
+    c = np.empty_like(m)
+    c.real = np.ldexp(m.real, -e)
+    c.imag = np.ldexp(m.imag, -e)
+    return c, e
 
 
 # Diagonal Pade coefficients and 1-norm switchover thresholds for the
@@ -379,7 +385,8 @@ def expm_norms(a, t, v):
     the grid. A closed-form run has e^{tA} = R e^{i t Im lambda} with R real
     and the phase unimodular, so both norms are those of R: the norm2 of the
     real matrix and |R v| from two real products. A Pade run's norms are
-    those of its complex e^{tA}, one (k x k)(k x 1) product per vector.
+    those of its complex e^{tA}, one (k x k)(k x 1) product per vector. Each
+    e^{tA} v is scaled by a power of two before it is squared, as in norm2.
 
     Raises NumericalFailureError naming the earliest time at which e^{tA}
     is not finite for some block, as expm_stack would.
@@ -393,14 +400,14 @@ def expm_norms(a, t, v):
         norms[steps, cols] = norm2(f)
         if angle is None:
             w = v[:, cols].swapaxes(0, 1)[..., None]
-            vnorms[steps, :, cols] = np.linalg.norm((f[:, None] @ w)[..., 0], axis=-1)
+            c, e = _scaled((f[:, None] @ w)[..., 0], -1)
+            vnorms[steps, :, cols] = np.ldexp(np.linalg.norm(c, axis=-1), e[..., 0])
             continue
-        sq = 0.0
         # the real and the imaginary parts of the vectors as columns: (q, k, P)
-        for part in (v.real, v.imag):
-            y = f @ part[:, cols].transpose(1, 2, 0)
-            sq = sq + np.square(y, out=y).sum(axis=2)
-        vnorms[steps, :, cols] = np.sqrt(sq).swapaxes(1, 2)
+        ys = [f @ part[:, cols].transpose(1, 2, 0) for part in (v.real, v.imag)]
+        _, e = np.frexp(np.maximum(*(np.abs(y, out=y).max(axis=2, keepdims=True) for y in ys)))
+        sq = sum(np.square(np.ldexp(y, -e, out=y), out=y).sum(axis=2) for y in ys)
+        vnorms[steps, :, cols] = np.ldexp(np.sqrt(sq), e[:, :, 0]).swapaxes(1, 2)
     return norms, vnorms
 
 

@@ -160,12 +160,18 @@ def lp_norm(f, p=2.0):
 
 
 def _cell_lp(space, cell, p):
-    """lp_norm from the per-cell vector norms `cell` (cells on the last axis)."""
+    """lp_norm from the per-cell vector norms `cell` (cells on the last axis),
+    each vector scaled by a power of two so that cell**p cannot overflow."""
     if p != math.inf and p < 1:
         raise DomainError("p must satisfy p >= 1 or p = inf")
+    top = cell[..., space.positive_cells()].max(axis=-1)
     if p == math.inf:
-        return cell[..., space.positive_cells()].max(axis=-1)
-    return (cell**p @ space.weights) ** (1.0 / p)
+        return top
+    _, e = np.frexp(top)
+    scaled = np.ldexp(cell, -np.expand_dims(e, -1))
+    scaled[..., space.weights == 0] = 0.0
+    scaled **= p
+    return np.ldexp((scaled @ space.weights) ** (1.0 / p), e)
 
 
 def point_spectrum(family, distance, tol, match_tol):

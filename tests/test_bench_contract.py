@@ -36,3 +36,19 @@ def test_report_passes_the_benchmark_oracle(tmp_path, workload, seed, scale):
     path.write_text(json.dumps(make_config(workload, seed, scale)))
     cfg = cli.load_config(path)
     assert check_report(workload, cfg, cli.run_analysis(cfg)) == []
+
+
+#: config_hash of each workload's merged config at benchmark seed 1: the
+#: benchmark compares reports whose meta carries it
+WORKLOAD_HASHES = {
+    "zab40": "56195fa7a1233a99083a66ac44298652b7d943ec1622e41d138249fa52134f9e",
+    "rot256": "ff5f2ba4402174080599ae87e9fa87cf4cf0faa20895d7155bec09bcf65af39d",
+    "rh64": "cd40dbccd94794ea544eb1491efa20c3ce4dadfb44edae621e291c756596111f",
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_config_hash(tmp_path, workload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(make_config(workload, 1)))
+    assert cli.config_hash(cli.load_config(path)) == WORKLOAD_HASHES[workload]

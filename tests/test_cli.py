@@ -12,8 +12,6 @@ import pytest
 from semistab import cli
 from semistab.cases import zabczyk_family
 from semistab.errors import ConfigError, NumericalFailureError
-from semistab.measure import DiscretizedMeasureSpace
-from semistab.semigroup import PointwiseFamily
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -100,6 +98,25 @@ def test_bundled_config_verdicts_and_witness_kinds(capsys, stem):
     else:
         part = payload["discrete"]
         assert ({stage: part[stage]["verdict"] for stage in STAGES}, witness_kinds(part)) == discrete
+
+
+#: config_hash of the merged config of each bundled config: a change to the
+#: defaults or to the merging moves it
+BUNDLED_HASHES = {
+    "diagonal": "766b3d4e41595486969a658675120aaa65837c50d43aca09b9a584c67c905c5a",
+    "random_hurwitz": "a983e3d4a6e058f30c32dd6262da66c687da991edd052e8d34fb07f312f5e1b1",
+    "rotation": "0fbbb0b19fdb397849a44f4d1b6fabe863b05a5c43fec2e30bee20f4443decff",
+    "rotation_limit": "9bad14276a9a1b4299aba3e088c4e343cc4af6843449ea568f9cc46eafb01145",
+    "rotation_sweep": "c65acee6eafa2c4fd699a46ae509475b2ac09167ccf005546673ea18b5b37800",
+    "zabczyk": "a065cb4b421275dce2c8ed857823cf68ddfe9651598d88cb0408caf6cbb1437b",
+    "zabczyk_sweep": "85e2e325f4f48d779066b2b3a72a9bb71226a328d0d3e293cc40c63e8859119b",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(BUNDLED_VERDICTS))
+def test_bundled_config_hash(stem):
+    cfg = cli.load_config(CONFIG_DIR / f"{stem}.json")
+    assert cli.config_hash(cfg) == BUNDLED_HASHES[stem]
 
 
 class TestAnalyze:
@@ -192,6 +209,20 @@ class TestAnalyze:
         assert cli.main(["analyze", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # more digits than Python converts to an int
+            ('{"family": {"builtin": "rotation", "cells": 1' + "0" * 5000 + "}}", "parse error"),
+            (b"\xff\xfe{", "cannot read config file"),
+        ],
+    )
+    def test_unconvertible_config_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        assert cli.main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     def test_missing_family_exits_2(self, tmp_path):
         assert cli.main(["analyze", write_config(tmp_path, {"p": 2})]) == 2
@@ -533,24 +564,19 @@ class TestZeroWeightCells:
         assert reports[1] == reports[0]
         assert reports[0]["discrete"]["uniform"]["verdict"] == "Stable"
 
-    def test_wide_null_cell(self, capsys, tmp_path, monkeypatch):
+    def test_wide_null_cell(self, capsys, tmp_path):
         # a zero-weight -I cell of active dimension 9 next to Zabczyk N=6
         # embedded in dimension 9: the uniform horizon must not grow with it
-        base_family = zabczyk_family(6, embed_dim=9)
-        null_family = PointwiseFamily(
-            space=DiscretizedMeasureSpace(weights=[1.0] * 6 + [0.0], labels=np.arange(1.0, 8.0)),
-            dim=9,
-            matrices=np.concatenate([base_family.matrices, -np.eye(9)[None]]),
-            active_dims=np.r_[base_family.active_dims, 9],
-        )
-        families = {6: base_family, 7: null_family}
-        monkeypatch.setattr(cli, "build_family", lambda cfg: families[cfg["family"]["cells"]])
+        blocks = np.concatenate([zabczyk_family(6, embed_dim=9).matrices, -np.eye(9)[None]])
+        matrices = np.stack([blocks.real, blocks.imag], axis=-1).tolist()
         rng = np.random.default_rng(7)
         vectors = rng.standard_normal((2, 7, 9, 2))
         outputs = []
         for cells in (6, 7):
             cfg = {
-                "family": {"cells": cells},
+                "family": {"matrices": matrices[:cells],
+                           "active_dims": [1, 2, 3, 4, 5, 6, 9][:cells]},
+                "space": {"weights": ([1.0] * 6 + [0.0])[:cells]},
                 "time": {"horizon": 400.0, "grid_points": 24},
                 "probes": {"vectors": vectors[:, :cells].tolist()},
             }
@@ -642,6 +668,57 @@ class TestDeterminism:
         assert proc.returncode == 0
 
 
+#: values of another kind for each kind of config value; a kind not listed
+#: here (a section, a choice of names) gets "bogus", and a required key null
+_WRONG = {
+    cli._POSITIVE: ["3", 5.5, True, 0],
+    cli._NONNEGATIVE: ["12", 2.5, False, -3],
+    cli._NUMBER: ["0.2", True, math.nan, 10**400],
+    cli._BOOLEAN: ["false", 0],
+    cli._STRING: [5],
+    cli._NUMBERS: ["1", ["a"], [True], [math.inf]],
+    cli._PAIRS: ["abc"],
+    cli._P: [True, "2", 0.5, math.nan],
+    cli._ANY: ["abc"],
+}
+
+#: a valid family of each builtin
+_FAMILY_BASES = {
+    "zabczyk": {"builtin": "zabczyk", "N": 3},
+    "rotation": {"builtin": "rotation", "cells": 4},
+    "random-hurwitz": {"builtin": "random-hurwitz", "seed": 1, "dim": 2, "cells": 3,
+                       "margin": 0.2},
+    "diagonal": {"builtin": "diagonal", "rates": [[-1.0, 0.0]]},
+    None: {"matrices": [[[[-1.0, 0.0]]]]},
+}
+
+
+def _wrong(kind, default):
+    values = ["bogus"] if isinstance(kind, dict) else _WRONG.get(kind, ["bogus"])
+    return values + [None] * (default is cli._REQUIRED)
+
+
+def _schema_cases():
+    """(command, config, key) for each key of cli._SCHEMA and cli._FAMILIES and
+    each value of another kind; the sweep keys run `sweep`, the rest
+    `analyze`."""
+    cases = []
+    for name, (kind, default) in cli._SCHEMA.items():
+        command = "sweep" if name == "sweep" else "analyze"
+        # space weights and labels apply to inline matrices only
+        base = {"family": _FAMILY_BASES[None if name == "space" else "diagonal"]}
+        cases += [(command, {**base, name: value}, name) for value in _wrong(kind, default)]
+        section = {"parameter": "delta", "values": [0.1]} if name == "sweep" else {}
+        for key, spec in (kind.items() if isinstance(kind, dict) else ()):
+            cases += [(command, {**base, name: {**section, key: value}}, key)
+                      for value in _wrong(*spec)]
+    for builtin, keys in cli._FAMILIES.items():
+        for key, spec in keys.items():
+            cases += [("analyze", {"family": {**_FAMILY_BASES[builtin], key: value}}, key)
+                      for value in _wrong(*spec)]
+    return cases
+
+
 class TestConfigParsing:
     def test_p_inf(self):
         assert cli._parse_p("inf") == math.inf
@@ -649,6 +726,8 @@ class TestConfigParsing:
             cli._parse_p(0.5)
         with pytest.raises(ConfigError):
             cli._parse_p("three")
+        with pytest.raises(ConfigError):
+            cli._parse_p(True)
 
     @pytest.mark.parametrize(
         "extra, name",
@@ -721,6 +800,59 @@ class TestConfigParsing:
         assert cli.main([command, write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and name in err
+
+    @pytest.mark.parametrize(
+        "command, cfg, name",
+        [
+            # values that ended in a Python traceback (exit 1)
+            ("analyze", {"time": {"horizon": None}}, "'horizon'"),
+            ("analyze", {"time": {"grid_points": [48]}}, "'grid_points'"),
+            ("analyze", {"discrete": {"n_max": "abc"}}, "'n_max'"),
+            ("analyze", {"output": {"json_path": 5}}, "'json_path'"),
+            ("analyze", {"time": {"horizon": 10**400}}, "'horizon'"),
+            ("analyze", {"probes": {"seed": -3}}, "'seed'"),
+            # values that were coerced and analyzed with exit 0
+            ("analyze", {"discrete": {"enabled": "false"}}, "'enabled'"),
+            ("analyze", {"time": {"log_spacing": "no"}}, "'log_spacing'"),
+            ("analyze", {"time": {"grid_points": 5.5}}, "'grid_points'"),
+            ("analyze", {"time": {"horizon": "200"}}, "'horizon'"),
+            ("analyze", {"tolerances": {"margin": "0.2"}}, "'margin'"),
+            ("analyze", {"discrete": {"t": "1"}}, "'t'"),
+            ("analyze", {"probes": {"count": 2.7}}, "'count'"),
+            ("analyze", {"probes": {"count": "3"}}, "'count'"),
+            ("analyze", {"probes": {"seed": "12"}}, "'seed'"),
+            ("analyze", {"discrete": {"n_max": True}}, "'n_max'"),
+            ("analyze", {"p": True}, "'p'"),
+            ("trajectory", {"family": {"builtin": "zabczyk", "N": 5.5, "embed_dim": 6.9}}, "'N'"),
+            ("trajectory", {"family": {"builtin": "zabczyk", "N": 5, "embed_dim": 6.9}},
+             "'embed_dim'"),
+            ("analyze", {"family": {"builtin": "rotation", "cells": 8.9}}, "'cells'"),
+            ("analyze", {"family": {"builtin": "random-hurwitz", "seed": 1, "dim": 2, "cells": 3,
+                                    "margin": "0.2"}}, "'margin'"),
+            ("analyze", {"sweep": {"parameter": "bogus"}}, "'parameter'"),
+            ("analyze", {"family": {"builtin": "diagonal", "rates": [[True, 0.0]]}}, "'rates'"),
+        ],
+    )
+    def test_listed_defect_exits_2_naming_the_key(self, tmp_path, capsys, command, cfg, name):
+        cfg = {"family": {"builtin": "diagonal", "rates": [[-1.0, 0.0]]}, **cfg}
+        assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err
+
+    @pytest.mark.parametrize("command, cfg, key", _schema_cases())
+    def test_every_key_rejects_a_value_of_another_kind(self, tmp_path, capsys, command, cfg,
+                                                       key):
+        assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and repr(key) in err
+
+    @pytest.mark.parametrize("stem", ["diagonal", "random_hurwitz"])
+    def test_seed_flag_is_checked_as_the_probe_seed(self, capsys, stem):
+        # the flag used to be applied after the check: numpy rejected the
+        # negative seed with a traceback
+        assert cli.main(["analyze", str(CONFIG_DIR / f"{stem}.json"), "--seed", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'seed' in section 'probes'" in err
 
     def test_complex_pairs_required(self):
         with pytest.raises(ConfigError):

@@ -478,6 +478,19 @@ class TestExpmNorms:
                 exact_v = mpmath.norm(r * vec)
                 assert vnorms[i, 0, 0] == pytest.approx(float(exact_v), rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("transpose, closed", [(False, True), (True, False)])
+    def test_probe_norms_of_a_finite_orbit_do_not_overflow(self, transpose, closed):
+        # e^{tA} v = e^{10 t} (1 + t, 1) for A = [[10, 1], [0, 10]] and v =
+        # (1, 1), and the same norm for A^T: at t = 40 about 2.1e175, whose
+        # unscaled squares overflow
+        a = np.array([[10.0, 1.0], [0.0, 10.0]], dtype=complex)
+        a = (a.T if transpose else a)[None]
+        assert linalg._closed_form_blocks(a)[0] == closed
+        times = np.array([0.0, 1.0, 20.0, 40.0])
+        exact = np.exp(10 * times) * np.sqrt((1 + times) ** 2 + 1)
+        _, vnorms = expm_norms(a, times, np.ones((1, 1, 2)))
+        np.testing.assert_allclose(vnorms[:, 0, 0], exact, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize(
         "closed_rate, pade_rate, first", [(10.0, 5.0, 80.0), (5.0, 20.0, 40.0)]
     )

@@ -379,6 +379,19 @@ class TestOrbitNorms:
             want = [lp_norm(apply(sample, f), p) for f in probes]
             np.testing.assert_allclose(probe_norms[k], want, rtol=1e-14, atol=0.0)
 
+    def test_probe_norms_of_a_finite_orbit_do_not_overflow(self):
+        # the closed-form block [[10, 1], [0, 10]] and the Pade block of its
+        # transpose: each cell's orbit of (1, 1) has norm e^{10 t} sqrt((1 + t)^2
+        # + 1), about 2.1e175 at t = 40, so the squares of the cell norms
+        # overflow unscaled
+        a = np.array([[10.0, 1.0], [0.0, 10.0]])
+        family = PointwiseFamily(space=space_of([1.0, 1.0]), dim=2, matrices=np.stack([a, a.T]))
+        probe = BochnerFunction(space=family.space, dim=2, vectors=np.ones((2, 2)))
+        times = np.array([0.0, 1.0, 20.0, 40.0])
+        _, probe_norms = orbit_norms(family, times, [probe])
+        exact = np.sqrt(2.0) * np.exp(10 * times) * np.sqrt((1 + times) ** 2 + 1)
+        np.testing.assert_allclose(probe_norms[:, 0], exact, rtol=1e-13, atol=0)
+
     def test_probes_are_restricted_to_the_active_blocks(self):
         family = zabczyk_family(3)
         ones = BochnerFunction(space=family.space, dim=3, vectors=np.ones((3, 3)))
