@@ -217,6 +217,7 @@ class TestAnalyze:
             ('{"family": {"builtin": "rotation", "cells": 1' + "0" * 5000 + "}}", "parse error"),
             (b"\xff\xfe{", "cannot read config file"),
         ],
+        ids=["long-integer", "not-utf-8"],
     )
     def test_unconvertible_config_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
