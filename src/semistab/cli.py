@@ -10,7 +10,8 @@ Subcommands:
 
 Configs are JSON; complex numbers are written as [re, im] pairs. The exit
 code reflects tool success (0 = analysis completed regardless of verdict,
-2 = config problem, 3 = numerical failure), never the stability verdict.
+2 = config problem, 3 = numerical failure or out of memory), never the
+stability verdict.
 """
 
 import argparse
@@ -48,16 +49,18 @@ def _is_finite(value):
     return _is_number(value) and math.isfinite(value)
 
 
-def _integer(low):
-    return lambda value: _is_integer(value) and value >= low
+def _integer(low, high=math.inf):
+    return lambda value: _is_integer(value) and low <= value <= high
 
 
 def _one_of(*names):
     return (lambda value: value in names), " or ".join(map(repr, names))
 
 
+#: the largest size numpy can index
+_SIZE_MAX = int(np.iinfo(np.intp).max)
 #: the kinds of config values: (test, what a value that passes is)
-_POSITIVE = _integer(1), "a positive integer"
+_POSITIVE = _integer(1, _SIZE_MAX), f"a positive integer up to {_SIZE_MAX}"
 _NONNEGATIVE = _integer(0), "a nonnegative integer"
 _NUMBER = _is_finite, "a finite number"
 _BOOLEAN = (lambda value: isinstance(value, bool)), "true or false"
@@ -72,7 +75,7 @@ _INF = ("inf", "Inf", "Infinity")
 _P = (lambda value: value in _INF or _is_number(value) and value >= 1,
       "a finite number >= 1 or 'inf'")
 _SWEEP_VALUES = {
-    "truncation": (_integer(1), "positive integers"),
+    "truncation": (_POSITIVE[0], f"positive integers up to {_SIZE_MAX}"),
     "refinement": (_integer(0), "nonnegative integers"),
     "delta": (_is_finite, "finite numbers"),
 }
@@ -115,7 +118,7 @@ _MATRIX_NORM_NOTE = "operator 2-norm (largest singular value)"
 
 
 class _StageFailure(Exception):
-    """A numerical kernel failed inside a named analysis stage."""
+    """A numerical kernel failed, or memory ran out, inside a named analysis stage."""
 
     def __init__(self, stage, original):
         super().__init__(f"{stage}: {original}")
@@ -126,7 +129,7 @@ class _StageFailure(Exception):
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (NumericalFailureError, UnboundedSemigroupError) as exc:
+    except (NumericalFailureError, UnboundedSemigroupError, MemoryError) as exc:
         raise _StageFailure(name, exc) from exc
 
 
@@ -335,19 +338,9 @@ def run_analysis(cfg):
     tol = cfg["tolerances"]
     probes = build_probes(cfg, family)
     mode = analysis_mode(cfg)
-    t0 = float(time_cfg["t0"])
-    discrete_t = float(cfg["discrete"]["t"]) if cfg["discrete"]["enabled"] else None
-
-    # sample_at shares a sample while someone holds it. The uniform stage
-    # starts from e^{t0 A} (and rejects t0 <= 0 itself); when the discrete
-    # stage needs the same sample, holding it from here gives both one
-    # exponential and one spectrum.
-    sample = None
-    if discrete_t == t0 and t0 > 0:
-        sample = _stage("stability.classify_uniform", semigroup.sample_at, family, t0)
     uniform = _stage(
         "stability.classify_uniform", stability.classify_uniform, family,
-        t0, float(tol["margin"]), grid_points=time_cfg["grid_points"],
+        float(time_cfg["t0"]), float(tol["margin"]), grid_points=time_cfg["grid_points"],
     )
     re_tol = float(tol["re_tol"])
     match_tol = float(tol["match_tol"])
@@ -365,9 +358,10 @@ def run_analysis(cfg):
     report = stability.build_report(uniform, strong, almost_weak)
 
     discrete_payload = None
-    if discrete_t is not None:
-        if sample is None:
-            sample = _stage("semigroup.sample_at", semigroup.sample_at, family, discrete_t)
+    if cfg["discrete"]["enabled"]:
+        sample = _stage(
+            "semigroup.sample_at", semigroup.sample_at, family, float(cfg["discrete"]["t"])
+        )
         dreport = _stage(
             "discrete.build_discrete_report",
             discrete.build_discrete_report,
@@ -519,7 +513,11 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _StageFailure as exc:
-        print(f"numerical failure in {exc.stage}: {exc.original}", file=sys.stderr)
+        what = "out of memory" if isinstance(exc.original, MemoryError) else "numerical failure"
+        print(f"{what} in {exc.stage}: {exc.original}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except SemistabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -97,9 +97,11 @@ def classify_discrete_uniform(sample, margin):
     radii against 1. A Stable verdict is cross-checked on the equivalent
     norm form: ess-sup ||M(s)^n|| must drop below NORM_CHECK_THRESHOLD
     within NORM_CHECK_SAFETY * log(threshold)/log(rho*) steps."""
-    verdict, rho_star, witnesses = semigroup.radius_verdict(
-        sample.space, semigroup.cell_radii(sample), margin
-    )
+    radii = semigroup.cell_radii(sample)
+    positive = sample.space.positive_cells()
+    worst = int(positive[np.argmax(radii[positive])])
+    rho_star = float(radii[worst])
+    verdict, witnesses = semigroup.radius_verdict(rho_star, worst, margin)
     detail = {"rho_star": rho_star}
     if verdict != STABLE:
         return DiscreteClassification(verdict, witnesses, detail)

@@ -95,6 +95,14 @@ def _scaled(m, axis):
     return c, e
 
 
+def vector_norms(x):
+    """Euclidean norms of the vectors along the last axis of x, each scaled by
+    a power of two (_scaled) before it is squared: a norm overflows or
+    underflows only when the double range cannot hold it."""
+    c, e = _scaled(x, -1)
+    return np.ldexp(np.linalg.norm(c, axis=-1), e[..., 0])
+
+
 # Diagonal Pade coefficients and 1-norm switchover thresholds for the
 # scaling-and-squaring matrix exponential (orders 3/5/7/9/13).
 _PADE_COEFFS = {
@@ -400,8 +408,7 @@ def expm_norms(a, t, v):
         norms[steps, cols] = norm2(f)
         if angle is None:
             w = v[:, cols].swapaxes(0, 1)[..., None]
-            c, e = _scaled((f[:, None] @ w)[..., 0], -1)
-            vnorms[steps, :, cols] = np.ldexp(np.linalg.norm(c, axis=-1), e[..., 0])
+            vnorms[steps, :, cols] = vector_norms((f[:, None] @ w)[..., 0])
             continue
         # the real and the imaginary parts of the vectors as columns: (q, k, P)
         ys = [f @ part[:, cols].transpose(1, 2, 0) for part in (v.real, v.imag)]

@@ -14,7 +14,6 @@ block.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NumericalFailureError, ShapeError
-from .measure import DiscretizedMeasureSpace, ess_sup
+from .measure import DiscretizedMeasureSpace
 from .report import INCONCLUSIVE, NOT_STABLE, STABLE, Cluster, Witness
 
 
@@ -108,11 +107,6 @@ class PointwiseFamily:
             table.update(zip(ids.tolist(), eigs))
         return table
 
-    @cached_property
-    def _samples(self):
-        # {t: sample_at(self, t)} for the samples someone still holds
-        return weakref.WeakValueDictionary()
-
     def spectrum(self, cell):
         """Eigenvalues of the active block at `cell` (read-only). The first
         query solves every positive-weight cell, one stacked eigensolve per
@@ -156,7 +150,7 @@ def apply(sample, f):
 
 def lp_norm(f, p=2.0):
     """Bochner p-norm: (sum_i ||f_i||^p mu_i)^(1/p), ess-sup norm for p=inf."""
-    return float(_cell_lp(f.space, np.linalg.norm(f.vectors, axis=1), p))
+    return float(_cell_lp(f.space, linalg.vector_norms(f.vectors), p))
 
 
 def _cell_lp(space, cell, p):
@@ -225,22 +219,18 @@ def cell_radii(sample):
     return rhos
 
 
-def radius_verdict(space, rhos, margin):
-    """(verdict, rho*, witnesses) for rho* = ess-sup of the per-cell
-    spectral radii `rhos`: NotStable iff rho* >= 1 (up to roundoff),
-    Inconclusive inside the band [1 - margin, 1), Stable below it. A witness
-    names the positive-weight cell of largest radius."""
+def radius_verdict(rho_star, worst, margin):
+    """(verdict, witnesses) for rho* = ess-sup of the pointwise spectral
+    radii, attained on the cell `worst`: NotStable iff rho* >= 1 (up to
+    roundoff), Inconclusive inside the band [1 - margin, 1), Stable below it.
+    A witness names `worst`."""
     if margin <= linalg.RADIUS_ROUNDOFF:
         raise DomainError("margin must exceed the spectral-radius roundoff floor")
-    rho_star = ess_sup(space, rhos)
-    positive = space.positive_cells()
-    worst = int(positive[np.argmax(rhos[positive])])
     if rho_star >= 1.0 - linalg.RADIUS_ROUNDOFF:
-        return NOT_STABLE, rho_star, (Witness(worst, rho_star, "pointwise-spectral-radius"),)
+        return NOT_STABLE, (Witness(worst, rho_star, "pointwise-spectral-radius"),)
     if rho_star >= 1.0 - margin:
-        witness = Witness(worst, rho_star, "spectral-radius-in-margin-band")
-        return INCONCLUSIVE, rho_star, (witness,)
-    return STABLE, rho_star, ()
+        return INCONCLUSIVE, (Witness(worst, rho_star, "spectral-radius-in-margin-band"),)
+    return STABLE, ()
 
 
 def _time_points(times):
@@ -260,25 +250,17 @@ def sample_at(family, t):
     padding and on the zero-weight cells (null sets, never exponentiated).
     Each block is bit for bit linalg.expm(family.block(c), t).
 
-    While a caller holds a sample, asking again for the same t returns that
-    same object, with whatever spectrum it has already solved; a sample no
-    one holds is freed.
-
     Raises NumericalFailureError when an exponential overflows.
     """
     t = float(t)
     if t < 0:
         raise DomainError("times must be nonnegative")
-    sample = family._samples.get(t)
-    if sample is None:
-        mats = np.tile(np.eye(family.dim, dtype=complex), (family.space.n_cells, 1, 1))
-        for ids, blocks in family.block_stacks(family.space.positive_cells()):
-            k = blocks.shape[-1]
-            mats[ids, :k, :k] = linalg.expm_stack(blocks, [t])[0]
-        sample = PointwiseFamily(space=family.space, dim=family.dim, matrices=mats,
-                                 active_dims=family.active_dims)
-        family._samples[t] = sample
-    return sample
+    mats = np.tile(np.eye(family.dim, dtype=complex), (family.space.n_cells, 1, 1))
+    for ids, blocks in family.block_stacks(family.space.positive_cells()):
+        k = blocks.shape[-1]
+        mats[ids, :k, :k] = linalg.expm_stack(blocks, [t])[0]
+    return PointwiseFamily(space=family.space, dim=family.dim, matrices=mats,
+                           active_dims=family.active_dims)
 
 
 def trajectory(family, times):
@@ -312,7 +294,7 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None):
     vectors = np.zeros((len(probes), space.n_cells, dim), dtype=complex)
     for j, f in enumerate(probes):
         vectors[j] = family.restrict(f).vectors
-    for j, base in enumerate(_cell_lp(space, np.linalg.norm(vectors, axis=-1), p)):
+    for j, base in enumerate(_cell_lp(space, linalg.vector_norms(vectors), p)):
         if base == 0.0:
             raise DomainError(f"probe {j} has zero norm on the active blocks")
     norms = np.zeros((times.size, space.n_cells))

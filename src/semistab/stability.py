@@ -3,8 +3,9 @@
 Three notions, in decreasing strength:
 
 * uniform    -- ess-sup ||e^{tA(s)}|| -> 0; decided through the essential
-                supremum of the pointwise spectral radii at a reference time,
-                with an exponential envelope (M, eps) fitted on a trajectory.
+                supremum s* of the pointwise spectral bounds (the spectral
+                radius at a reference time t0 is e^{t0 s*}), with an
+                exponential envelope (M, eps) fitted on a trajectory.
 * strong     -- ||e^{tA}f|| -> 0 for every f; needs a certified bound on the
                 semigroup, then the pointwise spectral bounds, corroborated
                 by probe orbits.
@@ -31,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, semigroup
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NumericalFailureError, ShapeError
 from .measure import REFINEMENT_FAMILY
 from .report import (
     INCONCLUSIVE,
@@ -63,39 +64,46 @@ CONTRACTION_TOL = 1e-12
 
 
 def classify_uniform(family, t0, margin, *, grid_points=48):
-    """Uniform stability via the pointwise spectral radii at time t0.
+    """Uniform stability via the pointwise spectral bounds at time t0.
 
-    rho* = ess-sup_s r(e^{t0 A(s)}).  Stable iff rho* < 1 - margin, with
-    decay rate eps = -ln(rho*)/t0 and envelope constant M fitted as
-    sup_t ||e^{tA(s)}|| e^{eps t} over a trajectory grid; NotStable iff
-    rho* >= 1; Inconclusive inside the margin band.  A Stable verdict is
-    cross-checked by requiring the ess-sup trajectory norms to fall below
-    DECAY_CROSSCHECK before the horizon, which starts from the decay rate
-    and the largest active dimension of a positive-weight cell and doubles
-    up to MAX_EXTENSIONS times, so slow transients do not cause false
-    alarms; `tolerances["horizon"]` is the last horizon examined.
+    s* = ess-sup_s max Re sigma(A(s)), from the family's spectrum table, and
+    by spectral mapping rho* = ess-sup_s r(e^{t0 A(s)}) = e^{t0 s*}; a rho*
+    beyond the double range raises NumericalFailureError at t0.  Stable iff
+    rho* < 1 - margin, with decay rate eps = -s* and envelope constant M
+    fitted as sup_t ||e^{tA(s)}|| e^{eps t} over a trajectory grid;
+    NotStable iff rho* >= 1; Inconclusive inside the margin band.  A Stable
+    verdict is cross-checked by requiring the ess-sup trajectory norms to
+    fall below DECAY_CROSSCHECK before the horizon, which starts from the
+    decay rate and the largest active dimension of a positive-weight cell
+    and doubles up to MAX_EXTENSIONS times, so slow transients do not cause
+    false alarms; `tolerances["crosscheck_horizon"]` is the last horizon
+    examined.
 
-    The lead cell, the first positive-weight cell whose radius attains
-    rho*, bounds the ess-sup norm from below.  So every horizon but the last
-    allowed one first computes the lead cell's norms alone: when they stay
-    at or above DECAY_CROSSCHECK at every t > 0, the ess-sup cannot have
-    decayed either, and the horizon doubles without computing any other
-    cell.  Otherwise, and always on the last allowed horizon, every
-    positive-weight cell is computed on the grid.  Verdict and numbers are
-    the same as with the full grid on every horizon; a numerical failure in
-    a cell other than the lead can surface at a later horizon than it would
-    there.
+    The lead cell, the first positive-weight cell whose spectral bound
+    attains s*, bounds the ess-sup norm from below.  So every horizon but
+    the last allowed one first computes the lead cell's norms alone: when
+    they stay at or above DECAY_CROSSCHECK at every t > 0, the ess-sup
+    cannot have decayed either, and the horizon doubles without computing
+    any other cell.  Otherwise, and always on the last allowed horizon,
+    every positive-weight cell is computed on the grid.  Verdict and numbers
+    are the same as with the full grid on every horizon; a numerical failure
+    in a cell other than the lead can surface at a later horizon than it
+    would there.
     """
     if t0 <= 0:
         raise DomainError("reference time t0 must be positive")
-    rhos = semigroup.cell_radii(semigroup.sample_at(family, t0))
-    verdict, rho_star, witnesses = semigroup.radius_verdict(family.space, rhos, margin)
+    positive = family.space.positive_cells()
+    bounds = np.array([family.spectrum(c).real.max() for c in positive])
+    lead = int(positive[np.argmax(bounds)])
+    s_star = float(bounds.max())
+    if t0 * s_star > math.log(np.finfo(float).max):
+        raise NumericalFailureError(f"e^{{tA}} is not finite at t = {t0:g}", time=t0)
+    rho_star = math.exp(t0 * s_star)
+    verdict, witnesses = semigroup.radius_verdict(rho_star, lead, margin)
     tolerances = {"t0": t0, "margin": margin, "decay_threshold": DECAY_CROSSCHECK}
     if verdict != STABLE:
         return UniformResult(verdict, rho_star, witnesses=witnesses, tolerances=tolerances)
-    positive = family.space.positive_cells()
-    lead = int(positive[np.argmax(rhos[positive])])
-    eps = -math.log(rho_star) / t0
+    eps = -s_star
     active = family.active_dims
     max_dim = family.dim if active is None else int(active[positive].max())
     first = max(2 * math.log(1e3) / eps, 4 * max_dim / eps)
@@ -111,7 +119,7 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
         floor = float(ess_norms[later].min())
         if floor < DECAY_CROSSCHECK:
             break
-    tolerances["horizon"] = h
+    tolerances["crosscheck_horizon"] = h
     if floor >= DECAY_CROSSCHECK:
         return UniformResult(
             INCONCLUSIVE,

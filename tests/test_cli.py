@@ -269,6 +269,39 @@ class TestAnalyze:
             "numerical failure in stability.classify_uniform: e^{tA} is not finite at t = 1"
         ]
 
+    def test_unitary_radius_is_exactly_one(self, capsys):
+        # every rotation cell has spectral bound 0, so rho* = e^0 exactly and
+        # the lead is the first cell, not the one whose rounding lands highest
+        uniform = analyze_payload(capsys, str(CONFIG_DIR / "rotation.json"))["uniform"]
+        assert uniform["rho_star"] == 1.0
+        assert uniform["witnesses"] == [
+            {"cell": 0, "value": 1.0, "kind": "pointwise-spectral-radius"}
+        ]
+
+    def test_radius_below_the_double_range_reads_stable(self, tmp_path, capsys):
+        # rho* = e^{-1000} underflows to 0; the decay rate is read from the
+        # spectral bound, not from log(rho*)
+        cfg = {"family": {"builtin": "diagonal", "rates": [[-1000.0, 0.0], [-2000.0, 0.0]]}}
+        payload = analyze_payload(capsys, write_config(tmp_path, cfg))
+        assert payload["uniform"]["verdict"] == "Stable"
+        assert payload["uniform"]["rho_star"] == 0.0
+        assert payload["decay_eps"] == payload["uniform"]["decay_eps"] == 1000.0
+
+    def test_out_of_memory_exits_3_naming_the_stage(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        path = write_config(tmp_path, {"family": {"builtin": "diagonal", "rates": [[-1.0, 0.0]]}})
+        monkeypatch.setattr(cli.stability, "classify_uniform", exhausted)
+        assert cli.main(["analyze", path]) == 3
+        assert capsys.readouterr().err == (
+            "out of memory in stability.classify_uniform: cannot allocate\n"
+        )
+        # outside every stage, as in building the family
+        monkeypatch.setattr(cli, "build_family", exhausted)
+        assert cli.main(["analyze", path]) == 3
+        assert capsys.readouterr().err == "out of memory: cannot allocate\n"
+
     @pytest.mark.parametrize("command", ["analyze", "trajectory"])
     def test_overflow_names_the_earliest_time_across_groups(
         self, tmp_path, capsys, monkeypatch, command
@@ -587,33 +620,39 @@ class TestZeroWeightCells:
 
 
 class TestOneSamplePerTime:
-    def test_discrete_stage_reuses_the_uniform_sample(self, tmp_path, capsys, monkeypatch):
-        # discrete.t == time.t0 == 1: one e^{A} and one spectrum of it, the
-        # same report
-        cfg = {
-            "family": {"builtin": "random-hurwitz", "seed": 3, "dim": 4, "cells": 8,
-                       "margin": 0.2},
-            "discrete": {"enabled": True},
-        }
-        path = write_config(tmp_path, cfg)
-        expected = analyze_payload(capsys, path)
-        grids, spectra = [], []
+    def test_only_the_discrete_stage_exponentiates_at_one_time(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the uniform stage reads its radii from the generator spectra: with
+        # discrete off, no e^{t0 A} is formed and every eigensolve is of
+        # generator blocks; with discrete.t == time.t0 == 1, the discrete
+        # stage takes one e^{A} and one spectrum of it
+        family = {"builtin": "random-hurwitz", "seed": 3, "dim": 4, "cells": 8, "margin": 0.2}
         real_exp = cli.semigroup.linalg.expm_stack
         real_eigs = cli.semigroup.linalg.eigenvalues
+        for enabled in (False, True):
+            path = write_config(tmp_path, {"family": family, "discrete": {"enabled": enabled}})
+            expected = analyze_payload(capsys, path)
+            grids, samples, spectra = [], [], []
 
-        def exponentials(a, t):
-            grids.append(list(t))
-            return real_exp(a, t)
+            def exponentials(a, t):
+                grids.append(list(t))
+                out = real_exp(a, t)
+                samples.append(out[0])
+                return out
 
-        def eigenvalues(a):
-            spectra.append(np.asarray(a).copy())
-            return real_eigs(a)
+            def eigenvalues(a):
+                spectra.append(np.asarray(a).copy())
+                return real_eigs(a)
 
-        monkeypatch.setattr(cli.semigroup.linalg, "expm_stack", exponentials)
-        monkeypatch.setattr(cli.semigroup.linalg, "eigenvalues", eigenvalues)
-        assert analyze_payload(capsys, path) == expected
-        assert grids.count([1.0]) == 1
-        assert len(spectra) == len({a.tobytes() for a in spectra})
+            monkeypatch.setattr(cli.semigroup.linalg, "expm_stack", exponentials)
+            monkeypatch.setattr(cli.semigroup.linalg, "eigenvalues", eigenvalues)
+            assert analyze_payload(capsys, path) == expected
+            monkeypatch.undo()
+            assert grids == ([[1.0]] if enabled else [])
+            solved = [a for a in spectra if any(np.array_equal(a, e) for e in samples)]
+            assert len(solved) == enabled
+            assert len(spectra) == len({a.tobytes() for a in spectra})
 
 
 class TestMemory:
@@ -854,6 +893,27 @@ class TestConfigParsing:
         assert cli.main(["analyze", str(CONFIG_DIR / f"{stem}.json"), "--seed", "-5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "'seed' in section 'probes'" in err
+
+    @pytest.mark.parametrize(
+        "command, cfg, name",
+        [
+            ("analyze", {"time": {"grid_points": 10**30}}, "'grid_points'"),
+            ("analyze", {"probes": {"count": 2**63}}, "'count'"),
+            ("analyze", {"discrete": {"n_max": 2**63}}, "'n_max'"),
+            ("trajectory", {"family": {"builtin": "zabczyk", "N": 2**63}}, "'N'"),
+            ("trajectory", {"family": {"builtin": "rotation", "cells": 2**64}}, "'cells'"),
+            ("sweep", {"family": {"builtin": "zabczyk", "N": 3},
+                       "sweep": {"parameter": "truncation", "values": [2, 2**63]}},
+             "sweep values"),
+        ],
+    )
+    def test_size_beyond_the_index_range_exits_2(self, tmp_path, capsys, command, cfg, name):
+        # np.intp cannot index it: exit 2 before anything is allocated
+        cfg.setdefault("family", {"builtin": "diagonal", "rates": [[-1.0, 0.0]]})
+        assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err
+        assert str(np.iinfo(np.intp).max) in err
 
     def test_complex_pairs_required(self):
         with pytest.raises(ConfigError):

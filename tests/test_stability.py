@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semistab import semigroup, stability
+from semistab import cli, linalg, semigroup, stability
 from semistab.cases import diagonal_family, random_hurwitz_family, zabczyk_family
 from semistab.discrete import DENSITY_CAP, orbit_densities
 from semistab.errors import DomainError, ShapeError, UnboundedSemigroupError
@@ -27,6 +28,7 @@ from semistab.stability import (
     imaginary_point_spectrum,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # the gate grids these tests were written for: time_grid(horizon,
 # grid_points) for strong and time_grid(50.0, 33) for almost weak
@@ -108,6 +110,15 @@ class TestClassifyUniform:
         envelope = result.bound_M * np.exp(-result.decay_eps * result.times)
         assert np.all(result.ess_norms <= envelope * (1 + 1e-12))
 
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_radius_agrees_with_the_sampled_radii(self, config):
+        # the exponential route, the spectra of e^{t0 A(s)}, as an oracle
+        cfg = cli.load_config(config)
+        family, t0 = cli.build_family(cfg), cfg["time"]["t0"]
+        result = classify_uniform(family, t0, cfg["tolerances"]["margin"], grid_points=16)
+        want = ess_sup(family.space, cell_radii(sample_at(family, t0)))
+        assert result.rho_star == pytest.approx(want, rel=1e-13, abs=0)
+
     def test_invalid_parameters(self):
         family = diagonal_family([-1.0])
         with pytest.raises(DomainError):
@@ -119,10 +130,11 @@ class TestClassifyUniform:
 def full_grid_uniform(family, t0, grid_points=48):
     """The uniform cross-check with every positive-weight cell computed on
     every trial horizon: (rho*, eps, M, last horizon examined, its grid, its
-    ess-sup norms)."""
+    ess-sup norms), with rho* = e^{t0 s*} for the ess-sup s* of the cells'
+    spectral bounds and eps = -s*."""
     positive = family.space.positive_cells()
-    rho_star = ess_sup(family.space, cell_radii(sample_at(family, t0)))
-    eps = -math.log(rho_star) / t0
+    s_star = max(linalg.spectral_bound(family.block(c)) for c in positive)
+    rho_star, eps = math.exp(t0 * s_star), -s_star
     active = family.active_dims
     max_dim = family.dim if active is None else int(active[positive].max())
     h = max(2 * math.log(1e3) / eps, 4 * max_dim / eps)
@@ -196,7 +208,7 @@ class TestUniformCrossCheck:
         assert (result.rho_star, result.decay_eps, result.bound_M) == (rho_star, eps, bound)
         assert result.tolerances == {
             "t0": 1.0, "margin": 1e-6, "decay_threshold": stability.DECAY_CROSSCHECK,
-            "horizon": horizon,
+            "crosscheck_horizon": horizon,
         }
         assert np.array_equal(result.times, times)
         assert np.array_equal(result.ess_norms, ess_norms)
@@ -230,7 +242,7 @@ class TestUniformCrossCheck:
         assert len(ends) == full_passes
         _, _, _, examined, times, ess_norms = full_grid_uniform(family, 1.0)
         assert result.verdict == INCONCLUSIVE
-        assert result.tolerances["horizon"] == examined == times[-1]
+        assert result.tolerances["crosscheck_horizon"] == examined == times[-1]
         assert examined == pytest.approx(horizon, rel=1e-4)
         (witness,) = result.witnesses
         assert witness.kind == "norm-decay-crosscheck-failed"

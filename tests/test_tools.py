@@ -36,7 +36,7 @@ def test_report_diff_counts_numbers_and_lists_changed_fields(tmp_path, capsys):
     assert report_diff.main([str(a), str(b)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
-        "analyze_x.json: 3 numbers compared, 1 differ, max relative difference 0.2 in uniform",
+        "analyze_x.json: 2 numbers compared, 1 differ, max relative difference 0.2 in uniform",
         "  uniform.verdict: 'Stable' -> 'Inconclusive'",
         "trajectory_x.csv: 9 numbers compared, 1 differ, max relative difference 2.22e-16"
         " in probe_0",
@@ -62,7 +62,7 @@ def test_two_report_files_are_compared_directly(tmp_path, capsys):
     (b / "analyze_x.json").rename(b / "analyze_y.json")
     assert report_diff.main([str(a / "analyze_x.json"), str(b / "analyze_y.json")]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "analyze_x.json vs analyze_y.json: 3 numbers compared, 1 differ, "
+        "analyze_x.json vs analyze_y.json: 2 numbers compared, 1 differ, "
         "max relative difference 0.2 in uniform",
     ]
     same = str(a / "trajectory_x.csv")
@@ -72,6 +72,19 @@ def test_two_report_files_are_compared_directly(tmp_path, capsys):
     ]
     with pytest.raises(SystemExit):
         report_diff.main([str(a), same])
+
+
+def test_a_changed_json_integer_is_listed_not_scored(tmp_path, capsys):
+    # a witness cell is an id: 31 -> 0 is no relative difference of 1
+    report_diff = load_tool("report_diff")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"uniform": {"rho_star": 1.0, "witnesses": [{"cell": 31}]}}))
+    b.write_text(json.dumps({"uniform": {"rho_star": 1.0, "witnesses": [{"cell": 0}]}}))
+    assert report_diff.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a.json vs b.json: 1 numbers compared, 0 differ, max relative difference 0",
+        "  uniform.witnesses[0].cell: 31 -> 0",
+    ]
 
 
 def test_identical_directories_exit_0(tmp_path, capsys):

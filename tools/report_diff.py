@@ -9,12 +9,14 @@ between two output files.
 For every output file in either directory, or for the one pair of files,
 it prints one line: the numbers compared, how many differ, the largest
 relative difference |a - b| / max(|a|, |b|) and, when numbers differ, the
-CSV columns (or top-level JSON keys) that hold them. Below that line it
-lists every changed field that is not a number pair (a verdict, a witness kind, a number that became text,
-a field present on one side only) as `path: A -> B`. JSON reports are
-compared leaf by leaf, CSV files cell by cell under their header; any other
-file is compared as text, line by line. NaN equals NaN. The exit code is 0
-when no file differs and 1 otherwise.
+CSV columns (or top-level JSON keys) that hold them. Only real numbers are
+compared that way: a JSON integer is a cell id or a count, not a
+measurement. Below that line it lists every other changed field (a verdict,
+a witness kind, a cell id, a number that became text, a field present on one
+side only) as `path: A -> B`. JSON reports are compared leaf by leaf, CSV
+files cell by cell under their header; any other file is compared as text,
+line by line. NaN equals NaN. The exit code is 0 when no file differs and 1
+otherwise.
 """
 
 import argparse
@@ -69,7 +71,7 @@ def _fields(path):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, float)
 
 
 def _rel_diff(a, b):
@@ -93,7 +95,7 @@ def compare(fields_a, fields_b):
         b = fields_b.get(key, _MISSING)
         if _is_number(a) and _is_number(b):
             compared += 1
-            rel = _rel_diff(float(a), float(b))
+            rel = _rel_diff(a, b)
             if rel > 0.0:
                 differ += 1
                 largest = max(largest, rel)
