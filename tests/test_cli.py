@@ -286,6 +286,11 @@ class TestAnalyze:
         assert payload["uniform"]["verdict"] == "Stable"
         assert payload["uniform"]["rho_star"] == 0.0
         assert payload["decay_eps"] == payload["uniform"]["decay_eps"] == 1000.0
+        # the merged tolerances keep both horizons: the cross-check's first
+        # one, 2 ln(1e3) / eps, and the configured grid's
+        tolerances = payload["tolerances"]
+        assert tolerances["crosscheck_horizon"] == pytest.approx(2 * math.log(1e3) / 1000.0)
+        assert tolerances["horizon"] == 200.0
 
     def test_out_of_memory_exits_3_naming_the_stage(self, tmp_path, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
