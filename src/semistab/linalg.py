@@ -36,8 +36,8 @@ from .errors import (
 
 _EPS = float(np.finfo(float).eps)
 
-#: computed spectral radii of unitary orbits land at 1 +- a few ulps; radii
-#: at least 1 - RADIUS_ROUNDOFF are treated as >= 1 by the classifiers.
+#: computed spectral radii and norms of unitary orbits land at 1 +- a few
+#: ulps; the classifiers treat values at least 1 - RADIUS_ROUNDOFF as >= 1.
 RADIUS_ROUNDOFF = 1e-12
 
 #: the rank test of semisimple_multiplicities counts singular values up to
@@ -476,7 +476,8 @@ def ball_clusters(values, tol, tags=None):
 
 def semisimple_multiplicities(a, lam, match_tol=1e-6, eigs=None):
     """(algebraic, geometric) multiplicity of the eigenvalue cluster of `a`
-    within match_tol of lam; geometric via a rank test on a - lam*I.
+    within match_tol of lam; geometric via a rank test on a - lam*I when the
+    algebraic one is at least 2 (a simple eigenvalue is semisimple).
 
     Distinct semisimple eigenvalues inside the ball leave singular values of
     a - lam*I up to the cluster's own radius, so those count as rank
@@ -491,24 +492,13 @@ def semisimple_multiplicities(a, lam, match_tol=1e-6, eigs=None):
     dist = np.abs(eigs - lam)
     near = dist <= match_tol
     alg = int(np.count_nonzero(near))
-    radius = float(dist[near].max()) if alg else 0.0
-    shifted = a - lam * np.eye(n)
-    sig = np.linalg.svd(shifted, compute_uv=False)
+    if alg <= 1:
+        return alg, alg
+    radius = float(dist[near].max())
+    sig = np.linalg.svd(a - lam * np.eye(n), compute_uv=False)
     cut = max(RANK_RTOL * max(1.0, float(sig[0])), CLUSTER_RANK_FACTOR * radius)
     geo = n - int(np.count_nonzero(sig > cut))
     return alg, geo
-
-
-def defective_cluster(a, eigs, boundary, match_tol=1e-6):
-    """Mean of the first ball of `boundary` eigenvalues (a subset of the
-    spectrum `eigs` of `a`, clustered with ball_clusters) whose geometric
-    multiplicity falls short of the algebraic one, or None when every such
-    eigenvalue is semisimple."""
-    for rep, _ in ball_clusters(boundary, match_tol):
-        alg, geo = semisimple_multiplicities(a, rep, match_tol, eigs=eigs)
-        if geo < alg:
-            return rep
-    return None
 
 
 def ergodic_projection(a, re_tol=1e-9):

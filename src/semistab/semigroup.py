@@ -99,23 +99,24 @@ class PointwiseFamily:
         return BochnerFunction(space=f.space, dim=f.dim, vectors=vectors)
 
     @cached_property
-    def _spectrum_table(self):
-        table = {}
+    def eigenvalues(self):
+        """Read-only (cells, dim) table of the eigenvalues of each cell's
+        active block, one stacked eigensolve per active dimension on first
+        use; NaN past each active block and on the zero-weight cells (null
+        sets, never solved)."""
+        table = np.full((self.space.n_cells, self.dim), np.nan, dtype=complex)
         for ids, blocks in self.block_stacks(self.space.positive_cells()):
-            eigs = linalg.eigenvalues(blocks)
-            eigs.setflags(write=False)
-            table.update(zip(ids.tolist(), eigs))
+            table[ids, : blocks.shape[-1]] = linalg.eigenvalues(blocks)
+        table.setflags(write=False)
         return table
 
     def spectrum(self, cell):
-        """Eigenvalues of the active block at `cell` (read-only). The first
-        query solves every positive-weight cell, one stacked eigensolve per
-        active dimension. A zero-weight cell is a null set without a
-        spectrum: asking for one raises DomainError."""
-        eigs = self._spectrum_table.get(int(cell))
-        if eigs is None:
+        """Eigenvalues of the active block at `cell`: a view of its row of
+        the table. A zero-weight cell is a null set without a spectrum:
+        asking for one raises DomainError."""
+        if self.space.weights[cell] == 0:
             raise DomainError(f"cell {cell} has zero weight and no spectrum")
-        return eigs
+        return self.eigenvalues[cell, : self.block(cell).shape[0]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,16 +174,11 @@ def point_spectrum(family, distance, tol, match_tol):
     boundary) on positive-weight cells, clustered across cells into balls of
     radius match_tol. Each cluster reports its mean, the supporting cell ids
     and their total measure."""
-    vals = []
-    cells = []
-    for c in family.space.positive_cells():
-        eigs = family.spectrum(c)
-        hits = eigs[np.abs(distance(eigs)) <= tol]
-        vals.append(hits)
-        cells.extend([int(c)] * hits.size)
+    table = family.eigenvalues
+    hits = np.abs(distance(table)) <= tol
     weights = family.space.weights
     clusters = []
-    for mean, members in linalg.ball_clusters(np.concatenate(vals), match_tol, cells):
+    for mean, members in linalg.ball_clusters(table[hits], match_tol, np.nonzero(hits)[0]):
         support = sorted(set(members.tolist()))
         clusters.append(
             Cluster(eigenvalue=mean, cells=tuple(support), measure=float(weights[support].sum()))
@@ -192,31 +188,32 @@ def point_spectrum(family, distance, tol, match_tol):
 
 def boundary_faults(family, cells, distance, tol, match_tol):
     """(cell, value, crosses) for each of `cells` whose spectrum crosses the
-    boundary (signed `distance` > tol; value: the largest distance) or has a
-    defective cluster within tol of it (linalg.defective_cluster; value: the
-    cluster mean). The distance is negative inside the boundary."""
-    faults = []
-    for c in cells:
-        eigs = family.spectrum(c)
-        dist = distance(eigs)
-        worst = float(dist.max())
-        if worst > tol:
-            faults.append((int(c), worst, True))
-            continue
-        boundary = eigs[np.abs(dist) <= tol]
-        rep = linalg.defective_cluster(family.block(int(c)), eigs, boundary, match_tol)
-        if rep is not None:
-            faults.append((int(c), rep, False))
-    return faults
+    boundary (signed `distance` > tol; value: the largest distance) or else
+    has a defective cluster within tol of it (value: the mean of its first
+    ball_clusters ball whose geometric multiplicity falls short of the
+    algebraic one). The distance is negative inside the boundary."""
+    cells = np.asarray(cells, dtype=int)
+    eigs = family.eigenvalues[cells]
+    dist = distance(eigs)
+    worst = np.fmax.reduce(dist, axis=1, initial=-np.inf)
+    faults = {i: (float(worst[i]), True) for i in np.flatnonzero(worst > tol)}
+    near = np.abs(dist) <= tol
+    for i in np.flatnonzero(near.any(axis=1) & (worst <= tol)):
+        block = family.block(cells[i])
+        for rep, _ in linalg.ball_clusters(eigs[i, near[i]], match_tol):
+            alg, geo = linalg.semisimple_multiplicities(
+                block, rep, match_tol, eigs=eigs[i, : block.shape[0]]
+            )
+            if geo < alg:
+                faults[i] = (rep, False)
+                break
+    return [(int(cells[i]), value, crosses) for i, (value, crosses) in sorted(faults.items())]
 
 
 def cell_radii(sample):
     """Spectral radius of each cell's active block, 0 on the zero-weight
     cells (null sets, invisible to the essential supremum)."""
-    rhos = np.zeros(sample.space.n_cells)
-    for c in sample.space.positive_cells():
-        rhos[c] = np.abs(sample.spectrum(c)).max()
-    return rhos
+    return np.fmax.reduce(np.abs(sample.eigenvalues), axis=1, initial=0.0)
 
 
 def radius_verdict(rho_star, worst, margin):
@@ -248,7 +245,9 @@ def sample_at(family, t):
     """The family e^{tA(s)} at one time t >= 0: one linalg.expm_stack call per
     active-dimension group of the positive-weight cells, identity on the
     padding and on the zero-weight cells (null sets, never exponentiated).
-    Each block is bit for bit linalg.expm(family.block(c), t).
+    Each block is bit for bit linalg.expm(family.block(c), t). Its eigenvalue
+    table is e^{t lambda} over the family's, by spectral mapping, so no
+    exponential is eigensolved.
 
     Raises NumericalFailureError when an exponential overflows.
     """
@@ -259,8 +258,12 @@ def sample_at(family, t):
     for ids, blocks in family.block_stacks(family.space.positive_cells()):
         k = blocks.shape[-1]
         mats[ids, :k, :k] = linalg.expm_stack(blocks, [t])[0]
-    return PointwiseFamily(space=family.space, dim=family.dim, matrices=mats,
-                           active_dims=family.active_dims)
+    sample = PointwiseFamily(space=family.space, dim=family.dim, matrices=mats,
+                             active_dims=family.active_dims)
+    table = np.exp(t * family.eigenvalues)
+    table.setflags(write=False)
+    vars(sample)["eigenvalues"] = table  # seeds the cached property
+    return sample
 
 
 def trajectory(family, times):

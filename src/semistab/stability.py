@@ -17,9 +17,7 @@ Three notions, in decreasing strength:
                 present at every point of the interval.
 
 Also finite-horizon evidence: the residuals of the Cesaro means (exact for
-every generator) against the mean ergodic projection. Weak-orbit densities
-come from discrete.orbit_densities: sampled at step h, the orbit of e^{tA}
-is the orbit of the powers of e^{hA} = semigroup.sample_at(family, h).
+every generator) against the mean ergodic projection.
 
 Every verdict that depends on a hypothesis (boundedness, margins, horizons)
 degrades to Inconclusive rather than guessing when the hypothesis cannot be
@@ -58,20 +56,19 @@ MAX_EXTENSIONS = 6
 #: probe orbits must decay below this fraction of their initial norm.
 PROBE_THRESHOLD = 1e-6
 
-#: a cell norm counts as a contraction only when it sits below 1 by more
-#: than roundoff; unitary orbits evaluate to 1 +- few ulps.
-CONTRACTION_TOL = 1e-12
-
 
 def classify_uniform(family, t0, margin, *, grid_points=48):
     """Uniform stability via the pointwise spectral bounds at time t0.
 
-    s* = ess-sup_s max Re sigma(A(s)), from the family's spectrum table, and
-    by spectral mapping rho* = ess-sup_s r(e^{t0 A(s)}) = e^{t0 s*}; a rho*
-    beyond the double range raises NumericalFailureError at t0.  Stable iff
-    rho* < 1 - margin, with decay rate eps = -s* and envelope constant M
+    s* = ess-sup_s max Re sigma(A(s)), from the family's eigenvalue table,
+    and by spectral mapping rho* = ess-sup_s r(e^{t0 A(s)}) = e^{t0 s*}; a
+    rho* beyond the double range raises NumericalFailureError at t0.  The
+    verdict reads the unit-time radius e^{s*}, so the margin is a decay rate
+    (to first order) and no verdict depends on t0: Stable iff
+    e^{s*} < 1 - margin, with decay rate eps = -s* and envelope constant M
     fitted as sup_t ||e^{tA(s)}|| e^{eps t} over a trajectory grid;
-    NotStable iff rho* >= 1; Inconclusive inside the margin band.  A Stable
+    NotStable iff e^{s*} >= 1 (up to linalg.RADIUS_ROUNDOFF); Inconclusive
+    inside the margin band; both with rho* as the witness value.  A Stable
     verdict is cross-checked by requiring the ess-sup trajectory norms to
     fall below DECAY_CROSSCHECK before the horizon, which starts from the
     decay rate and the largest active dimension of a positive-weight cell
@@ -92,18 +89,20 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
     """
     if t0 <= 0:
         raise DomainError("reference time t0 must be positive")
-    positive = family.space.positive_cells()
-    bounds = np.array([family.spectrum(c).real.max() for c in positive])
-    lead = int(positive[np.argmax(bounds)])
-    s_star = float(bounds.max())
+    bounds = np.fmax.reduce(family.eigenvalues.real, axis=1, initial=-np.inf)
+    lead = int(np.argmax(bounds))
+    s_star = float(bounds[lead])
     if t0 * s_star > math.log(np.finfo(float).max):
         raise NumericalFailureError(f"e^{{tA}} is not finite at t = {t0:g}", time=t0)
     rho_star = math.exp(t0 * s_star)
-    verdict, witnesses = semigroup.radius_verdict(rho_star, lead, margin)
+    # capped at 1 so that a large s* cannot overflow; every s* >= 0 is NotStable
+    verdict, witnesses = semigroup.radius_verdict(math.exp(min(s_star, 0.0)), lead, margin)
+    witnesses = tuple(Witness(w.cell, rho_star, w.kind) for w in witnesses)
     tolerances = {"t0": t0, "margin": margin, "decay_threshold": DECAY_CROSSCHECK}
     if verdict != STABLE:
         return UniformResult(verdict, rho_star, witnesses=witnesses, tolerances=tolerances)
     eps = -s_star
+    positive = family.space.positive_cells()
     active = family.active_dims
     max_dim = family.dim if active is None else int(active[positive].max())
     first = max(2 * math.log(1e3) / eps, 4 * max_dim / eps)
@@ -167,7 +166,7 @@ def certify_bounded(family, times, probes=(), *, p=2.0, re_tol=1e-9, match_tol=1
     norms, probe_norms = semigroup.orbit_norms(family, times, probes, p)
     positive = family.space.positive_cells()
     bound = float(norms[:, positive].max())
-    contracting = (norms[times > 0] < 1.0 - CONTRACTION_TOL).any(axis=0)
+    contracting = (norms[times > 0] < 1.0 - linalg.RADIUS_ROUNDOFF).any(axis=0)
     # Re(lambda) is the signed distance to the imaginary axis
     faults = semigroup.boundary_faults(
         family, positive[~contracting[positive]], np.real, re_tol, match_tol
@@ -203,22 +202,16 @@ def classify_strong(family, gate, *, re_tol=1e-9):
             witnesses=gate.witnesses + (Witness(None, gate.bound, "boundedness-gate-uncertified"),),
             tolerances=tolerances,
         )
-    witnesses = []
-    verdict = STABLE
-    for c in family.space.positive_cells():
-        eigs = family.spectrum(c)
-        lam = complex(eigs[np.argmax(eigs.real)])
-        if lam.real >= 0.0:
-            return StrongResult(
-                NOT_STABLE,
-                bound_M=gate.bound,
-                certified=True,
-                witnesses=(Witness(int(c), lam, "nonnegative-spectral-bound"),),
-                tolerances=tolerances,
-            )
-        if lam.real >= -re_tol:
-            verdict = INCONCLUSIVE
-            witnesses.append(Witness(int(c), lam, "spectral-bound-inside-tolerance-band"))
+    positive = family.space.positive_cells()
+    eigs = family.eigenvalues[positive]
+    tops = eigs[np.arange(positive.size), np.nanargmax(eigs.real, axis=1)]
+    crossing = tops.real >= 0.0
+    if crossing.any():
+        verdict, kind, picked = NOT_STABLE, "nonnegative-spectral-bound", [np.argmax(crossing)]
+    else:
+        kind, picked = "spectral-bound-inside-tolerance-band", np.flatnonzero(tops.real >= -re_tol)
+        verdict = INCONCLUSIVE if len(picked) else STABLE
+    witnesses = [Witness(int(positive[i]), complex(tops[i]), kind) for i in picked]
     if verdict == STABLE:
         ratios = gate.probe_norms[1:] / gate.probe_norms[0]
         for decayed in (ratios <= PROBE_THRESHOLD).any(axis=0):

@@ -21,6 +21,16 @@ def sample_norms(sample):
     return norms
 
 
+def sample_radii(sample):
+    """Per-cell spectral radii (active block) of a sample, from
+    linalg.eigenvalues of its matrices, one stacked call per active
+    dimension, whatever eigenvalue table the sample carries."""
+    radii = np.zeros(sample.space.n_cells)
+    for cells, blocks in sample.block_stacks():
+        radii[cells] = np.abs(linalg.eigenvalues(blocks)).max(axis=-1)
+    return radii
+
+
 def operator_norm(sample, p=2.0):
     """Norm of the multiplication operator: ess-sup over cells of ||M(s)||.
 

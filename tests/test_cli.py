@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -629,22 +630,22 @@ class TestOneSamplePerTime:
         self, tmp_path, capsys, monkeypatch
     ):
         # the uniform stage reads its radii from the generator spectra: with
-        # discrete off, no e^{t0 A} is formed and every eigensolve is of
-        # generator blocks; with discrete.t == time.t0 == 1, the discrete
-        # stage takes one e^{A} and one spectrum of it
+        # discrete off, no e^{t0 A} is formed; with discrete.t == 1, the
+        # discrete stage takes one e^{A} and its eigenvalues as e^{lambda}
+        # by spectral mapping. Either way the generator blocks are solved
+        # once and no exponential is
         family = {"builtin": "random-hurwitz", "seed": 3, "dim": 4, "cells": 8, "margin": 0.2}
         real_exp = cli.semigroup.linalg.expm_stack
         real_eigs = cli.semigroup.linalg.eigenvalues
         for enabled in (False, True):
             path = write_config(tmp_path, {"family": family, "discrete": {"enabled": enabled}})
             expected = analyze_payload(capsys, path)
-            grids, samples, spectra = [], [], []
+            generators = cli.build_family(cli.load_config(path)).matrices
+            grids, spectra = [], []
 
             def exponentials(a, t):
                 grids.append(list(t))
-                out = real_exp(a, t)
-                samples.append(out[0])
-                return out
+                return real_exp(a, t)
 
             def eigenvalues(a):
                 spectra.append(np.asarray(a).copy())
@@ -655,9 +656,21 @@ class TestOneSamplePerTime:
             assert analyze_payload(capsys, path) == expected
             monkeypatch.undo()
             assert grids == ([[1.0]] if enabled else [])
-            solved = [a for a in spectra if any(np.array_equal(a, e) for e in samples)]
-            assert len(solved) == enabled
-            assert len(spectra) == len({a.tobytes() for a in spectra})
+            # the builder first solves its random draws to shift them
+            assert len(spectra) == 2
+            np.testing.assert_array_equal(spectra[1], generators)
+
+
+class TestBoundaryCertificate:
+    def test_simple_boundary_eigenvalues_take_no_svd(self, capsys, monkeypatch):
+        # every rotation cell carries one simple imaginary eigenvalue
+        path = str(CONFIG_DIR / "rotation.json")
+        expected = analyze_payload(capsys, path)
+        calls = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or real_svd(*a, **k))
+        assert analyze_payload(capsys, path) == expected
+        assert calls == []
 
 
 class TestMemory:
@@ -711,6 +724,19 @@ class TestDeterminism:
             text=True,
         )
         assert proc.returncode == 0
+
+    def test_cli_imports_no_scipy(self):
+        # importing scipy.linalg alone takes longer than the whole CLI start-up
+        src = str(CONFIG_DIR.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, semistab.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 #: values of another kind for each kind of config value; a kind not listed

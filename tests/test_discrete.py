@@ -1,8 +1,12 @@
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from semistab import cli
 from semistab.cases import random_hurwitz_family, zabczyk_family
 from semistab.discrete import (
     build_discrete_report,
@@ -23,9 +27,14 @@ from semistab.semigroup import (
     apply,
     identity_sample,
     lp_norm,
+    sample_at,
     trajectory,
 )
 from semistab.stability import classify_uniform
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import make_config  # noqa: E402
 
 
 def sample_from(mats, weights=None):
@@ -283,6 +292,23 @@ class TestChainAndBridge:
             assert discrete.detail["rho_star"] == pytest.approx(
                 continuous.rho_star, rel=1e-12
             )
+
+    @pytest.mark.parametrize("name", ["diagonal", "random_hurwitz", "rh64"])
+    def test_seeded_sample_reports_as_an_eigensolved_one(self, tmp_path, name):
+        # sample_at takes the sample's eigenvalues as e^{t lambda} by spectral
+        # mapping; a fresh family of the same matrices eigensolves them
+        path = ROOT / "configs" / f"{name}.json"
+        if name == "rh64":
+            path = tmp_path / "rh64.json"
+            path.write_text(json.dumps(make_config("rh64", 1, "smoke")))
+        cfg = cli.load_config(path)
+        sample = sample_at(cli.build_family(cfg), cfg["discrete"]["t"])
+        fresh = PointwiseFamily(space=sample.space, dim=sample.dim, matrices=sample.matrices,
+                                active_dims=sample.active_dims)
+        tol = cfg["tolerances"]
+        kwargs = {"margin": tol["margin"], "n_max": cfg["discrete"]["n_max"], "eps": tol["eps"],
+                  "seed": cfg["probes"]["seed"], "match_tol": tol["match_tol"]}
+        assert build_discrete_report(sample, **kwargs) == build_discrete_report(fresh, **kwargs)
 
     def test_report_assembly(self):
         report = build_discrete_report(

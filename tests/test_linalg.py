@@ -744,6 +744,15 @@ class TestHelpers:
         alg, geo = semisimple_multiplicities(np.eye(2, dtype=complex), 1.0)
         assert (alg, geo) == (2, 2)
 
+    def test_simple_eigenvalue_takes_no_rank_test(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a simple eigenvalue is semisimple without an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        cell = np.array([[1j, 1.0], [0.0, 2.0]])
+        assert semisimple_multiplicities(cell, 1j) == (1, 1)
+        assert semisimple_multiplicities(cell, 5.0) == (0, 0)
+
     def test_semisimple_multiplicities_on_close_pair(self):
         # the cluster mean sits 2.5e-7 from both eigenvalues, far above the
         # RANK_RTOL cut, yet the pair is semisimple

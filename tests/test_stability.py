@@ -12,7 +12,6 @@ from semistab.measure import DiscretizedMeasureSpace, ess_sup
 from semistab.report import INCONCLUSIVE, NOT_STABLE, STABLE
 from semistab.semigroup import (
     PointwiseFamily,
-    cell_radii,
     norm_curves,
     random_probes,
     sample_at,
@@ -27,6 +26,8 @@ from semistab.stability import (
     classify_uniform,
     imaginary_point_spectrum,
 )
+
+from oracles import sample_radii
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -112,12 +113,30 @@ class TestClassifyUniform:
 
     @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_radius_agrees_with_the_sampled_radii(self, config):
-        # the exponential route, the spectra of e^{t0 A(s)}, as an oracle
+        # the exponential route, the eigensolved blocks of e^{t0 A(s)}, as an
+        # oracle
         cfg = cli.load_config(config)
         family, t0 = cli.build_family(cfg), cfg["time"]["t0"]
         result = classify_uniform(family, t0, cfg["tolerances"]["margin"], grid_points=16)
-        want = ess_sup(family.space, cell_radii(sample_at(family, t0)))
+        want = ess_sup(family.space, sample_radii(sample_at(family, t0)))
         assert result.rho_star == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
+        "rate, verdict",
+        [(-1.0, STABLE), (-1e-7, INCONCLUSIVE), (0.0, NOT_STABLE), (0.5j, NOT_STABLE),
+         (1e-3, NOT_STABLE)],
+    )
+    def test_verdict_does_not_depend_on_t0(self, rate, verdict):
+        # the margin and the roundoff floor are rates: e^{t0 s*} alone would
+        # read NotStable for rate -1 at t0 = 1e-13 and Stable for -1e-7 at 100
+        family = diagonal_family([rate, -2.0])
+        for t0 in (1e-13, 1.0, 100.0):
+            result = classify_uniform(family, t0, 1e-6, grid_points=16)
+            assert result.verdict == verdict
+            assert result.rho_star == math.exp(t0 * complex(rate).real)
+            assert all(w.value == result.rho_star for w in result.witnesses)
+            if verdict == STABLE:
+                assert result.decay_eps == 1.0
 
     def test_invalid_parameters(self):
         family = diagonal_family([-1.0])
