@@ -52,12 +52,13 @@ def power_schedule(n_max):
     return sorted(n for n in ns if n <= n_max)
 
 
-def _power_norms(sample, stacks, n):
-    # ||M(s)^n|| per cell of the block stacks (zero elsewhere), one stacked
-    # matrix power and linalg.norm2 per active dimension
+def _power_norms(sample, n):
+    # ||M(s)^n|| per positive-weight cell (zero elsewhere), one stacked
+    # power (from the sample's shared squares) and linalg.norm2 per active
+    # dimension
     norms = np.zeros(sample.space.n_cells)
-    for cells, blocks in stacks:
-        norms[cells] = linalg.norm2(np.linalg.matrix_power(blocks, n))
+    for cells, power in sample.power_stacks(n):
+        norms[cells] = linalg.norm2(power)
     return norms
 
 
@@ -76,13 +77,12 @@ def power_bounded_estimate(sample, n_max, *, uni_tol=1e-9, match_tol=1e-6):
     certificate that the true supremum is finite: every positive-weight cell
     must have r(M(s)) < 1, or r(M(s)) <= 1 with every unimodular eigenvalue
     semisimple (rank test on M(s) - lambda I)."""
-    schedule = power_schedule(n_max)
-    positive = sample.space.positive_cells()
-    stacks = sample.block_stacks(positive)
     bound = 0.0
-    for n in schedule:
-        bound = max(bound, ess_sup(sample.space, _power_norms(sample, stacks, n)))
-    faults = semigroup.boundary_faults(sample, positive, _modulus_gap, uni_tol, match_tol)
+    for n in power_schedule(n_max):
+        bound = max(bound, ess_sup(sample.space, _power_norms(sample, n)))
+    faults = semigroup.boundary_faults(
+        sample, sample.space.positive_cells(), _modulus_gap, uni_tol, match_tol
+    )
     return PowerBound(bound=float(bound), certified=not faults)
 
 
@@ -97,10 +97,9 @@ def classify_discrete_uniform(sample, margin):
     radii against 1. A Stable verdict is cross-checked on the equivalent
     norm form: ess-sup ||M(s)^n|| must drop below NORM_CHECK_THRESHOLD
     within NORM_CHECK_SAFETY * log(threshold)/log(rho*) steps."""
-    radii = semigroup.cell_radii(sample)
     positive = sample.space.positive_cells()
-    worst = int(positive[np.argmax(radii[positive])])
-    rho_star = float(radii[worst])
+    worst = int(positive[np.argmax(sample.radii[positive])])
+    rho_star = float(sample.radii[worst])
     verdict, witnesses = semigroup.radius_verdict(rho_star, worst, margin)
     detail = {"rho_star": rho_star}
     if verdict != STABLE:
@@ -111,8 +110,7 @@ def classify_discrete_uniform(sample, margin):
         n_check = max(
             1, math.ceil(NORM_CHECK_SAFETY * math.log(NORM_CHECK_THRESHOLD) / math.log(rho_star))
         )
-    stacks = sample.block_stacks(sample.space.positive_cells())
-    observed = ess_sup(sample.space, _power_norms(sample, stacks, n_check))
+    observed = ess_sup(sample.space, _power_norms(sample, n_check))
     detail["norm_check_n"] = n_check
     detail["norm_check_value"] = observed
     if observed >= NORM_CHECK_THRESHOLD:
@@ -133,15 +131,16 @@ def classify_discrete_strong(sample, gate, *, uni_tol=1e-9):
         return DiscreteClassification(
             INCONCLUSIVE, (Witness(None, gate.bound, "power-bound-gate-uncertified"),), detail
         )
-    radii = semigroup.cell_radii(sample)
-    for c in sample.space.positive_cells():
-        if radii[c] >= 1.0 - uni_tol:
-            eigs = sample.spectrum(c)
-            lam = complex(eigs[np.argmax(np.abs(eigs))])
-            return DiscreteClassification(
-                NOT_STABLE, (Witness(int(c), lam, "unimodular-eigenvalue"),), detail
-            )
-    return DiscreteClassification(STABLE, (), detail)
+    positive = sample.space.positive_cells()
+    unimodular = positive[sample.radii[positive] >= 1.0 - uni_tol]
+    if unimodular.size == 0:
+        return DiscreteClassification(STABLE, (), detail)
+    cell = int(unimodular[0])
+    eigs = sample.spectrum(cell)
+    lam = complex(eigs[np.argmax(np.abs(eigs))])
+    return DiscreteClassification(
+        NOT_STABLE, (Witness(cell, lam, "unimodular-eigenvalue"),), detail
+    )
 
 
 def unimodular_point_spectrum(sample, uni_tol=1e-9, match_tol=1e-6):
@@ -204,8 +203,7 @@ def classify_discrete_almost_weak(sample, gate, *, n_max=512, eps=1e-3, seed=0,
         return DiscreteClassification(NOT_STABLE, witnesses, detail)
     # criterion holds; every pointwise radius is below one, so the bad set of
     # each orbit is finite. Give the evidence enough horizon to see that.
-    radii = semigroup.cell_radii(sample)
-    r_max = float(radii[sample.space.positive_cells()].max())
+    r_max = float(sample.radii[sample.space.positive_cells()].max())
     if 0.0 < r_max < 1.0:
         predicted = math.ceil(DENSITY_SAFETY * math.log(1.0 / eps) / -math.log(r_max))
         n_steps = max(n_max, predicted)

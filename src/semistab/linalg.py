@@ -1,20 +1,30 @@
 """Dense complex matrix kernels.
 
 Matrix exponential of a stack of blocks over a grid of times. One generator,
-_runs, sends each block down one of two paths, chunks each path and drops
-the runs that are not finite: a block lambda I + N with N strictly upper
-triangular, real and entrywise nonnegative takes the finite sum
-e^{i t Im lambda} R(t), with the real factor R(t) = e^{t Re lambda}
-sum_{j<k} t^j/j! N^j accurate entry by entry; every other block takes
-scaling-and-squaring with diagonal Pade approximants after shifting the
-mean imaginary part of the diagonal out of tA. expm_stack stores e^{tA}
-from the runs (a single matrix is a stack of one at one time), expm_norms
-||e^{tA}|| and ||e^{tA} v|| (from R alone on the closed-form path: the
-phase has modulus 1). A block's result is bit for bit the same alone or in
-any stack and time grid. Also spectral functionals on top of the LAPACK dense
-eigensolver (also run on stacks), Cesaro time averages of a semigroup
-(exact for any generator through one exponential of an augmented matrix),
-and the mean ergodic projection onto the kernel of a generator.
+_runs, sends each block down one of three routes, chunks each route and
+drops the runs that are not finite:
+
+* closed form: a block lambda I + N with N strictly upper triangular, real
+  and entrywise nonnegative takes the finite sum e^{i t Im lambda} R(t),
+  with the real factor R(t) = e^{t Re lambda} sum_{j<k} t^j/j! N^j accurate
+  entry by entry;
+* eigenbasis: every other block whose eigenvector matrix V has
+  cond2(V) <= EIGENBASIS_COND takes V e^{t Lambda} V^-1 (Moler & Van Loan,
+  SIAM Review 2003, method 14): one eigendecomposition and one inverse per
+  block serve the whole grid, and each (time, block) pair costs one k x k
+  product;
+* Pade: every remaining block takes scaling-and-squaring with diagonal Pade
+  approximants after shifting the mean imaginary part of the diagonal out
+  of tA.
+
+e^{0 A} is exactly I on every route. expm_stack stores e^{tA} from the runs
+(a single matrix is a stack of one at one time), expm_norms ||e^{tA}|| and
+||e^{tA} v|| (from R alone on the closed-form route: the phase has modulus
+1). A block's result is bit for bit the same alone or in any stack and time
+grid. Also spectral functionals on top of the LAPACK dense eigensolver (also
+run on stacks), Cesaro time averages of a semigroup (exact for any generator
+through one exponential of an augmented matrix), and the mean ergodic
+projection onto the kernel of a generator.
 
 Matrices are plain complex ndarrays; the operator norm is the 2-norm
 (largest singular value) throughout. norm2 takes it as the square root of
@@ -190,10 +200,11 @@ def _pade_solve(u, v):
         raise NumericalFailureError(f"Pade denominator solve failed: {exc}")
 
 
-#: largest size in bytes of the complex matrices of one Pade chunk of _runs
-#: (at least one (time, block) pair), which bounds the memory of the Pade
-#: temporaries. A closed-form chunk holds at least one block's (k, k, k)
-#: power basis, and its time passes may use as many bytes as its real basis.
+#: largest size in bytes of the complex matrices of one eigenbasis or Pade
+#: chunk of _runs (at least one (time, block) pair), which bounds the memory
+#: of their temporaries. A closed-form chunk holds at least one block's
+#: (k, k, k) power basis, and its time passes may use as many bytes as its
+#: real basis.
 STACK_BYTES = 1 << 16
 
 
@@ -299,6 +310,38 @@ def _real_factor(a, t, basis):
     return acc
 
 
+#: a block off the closed form whose eigenvector matrix V (LAPACK's, unit
+#: columns) has a 2-norm condition number at most this takes
+#: e^{tA} = V e^{t Lambda} V^-1, the others take Pade. The route errs by
+#: about t ||A|| cond2(V) unit roundoffs (README, "Accuracy of the routes").
+EIGENBASIS_COND = 1e2
+
+
+def _eigenbasis(a):
+    # (well, w, v, vinv) of a (m, k, k) stack: which blocks have an
+    # eigenvector matrix V with cond2(V) <= EIGENBASIS_COND, and for those
+    # (q of them) the eigenvalues (q, k), V and V^-1 (q, k, k). LAPACK runs
+    # once per matrix, so a block's bits do not depend on the stack.
+    try:
+        w, v = np.linalg.eig(a)
+        sig = np.linalg.svd(v, compute_uv=False)
+        well = sig[:, 0] <= EIGENBASIS_COND * sig[:, -1]
+        return well, w[well], v[well], np.linalg.inv(v[well])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            f"dense eigensolver did not converge: {exc}", iterations=30 * a.shape[-1]
+        )
+
+
+def _eigen_chunk(w, v, vinv, t):
+    # V e^{t Lambda} V^-1 for (pairs, k) eigenvalues and (pairs, k, k) V and
+    # V^-1, one k x k product per (time, block) pair; exactly I at t = 0,
+    # where V V^-1 misses I by a few ulps
+    f = (v * np.exp(t[:, None] * w)[:, None, :]) @ vinv
+    f[t == 0] = np.eye(w.shape[-1])
+    return f
+
+
 def _runs(a, t):
     """(steps, cols, f, angle) runs covering every (time, block) pair of a
     (m, k, k) stack over the grid t once, with e^{tA} = f e^{i angle}:
@@ -309,18 +352,28 @@ def _runs(a, t):
       (T, q, k, k) temporaries within max(STACK_BYTES, q k^3 doubles):
       steps is a slice of t, cols the q blocks, f = R and angle
       = t Im lambda, (T, q).
-    * every other block runs through _pade_chunk in time-major chunks of
-      (time, block) pairs within STACK_BYTES (at least one pair): steps and
-      cols index the pairs, f is e^{tA} (pairs, k, k), angle is None.
+    * the other blocks take one stacked eigendecomposition (_eigenbasis).
+      Those with cond2(V) <= EIGENBASIS_COND run through _eigen_chunk, the
+      rest through _pade_chunk, each in time-major chunks of (time, block)
+      pairs within STACK_BYTES (at least one pair): steps and cols index the
+      pairs, f is e^{tA} (pairs, k, k), angle is None.
 
     Only runs whose every e^{tA} is finite are yielded; the errstate that
     silences the overflow of the others stays in force while a consumer
     handles a run. After the last run, raises NumericalFailureError naming
     the earliest time at which a result is not finite: the true e^{tA} of a
-    growing matrix can exceed the double range at long times.
+    growing matrix can exceed the double range at long times. An
+    eigensolver that does not converge raises NumericalFailureError too.
     """
     k = a.shape[-1]
     closed = _closed_form_blocks(a)
+
+    def pairs(m):
+        # (steps, sub): the (time, block) pairs of m blocks over t, time-major,
+        # in chunks of complex k x k matrices within STACK_BYTES
+        size = max(1, STACK_BYTES // (16 * k * k))
+        for start in range(0, t.size * m, size):
+            yield np.divmod(np.arange(start, min(start + size, t.size * m)), m)
 
     def computed():
         ids = np.flatnonzero(closed)
@@ -338,9 +391,14 @@ def _runs(a, t):
                 finite = (np.isfinite(r).all(axis=(2, 3)) & np.isfinite(angle)).all(axis=1)
                 yield steps, cols, r, angle, finite
         ids = np.flatnonzero(~closed)
-        size = max(1, STACK_BYTES // (16 * k * k))
-        for start in range(0, t.size * ids.size, size):
-            steps, sub = np.divmod(np.arange(start, min(start + size, t.size * ids.size)), ids.size)
+        if not ids.size:
+            return
+        well, w, v, vinv = _eigenbasis(a[ids])
+        eigen_ids, ids = ids[well], ids[~well]
+        for steps, sub in pairs(eigen_ids.size):
+            f = _eigen_chunk(w[sub], v[sub], vinv[sub], t[steps])
+            yield steps, eigen_ids[sub], f, None, np.isfinite(f).all(axis=(1, 2))
+        for steps, sub in pairs(ids.size):
             f = _pade_chunk(a[ids[sub]], t[steps])
             yield steps, ids[sub], f, None, np.isfinite(f).all(axis=(1, 2))
 
@@ -359,7 +417,7 @@ def expm_stack(a, t):
     """e^{t A_b} for every matrix A_b of a (m, k, k) stack and every time t of
     a 1-D grid of times >= 0: a (len(t), m, k, k) array stored from _runs.
 
-    Each block takes one of two paths, and its result does not depend on
+    Each block takes one of three routes, and its result does not depend on
     the rest of the stack or the grid:
 
     * lambda I + N with N strictly upper triangular, real and entrywise
@@ -368,13 +426,17 @@ def expm_stack(a, t):
       t^j/j! N^j. The weights of R are formed in the log domain and its
       nonnegative terms added entrywise in a fixed order, so every entry is
       accurate relative to itself.
-    * Every other block gets exactly the arithmetic of a one-matrix
-      scaling-and-squaring of tA - i theta I, theta = Im tr(tA) / k, times
-      the unimodular e^{i theta}. The shift removes the squarings a large
-      imaginary diagonal would cost.
+    * Every other block is eigendecomposed once, A = V Lambda V^-1 (LAPACK,
+      unit eigenvectors). When cond2(V) <= EIGENBASIS_COND it takes
+      (V e^{t Lambda}) V^-1, with V^-1 computed once for the whole grid.
+    * The blocks with an ill-conditioned V get exactly the arithmetic of a
+      one-matrix scaling-and-squaring of tA - i theta I,
+      theta = Im tr(tA) / k, times the unimodular e^{i theta}. The shift
+      removes the squarings a large imaginary diagonal would cost.
 
-    Raises NumericalFailureError naming the earliest time at which a result
-    is not finite.
+    e^{0 A} is exactly I on every route. Raises NumericalFailureError naming
+    the earliest time at which a result is not finite, or when the
+    eigensolver does not converge.
     """
     a = np.asarray(a, dtype=complex)
     t = np.asarray(t, dtype=float).reshape(-1)
@@ -392,12 +454,14 @@ def expm_norms(a, t, v):
     stores, so a block's norms do not depend on the rest of the stack or
     the grid. A closed-form run has e^{tA} = R e^{i t Im lambda} with R real
     and the phase unimodular, so both norms are those of R: the norm2 of the
-    real matrix and |R v| from two real products. A Pade run's norms are
-    those of its complex e^{tA}, one (k x k)(k x 1) product per vector. Each
-    e^{tA} v is scaled by a power of two before it is squared, as in norm2.
+    real matrix and |R v| from two real products. The norms of an eigenbasis
+    or a Pade run are those of its complex e^{tA}, one (k x k)(k x 1)
+    product per vector. Each e^{tA} v is scaled by a power of two before it
+    is squared, as in norm2.
 
     Raises NumericalFailureError naming the earliest time at which e^{tA}
-    is not finite for some block, as expm_stack would.
+    is not finite for some block, or when the eigensolver does not converge,
+    as expm_stack would.
     """
     a = np.asarray(a, dtype=complex)
     t = np.asarray(t, dtype=float).reshape(-1)
@@ -419,10 +483,13 @@ def expm_norms(a, t, v):
 
 
 def expm(a, t=1.0):
-    """e^{tA} for t >= 0: the one-matrix view of expm_stack. Accurate to
-    ~1e-13 relative for well-conditioned inputs of moderate norm, and
-    entrywise for lambda I + N with N strictly upper triangular and
-    nonnegative."""
+    """e^{tA} for t >= 0: the one-matrix view of expm_stack, so exactly I at
+    t = 0. Entrywise accurate for lambda I + N with N strictly upper
+    triangular and nonnegative. Otherwise V e^{t Lambda} V^-1 when the
+    eigenvector matrix has cond2(V) <= EIGENBASIS_COND, else scaling and
+    squaring; both are accurate to ~1e-13 relative for inputs of moderate
+    norm, and to about t ||A|| cond2(V) times the unit roundoff on the
+    eigenbasis route."""
     a = as_matrix(a)
     if t < 0:
         raise DomainError("time must be nonnegative")

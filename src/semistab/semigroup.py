@@ -110,6 +110,50 @@ class PointwiseFamily:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def radii(self):
+        """Read-only spectral radius of each cell's active block, one
+        reduction of the table on first use; 0 on the zero-weight cells
+        (null sets, invisible to the essential supremum)."""
+        radii = np.fmax.reduce(np.abs(self.eigenvalues), axis=1, initial=0.0)
+        radii.setflags(write=False)
+        return radii
+
+    @cached_property
+    def _squares(self):
+        # [(cell ids, [M, M^2, M^4, ...])] per active dimension of the
+        # positive-weight cells, read-only; power_stacks extends each list as
+        # n needs
+        stacks = self.block_stacks(self.space.positive_cells())
+        for _, blocks in stacks:
+            blocks.setflags(write=False)
+        return [(ids, [blocks]) for ids, blocks in stacks]
+
+    def power_stacks(self, n):
+        """(cell ids, stack of M^n of their active blocks) per active
+        dimension of the positive-weight cells, n >= 1, each bit for bit
+        np.linalg.matrix_power(stack, n). The squares M^(2^i) are built once,
+        kept read-only and shared by every n: n = 3 is M^2 M, matrix_power's
+        shortcut, and any other n is the product result @ z over the set
+        bits of n from the least significant, as matrix_power forms it."""
+        n = int(n)
+        if n < 1:
+            raise DomainError("the power must be at least 1")
+        out = []
+        for ids, squares in self._squares:
+            while len(squares) < n.bit_length():
+                squares.append(squares[-1] @ squares[-1])
+                squares[-1].setflags(write=False)
+            if n == 3:
+                out.append((ids, squares[1] @ squares[0]))
+                continue
+            power = None
+            for i in range(n.bit_length()):
+                if n >> i & 1:
+                    power = squares[i] if power is None else power @ squares[i]
+            out.append((ids, power))
+        return out
+
     def spectrum(self, cell):
         """Eigenvalues of the active block at `cell`: a view of its row of
         the table. A zero-weight cell is a null set without a spectrum:
@@ -208,12 +252,6 @@ def boundary_faults(family, cells, distance, tol, match_tol):
                 faults[i] = (rep, False)
                 break
     return [(int(cells[i]), value, crosses) for i, (value, crosses) in sorted(faults.items())]
-
-
-def cell_radii(sample):
-    """Spectral radius of each cell's active block, 0 on the zero-weight
-    cells (null sets, invisible to the essential supremum)."""
-    return np.fmax.reduce(np.abs(sample.eigenvalues), axis=1, initial=0.0)
 
 
 def radius_verdict(rho_star, worst, margin):

@@ -1,10 +1,11 @@
-"""Reference computations the tests check the program against. The program
-never calls them: each takes the plain route (complex matrices, one
-stacked linalg.norm2 per active dimension) that the stacked kernels must
-agree with."""
+"""Reference computations the tests check the program against, and test
+inputs that several test modules share. The program never calls them: each
+reference takes the plain route (complex matrices, one stacked linalg.norm2
+per active dimension) that the stacked kernels must agree with."""
 
 import math
 
+import mpmath
 import numpy as np
 
 from semistab import linalg
@@ -49,3 +50,34 @@ def real_factor(block, t):
     # log(0) at t = 0 only meets the zero weights of j > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         return linalg._real_factor(a, np.array([float(t)]), linalg._power_basis(a))[0, 0]
+
+
+def mp_expm(a, t, dps=40):
+    """e^{tA} of one matrix in dps-digit arithmetic (mpmath), rounded to
+    complex doubles."""
+    with mpmath.workdps(dps):
+        exact = mpmath.expm(mpmath.matrix(np.asarray(a, dtype=complex).tolist()) * t)
+        return np.array(exact.tolist(), dtype=complex)
+
+
+def mp_expm_norms(a, times, dps=40):
+    """||e^{tA}||_2 of one matrix at each time, from mpmath's exponential and
+    singular values in dps-digit arithmetic, rounded to doubles."""
+    with mpmath.workdps(dps):
+        m = mpmath.matrix(np.asarray(a, dtype=complex).tolist())
+        return np.array([
+            float(max(mpmath.svd_c(mpmath.expm(m * float(t)), compute_uv=False)))
+            for t in times
+        ])
+
+
+def conditioned_pair(cond, lams, seed=0):
+    """A dense 2 x 2 matrix V diag(lams) V^-1, conjugated by a random unitary
+    from default_rng(seed), whose unit eigenvector matrix V has
+    cond2(V) = cond: the columns e_1 and (cos phi, sin phi) with
+    cot(phi / 2) = cond."""
+    phi = 2.0 * math.atan(1.0 / cond)
+    v = np.array([[1.0, math.cos(phi)], [0.0, math.sin(phi)]])
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q @ v @ np.diag(lams) @ np.linalg.inv(v) @ q.conj().T

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semistab import linalg
 from semistab.cases import random_hurwitz_family, rotation_family, zabczyk_family
 from semistab.discrete import (
     classify_discrete_almost_weak,
@@ -334,24 +335,34 @@ def test_criterion_9_discrete_suite():
     )
 
 
-def test_criterion_10_determinism():
-    # zabczyk takes the closed form only, random_hurwitz the Pade path only
-    for name in ("zabczyk.json", "random_hurwitz.json"):
-        config = str(CONFIG_DIR / name)
+def test_criterion_10_determinism(tmp_path):
+    # zabczyk takes the closed form, random_hurwitz the eigenbasis route and
+    # the inline cell, a unitarily conjugated Jordan block, the Pade route
+    rng = np.random.default_rng(10)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    jordan = q @ (-0.5 * np.eye(4) + np.diag(np.ones(3), 1)) @ q.conj().T
+    assert not linalg._eigenbasis(jordan[None])[0][0]
+    inline = tmp_path / "conjugated_jordan.json"
+    inline.write_text(json.dumps({
+        "family": {"matrices": [[[[z.real, z.imag] for z in row] for row in jordan]]},
+        "discrete": {"enabled": True},
+    }))
+    for config in (CONFIG_DIR / "zabczyk.json", CONFIG_DIR / "random_hurwitz.json", inline):
         outputs = []
         for threads in ("1", "2", "1", "2"):
             env = dict(os.environ)
             env["OMP_NUM_THREADS"] = threads
             env["OPENBLAS_NUM_THREADS"] = threads
             proc = subprocess.run(
-                [sys.executable, "-m", "semistab.cli", "analyze", config],
+                [sys.executable, "-m", "semistab.cli", "analyze", str(config)],
                 capture_output=True,
                 env=env,
             )
             assert proc.returncode == 0
             outputs.append(proc.stdout)
-        assert len(set(outputs)) == 1, name
+        assert len(set(outputs)) == 1, config.name
     report(
         "criterion 10: byte-identical JSON across repeated runs and across "
-        "BLAS thread counts, on zabczyk.json and random_hurwitz.json"
+        "BLAS thread counts, on zabczyk.json (closed form), random_hurwitz.json "
+        "(eigenbasis) and a conjugated Jordan cell (Pade)"
     )

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semistab import cli
+from semistab import cli, linalg
 from semistab.cases import zabczyk_family
 from semistab.errors import ConfigError, NumericalFailureError
+
+from oracles import conditioned_pair
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -21,6 +23,11 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def pairs(matrix):
+    """A complex matrix as the [re, im] pairs of an inline config."""
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex)]
 
 
 def analyze_payload(capsys, path, extra=()):
@@ -268,6 +275,26 @@ class TestAnalyze:
         err = capsys.readouterr().err.splitlines()
         assert err == [
             "numerical failure in stability.classify_uniform: e^{tA} is not finite at t = 1"
+        ]
+
+    @pytest.mark.parametrize("rate, stage", [
+        (800.0, "stability.classify_uniform"), (10.0, "stability.certify_bounded"),
+    ])
+    def test_growing_eigenbasis_cell_exits_3(self, tmp_path, capsys, rate, stage):
+        # one dense cell with eigenvalues rate +- i on an eigenvector matrix
+        # of condition 3: e^{800} overflows at t0 = 1, in the uniform
+        # classifier; e^{10 t} at the first grid time past 71, in the
+        # boundedness certificate's eigenbasis route
+        cell = conditioned_pair(3.0, (rate + 1j, rate - 1j))
+        assert linalg._eigenbasis(cell[None])[0][0]
+        path = write_config(tmp_path, {"family": {"matrices": [pairs(cell)]}})
+        times = cli._time_grid(cli.load_config(path)["time"])
+        first = 1.0 if rate > 709 else float(times[10 * times > math.log(np.finfo(float).max)][0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["analyze", path]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical failure in {stage}: e^{{tA}} is not finite at t = {first:g}"
         ]
 
     def test_unitary_radius_is_exactly_one(self, capsys):
@@ -671,6 +698,30 @@ class TestBoundaryCertificate:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or real_svd(*a, **k))
         assert analyze_payload(capsys, path) == expected
         assert calls == []
+
+
+class TestKernelRoutes:
+    @pytest.mark.parametrize("family, route", [
+        ({"builtin": "random-hurwitz", "seed": 5, "dim": 6, "cells": 64, "margin": 0.2},
+         "_eigen_chunk"),
+        ({"builtin": "zabczyk", "N": 8}, "_real_factor"),
+        ({"builtin": "rotation", "cells": 32}, "_real_factor"),
+    ])
+    def test_each_family_takes_one_route(self, tmp_path, monkeypatch, family, route):
+        # rh64-shaped cells are dense and well conditioned: no Pade, discrete
+        # stage included; Zabczyk and rotation cells take the closed form and
+        # never reach the eigensolver of the kernels
+        cfg = cli.load_config(write_config(tmp_path, {
+            "family": family, "discrete": {"enabled": True},
+        }))
+        calls = set()
+        for name in ("_real_factor", "_eigenbasis", "_eigen_chunk", "_pade_chunk"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name,
+                                lambda *args, real=real, name=name: calls.add(name)
+                                or real(*args))
+        cli.run_analysis(cfg)
+        assert calls == ({route, "_eigenbasis"} if route == "_eigen_chunk" else {route})
 
 
 class TestMemory:

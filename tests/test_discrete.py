@@ -18,6 +18,7 @@ from semistab.discrete import (
     power_schedule,
     unimodular_point_spectrum,
 )
+from semistab.errors import DomainError
 from semistab.linalg import norm2
 from semistab.measure import DiscretizedMeasureSpace, density_discrete
 from semistab.report import INCONCLUSIVE, NOT_STABLE, STABLE
@@ -158,6 +159,19 @@ class TestClassifyDiscreteStrong:
         assert result.witnesses[0].cell == 1
         assert result.witnesses[0].value == pytest.approx(np.exp(1j))
 
+    def test_witness_is_the_first_positive_unimodular_cell(self):
+        # the zero-weight unimodular cell 0 is a null set; of the unimodular
+        # cells 2 and 3 the first is the witness, with its eigenvalue of
+        # largest modulus
+        mats = [np.diag([np.exp(2j), 0.1]), np.diag([0.5, 0.2]),
+                np.diag([0.3, np.exp(0.7j)]), np.diag([np.exp(1j), 0.9])]
+        sample = sample_from(mats, [0.0, 1.0, 1.0, 1.0])
+        result = classify_discrete_strong(sample, power_bounded_estimate(sample, 64))
+        assert result.verdict == NOT_STABLE
+        [witness] = result.witnesses
+        assert (witness.cell, witness.kind) == (2, "unimodular-eigenvalue")
+        assert witness.value == pytest.approx(np.exp(0.7j), rel=1e-15)
+
     def test_defective_gate_is_inconclusive(self):
         jordan = np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
         sample = sample_from(jordan)
@@ -260,6 +274,36 @@ class TestStackedKernels:
                 for c in sample.space.positive_cells()
             )
             assert power_bounded_estimate(sample, 64).bound == want
+
+
+    @pytest.mark.parametrize("n_max", [1, 5, 256, 300])
+    def test_power_stacks_equal_matrix_power(self, n_max):
+        # every scheduled power from the shared squares is bit for bit
+        # np.linalg.matrix_power, asked in schedule order and then backwards
+        for sample in self.samples():
+            stacks = sample.block_stacks(sample.space.positive_cells())
+            schedule = power_schedule(n_max)
+            for n in schedule + schedule[::-1]:
+                got = sample.power_stacks(n)
+                assert [ids.tolist() for ids, _ in got] == [ids.tolist() for ids, _ in stacks]
+                for (_, power), (_, blocks) in zip(got, stacks):
+                    want = np.linalg.matrix_power(blocks, n)
+                    np.testing.assert_array_equal(power.view(np.int64), want.view(np.int64))
+            with pytest.raises(DomainError):
+                sample.power_stacks(0)
+
+    def test_discrete_report_forms_no_matrix_power(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the discrete stage must form powers from its squares")
+
+        sample = self.samples()[1]
+        want = max(
+            norm2(np.linalg.matrix_power(sample.block(int(c)), n))
+            for n in power_schedule(256)
+            for c in sample.space.positive_cells()
+        )
+        monkeypatch.setattr(np.linalg, "matrix_power", forbidden)
+        assert build_discrete_report(sample, margin=1e-3, n_max=256).power_bound == want
 
 
 class TestChainAndBridge:

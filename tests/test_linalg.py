@@ -31,7 +31,7 @@ from semistab.linalg import (
 from semistab.semigroup import time_grid
 from semistab.stability import certify_bounded, classify_uniform
 
-from oracles import real_factor
+from oracles import conditioned_pair, mp_expm, mp_expm_norms, real_factor
 
 
 def random_complex(rng, n, scale=1.0):
@@ -105,13 +105,6 @@ class TestExpm:
             as_matrix(np.ones((2, 3)))
 
 
-def mp_expm(a, t):
-    """e^{tA} in 40-digit arithmetic, rounded to complex doubles."""
-    with mpmath.workdps(40):
-        exact = mpmath.expm(mpmath.matrix(a.tolist()) * t)
-        return np.array(exact.tolist(), dtype=complex)
-
-
 def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
@@ -138,15 +131,39 @@ def reference_expm(a, t):
     return f * phase, 13, squarings
 
 
+def reference_eigenbasis(a, t):
+    """The eigenbasis route of one matrix at one time, as plain numpy: eig,
+    cond, inv and one product. V e^{t Lambda} V^-1 when the unit eigenvector
+    matrix V has cond2(V) <= EIGENBASIS_COND (exactly I at t = 0), None
+    when the matrix takes the Pade route."""
+    w, v = np.linalg.eig(a)
+    if np.linalg.cond(v) > linalg.EIGENBASIS_COND:
+        return None
+    if t == 0.0:
+        return np.eye(len(a), dtype=complex)
+    return (v * np.exp(t * w)) @ np.linalg.inv(v)
+
+
+def conjugated_jordan(rng, k, lam):
+    """Q (lam I + J) Q^H with J the k x k nilpotent shift and Q a random
+    unitary: a dense defective block, far above the eigenbasis bound."""
+    q, _ = np.linalg.qr(random_complex(rng, k))
+    return q @ (lam * np.eye(k) + np.diag(np.ones(k - 1), 1)) @ q.conj().T
+
+
 class TestExpmStack:
     def mixed_stack(self):
-        # padded Zabczyk blocks (N=8 in 10x10: the padding breaks the constant
-        # diagonal) and random 10x10 matrices scaled to unit 1-norm, so that
-        # one grid from 0 up to norms that need several squarings reaches
-        # every Pade order
+        # padded Zabczyk blocks (N=8 in 10x10: the padding breaks the
+        # constant diagonal), random 10x10 matrices (eigenbasis route), and a
+        # conjugated Jordan block and complex upper parts (defective: Pade
+        # route), the dense ones scaled to unit 1-norm, so that one grid from
+        # 0 up to norms that need several squarings reaches every Pade order
         rng = np.random.default_rng(21)
         zab = zabczyk_family(8, embed_dim=10).matrices
         rand = [random_complex(rng, 10) for _ in range(6)]
+        rand.append(conjugated_jordan(rng, 10, -0.2 + 1j))
+        rand += [np.triu(random_complex(rng, 10), 1) + (0.1 * c - 1j) * np.eye(10)
+                 for c in range(2)]
         rand = [a / np.abs(a).sum(axis=0).max() for a in rand]
         times = np.concatenate([[0.0, 0.02, 0.5, 3.0, 40.0], np.geomspace(1e-3, 300.0, 9)])
         return np.concatenate([zab, np.stack(rand)]), times
@@ -157,16 +174,25 @@ class TestExpmStack:
         assert not linalg._closed_form_blocks(stack).any()
         out = expm_stack(stack, times)
         assert out.shape == (len(times), len(stack), 10, 10)
-        orders, squarings = set(), set()
+        orders, squarings, eigenbasis = set(), set(), set()
         for t, row in zip(times, out):
-            for a, got in zip(stack, row):
-                want, order, count = reference_expm(a, t)
-                orders.add(order)
-                squarings.add(count)
+            for b, (a, got) in enumerate(zip(stack, row)):
+                want = reference_eigenbasis(a, t)
+                if want is None:
+                    want, order, count = reference_expm(a, t)
+                    orders.add(order)
+                    squarings.add(count)
+                else:
+                    eigenbasis.add(b)
                 np.testing.assert_array_equal(bits(got), bits(want))
                 np.testing.assert_array_equal(bits(got), bits(expm(a, t)))
+        # the 1 x 1 Zabczyk block padded to a diagonal and the random blocks
+        assert eigenbasis == {0, 8, 9, 10, 11, 12, 13}
         assert orders == {3, 5, 7, 9, 13}
         assert len(squarings) >= 4
+        for steps in (slice(0, 1), slice(3, 8), slice(8, None)):
+            np.testing.assert_array_equal(bits(expm_stack(stack[::-1], times[steps])),
+                                          bits(out[steps, ::-1]))
 
     def test_scalar_cells(self):
         # 1 x 1 cells take the closed form e^{t Re a} e^{i t Im a}; the
@@ -189,19 +215,22 @@ class TestExpmStack:
 
     def test_mixed_closed_form_and_pade_blocks_bit_equal_alone(self):
         # closed-form blocks (Zabczyk, random nonnegative upper parts, a
-        # scalar multiple of I, a nilpotent N) beside Pade blocks (dense,
-        # a complex upper part, a negative upper entry, a varying diagonal)
+        # scalar multiple of I, a nilpotent N) beside eigenbasis blocks
+        # (dense, a varying diagonal) and Pade blocks (a complex upper part,
+        # a negative upper entry, close eigenvalues under a large upper part,
+        # a conjugated Jordan block)
         rng = np.random.default_rng(23)
         k = 6
         closed = [upper_block(k), np.triu(rng.random((k, k)), 1) * 50 + (-0.3 + 2j) * np.eye(k),
                   (0.5 - 1j) * np.eye(k), np.diag(np.ones(k - 1), 1) * 1e-3]
         upper = np.triu(rng.random((k, k)), 1)
-        pade = [random_complex(rng, k), upper * 1j - np.eye(k), upper - 2 * np.eye(k),
-                upper + np.diag(np.arange(k) * 0.1)]
-        pade[2][0, 3] = -0.5
-        stack = np.stack(closed + pade)
+        eigen = [random_complex(rng, k), np.diag(np.arange(k) * -0.3 + 1j)]
+        pade = [upper * 1j - np.eye(k), upper - 2 * np.eye(k),
+                upper + np.diag(np.arange(k) * 0.1), conjugated_jordan(rng, k, -0.5)]
+        pade[1][0, 3] = -0.5
+        stack = np.stack(closed + eigen + pade)
         np.testing.assert_array_equal(
-            linalg._closed_form_blocks(stack), [True] * len(closed) + [False] * len(pade)
+            linalg._closed_form_blocks(stack), [True] * len(closed) + [False] * 6
         )
         times = np.array([0.0, 1e-3, 0.7, 5.0, 30.0, 31.0])
         out = expm_stack(stack, times)
@@ -210,7 +239,11 @@ class TestExpmStack:
                 alone = expm_stack(a[None], [t])[0, 0]
                 np.testing.assert_array_equal(bits(got), bits(alone))
                 if i >= len(closed):
-                    np.testing.assert_array_equal(bits(got), bits(reference_expm(a, t)[0]))
+                    want = reference_eigenbasis(a, t)
+                    assert (want is None) == (i >= len(closed) + len(eigen))
+                    if want is None:
+                        want = reference_expm(a, t)[0]
+                    np.testing.assert_array_equal(bits(got), bits(want))
                 else:
                     want = mp_expm(a, t)
                     nonzero = want != 0
@@ -222,16 +255,18 @@ class TestExpmStack:
                                           bits(out[steps, ::-1]))
 
     def test_chunks_cover_the_stack_within_the_byte_budget(self):
-        # Pade blocks: 100 (time, block) pairs of 10 x 10 run in chunks of at
-        # most STACK_BYTES, time-major; a 200 x 200 pair alone exceeds the
-        # budget and runs on its own
+        # eigenbasis blocks: 100 (time, block) pairs of 10 x 10 run in chunks
+        # of at most STACK_BYTES, time-major; a 200 x 200 pair alone exceeds
+        # the budget and runs on its own (these three take the Pade route)
         rng = np.random.default_rng(25)
         stack = np.stack([random_complex(rng, 10, 0.1) for _ in range(20)])
+        assert linalg._eigenbasis(stack)[0].all()
         runs = list(linalg._runs(stack, np.linspace(0.0, 1.0, 5)))
         pairs = [(int(i), int(b)) for steps, cols, _, _ in runs for i, b in zip(steps, cols)]
         assert pairs == [(i, b) for i in range(5) for b in range(20)]
         assert all(f.nbytes <= linalg.STACK_BYTES for _, _, f, _ in runs)
         big = np.stack([random_complex(rng, 200, 1e-3) for _ in range(3)])
+        assert not linalg._eigenbasis(big)[0].any()
         runs = list(linalg._runs(big, np.ones(1)))
         assert [(list(steps), list(cols)) for steps, cols, _, _ in runs] == [
             ([0], [0]), ([0], [1]), ([0], [2])
@@ -239,9 +274,9 @@ class TestExpmStack:
 
     @pytest.mark.parametrize("k", [2, 6, 24])
     def test_runs_cover_every_pair_once_within_the_budget(self, k):
-        # closed-form and Pade blocks shuffled together: every (time, block)
-        # pair in exactly one run of its own path; a Pade run fits
-        # STACK_BYTES (at least one pair); a closed-form chunk's complex power
+        # closed-form and dense blocks shuffled together: every (time, block)
+        # pair in exactly one run of its own path; an eigenbasis or Pade run
+        # fits STACK_BYTES (at least one pair); a closed-form chunk's complex power
         # basis fits it (at least one block) and its passes fit
         # max(STACK_BYTES, q k^3 doubles)
         rng = np.random.default_rng(26 + k)
@@ -511,11 +546,14 @@ class TestExpmNorms:
             assert info.value.time == first
 
     def test_a_zabczyk_group_runs_in_one_pass(self, monkeypatch):
-        # one power basis and one real factor per group of zab40's grid, and
-        # the 48 x 64 (time, block) pairs of a dense 6 x 6 group in Pade
-        # chunks of at most 113 pairs (STACK_BYTES of 6 x 6 complex matrices)
+        # one power basis and one real factor per group of zab40's grid; the
+        # 48 x 64 (time, block) pairs of a dense 6 x 6 group take one
+        # eigendecomposition and eigenbasis chunks of at most 113 pairs
+        # (STACK_BYTES of 6 x 6 complex matrices), and a defective group the
+        # Pade route in chunks of the same size
         calls = []
-        for name in ("_power_basis", "_real_factor", "_pade_chunk", "expm_stack"):
+        for name in ("_power_basis", "_real_factor", "_eigenbasis", "_eigen_chunk",
+                     "_pade_chunk", "expm_stack"):
             real = getattr(linalg, name)
             monkeypatch.setattr(
                 linalg, name,
@@ -529,8 +567,125 @@ class TestExpmNorms:
         calls.clear()
         dense = np.stack([random_complex(np.random.default_rng(c), 6, 0.3) - 2 * np.eye(6)
                           for c in range(64)])
+        chunks = [113] * 27 + [48 * 64 - 27 * 113]
         expm_norms(dense, time_grid(200.0, 48), np.ones((3, 64, 6)))
-        assert calls == [("_pade_chunk", 113)] * 27 + [("_pade_chunk", 48 * 64 - 27 * 113)]
+        assert calls == [("_eigenbasis", 64)] + [("_eigen_chunk", n) for n in chunks]
+        calls.clear()
+        rng = np.random.default_rng(64)
+        defective = np.stack([conjugated_jordan(rng, 6, -2.0) for _ in range(64)])
+        expm_norms(defective, time_grid(200.0, 48), np.ones((3, 64, 6)))
+        assert calls == [("_eigenbasis", 64)] + [("_pade_chunk", n) for n in chunks]
+
+
+def conditioned_blocks(rng, count):
+    """`count` random blocks Q (D + c U) Q^H, k from 2 to 5, with cond2(V)
+    <= EIGENBASIS_COND: a random unitary Q, a diagonal D with spectral bound
+    -0.2, a strictly upper triangular complex Gaussian U and c from 0.1 to
+    10 (log-uniform), which sets the departure from normality."""
+    blocks = []
+    while len(blocks) < count:
+        k = int(rng.integers(2, 6))
+        q, _ = np.linalg.qr(random_complex(rng, k))
+        d = 0.5 * rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        u = np.triu(random_complex(rng, k), 1)
+        a = q @ (np.diag(d - d.real.max() - 0.2) + 10 ** rng.uniform(-1, 1) * u) @ q.conj().T
+        if reference_eigenbasis(a, 1.0) is not None:
+            blocks.append(a)
+    return blocks
+
+
+class TestEigenbasisRoute:
+    """Blocks off the closed form with cond2(V) <= EIGENBASIS_COND take
+    V e^{t Lambda} V^-1; the others keep the Pade arithmetic."""
+
+    def test_norms_match_mpmath(self):
+        # the route errs by about t ||A|| cond2(V) unit roundoffs (first-order
+        # eigenvalue perturbation); both bounds hold with room on 12 blocks
+        times = np.array([1.0, 50.0, 200.0])
+        worst = 0.0
+        for a in conditioned_blocks(np.random.default_rng(70), 12):
+            k = len(a)
+            norms = expm_norms(a[None], times, np.ones((1, 1, k)))[0][:, 0]
+            exact = mp_expm_norms(a, times)
+            rel = np.abs(norms - exact) / exact
+            cond = np.linalg.cond(np.linalg.eig(a)[1])
+            model = k * linalg._EPS * (1.0 + times * norm2(a)) * cond
+            assert (rel <= model).all()
+            worst = max(worst, float(rel.max()))
+        assert worst <= 5e-11
+
+    def test_zero_time_is_exactly_the_identity_on_every_route(self):
+        rng = np.random.default_rng(71)
+        stack = np.stack([upper_block(5), random_complex(rng, 5),
+                          conjugated_jordan(rng, 5, 1.0 + 2j)])
+        assert linalg._closed_form_blocks(stack).tolist() == [True, False, False]
+        assert linalg._eigenbasis(stack[1:])[0].tolist() == [True, False]
+        out = expm_stack(stack, [0.0])
+        np.testing.assert_array_equal(out[0], np.broadcast_to(np.eye(5), stack.shape))
+        for a in stack:
+            np.testing.assert_array_equal(expm(a, 0.0), np.eye(5))
+        norms, vnorms = expm_norms(stack, [0.0, 1.0], np.ones((1, 3, 5)))
+        np.testing.assert_array_equal(norms[0], [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(vnorms[0, 0], np.full(3, math.sqrt(5.0)))
+
+    def test_the_bound_splits_the_routes(self, monkeypatch):
+        # just below the bound: the eigenbasis route; just above: the
+        # unchanged Pade arithmetic, bit for bit
+        lams = (-0.5 + 1j, -0.7 - 0.3j)
+        below, above = (conditioned_pair(c, lams, seed=72) for c in (0.99e2, 1.01e2))
+        assert linalg.EIGENBASIS_COND == 1e2
+        assert linalg._eigenbasis(np.stack([below, above]))[0].tolist() == [True, False]
+        calls = []
+        for name in ("_eigen_chunk", "_pade_chunk"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name,
+                                lambda *args, real=real, name=name: calls.append(name)
+                                or real(*args))
+        times = np.array([0.0, 0.3, 7.0, 60.0])
+        for a, route in ((below, "_eigen_chunk"), (above, "_pade_chunk")):
+            calls.clear()
+            out = expm_stack(a[None], times)
+            assert calls == [route]
+            for t, got in zip(times, out[:, 0]):
+                want = reference_eigenbasis(a, t)
+                if route == "_pade_chunk":
+                    assert want is None
+                    want = reference_expm(a, t)[0]
+                np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_growth_fails_at_the_first_non_finite_time(self):
+        # eigenvalues 10 +- i on a well-conditioned basis: e^{10 t} passes the
+        # double range between t = 70 and t = 72
+        a = conditioned_pair(3.0, (10.0 + 1j, 10.0 - 1j), seed=73)
+        assert linalg._eigenbasis(a[None])[0][0]
+        times = np.array([0.0, 1.0, 50.0, 70.0, 72.0, 100.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (expm_stack, lambda a, t: expm_norms(a, t, np.ones((1, 1, 2)))):
+                with pytest.raises(NumericalFailureError) as info:
+                    kernel(a[None], times)
+                assert info.value.time == 72.0
+        assert np.isfinite(expm_stack(a[None], times[:4])).all()
+
+    def test_fast_decay_reads_zero_norms(self):
+        # e^{-50 t} underflows to 0 long before t = 200: norms 0, not NaN
+        a = conditioned_pair(5.0, (-50.0 + 3j, -60.0), seed=74)
+        assert linalg._eigenbasis(a[None])[0][0]
+        times = np.array([0.0, 1.0, 20.0, 200.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms, vnorms = expm_norms(a[None], times, np.ones((1, 1, 2)))
+        assert norms[0, 0] == 1.0 and 0.0 < norms[1, 0] < 1e-20
+        np.testing.assert_array_equal(norms[2:, 0], [0.0, 0.0])
+        np.testing.assert_array_equal(vnorms[2:, 0, 0], [0.0, 0.0])
+
+    def test_eigensolver_failure_is_a_numerical_failure(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        with pytest.raises(NumericalFailureError, match="did not converge"):
+            expm_stack(random_complex(np.random.default_rng(75), 4)[None], [1.0])
 
 
 class TestNorm2:

@@ -162,3 +162,13 @@ def test_bench_pairs_claim_needs_nine_tenths_and_more_than_the_parent_spread(cha
     wall, _, _ = bench_pairs.summarize(pairs, METRICS)
     assert wall["wins"] == wins
     assert not wall["gain"]
+
+
+def test_expm_accuracy_rows_bin_both_routes():
+    tool = load_tool("expm_accuracy")
+    rng = tool.np.random.default_rng(0)
+    got = list(tool.rows("random Hurwitz", tool.random_hurwitz, rng, per=1, max_draws=50))
+    assert got and got[0].startswith("| random Hurwitz | (1, 10] | 1 | ")
+    eig, pade = (float(cell) for cell in got[0].split("|")[4:6])
+    assert 0.0 <= eig <= 5e-11 and 0.0 <= pade <= 5e-11
+    assert tool.linalg.EIGENBASIS_COND == 1e2
