@@ -289,7 +289,7 @@ class TestAnalyze:
         assert linalg._eigenbasis(cell[None])[0][0]
         path = write_config(tmp_path, {"family": {"matrices": [pairs(cell)]}})
         times = cli._time_grid(cli.load_config(path)["time"])
-        first = 1.0 if rate > 709 else float(times[10 * times > math.log(np.finfo(float).max)][0])
+        first = 1.0 if rate > 709 else float(times[rate * times > math.log(np.finfo(float).max)][0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["analyze", path]) == 3
