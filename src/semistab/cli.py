@@ -456,14 +456,16 @@ def run_trajectory(cfg):
     p = _parse_p(cfg["p"])
     probes = build_probes(cfg, family)
     times = _time_grid(cfg["time"])
-    norms, probe_norms = _stage(
-        "semigroup.norm_curves", semigroup.orbit_norms, family, times, probes, p
+    # only the ess-sup per time is read: it is the floor after the call
+    ess_norms = np.zeros(times.size)
+    _, probe_norms = _stage(
+        "semigroup.norm_curves", semigroup.orbit_norms, family, times, probes, p,
+        floor=ess_norms,
     )
-    positive = family.space.positive_cells()
     header = ["t", "ess_sup_norm"] + [f"probe_{i}" for i in range(len(probes))]
     lines = [",".join(header)]
     for k, t in enumerate(times):
-        row = [t, float(norms[k, positive].max()), *probe_norms[k]]
+        row = [t, float(ess_norms[k]), *probe_norms[k]]
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 

@@ -52,13 +52,14 @@ def power_schedule(n_max):
     return sorted(n for n in ns if n <= n_max)
 
 
-def _power_norms(sample, n):
+def _power_norms(sample, n, floor):
     # ||M(s)^n|| per positive-weight cell (zero elsewhere), one stacked
-    # power (from the sample's shared squares) and linalg.norm2 per active
-    # dimension
+    # power (from the sample's shared squares) and linalg.floor_norms per
+    # active dimension: exact where it can reach the (1,) `floor` of the
+    # caller's ess-sup, an upper bound below it elsewhere
     norms = np.zeros(sample.space.n_cells)
     for cells, power in sample.power_stacks(n):
-        norms[cells] = linalg.norm2(power)
+        norms[cells] = linalg.floor_norms(power, floor)
     return norms
 
 
@@ -77,9 +78,10 @@ def power_bounded_estimate(sample, n_max, *, uni_tol=1e-9, match_tol=1e-6):
     certificate that the true supremum is finite: every positive-weight cell
     must have r(M(s)) < 1, or r(M(s)) <= 1 with every unimodular eigenvalue
     semisimple (rank test on M(s) - lambda I)."""
-    bound = 0.0
+    # one floor for the whole schedule: only the maximum is read
+    bound, floor = 0.0, np.zeros(1)
     for n in power_schedule(n_max):
-        bound = max(bound, ess_sup(sample.space, _power_norms(sample, n)))
+        bound = max(bound, ess_sup(sample.space, _power_norms(sample, n, floor)))
     faults = semigroup.boundary_faults(
         sample, sample.space.positive_cells(), _modulus_gap, uni_tol, match_tol
     )
@@ -110,7 +112,7 @@ def classify_discrete_uniform(sample, margin):
         n_check = max(
             1, math.ceil(NORM_CHECK_SAFETY * math.log(NORM_CHECK_THRESHOLD) / math.log(rho_star))
         )
-    observed = ess_sup(sample.space, _power_norms(sample, n_check))
+    observed = ess_sup(sample.space, _power_norms(sample, n_check, np.zeros(1)))
     detail["norm_check_n"] = n_check
     detail["norm_check_value"] = observed
     if observed >= NORM_CHECK_THRESHOLD:

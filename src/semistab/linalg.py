@@ -30,7 +30,10 @@ Matrices are plain complex ndarrays; the operator norm is the 2-norm
 (largest singular value) throughout. norm2 takes it as the square root of
 the largest eigenvalue of the Gram matrix C^H C (symmetric or Hermitian
 eigensolver, real for a real matrix) of the matrix scaled by a power of
-two, C = 2^-e A, one stacked call per stack.
+two, C = 2^-e A, one stacked call per stack. A caller that reads only a
+supremum of the norms passes a floor (_Floor): each norm is bracketed from
+its Gram matrix, and the eigensolve runs only where the bracket can reach
+the floor (expm_norms, floor_norms).
 """
 
 import math
@@ -45,6 +48,7 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 #: computed spectral radii and norms of unitary orbits land at 1 +- a few
 #: ulps; the classifiers treat values at least 1 - RADIUS_ROUNDOFF as >= 1.
@@ -85,10 +89,142 @@ def norm2(a):
     if m.size == 0:
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
     c, e = _scaled(m, (-2, -1))
-    gram = (c if real else c.conj()).swapaxes(-2, -1) @ c
-    top = np.linalg.eigvalsh(gram)[..., -1]
-    norms = np.ldexp(np.sqrt(top), e[..., 0, 0])
+    norms = _top(_gram(c), e[..., 0, 0])
     return float(norms) if m.ndim == 2 else norms
+
+
+def _gram(c):
+    # the Gram matrices C^H C of a (..., k, k) stack, real for a real stack
+    return (c.conj() if np.iscomplexobj(c) else c).swapaxes(-2, -1) @ c
+
+
+def _top(gram, e):
+    # norm2 of the matrices 2^e C from the Gram matrices of C: 2^e
+    # sqrt(lambda_max(gram)), one LAPACK call per matrix, so a matrix's bits
+    # do not depend on the stack
+    return np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[..., -1]), e)
+
+
+#: relative slack per unit of dimension k that widens every certified norm
+#: bracket on both sides (k times this, on the norm or on its square): it
+#: covers the rounding of the eigensolver behind norm2 and of the bounds
+#: themselves, so that lo <= norm2(F) <= hi holds for the floats norm2
+#: returns, not only for the exact norm.
+BRACKET_SLACK = 16 * _EPS
+
+#: a norm below this reads as a contraction (certify_bounded).
+CONTRACTION = 1.0 - RADIUS_ROUNDOFF
+
+
+def _bracket(gram, e):
+    """(lo, hi) with lo <= norm2(F) <= hi for each matrix F = 2^e C of a stack,
+    from the Gram matrices G of C (_scaled, _gram). lo^2 is the larger of
+    the largest diagonal entry G_jj (a squared column norm of C) and the
+    Rayleigh quotient of G at its column j; hi^2 is the Frobenius norm of
+    G, which equals lambda_max(G) at rank one. Both are widened by
+    BRACKET_SLACK k. A 1 x 1 matrix is its own bracket: lo = hi = norm2."""
+    k = gram.shape[-1]
+    if k == 1:
+        # LAPACK returns the one (real) entry of a 1 x 1 Hermitian matrix as is
+        norms = np.ldexp(np.sqrt(gram[..., 0, 0].real), e)
+        return norms, norms
+    g = gram.reshape(-1, k, k)
+    each = np.arange(g.shape[0])
+    diag = g[:, np.arange(k), np.arange(k)].real
+    j = diag.argmax(axis=1)
+    col = g[each, :, j]
+    num = (col.conj() * (g @ col[..., None])[..., 0]).real.sum(axis=1)
+    den = (col.conj() * col).real.sum(axis=1)
+    # den >= G_jj^2 >= 1/16 unless C = 0, whose bracket is [0, 0]
+    rayleigh = num / np.maximum(den, _TINY)
+    # the squared Frobenius norm: one real dot product per matrix over the
+    # real and imaginary parts of its entries
+    flat = g.view(float).reshape(g.shape[0], 1, -1)
+    frobenius = np.sqrt((flat @ flat.swapaxes(1, 2))[:, 0, 0])
+    slack = BRACKET_SLACK * k
+    lo = np.sqrt(np.maximum(diag[each, j], rayleigh) * (1.0 - slack)).reshape(e.shape)
+    hi = np.sqrt(frobenius * (1.0 + slack)).reshape(e.shape)
+    return np.ldexp(lo, e), np.ldexp(hi, e)
+
+
+class _Floor:
+    """What a caller reads of the 2-norms of a stack, and what it has seen.
+
+    `values` is the caller's floor, updated in place: the largest exact norm
+    or certified lower bound seen so far at each time (a (T,) array, for a
+    caller that reads a per-time supremum) or over every time (a (1,)
+    array, for one that reads only the overall maximum). A matrix whose
+    upper bound hi falls below the floor of its time can change neither
+    supremum, so it keeps hi and its exact norm is never computed. With
+    `blocks` (the size of the stack), the caller also reads, per block,
+    whether some norm falls below CONTRACTION: `known` marks the blocks
+    already shown to contract, and a matrix of any other block whose
+    bracket straddles CONTRACTION is computed exactly as well.
+
+    Each call takes matrices at times `steps` of blocks `cols`, broadcast to
+    one shape, with every (time, block) pair at most once.
+    """
+
+    def __init__(self, values, blocks=None):
+        self.values = values
+        self.known = None if blocks is None else np.zeros(blocks, dtype=bool)
+
+    def _lift(self, norms, steps, cols):
+        # raise the floor of each time (or the one floor) to the largest of
+        # `norms` there: a (time, block) grid holds each pair once
+        if not norms.size:
+            return
+        if self.values.size == 1:
+            self.values[0] = max(self.values[0], norms.max())
+            return
+        first = int(steps.min())
+        # norms are >= 0, so 0 is the neutral element of the maximum
+        grid = np.zeros((int(steps.max()) - first + 1, int(cols.max()) + 1))
+        grid[steps - first, cols] = norms
+        top = self.values[first : first + grid.shape[0]]
+        np.maximum(top, grid.max(axis=1), out=top)
+
+    def _mark(self, flags, cols):
+        # the blocks of `cols` with a True flag are shown to contract
+        if self.known is not None:
+            self.known[cols[flags]] = True
+
+    def need(self, lo, hi, steps=0, cols=0):
+        """Which matrices, with certified brackets lo <= norm <= hi, need
+        their exact norm; records the brackets."""
+        steps, cols = (np.broadcast_to(x, lo.shape) for x in (steps, cols))
+        self._lift(lo, steps, cols)
+        need = ~(hi < self.values[steps if self.values.size > 1 else 0])
+        if self.known is not None:
+            self._mark(hi < CONTRACTION, cols)
+            need |= (lo < CONTRACTION) & ~self.known[cols]
+        return need
+
+    def norms(self, gram, e, steps=0, cols=0):
+        """2-norms of the matrices 2^e C with Gram matrices `gram` (_gram):
+        bit for bit norm2 where need() asks for it (one eigensolve per such
+        matrix, from the Gram rows already formed), the upper bound hi
+        elsewhere."""
+        lo, hi = _bracket(gram, e)
+        need = self.need(lo, hi, steps, cols)
+        if gram.shape[-1] == 1 or not need.any():
+            return hi
+        hi[need] = exact = _top(gram[need], e[need])
+        steps, cols = (np.broadcast_to(x, need.shape)[need] for x in (steps, cols))
+        self._lift(exact, steps, cols)
+        self._mark(exact < CONTRACTION, cols)
+        return hi
+
+
+def floor_norms(a, floor):
+    """2-norms of a (..., k, k) stack for a caller that reads only their
+    maximum, carried across calls in `floor`, a (1,) float array updated in
+    place to the largest norm or lower bound seen (start it at 0). Entries
+    that can reach the floor are bit for bit norm2; every other entry is an
+    upper bound below the floor, so the maximum over every call is the
+    maximum of the exact norms, and so is the final floor."""
+    c, e = _scaled(np.asarray(a), (-2, -1))
+    return _Floor(floor).norms(_gram(c), e[..., 0, 0])
 
 
 def _scaled(m, axis):
@@ -283,31 +419,50 @@ def _power_basis(a):
     return offsets, powers, present, count
 
 
-def _real_factor(a, t, basis):
-    # R(t) = sum_{j<k} e^{t Re lambda} t^j/j! N^j for (q, k, k) blocks
-    # passing _closed_form_blocks, at every time of t: (T, q, k, k) reals,
-    # with e^{t(lambda I + N)} = e^{i t Im lambda} R(t). N is scaled exactly
-    # by a power of two 2^-e, and each weight e^{t Re lambda} (2^e t)^j / j!
-    # is one exp of its logarithm, so neither a weight nor a power overflows
-    # or underflows on its own account. A zero power gets a zero weight, so
-    # an overflowed weight never meets it as inf * 0. All terms are
-    # nonnegative and are added entrywise in increasing j; the terms another
-    # block of the chunk adds past this block's nilpotency index are exact
-    # zeros. So every entry is accurate relative to itself, and its bits
-    # depend on its block and time alone.
-    offsets, powers, present, count = basis
+def _weights(a, t, basis):
+    # (T, q, k) weights e^{t Re lambda} (2^e t)^j / j! of the terms of R(t)
+    # for (q, k, k) closed-form blocks and their _power_basis, each one exp of
+    # its logarithm; a zero power gets a zero weight
+    offsets, _, present, _ = basis
     j = np.arange(a.shape[-1])
     log_w = (
         (t[:, None] * a[:, 0, 0].real)[:, :, None]
         + np.where(j > 0, j * np.log(t)[:, None, None], 0.0)
         + offsets
     )
-    weights = np.where(present, np.exp(log_w), 0.0)[..., None, None]
+    return np.where(present, np.exp(log_w), 0.0)
+
+
+def _real_factor(a, t, basis, weights=None):
+    # R(t) = sum_{j<k} e^{t Re lambda} t^j/j! N^j for (q, k, k) blocks
+    # passing _closed_form_blocks, at every time of t: (T, q, k, k) reals,
+    # with e^{t(lambda I + N)} = e^{i t Im lambda} R(t). N is scaled exactly
+    # by a power of two 2^-e, and each weight e^{t Re lambda} (2^e t)^j / j!
+    # is one exp of its logarithm (_weights, unless given), so neither a
+    # weight nor a power overflows or underflows on its own account. A zero
+    # power gets a zero weight, so an overflowed weight never meets it as
+    # inf * 0. All terms are nonnegative and are added entrywise in
+    # increasing j; the terms another block of the chunk adds past this
+    # block's nilpotency index are exact zeros. So every entry is accurate
+    # relative to itself, and its bits depend on its block and time alone.
+    _, powers, _, count = basis
+    if weights is None:
+        weights = _weights(a, t, basis)
+    weights = weights[..., None, None]
     acc = weights[:, :, 0] * powers[:, 0]
     term = np.empty_like(acc)
     for i in range(1, count):
         acc += np.multiply(weights[:, :, i], powers[:, i], out=term)
     return acc
+
+
+def _power_bounds(basis):
+    # (peak, fro), (q, k) each: the largest entry and the Frobenius norm of
+    # each power of a _power_basis. For weights w of R(t) = sum_j w_j P_j,
+    # every term is nonnegative, so max_j w_j peak_j <= max R <= ||R|| and
+    # ||R|| <= ||R||_F <= sum_j w_j fro_j.
+    powers = basis[1]
+    return powers.max(axis=(-2, -1)), np.sqrt(np.square(powers).sum(axis=(-2, -1)))
 
 
 #: a block off the closed form whose eigenvector matrix V (LAPACK's, unit
@@ -342,7 +497,7 @@ def _eigen_chunk(w, v, vinv, t):
     return f
 
 
-def _runs(a, t):
+def _runs(a, t, select=None):
     """(steps, cols, f, angle) runs covering every (time, block) pair of a
     (m, k, k) stack over the grid t once, with e^{tA} = f e^{i angle}:
 
@@ -350,13 +505,19 @@ def _runs(a, t):
       power basis would fit STACK_BYTES (at least one block); a chunk builds
       its real basis, q k^3 doubles, once and runs its times in passes of
       (T, q, k, k) temporaries within max(STACK_BYTES, q k^3 doubles):
-      steps is a slice of t, cols the q blocks, f = R and angle
-      = t Im lambda, (T, q).
+      steps is a (T, 1) column of time indices, cols the q blocks, f = R and
+      angle = t Im lambda, (T, q).
     * the other blocks take one stacked eigendecomposition (_eigenbasis).
       Those with cond2(V) <= EIGENBASIS_COND run through _eigen_chunk, the
       rest through _pade_chunk, each in time-major chunks of (time, block)
       pairs within STACK_BYTES (at least one pair): steps and cols index the
       pairs, f is e^{tA} (pairs, k, k), angle is None.
+
+    With `select`, a closed-form pass first calls select(steps, cols, lo,
+    hi) with certified bounds lo <= norm2(R) <= hi of its (T, q) pairs,
+    taken from the weights before R is formed (slack as in _bracket), and
+    forms R only at the times where select returns True for some block (or
+    where t Im lambda is not finite); the other times are not yielded.
 
     Only runs whose every e^{tA} is finite are yielded; the errstate that
     silences the overflow of the others stays in force while a consumer
@@ -367,6 +528,7 @@ def _runs(a, t):
     """
     k = a.shape[-1]
     closed = _closed_form_blocks(a)
+    slack = BRACKET_SLACK * k
 
     def pairs(m):
         # (steps, sub): the (time, block) pairs of m blocks over t, time-major,
@@ -382,14 +544,25 @@ def _runs(a, t):
             cols = ids[first : first + size]
             part = a[cols]
             basis = _power_basis(part)
+            if select is not None:
+                peak, fro = _power_bounds(basis)
             step = max(k, STACK_BYTES // (8 * cols.size * k * k))
             for start in range(0, t.size, step):
-                steps = slice(start, start + step)
-                r = _real_factor(part, t[steps], basis)
-                # e^{tA} = R e^{i t Im lambda} is finite where R and t Im lambda are
+                steps = np.arange(start, min(start + step, t.size))
+                weights = _weights(part, t[steps], basis)
                 angle = t[steps, None] * part[:, 0, 0].imag
+                if select is not None:
+                    lo = (weights * peak).max(axis=-1) * (1.0 - slack)
+                    hi = (weights * fro).sum(axis=-1) * (1.0 + slack)
+                    keep = select(steps[:, None], cols, lo, hi).any(axis=1)
+                    keep |= ~np.isfinite(angle).all(axis=1)
+                    if not keep.any():
+                        continue
+                    steps, weights, angle = steps[keep], weights[keep], angle[keep]
+                r = _real_factor(part, t[steps], basis, weights)
+                # e^{tA} = R e^{i t Im lambda} is finite where R and t Im lambda are
                 finite = (np.isfinite(r).all(axis=(2, 3)) & np.isfinite(angle)).all(axis=1)
-                yield steps, cols, r, angle, finite
+                yield steps[:, None], cols, r, angle, finite
         ids = np.flatnonzero(~closed)
         if not ids.size:
             return
@@ -446,7 +619,7 @@ def expm_stack(a, t):
     return out
 
 
-def expm_norms(a, t, v):
+def expm_norms(a, t, v, floor=None, contract=False, out=None):
     """(norms, vnorms) of e^{t A_b} for every matrix A_b of a (m, k, k) stack,
     every time t of a 1-D grid of times >= 0 and vectors v, a (P, m, k)
     stack: norms[i, b] = ||e^{t_i A_b}|| (norm2) and vnorms[i, p, b] =
@@ -454,10 +627,25 @@ def expm_norms(a, t, v):
     stores, so a block's norms do not depend on the rest of the stack or
     the grid. A closed-form run has e^{tA} = R e^{i t Im lambda} with R real
     and the phase unimodular, so both norms are those of R: the norm2 of the
-    real matrix and |R v| from two real products. The norms of an eigenbasis
-    or a Pade run are those of its complex e^{tA}, one (k x k)(k x 1)
-    product per vector. Each e^{tA} v is scaled by a power of two before it
-    is squared, as in norm2.
+    real matrix and |R v| from two real products of R and v, each scaled by
+    a power of two first. The norms of an eigenbasis or a Pade run are those
+    of its complex e^{tA}, one (k x k)(k x 1) product per vector, scaled by a
+    power of two per vector before it is squared.
+
+    Without `floor` every norms entry is exact. With `floor`, a float array
+    of shape (len(t),) or (1,) that the call updates in place (see _Floor),
+    the caller reads only the supremum of the norms per time or over all
+    times: an entry is exact where its certified bracket can reach the
+    floor, and otherwise an upper bound that stays below it. After the call
+    the floor is that supremum over the stack and any earlier stacks it saw,
+    bit for bit the maximum of the exact norms. With `contract` the caller
+    also reads, per block, whether some norm is below CONTRACTION, and
+    every entry that decides it is exact too. A probe-free call (P = 0) with
+    a floor forms R(t) of a closed-form chunk only at the times where one of
+    its blocks can still reach the floor (_runs' select).
+
+    `out` = (norms, vnorms, ids) writes block b's results into column ids[b]
+    of the given (len(t), M) and (len(t), P, M) arrays, which are returned.
 
     Raises NumericalFailureError naming the earliest time at which e^{tA}
     is not finite for some block, or when the eigensolver does not converge,
@@ -466,20 +654,64 @@ def expm_norms(a, t, v):
     a = np.asarray(a, dtype=complex)
     t = np.asarray(t, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=complex)
-    norms = np.zeros((t.size, a.shape[0]))
-    vnorms = np.zeros((t.size, v.shape[0], a.shape[0]))
-    for steps, cols, f, angle in _runs(a, t):
-        norms[steps, cols] = norm2(f)
-        if angle is None:
-            w = v[:, cols].swapaxes(0, 1)[..., None]
-            vnorms[steps, :, cols] = vector_norms((f[:, None] @ w)[..., 0])
-            continue
-        # the real and the imaginary parts of the vectors as columns: (q, k, P)
-        ys = [f @ part[:, cols].transpose(1, 2, 0) for part in (v.real, v.imag)]
-        _, e = np.frexp(np.maximum(*(np.abs(y, out=y).max(axis=2, keepdims=True) for y in ys)))
-        sq = sum(np.square(np.ldexp(y, -e, out=y), out=y).sum(axis=2) for y in ys)
-        vnorms[steps, :, cols] = np.ldexp(np.sqrt(sq), e[:, :, 0]).swapaxes(1, 2)
+    if out is None:
+        out = (np.zeros((t.size, a.shape[0])), np.zeros((t.size, v.shape[0], a.shape[0])),
+               np.arange(a.shape[0]))
+    norms, vnorms, ids = out
+    sieve = None if floor is None else _Floor(floor, a.shape[0] if contract else None)
+    select = None
+    if sieve is not None and not v.shape[0]:
+        def select(steps, cols, lo, hi):
+            norms[steps, ids[cols]] = hi
+            return sieve.need(lo, hi, steps, cols)
+
+    for steps, cols, f, angle in _runs(a, t, select):
+        at = ids[cols]
+        # the advanced indices go first: (T, q, P) on the closed-form route
+        norms[steps, at], vnorms[steps, :, at] = _run_norms(f, angle, v[:, cols], sieve,
+                                                            steps, cols)
     return norms, vnorms
+
+
+def _run_norms(f, angle, v, sieve, steps, cols):
+    # (norms, probe norms) of one run of _runs, exact (norm2) or through the
+    # floor `sieve`, with 0.0 for the probe norms when there are no vectors;
+    # the scaled copy of f lives no longer than this call
+    c, e = _scaled(f, (-2, -1))
+    e = e[..., 0, 0]
+    norms = _top(_gram(c), e) if sieve is None else sieve.norms(_gram(c), e, steps, cols)
+    if not v.shape[0]:
+        return norms, 0.0
+    if angle is not None:
+        return norms, _real_probe_norms(c, e, v)
+    del c
+    return norms, vector_norms((f[:, None] @ v.swapaxes(0, 1)[..., None])[..., 0])
+
+
+#: a sum of squares of scaled probe products below this may have lost
+#: squares to underflow; _real_probe_norms rescales those products.
+_SQUARE_SUM_MIN = 2.0**-900
+
+
+def _real_probe_norms(c, f, v):
+    # |R v| for (T, q, k, k) reals R = 2^f c, scaled as norm2 scales them
+    # (_scaled), and (P, q, k) complex vectors v: (T, q, P). Each vector is
+    # scaled by its own 2^-g before the real products, which are then
+    # exactly 2^-(f+g) R v, so no array of the products' size scales them
+    # and the sum of their squares cannot overflow. Where that sum falls
+    # below _SQUARE_SUM_MIN (a product that cancels), squares may have
+    # underflowed: those products are formed again and rescaled by their own
+    # exponent (vector_norms).
+    vs, g = _scaled(v, -1)
+    g = g[..., 0].T
+    sq = sum(np.square(y, out=y).sum(axis=2)
+             for y in (c @ part.transpose(1, 2, 0) for part in (vs.real, vs.imag)))
+    norms = np.ldexp(np.sqrt(sq), f[..., None] + g)
+    i, b, p = np.nonzero(sq < _SQUARE_SUM_MIN)
+    if i.size:
+        y = (c[i, b] @ vs[p, b][..., None])[..., 0]
+        norms[i, b, p] = np.ldexp(vector_norms(y), f[i, b] + g[b, p])
+    return norms
 
 
 def expm(a, t=1.0):

@@ -310,18 +310,27 @@ def trajectory(family, times):
     return [sample_at(family, t) for t in _time_points(times)]
 
 
-def orbit_norms(family, times, probes=(), p=2.0, cells=None):
+def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, contract=False):
     """(norms, probe_norms) on the grid `times`: norms[k, c] = ||e^{t_k A(s_c)}||
     on the active block and probe_norms[k, j] = ||e^{t_k A} f_j||_p for the
     probe f_j restricted to the active blocks. Each active-dimension group
     takes one linalg.expm_norms call over the whole grid, which keeps no
-    exponential beyond its own time slices.
+    exponential beyond its own time slices and writes into the full arrays.
 
     Only `cells` are computed, by default the positive-weight cells: a
     zero-weight cell is a null set, so its exponential is never formed and
     its column of norms (and its share of every probe orbit) reads 0. Each
     computed column is bit for bit the same whichever other cells are
     computed with it.
+
+    Without `floor` every computed norm is exact. With `floor` (a float
+    array of shape (len(times),) or (1,), see linalg.expm_norms), carried
+    across the groups and updated in place, the caller reads only the
+    maximum over the computed cells per time or over the whole grid: that
+    maximum, and the floor after the call, are bit for bit those of the
+    exact norms, and an entry that cannot reach it holds an upper bound
+    instead. With `contract` as well, whether a cell has a norm below
+    linalg.CONTRACTION is also read exactly from the returned norms.
 
     Raises DomainError when a probe is zero on the active blocks and
     NumericalFailureError naming the earliest time at which any cell's
@@ -347,8 +356,11 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None):
         k = blocks.shape[-1]
         count = times.size if failure is None else int(np.searchsorted(times, failure.time))
         try:
-            norms[:count, ids], cell_norms[:count, :, ids] = linalg.expm_norms(
-                blocks, times[:count], vectors[:, ids, :k]
+            # a (1,) floor sliced to count >= 1 is itself
+            linalg.expm_norms(
+                blocks, times[:count], vectors[:, ids, :k],
+                floor=None if floor is None else floor[:count], contract=contract,
+                out=(norms[:count], cell_norms[:count], ids),
             )
         except NumericalFailureError as exc:
             if exc.time is None:
@@ -360,8 +372,8 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None):
 
 
 def norm_curves(family, times):
-    """norms[k, c] = ||e^{t_k A(s_c)}|| on the active block, 0 on zero-weight
-    cells."""
+    """norms[k, c] = ||e^{t_k A(s_c)}|| on the active block, every entry exact
+    (no floor), 0 on zero-weight cells."""
     return orbit_norms(family, times)[0]
 
 

@@ -82,10 +82,13 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
     they stay at or above DECAY_CROSSCHECK at every t > 0, the ess-sup
     cannot have decayed either, and the horizon doubles without computing
     any other cell.  Otherwise, and always on the last allowed horizon,
-    every positive-weight cell is computed on the grid.  Verdict and numbers
-    are the same as with the full grid on every horizon; a numerical failure
-    in a cell other than the lead can surface at a later horizon than it
-    would there.
+    every positive-weight cell is computed on the grid, the lead excepted
+    when its norms are known: they seed the per-time floor of
+    semigroup.orbit_norms, which computes a norm exactly only where it can
+    reach the ess-sup, and the floor after the call is the ess-sup.  Verdict
+    and numbers are the same as with the full grid on every horizon; a
+    numerical failure in a cell other than the lead can surface at a later
+    horizon than it would there.
     """
     if t0 <= 0:
         raise DomainError("reference time t0 must be positive")
@@ -110,11 +113,14 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
         h = first * 2.0**attempt
         times = semigroup.time_grid(h, grid_points)
         later = times > 0
+        cells, ess_norms = positive, np.zeros(times.size)
         if attempt < MAX_EXTENSIONS:
-            lead_norms = semigroup.orbit_norms(family, times, cells=[lead])[0][later, lead]
-            if lead_norms.min() >= DECAY_CROSSCHECK:
+            lead_norms = semigroup.orbit_norms(family, times, cells=[lead])[0][:, lead]
+            if lead_norms[later].min() >= DECAY_CROSSCHECK:
                 continue
-        ess_norms = semigroup.norm_curves(family, times)[:, positive].max(axis=1)
+            # the lead's exact norms seed the per-time floor of the others
+            cells, ess_norms = positive[positive != lead], lead_norms
+        semigroup.orbit_norms(family, times, cells=cells, floor=ess_norms)
         floor = float(ess_norms[later].min())
         if floor < DECAY_CROSSCHECK:
             break
@@ -140,7 +146,9 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
 
 class BoundednessCertificate(NamedTuple):
     """A boundedness verdict with the norms it was read from: `norms[k, c]` is
-    ||e^{times[k] A(s_c)}||, `probe_norms[k, j]` the p-norm of probe j's orbit."""
+    ||e^{times[k] A(s_c)}|| where it can reach `bound` or decides whether
+    cell c contracts, and an upper bound below `bound` elsewhere;
+    `probe_norms[k, j]` is the p-norm of probe j's orbit."""
 
     certified: bool
     bound: float
@@ -161,12 +169,20 @@ def certify_bounded(family, times, probes=(), *, p=2.0, re_tol=1e-9, match_tol=1
     imaginary axis semisimple.  Both certificates are sound in finite
     dimension; the spectral one also covers purely oscillatory cells that
     never contract.
+
+    Only the bound and, per cell, whether a grid norm falls below
+    linalg.CONTRACTION are read from the norms, so semigroup.orbit_norms
+    keeps one floor for the whole grid: `norms` is exact where it can reach
+    the bound or decides a contraction, and an upper bound elsewhere.
     """
     times = np.asarray(times, dtype=float)
-    norms, probe_norms = semigroup.orbit_norms(family, times, probes, p)
+    floor = np.zeros(1)
+    norms, probe_norms = semigroup.orbit_norms(
+        family, times, probes, p, floor=floor, contract=True
+    )
     positive = family.space.positive_cells()
-    bound = float(norms[:, positive].max())
-    contracting = (norms[times > 0] < 1.0 - linalg.RADIUS_ROUNDOFF).any(axis=0)
+    bound = float(floor[0])
+    contracting = (norms[times > 0] < linalg.CONTRACTION).any(axis=0)
     # Re(lambda) is the signed distance to the imaginary axis
     faults = semigroup.boundary_faults(
         family, positive[~contracting[positive]], np.real, re_tol, match_tol

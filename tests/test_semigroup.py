@@ -364,7 +364,8 @@ class TestOrbitNorms:
         probes = random_probes(family, 3, seed=1)
         calls = []
         real = linalg.expm_norms
-        monkeypatch.setattr(linalg, "expm_norms", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(linalg, "expm_norms",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
         norms, probe_norms = orbit_norms(family, times, probes, p)
         # one kernel call per active-dimension group, over the whole grid
         groups = family.block_stacks(family.space.positive_cells())

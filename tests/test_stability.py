@@ -169,15 +169,17 @@ def full_grid_uniform(family, t0, grid_points=48):
 
 
 def count_full_passes(monkeypatch):
-    """Record the grid end of every semigroup.norm_curves call."""
+    """Record the grid end of every full pass: the semigroup.orbit_norms calls
+    that carry a floor (the lead-only pass computes every norm exactly)."""
     ends = []
-    real = semigroup.norm_curves
+    real = semigroup.orbit_norms
 
-    def counted(family, times):
-        ends.append(float(times[-1]))
-        return real(family, times)
+    def counted(family, times, *args, **kwargs):
+        if kwargs.get("floor") is not None:
+            ends.append(float(times[-1]))
+        return real(family, times, *args, **kwargs)
 
-    monkeypatch.setattr(semigroup, "norm_curves", counted)
+    monkeypatch.setattr(semigroup, "orbit_norms", counted)
     return ends
 
 
