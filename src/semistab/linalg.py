@@ -1,18 +1,22 @@
 """Dense complex matrix kernels.
 
-Matrix exponential of a stack of blocks over a grid of times. One generator,
-_runs, sends each block down one of three routes, chunks each route and
-drops the runs that are not finite:
+Matrix exponential of a stack of blocks over a grid of times. A stack's
+Factor (factorize) sorts its blocks into three routes and holds what each
+reuses across times and calls; a PointwiseFamily builds one per
+active-dimension group on first use and passes slices of it, and a bare
+stack builds its own. One generator, _runs, chunks each route and drops the
+runs that are not finite:
 
 * closed form: a block lambda I + N with N strictly upper triangular, real
   and entrywise nonnegative takes the finite sum e^{i t Im lambda} R(t),
   with the real factor R(t) = e^{t Re lambda} sum_{j<k} t^j/j! N^j accurate
-  entry by entry;
+  entry by entry, formed from the nonzero entries of the powers of N only
+  (_Band): work in proportion to their count, k(k+1)/2 for a shift;
 * eigenbasis: every other block whose eigenvector matrix V has
   cond2(V) <= EIGENBASIS_COND takes V e^{t Lambda} V^-1 (Moler & Van Loan,
   SIAM Review 2003, method 14): one eigendecomposition and one inverse per
-  block serve the whole grid, and each (time, block) pair costs one k x k
-  product;
+  block serve every time and call, and each (time, block) pair costs one
+  k x k product;
 * Pade: every remaining block takes scaling-and-squaring with diagonal Pade
   approximants after shifting the mean imaginary part of the diagonal out
   of tA.
@@ -37,6 +41,7 @@ the floor (expm_norms, floor_norms).
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,26 +158,28 @@ class _Floor:
     `values` is the caller's floor, updated in place: the largest exact norm
     or certified lower bound seen so far at each time (a (T,) array, for a
     caller that reads a per-time supremum) or over every time (a (1,)
-    array, for one that reads only the overall maximum). A matrix whose
-    upper bound hi falls below the floor of its time can change neither
-    supremum, so it keeps hi and its exact norm is never computed. With
-    `blocks` (the size of the stack), the caller also reads, per block,
-    whether some norm falls below CONTRACTION: `known` marks the blocks
-    already shown to contract, and a matrix of any other block whose
-    bracket straddles CONTRACTION is computed exactly as well.
+    array, for one that reads only the overall maximum), or None when no
+    supremum is read. A matrix whose upper bound hi falls below the floor
+    of its time can change neither supremum, so it keeps hi and its exact
+    norm is never computed. With a threshold `below`, the caller also
+    reads, per block (of `blocks`), whether some norm falls below it:
+    `known` marks the blocks already shown to, and a matrix of any other
+    block whose bracket straddles the threshold is computed exactly as
+    well.
 
     Each call takes matrices at times `steps` of blocks `cols`, broadcast to
     one shape, with every (time, block) pair at most once.
     """
 
-    def __init__(self, values, blocks=None):
+    def __init__(self, values, blocks, below=None):
         self.values = values
-        self.known = None if blocks is None else np.zeros(blocks, dtype=bool)
+        self.below = below
+        self.known = None if below is None else np.zeros(blocks, dtype=bool)
 
     def _lift(self, norms, steps, cols):
         # raise the floor of each time (or the one floor) to the largest of
         # `norms` there: a (time, block) grid holds each pair once
-        if not norms.size:
+        if self.values is None or not norms.size:
             return
         if self.values.size == 1:
             self.values[0] = max(self.values[0], norms.max())
@@ -185,19 +192,20 @@ class _Floor:
         np.maximum(top, grid.max(axis=1), out=top)
 
     def _mark(self, flags, cols):
-        # the blocks of `cols` with a True flag are shown to contract
-        if self.known is not None:
-            self.known[cols[flags]] = True
+        # the blocks of `cols` with a True flag are shown to fall below
+        self.known[cols[flags]] = True
 
     def need(self, lo, hi, steps=0, cols=0):
         """Which matrices, with certified brackets lo <= norm <= hi, need
         their exact norm; records the brackets."""
         steps, cols = (np.broadcast_to(x, lo.shape) for x in (steps, cols))
-        self._lift(lo, steps, cols)
-        need = ~(hi < self.values[steps if self.values.size > 1 else 0])
+        need = np.zeros(lo.shape, dtype=bool)
+        if self.values is not None:
+            self._lift(lo, steps, cols)
+            need = ~(hi < self.values[steps if self.values.size > 1 else 0])
         if self.known is not None:
-            self._mark(hi < CONTRACTION, cols)
-            need |= (lo < CONTRACTION) & ~self.known[cols]
+            self._mark(hi < self.below, cols)
+            need |= (lo < self.below) & ~self.known[cols]
         return need
 
     def norms(self, gram, e, steps=0, cols=0):
@@ -212,7 +220,8 @@ class _Floor:
         hi[need] = exact = _top(gram[need], e[need])
         steps, cols = (np.broadcast_to(x, need.shape)[need] for x in (steps, cols))
         self._lift(exact, steps, cols)
-        self._mark(exact < CONTRACTION, cols)
+        if self.known is not None:
+            self._mark(exact < self.below, cols)
         return hi
 
 
@@ -224,7 +233,7 @@ def floor_norms(a, floor):
     upper bound below the floor, so the maximum over every call is the
     maximum of the exact norms, and so is the final floor."""
     c, e = _scaled(np.asarray(a), (-2, -1))
-    return _Floor(floor).norms(_gram(c), e[..., 0, 0])
+    return _Floor(floor, None).norms(_gram(c), e[..., 0, 0])
 
 
 def _scaled(m, axis):
@@ -391,12 +400,10 @@ def _closed_form_blocks(a):
 
 
 def _power_basis(a):
-    # (offsets, powers, present, count) of (q, k, k) closed-form blocks
-    # lambda I + N. With 2^e the power of two that scales the largest entry
-    # of N into [1, 2): powers[:, j] = (2^-e N)^j, present[:, j] says whether
-    # it is nonzero, offsets[:, j] = j e ln 2 - ln j! is the time-free part
-    # of the log weight of term j, and terms j >= count are zero in every
-    # block.
+    # (offsets, powers) of (q, k, k) closed-form blocks lambda I + N. With 2^e
+    # the power of two that scales the largest entry of N into [1, 2):
+    # powers[:, j] = (2^-e N)^j and offsets[:, j] = j e ln 2 - ln j! is the
+    # time-free part of the log weight of term j.
     q, k = a.shape[0], a.shape[-1]
     diag = np.arange(k)
     nil = a.real.copy()
@@ -413,56 +420,101 @@ def _power_basis(a):
         powers[:, h + 1 : top_j + 1] = powers[:, 1 : top_j - h + 1] @ powers[:, h : h + 1]
         h = top_j
     log_factorials = np.array([math.lgamma(j + 1) for j in range(k)])
-    offsets = np.outer(e, diag) * math.log(2.0) - log_factorials
-    present = powers.any(axis=(2, 3))
-    count = int(np.flatnonzero(present.any(axis=0))[-1]) + 1
-    return offsets, powers, present, count
+    return np.outer(e, diag) * math.log(2.0) - log_factorials, powers
 
 
-def _weights(a, t, basis):
+class _Band(NamedTuple):
+    """The power basis P_j of q closed-form k x k blocks (_power_basis), kept
+    on its nonzero entries. `offsets` (q, k) are the time-free log weights,
+    `peak` and `fro` (q, k) the largest entry (0 for a zero power) and the
+    Frobenius norm of each power: for the weights w of R(t) =
+    sum_j w_j P_j every term is nonnegative, so max_j w_j peak_j <= ||R||
+    <= sum_j w_j fro_j. Each nonzero entry of a power is one term: `val`
+    its value, `pos` the flat index b k^2 + r k + c of the entry of R it
+    adds to, `src` the flat index b k + j of its weight. The terms run by
+    rank, the place of a term among the nonzero terms of its entry in
+    increasing j, and `starts` bounds each rank, in which no entry occurs
+    twice."""
+
+    offsets: np.ndarray
+    peak: np.ndarray
+    fro: np.ndarray
+    pos: np.ndarray
+    src: np.ndarray
+    val: np.ndarray
+    starts: np.ndarray
+
+    def take(self, sel):
+        """The band of blocks `sel` (sorted distinct positions), renumbered."""
+        q, k = self.offsets.shape
+        if sel.size == q:
+            return self
+        to = np.full(q, -1)
+        to[sel] = np.arange(sel.size)
+        to = to[self.pos // (k * k)]
+        keep = to >= 0
+        to = to[keep]
+        # the ranks that keep a term; a rank past the last kept one is empty
+        starts = np.concatenate(([0], np.cumsum(keep)))[self.starts]
+        return _Band(
+            self.offsets[sel], self.peak[sel], self.fro[sel],
+            to * (k * k) + self.pos[keep] % (k * k), to * k + self.src[keep] % k,
+            self.val[keep], starts[: np.searchsorted(starts, starts[-1]) + 1],
+        )
+
+
+def _band(a):
+    # the _Band of (q, k, k) closed-form blocks, from their dense power basis
+    k = a.shape[-1]
+    offsets, powers = _power_basis(a)
+    # the nonzero terms by block, entry, then increasing j
+    b, r, c, j = np.nonzero(powers.transpose(0, 2, 3, 1))
+    pos = (b * k + r) * k + c
+    index = np.arange(pos.size)
+    new = np.r_[True, pos[1:] != pos[:-1]]
+    rank = index - np.maximum.accumulate(np.where(new, index, 0))
+    order = np.argsort(rank, kind="stable")
+    # 32-bit term indices: a family keeps its bands for as long as it lives
+    return _Band(
+        offsets, powers.max(axis=(2, 3)), np.sqrt(np.square(powers).sum(axis=(2, 3))),
+        pos[order].astype(np.int32), (b * k + j)[order].astype(np.int32),
+        powers[b, j, r, c][order], np.searchsorted(rank[order], np.arange(rank.max() + 2)),
+    )
+
+
+def _weights(a, t, band):
     # (T, q, k) weights e^{t Re lambda} (2^e t)^j / j! of the terms of R(t)
-    # for (q, k, k) closed-form blocks and their _power_basis, each one exp of
-    # its logarithm; a zero power gets a zero weight
-    offsets, _, present, _ = basis
+    # for (q, k, k) closed-form blocks and their _Band, each one exp of its
+    # logarithm; a zero power gets a zero weight
     j = np.arange(a.shape[-1])
     log_w = (
         (t[:, None] * a[:, 0, 0].real)[:, :, None]
         + np.where(j > 0, j * np.log(t)[:, None, None], 0.0)
-        + offsets
+        + band.offsets
     )
-    return np.where(present, np.exp(log_w), 0.0)
+    return np.where(band.peak > 0, np.exp(log_w), 0.0)
 
 
-def _real_factor(a, t, basis, weights=None):
+def _real_factor(a, t, band, weights=None):
     # R(t) = sum_{j<k} e^{t Re lambda} t^j/j! N^j for (q, k, k) blocks
     # passing _closed_form_blocks, at every time of t: (T, q, k, k) reals,
     # with e^{t(lambda I + N)} = e^{i t Im lambda} R(t). N is scaled exactly
     # by a power of two 2^-e, and each weight e^{t Re lambda} (2^e t)^j / j!
     # is one exp of its logarithm (_weights, unless given), so neither a
-    # weight nor a power overflows or underflows on its own account. A zero
-    # power gets a zero weight, so an overflowed weight never meets it as
-    # inf * 0. All terms are nonnegative and are added entrywise in
-    # increasing j; the terms another block of the chunk adds past this
-    # block's nilpotency index are exact zeros. So every entry is accurate
-    # relative to itself, and its bits depend on its block and time alone.
-    _, powers, _, count = basis
+    # weight nor a power overflows or underflows on its own account. Only
+    # the nonzero terms of the _Band are formed, one rank at a time, so each
+    # entry adds its terms in increasing j; the terms a dense sum would add
+    # besides are exact zeros, whose +0 changes no nonnegative partial sum.
+    # So every entry is accurate relative to itself, and its bits depend on
+    # its block and time alone.
     if weights is None:
-        weights = _weights(a, t, basis)
-    weights = weights[..., None, None]
-    acc = weights[:, :, 0] * powers[:, 0]
-    term = np.empty_like(acc)
-    for i in range(1, count):
-        acc += np.multiply(weights[:, :, i], powers[:, i], out=term)
-    return acc
-
-
-def _power_bounds(basis):
-    # (peak, fro), (q, k) each: the largest entry and the Frobenius norm of
-    # each power of a _power_basis. For weights w of R(t) = sum_j w_j P_j,
-    # every term is nonnegative, so max_j w_j peak_j <= max R <= ||R|| and
-    # ||R|| <= ||R||_F <= sum_j w_j fro_j.
-    powers = basis[1]
-    return powers.max(axis=(-2, -1)), np.sqrt(np.square(powers).sum(axis=(-2, -1)))
+        weights = _weights(a, t, band)
+    q, k = a.shape[0], a.shape[-1]
+    w = weights.reshape(-1, q * k)
+    acc = np.zeros((w.shape[0], q * k * k))
+    for lo, hi in zip(band.starts[:-1].tolist(), band.starts[1:].tolist()):
+        acc[:, band.pos[lo:hi]] += w[:, band.src[lo:hi]] * band.val[lo:hi]
+    return acc.reshape(-1, q, k, k)
 
 
 #: a block off the closed form whose eigenvector matrix V (LAPACK's, unit
@@ -497,21 +549,80 @@ def _eigen_chunk(w, v, vinv, t):
     return f
 
 
-def _runs(a, t, select=None):
-    """(steps, cols, f, angle) runs covering every (time, block) pair of a
-    (m, k, k) stack over the grid t once, with e^{tA} = f e^{i angle}:
+class Factor(NamedTuple):
+    """What the kernels keep of a (m, k, k) stack across calls (factorize):
+    `closed` (m,) marks the closed-form blocks, and `bands` holds their
+    _Band per chunk of consecutive closed-form blocks whose complex power
+    basis fits STACK_BYTES (at least one block); `well` (m,) marks the
+    blocks on the eigenbasis route, and `eigen` holds their eigenvalues, V
+    and V^-1 (_eigenbasis). The other blocks take Pade, from the matrices
+    alone. Every array of a factorize result is read-only."""
 
-    * closed-form blocks (_closed_form_blocks) run in chunks whose complex
-      power basis would fit STACK_BYTES (at least one block); a chunk builds
-      its real basis, q k^3 doubles, once and runs its times in passes of
-      (T, q, k, k) temporaries within max(STACK_BYTES, q k^3 doubles):
-      steps is a (T, 1) column of time indices, cols the q blocks, f = R and
+    closed: np.ndarray
+    bands: tuple
+    well: np.ndarray
+    eigen: tuple | None
+
+    def take(self, sub):
+        """The factor of the sub-stack a[sub], for sorted distinct positions
+        `sub`: each block's arrays are its own, so slicing them gives the
+        bits factorize(a[sub]) would."""
+        if sub.size == self.closed.size:
+            return self
+        closed, well = self.closed[sub], self.well[sub]
+        sel = (np.cumsum(self.closed) - 1)[sub[closed]]
+        bands, first = [], 0
+        for band in self.bands:
+            q = band.offsets.shape[0]
+            local = sel[(sel >= first) & (sel < first + q)] - first
+            if local.size:
+                bands.append(band.take(local))
+            first += q
+        eigen = None
+        if well.any():
+            at = (np.cumsum(self.well) - 1)[sub[well]]
+            eigen = tuple(x[at] for x in self.eigen)
+        return Factor(closed, tuple(bands), well, eigen)
+
+
+def factorize(a):
+    """The Factor of a (m, k, k) complex stack: the closed-form blocks'
+    power basis on its band, one stacked eigendecomposition of the others.
+    LAPACK factors each matrix on its own, so a block's arrays do not
+    depend on the stack. Raises NumericalFailureError when the eigensolver
+    does not converge."""
+    a = np.asarray(a, dtype=complex)
+    closed = _closed_form_blocks(a)
+    part = a[closed]
+    size = max(1, STACK_BYTES // (16 * a.shape[-1] ** 3))
+    bands = tuple(_band(part[first : first + size]) for first in range(0, len(part), size))
+    well = np.zeros(closed.shape, dtype=bool)
+    eigen = None
+    rest = np.flatnonzero(~closed)
+    if rest.size:
+        ok, *eigen = _eigenbasis(a[rest])
+        well[rest[ok]] = True
+        eigen = tuple(eigen)
+    for x in (closed, well, *(x for band in bands for x in band), *(eigen or ())):
+        x.setflags(write=False)
+    return Factor(closed, bands, well, eigen)
+
+
+def _runs(a, t, select=None, factor=None):
+    """(steps, cols, f, angle) runs covering every (time, block) pair of a
+    (m, k, k) stack over the grid t once, with e^{tA} = f e^{i angle}, from
+    the stack's Factor (factorize(a) unless given):
+
+    * the closed-form blocks run per band of the factor (q blocks whose
+      complex power basis would fit STACK_BYTES, at least one block), in
+      passes of (T, q, k, k) temporaries within max(STACK_BYTES, q k^3
+      doubles) that form R(t) from the band (_real_factor): steps is a
+      (T, 1) column of time indices, cols the q blocks, f = R and
       angle = t Im lambda, (T, q).
-    * the other blocks take one stacked eigendecomposition (_eigenbasis).
-      Those with cond2(V) <= EIGENBASIS_COND run through _eigen_chunk, the
-      rest through _pade_chunk, each in time-major chunks of (time, block)
-      pairs within STACK_BYTES (at least one pair): steps and cols index the
-      pairs, f is e^{tA} (pairs, k, k), angle is None.
+    * the blocks with cond2(V) <= EIGENBASIS_COND run through _eigen_chunk,
+      the rest through _pade_chunk, each in time-major chunks of (time,
+      block) pairs within STACK_BYTES (at least one pair): steps and cols
+      index the pairs, f is e^{tA} (pairs, k, k), angle is None.
 
     With `select`, a closed-form pass first calls select(steps, cols, lo,
     hi) with certified bounds lo <= norm2(R) <= hi of its (T, q) pairs,
@@ -527,7 +638,8 @@ def _runs(a, t, select=None):
     eigensolver that does not converge raises NumericalFailureError too.
     """
     k = a.shape[-1]
-    closed = _closed_form_blocks(a)
+    if factor is None:
+        factor = factorize(a)
     slack = BRACKET_SLACK * k
 
     def pairs(m):
@@ -538,39 +650,33 @@ def _runs(a, t, select=None):
             yield np.divmod(np.arange(start, min(start + size, t.size * m)), m)
 
     def computed():
-        ids = np.flatnonzero(closed)
-        size = max(1, STACK_BYTES // (16 * k**3))
-        for first in range(0, ids.size, size):
-            cols = ids[first : first + size]
+        ids, first = np.flatnonzero(factor.closed), 0
+        for band in factor.bands:
+            cols = ids[first : first + band.offsets.shape[0]]
+            first += cols.size
             part = a[cols]
-            basis = _power_basis(part)
-            if select is not None:
-                peak, fro = _power_bounds(basis)
             step = max(k, STACK_BYTES // (8 * cols.size * k * k))
             for start in range(0, t.size, step):
                 steps = np.arange(start, min(start + step, t.size))
-                weights = _weights(part, t[steps], basis)
+                weights = _weights(part, t[steps], band)
                 angle = t[steps, None] * part[:, 0, 0].imag
                 if select is not None:
-                    lo = (weights * peak).max(axis=-1) * (1.0 - slack)
-                    hi = (weights * fro).sum(axis=-1) * (1.0 + slack)
+                    lo = (weights * band.peak).max(axis=-1) * (1.0 - slack)
+                    hi = (weights * band.fro).sum(axis=-1) * (1.0 + slack)
                     keep = select(steps[:, None], cols, lo, hi).any(axis=1)
                     keep |= ~np.isfinite(angle).all(axis=1)
                     if not keep.any():
                         continue
                     steps, weights, angle = steps[keep], weights[keep], angle[keep]
-                r = _real_factor(part, t[steps], basis, weights)
+                r = _real_factor(part, t[steps], band, weights)
                 # e^{tA} = R e^{i t Im lambda} is finite where R and t Im lambda are
                 finite = (np.isfinite(r).all(axis=(2, 3)) & np.isfinite(angle)).all(axis=1)
                 yield steps[:, None], cols, r, angle, finite
-        ids = np.flatnonzero(~closed)
-        if not ids.size:
-            return
-        well, w, v, vinv = _eigenbasis(a[ids])
-        eigen_ids, ids = ids[well], ids[~well]
-        for steps, sub in pairs(eigen_ids.size):
-            f = _eigen_chunk(w[sub], v[sub], vinv[sub], t[steps])
-            yield steps, eigen_ids[sub], f, None, np.isfinite(f).all(axis=(1, 2))
+        ids = np.flatnonzero(factor.well)
+        for steps, sub in pairs(ids.size):
+            f = _eigen_chunk(*(x[sub] for x in factor.eigen), t[steps])
+            yield steps, ids[sub], f, None, np.isfinite(f).all(axis=(1, 2))
+        ids = np.flatnonzero(~factor.closed & ~factor.well)
         for steps, sub in pairs(ids.size):
             f = _pade_chunk(a[ids[sub]], t[steps])
             yield steps, ids[sub], f, None, np.isfinite(f).all(axis=(1, 2))
@@ -586,40 +692,31 @@ def _runs(a, t, select=None):
         raise NumericalFailureError(f"e^{{tA}} is not finite at t = {bad:g}", time=bad)
 
 
-def expm_stack(a, t):
+def expm_stack(a, t, *, factor=None):
     """e^{t A_b} for every matrix A_b of a (m, k, k) stack and every time t of
     a 1-D grid of times >= 0: a (len(t), m, k, k) array stored from _runs.
 
-    Each block takes one of three routes, and its result does not depend on
-    the rest of the stack or the grid:
+    Each block takes the route of the module docstring, and its result does
+    not depend on the rest of the stack or the grid. On the Pade route it
+    gets exactly the arithmetic of a one-matrix scaling-and-squaring of
+    tA - i theta I, theta = Im tr(tA) / k, times the unimodular
+    e^{i theta}; the shift removes the squarings a large imaginary diagonal
+    would cost.
 
-    * lambda I + N with N strictly upper triangular, real and entrywise
-      nonnegative (every Zabczyk block and every 1 x 1 block) takes the
-      finite sum e^{i t Im lambda} R(t), R(t) = sum_{j<k} e^{t Re lambda}
-      t^j/j! N^j. The weights of R are formed in the log domain and its
-      nonnegative terms added entrywise in a fixed order, so every entry is
-      accurate relative to itself.
-    * Every other block is eigendecomposed once, A = V Lambda V^-1 (LAPACK,
-      unit eigenvectors). When cond2(V) <= EIGENBASIS_COND it takes
-      (V e^{t Lambda}) V^-1, with V^-1 computed once for the whole grid.
-    * The blocks with an ill-conditioned V get exactly the arithmetic of a
-      one-matrix scaling-and-squaring of tA - i theta I,
-      theta = Im tr(tA) / k, times the unimodular e^{i theta}. The shift
-      removes the squarings a large imaginary diagonal would cost.
-
-    e^{0 A} is exactly I on every route. Raises NumericalFailureError naming
-    the earliest time at which a result is not finite, or when the
+    e^{0 A} is exactly I on every route. `factor` passes the stack's Factor
+    when the caller keeps one (factorize). Raises NumericalFailureError
+    naming the earliest time at which a result is not finite, or when the
     eigensolver does not converge.
     """
     a = np.asarray(a, dtype=complex)
     t = np.asarray(t, dtype=float).reshape(-1)
     out = np.empty((t.size,) + a.shape, dtype=complex)
-    for steps, cols, f, angle in _runs(a, t):
+    for steps, cols, f, angle in _runs(a, t, None, factor):
         out[steps, cols] = f if angle is None else f * np.exp(1j * angle)[..., None, None]
     return out
 
 
-def expm_norms(a, t, v, floor=None, contract=False, out=None):
+def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
     """(norms, vnorms) of e^{t A_b} for every matrix A_b of a (m, k, k) stack,
     every time t of a 1-D grid of times >= 0 and vectors v, a (P, m, k)
     stack: norms[i, b] = ||e^{t_i A_b}|| (norm2) and vnorms[i, p, b] =
@@ -638,14 +735,16 @@ def expm_norms(a, t, v, floor=None, contract=False, out=None):
     times: an entry is exact where its certified bracket can reach the
     floor, and otherwise an upper bound that stays below it. After the call
     the floor is that supremum over the stack and any earlier stacks it saw,
-    bit for bit the maximum of the exact norms. With `contract` the caller
-    also reads, per block, whether some norm is below CONTRACTION, and
+    bit for bit the maximum of the exact norms. With a threshold `below`
+    (CONTRACTION for the boundedness gate), with or without a floor, the
+    caller also reads, per block, whether some norm falls below it, and
     every entry that decides it is exact too. A probe-free call (P = 0) with
-    a floor forms R(t) of a closed-form chunk only at the times where one of
-    its blocks can still reach the floor (_runs' select).
+    either forms R(t) of the closed-form blocks only at the times where one
+    of them still needs an exact norm (_runs' select).
 
     `out` = (norms, vnorms, ids) writes block b's results into column ids[b]
     of the given (len(t), M) and (len(t), P, M) arrays, which are returned.
+    `factor` passes the stack's Factor when the caller keeps one.
 
     Raises NumericalFailureError naming the earliest time at which e^{tA}
     is not finite for some block, or when the eigensolver does not converge,
@@ -658,14 +757,14 @@ def expm_norms(a, t, v, floor=None, contract=False, out=None):
         out = (np.zeros((t.size, a.shape[0])), np.zeros((t.size, v.shape[0], a.shape[0])),
                np.arange(a.shape[0]))
     norms, vnorms, ids = out
-    sieve = None if floor is None else _Floor(floor, a.shape[0] if contract else None)
+    sieve = None if floor is None and below is None else _Floor(floor, a.shape[0], below)
     select = None
     if sieve is not None and not v.shape[0]:
         def select(steps, cols, lo, hi):
             norms[steps, ids[cols]] = hi
             return sieve.need(lo, hi, steps, cols)
 
-    for steps, cols, f, angle in _runs(a, t, select):
+    for steps, cols, f, angle in _runs(a, t, select, factor):
         at = ids[cols]
         # the advanced indices go first: (T, q, P) on the closed-form route
         norms[steps, at], vnorms[steps, :, at] = _run_norms(f, angle, v[:, cols], sieve,

@@ -120,6 +120,29 @@ class PointwiseFamily:
         return radii
 
     @cached_property
+    def factors(self):
+        """Read-only ((cell ids, stack of their active blocks, linalg.Factor),
+        ...) per active dimension of the positive-weight cells: one
+        linalg.factorize per group on first use, which every exponential
+        and norm curve of the family then slices (groups). A factorization
+        that fails raises NumericalFailureError and is not kept."""
+        stacks = self.block_stacks(self.space.positive_cells())
+        for x in (x for stack in stacks for x in stack):
+            x.setflags(write=False)
+        return tuple((ids, blocks, linalg.factorize(blocks)) for ids, blocks in stacks)
+
+    def groups(self, cells=None):
+        """(cell ids, blocks, factor) per active dimension of the
+        positive-weight cells among `cells` (default: all of them), sliced
+        from `factors` (linalg.Factor.take), so nothing is factored again."""
+        chosen = np.zeros(self.space.n_cells, dtype=bool)
+        chosen[slice(None) if cells is None else cells] = True
+        for ids, blocks, factor in self.factors:
+            sub = np.flatnonzero(chosen[ids])
+            if sub.size:
+                yield ids[sub], blocks[sub], factor.take(sub)
+
+    @cached_property
     def _squares(self):
         # [(cell ids, [M, M^2, M^4, ...])] per active dimension of the
         # positive-weight cells, read-only; power_stacks extends each list as
@@ -281,8 +304,9 @@ def _time_points(times):
 
 def sample_at(family, t):
     """The family e^{tA(s)} at one time t >= 0: one linalg.expm_stack call per
-    active-dimension group of the positive-weight cells, identity on the
-    padding and on the zero-weight cells (null sets, never exponentiated).
+    active-dimension group of the positive-weight cells, from the family's
+    factors, identity on the padding and on the zero-weight cells (null
+    sets, never exponentiated).
     Each block is bit for bit linalg.expm(family.block(c), t). Its eigenvalue
     table is e^{t lambda} over the family's, by spectral mapping, so no
     exponential is eigensolved.
@@ -293,9 +317,9 @@ def sample_at(family, t):
     if t < 0:
         raise DomainError("times must be nonnegative")
     mats = np.tile(np.eye(family.dim, dtype=complex), (family.space.n_cells, 1, 1))
-    for ids, blocks in family.block_stacks(family.space.positive_cells()):
+    for ids, blocks, factor in family.groups():
         k = blocks.shape[-1]
-        mats[ids, :k, :k] = linalg.expm_stack(blocks, [t])[0]
+        mats[ids, :k, :k] = linalg.expm_stack(blocks, [t], factor=factor)[0]
     sample = PointwiseFamily(space=family.space, dim=family.dim, matrices=mats,
                              active_dims=family.active_dims)
     table = np.exp(t * family.eigenvalues)
@@ -310,18 +334,19 @@ def trajectory(family, times):
     return [sample_at(family, t) for t in _time_points(times)]
 
 
-def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, contract=False):
+def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=None):
     """(norms, probe_norms) on the grid `times`: norms[k, c] = ||e^{t_k A(s_c)}||
     on the active block and probe_norms[k, j] = ||e^{t_k A} f_j||_p for the
     probe f_j restricted to the active blocks. Each active-dimension group
-    takes one linalg.expm_norms call over the whole grid, which keeps no
-    exponential beyond its own time slices and writes into the full arrays.
+    takes one linalg.expm_norms call over the whole grid, with its slice of
+    the family's factors, which keeps no exponential beyond its own time
+    slices and writes into the full arrays.
 
-    Only `cells` are computed, by default the positive-weight cells: a
-    zero-weight cell is a null set, so its exponential is never formed and
-    its column of norms (and its share of every probe orbit) reads 0. Each
-    computed column is bit for bit the same whichever other cells are
-    computed with it.
+    Only the positive-weight cells among `cells` (default: all of them) are
+    computed: a zero-weight cell is a null set, so its exponential is never
+    formed and its column of norms (and its share of every probe orbit)
+    reads 0. Each computed column is bit for bit the same whichever other
+    cells are computed with it.
 
     Without `floor` every computed norm is exact. With `floor` (a float
     array of shape (len(times),) or (1,), see linalg.expm_norms), carried
@@ -329,8 +354,8 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, contrac
     maximum over the computed cells per time or over the whole grid: that
     maximum, and the floor after the call, are bit for bit those of the
     exact norms, and an entry that cannot reach it holds an upper bound
-    instead. With `contract` as well, whether a cell has a norm below
-    linalg.CONTRACTION is also read exactly from the returned norms.
+    instead. With a threshold `below`, with or without `floor`, whether a
+    cell has a norm below it is also read exactly from the returned norms.
 
     Raises DomainError when a probe is zero on the active blocks and
     NumericalFailureError naming the earliest time at which any cell's
@@ -349,18 +374,16 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, contrac
             raise DomainError(f"probe {j} has zero norm on the active blocks")
     norms = np.zeros((times.size, space.n_cells))
     cell_norms = np.zeros((times.size, len(probes), space.n_cells))
-    if cells is None:
-        cells = space.positive_cells()
     failure = None
-    for ids, blocks in family.block_stacks(cells):
+    for ids, blocks, factor in family.groups(cells):
         k = blocks.shape[-1]
         count = times.size if failure is None else int(np.searchsorted(times, failure.time))
         try:
             # a (1,) floor sliced to count >= 1 is itself
             linalg.expm_norms(
                 blocks, times[:count], vectors[:, ids, :k],
-                floor=None if floor is None else floor[:count], contract=contract,
-                out=(norms[:count], cell_norms[:count], ids),
+                floor=None if floor is None else floor[:count], below=below,
+                out=(norms[:count], cell_norms[:count], ids), factor=factor,
             )
         except NumericalFailureError as exc:
             if exc.time is None:

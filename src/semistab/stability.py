@@ -78,17 +78,18 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
 
     The lead cell, the first positive-weight cell whose spectral bound
     attains s*, bounds the ess-sup norm from below.  So every horizon but
-    the last allowed one first computes the lead cell's norms alone: when
-    they stay at or above DECAY_CROSSCHECK at every t > 0, the ess-sup
-    cannot have decayed either, and the horizon doubles without computing
-    any other cell.  Otherwise, and always on the last allowed horizon,
-    every positive-weight cell is computed on the grid, the lead excepted
-    when its norms are known: they seed the per-time floor of
-    semigroup.orbit_norms, which computes a norm exactly only where it can
-    reach the ess-sup, and the floor after the call is the ess-sup.  Verdict
-    and numbers are the same as with the full grid on every horizon; a
-    numerical failure in a cell other than the lead can surface at a later
-    horizon than it would there.
+    the last allowed one first reads the lead cell's norms alone against
+    DECAY_CROSSCHECK, from certified brackets (an exact norm only where a
+    bracket straddles it): when they stay at or above it at every t > 0,
+    the ess-sup cannot have decayed either, and the horizon doubles
+    without computing any other cell.  Otherwise, and always on the last
+    allowed horizon, every positive-weight cell is computed on the grid;
+    before the last one the lead's exact norms come first and seed the
+    per-time floor of semigroup.orbit_norms for the others, which computes
+    a norm exactly only where it can reach the ess-sup, and the floor after
+    the call is the ess-sup.  Verdict and numbers are the same as with the
+    full grid on every horizon; a numerical failure in a cell other than
+    the lead can surface at a later horizon than it would there.
     """
     if t0 <= 0:
         raise DomainError("reference time t0 must be positive")
@@ -115,11 +116,14 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
         later = times > 0
         cells, ess_norms = positive, np.zeros(times.size)
         if attempt < MAX_EXTENSIONS:
-            lead_norms = semigroup.orbit_norms(family, times, cells=[lead])[0][:, lead]
+            lead_norms = semigroup.orbit_norms(
+                family, times, cells=[lead], below=DECAY_CROSSCHECK
+            )[0][:, lead]
             if lead_norms[later].min() >= DECAY_CROSSCHECK:
                 continue
             # the lead's exact norms seed the per-time floor of the others
-            cells, ess_norms = positive[positive != lead], lead_norms
+            cells = positive[positive != lead]
+            ess_norms = semigroup.orbit_norms(family, times, cells=[lead])[0][:, lead]
         semigroup.orbit_norms(family, times, cells=cells, floor=ess_norms)
         floor = float(ess_norms[later].min())
         if floor < DECAY_CROSSCHECK:
@@ -178,7 +182,7 @@ def certify_bounded(family, times, probes=(), *, p=2.0, re_tol=1e-9, match_tol=1
     times = np.asarray(times, dtype=float)
     floor = np.zeros(1)
     norms, probe_norms = semigroup.orbit_norms(
-        family, times, probes, p, floor=floor, contract=True
+        family, times, probes, p, floor=floor, below=linalg.CONTRACTION
     )
     positive = family.space.positive_cells()
     bound = float(floor[0])

@@ -49,7 +49,24 @@ def real_factor(block, t):
     a = np.asarray(block, dtype=complex)[None]
     # log(0) at t = 0 only meets the zero weights of j > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        return linalg._real_factor(a, np.array([float(t)]), linalg._power_basis(a))[0, 0]
+        return linalg._real_factor(a, np.array([float(t)]), linalg._band(a))[0, 0]
+
+
+def dense_real_factor(a, t):
+    """R(t) of (q, k, k) closed-form blocks at each time of t, (T, q, k, k):
+    every power of the dense basis (linalg._power_basis) times its weight,
+    added over all k^2 entries in increasing j, zero terms included. The
+    band sum of linalg._real_factor must equal it bit for bit wherever it
+    is finite."""
+    a = np.asarray(a, dtype=complex)
+    t = np.asarray(t, dtype=float)
+    _, powers = linalg._power_basis(a)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = linalg._weights(a, t, linalg._band(a))[..., None, None]
+        acc = weights[:, :, 0] * powers[:, 0]
+        for j in range(1, a.shape[-1]):
+            acc += weights[:, :, j] * powers[:, j]
+    return acc
 
 
 def mp_expm(a, t, dps=40):

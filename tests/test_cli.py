@@ -670,9 +670,9 @@ class TestOneSamplePerTime:
             generators = cli.build_family(cli.load_config(path)).matrices
             grids, spectra = [], []
 
-            def exponentials(a, t):
+            def exponentials(a, t, **kw):
                 grids.append(list(t))
-                return real_exp(a, t)
+                return real_exp(a, t, **kw)
 
             def eigenvalues(a):
                 spectra.append(np.asarray(a).copy())
@@ -710,18 +710,24 @@ class TestKernelRoutes:
     def test_each_family_takes_one_route(self, tmp_path, monkeypatch, family, route):
         # rh64-shaped cells are dense and well conditioned: no Pade, discrete
         # stage included; Zabczyk and rotation cells take the closed form and
-        # never reach the eigensolver of the kernels
+        # never reach the eigensolver of the kernels. Each active-dimension
+        # group is factored once for the whole analysis: one stacked
+        # eigendecomposition, or one power basis per group
         cfg = cli.load_config(write_config(tmp_path, {
             "family": family, "discrete": {"enabled": True},
         }))
-        calls = set()
-        for name in ("_real_factor", "_eigenbasis", "_eigen_chunk", "_pade_chunk"):
+        groups = len(cli.build_family(cfg).block_stacks())
+        factored = {"_eigenbasis": 1} if route == "_eigen_chunk" else {"_power_basis": groups}
+        calls = {}
+        for name in ("_power_basis", "_real_factor", "_eigenbasis", "_eigen_chunk",
+                     "_pade_chunk"):
             real = getattr(linalg, name)
             monkeypatch.setattr(linalg, name,
-                                lambda *args, real=real, name=name: calls.add(name)
-                                or real(*args))
+                                lambda *args, real=real, name=name:
+                                calls.update({name: calls.get(name, 0) + 1}) or real(*args))
         cli.run_analysis(cfg)
-        assert calls == ({route, "_eigenbasis"} if route == "_eigen_chunk" else {route})
+        assert set(calls) == {route, *factored}
+        assert {name: calls[name] for name in factored} == factored
 
 
 class TestMemory:

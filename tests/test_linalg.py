@@ -546,11 +546,13 @@ class TestExpmNorms:
             assert info.value.time == first
 
     def test_a_zabczyk_group_runs_in_one_pass(self, monkeypatch):
-        # one power basis and one real factor per group of zab40's grid; the
-        # 48 x 64 (time, block) pairs of a dense 6 x 6 group take one
-        # eigendecomposition and eigenbasis chunks of at most 113 pairs
-        # (STACK_BYTES of 6 x 6 complex matrices), and a defective group the
-        # Pade route in chunks of the same size
+        # zab40's family factors each group once, on first use: one power
+        # basis per group; every pass over its grid then forms each group's
+        # real factor once and builds no basis. The 48 x 64 (time, block)
+        # pairs of a dense 6 x 6 group take one eigendecomposition for every
+        # pass and eigenbasis chunks of at most 113 pairs (STACK_BYTES of
+        # 6 x 6 complex matrices), and a defective group the Pade route in
+        # chunks of the same size
         calls = []
         for name in ("_power_basis", "_real_factor", "_eigenbasis", "_eigen_chunk",
                      "_pade_chunk", "expm_stack"):
@@ -560,21 +562,22 @@ class TestExpmNorms:
                 lambda *args, real=real, name=name: calls.append((name, len(args[0])))
                 or real(*args),
             )
-        times = time_grid(4000.0, 16)
-        for _, blocks in zabczyk_family(40).block_stacks():
-            expm_norms(blocks, times, np.ones((3, 1, blocks.shape[-1])))
-        assert [name for name, _ in calls] == ["_power_basis", "_real_factor"] * 40
-        calls.clear()
+        family, times = zabczyk_family(40), time_grid(4000.0, 16)
+        for _ in range(2):
+            for _, blocks, factor in family.groups():
+                expm_norms(blocks, times, np.ones((3, 1, blocks.shape[-1])), factor=factor)
+        assert [name for name, _ in calls] == ["_power_basis"] * 40 + ["_real_factor"] * 80
+        chunks = [113] * 27 + [48 * 64 - 27 * 113]
+        rng = np.random.default_rng(64)
         dense = np.stack([random_complex(np.random.default_rng(c), 6, 0.3) - 2 * np.eye(6)
                           for c in range(64)])
-        chunks = [113] * 27 + [48 * 64 - 27 * 113]
-        expm_norms(dense, time_grid(200.0, 48), np.ones((3, 64, 6)))
-        assert calls == [("_eigenbasis", 64)] + [("_eigen_chunk", n) for n in chunks]
-        calls.clear()
-        rng = np.random.default_rng(64)
         defective = np.stack([conjugated_jordan(rng, 6, -2.0) for _ in range(64)])
-        expm_norms(defective, time_grid(200.0, 48), np.ones((3, 64, 6)))
-        assert calls == [("_eigenbasis", 64)] + [("_pade_chunk", n) for n in chunks]
+        for stack, route in ((dense, "_eigen_chunk"), (defective, "_pade_chunk")):
+            calls.clear()
+            factor = linalg.factorize(stack)
+            for _ in range(2):
+                expm_norms(stack, time_grid(200.0, 48), np.ones((3, 64, 6)), factor=factor)
+            assert calls == [("_eigenbasis", 64)] + [(route, n) for n in chunks] * 2
 
 
 def conditioned_blocks(rng, count):

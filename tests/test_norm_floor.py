@@ -169,7 +169,8 @@ class TestExpmNormsFloor:
         with mock.patch.object(linalg, "STACK_BYTES", 1 if tiny_chunks else linalg.STACK_BYTES):
             exact, exact_v = expm_norms(a, times, v)
             floor = np.zeros(times.size if per_time else 1)
-            got, got_v = expm_norms(a, times, v, floor=floor, contract=contract)
+            got, got_v = expm_norms(a, times, v, floor=floor,
+                                     below=CONTRACTION if contract else None)
         check_filtered(exact, got, floor, times, contract)
         # the probe norms never depend on the floor
         np.testing.assert_array_equal(bits(got_v), bits(exact_v))
@@ -222,7 +223,7 @@ class TestOrbitNormsFloor:
         probes = random_probes(family, 2, seed=seed % 1000)
         exact, exact_probes = orbit_norms(family, times, probes)
         floor = np.zeros(times.size if per_time else 1)
-        got, got_probes = orbit_norms(family, times, probes, floor=floor, contract=True)
+        got, got_probes = orbit_norms(family, times, probes, floor=floor, below=CONTRACTION)
         positive = space.positive_cells()
         check_filtered(exact[:, positive], got[:, positive], floor, times, True)
         np.testing.assert_array_equal(got[:, weights == 0], 0.0)

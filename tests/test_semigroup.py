@@ -283,10 +283,10 @@ def recorded_stacks(monkeypatch):
     stacks = []
     real = linalg.expm_stack
 
-    def record(a, t):
+    def record(a, t, **kw):
         # (times, blocks, k, k) of one call
         stacks.append((np.size(t),) + np.asarray(a).shape)
-        return real(a, t)
+        return real(a, t, **kw)
 
     monkeypatch.setattr(linalg, "expm_stack", record)
     return stacks

@@ -172,3 +172,30 @@ def test_expm_accuracy_rows_bin_both_routes():
     eig, pade = (float(cell) for cell in got[0].split("|")[4:6])
     assert 0.0 <= eig <= 5e-11 and 0.0 <= pade <= 5e-11
     assert tool.linalg.EIGENBASIS_COND == 1e2
+
+
+@pytest.mark.parametrize("value, written, shown", [
+    (None, True, "bytecode written: yes (PYTHONDONTWRITEBYTECODE=unset)"),
+    ("", True, "bytecode written: yes (PYTHONDONTWRITEBYTECODE=unset)"),
+    ("1", False, "bytecode written: no (PYTHONDONTWRITEBYTECODE=1)"),
+])
+def test_bench_pairs_records_whether_bytecode_was_written(
+    tmp_path, monkeypatch, capsys, value, written, shown
+):
+    # setup_s differs by about 30 ms between runs with and without .pyc
+    # files, so the record and the table header say which it was
+    bench_pairs = load_tool("bench_pairs")
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    identity = {key: "x" for key in bench_pairs.IDENTITY}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: {
+        "metrics": {"wall_s": 1.0, "peak_rss_mb": 40.0, "ok_rate": 1.0}, **identity})
+    assert bench_pairs.main(["p", "c", "--workloads", "zab40", "--seed", "1",
+                             "--pairs", "2", "--record", "7"]) == 0
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert record["bytecode"] == {"written": written, "PYTHONDONTWRITEBYTECODE": value}
+    assert capsys.readouterr().out.splitlines()[0] == shown

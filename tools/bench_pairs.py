@@ -15,11 +15,16 @@ the pairs the change wins (ties count for neither side), whether a gain can
 be claimed (at least nine tenths of the pairs won and the medians apart by
 more than the parent's interquartile range) and whether the change's median
 stays within the metric's bound. The runs and the summary go to
-`BENCH_<record>.json` at the repository root.
+`BENCH_<record>.json` at the repository root. Both it and the table header
+record whether the runs could write bytecode: with `PYTHONDONTWRITEBYTECODE`
+set to a nonempty string no run writes `.pyc` files, so in a fresh checkout
+every process compiles `src/semistab` from source, which added about 30 ms
+to `setup_s` (rot256 on a 2-core Xeon host: 0.217 s against 0.184 s).
 """
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +58,13 @@ def run_once(checkout, workload, seed, seconds):
         "correct": line["correct"],
         **{key: record["env"][key] for key in IDENTITY},
     }
+
+
+def bytecode(environ):
+    """Whether Python processes started with `environ` can write bytecode,
+    and the PYTHONDONTWRITEBYTECODE value that decides it (None if unset)."""
+    value = environ.get("PYTHONDONTWRITEBYTECODE")
+    return {"written": not value, "PYTHONDONTWRITEBYTECODE": value}
 
 
 def quartiles(values):
@@ -126,9 +138,14 @@ def main(argv=None):
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
+        "bytecode": bytecode(os.environ),
         "workloads": {},
     }
-    table = ["| workload | metric | pairs | parent median [q1, q3] | change median [q1, q3] | "
+    written = result["bytecode"]
+    table = [f"bytecode written: {'yes' if written['written'] else 'no'} "
+             f"(PYTHONDONTWRITEBYTECODE={written['PYTHONDONTWRITEBYTECODE'] or 'unset'})",
+             "",
+             "| workload | metric | pairs | parent median [q1, q3] | change median [q1, q3] | "
              "change/parent | change wins | gain | within bound |",
              "| --- | --- | --- | --- | --- | --- | --- | --- | --- |"]
     for workload in args.workloads:
