@@ -163,9 +163,9 @@ class _Floor:
     of its time can change neither supremum, so it keeps hi and its exact
     norm is never computed. With a threshold `below`, the caller also
     reads, per block (of `blocks`), whether some norm falls below it:
-    `known` marks the blocks already shown to, and a matrix of any other
-    block whose bracket straddles the threshold is computed exactly as
-    well.
+    `known` marks the blocks already shown to have one, and a matrix of any
+    other block whose bracket straddles the threshold is computed exactly
+    as well.
 
     Each call takes matrices at times `steps` of blocks `cols`, broadcast to
     one shape, with every (time, block) pair at most once.
@@ -459,7 +459,7 @@ class _Band(NamedTuple):
         return _Band(
             self.offsets[sel], self.peak[sel], self.fro[sel],
             to * (k * k) + self.pos[keep] % (k * k), to * k + self.src[keep] % k,
-            self.val[keep], starts[: np.searchsorted(starts, starts[-1]) + 1],
+            self.val[keep], starts[: np.count_nonzero(starts < starts[-1]) + 1],
         )
 
 
@@ -471,14 +471,14 @@ def _band(a):
     b, r, c, j = np.nonzero(powers.transpose(0, 2, 3, 1))
     pos = (b * k + r) * k + c
     index = np.arange(pos.size)
-    new = np.r_[True, pos[1:] != pos[:-1]]
+    new = np.concatenate(([True], pos[1:] != pos[:-1]))
     rank = index - np.maximum.accumulate(np.where(new, index, 0))
     order = np.argsort(rank, kind="stable")
     # 32-bit term indices: a family keeps its bands for as long as it lives
     return _Band(
         offsets, powers.max(axis=(2, 3)), np.sqrt(np.square(powers).sum(axis=(2, 3))),
         pos[order].astype(np.int32), (b * k + j)[order].astype(np.int32),
-        powers[b, j, r, c][order], np.searchsorted(rank[order], np.arange(rank.max() + 2)),
+        powers[b, j, r, c][order], np.concatenate(([0], np.cumsum(np.bincount(rank)))),
     )
 
 
