@@ -28,8 +28,9 @@ from .report import INCONCLUSIVE, NOT_STABLE, STABLE, Cluster, Witness
 @dataclass(frozen=True, eq=False)
 class PointwiseFamily:
     """The map s -> M(s): one matrix per cell. The matrices must not be
-    modified after construction, since the cell spectra are kept. `rule`,
-    when given, is the (d+1, dim, dim) coefficient stack of the generator
+    modified after construction, since the cell spectra and the kernel
+    factors are kept, each built on first use and read-only. `rule`, when
+    given, is the (d+1, dim, dim) coefficient stack of the generator
     polynomial the matrices were sampled from (rule_matrices)."""
 
     space: DiscretizedMeasureSpace
