@@ -31,9 +31,17 @@ DENSITY_CAP = 0.05
 #: the orbit density evidence extends its horizon to DENSITY_SAFETY times the
 #: predicted bad-set length (from the spectral gap), capped to keep runtime
 #: bounded; beyond the cap the evidence is skipped and the spectral criterion
-#: stands alone.
+#: stands alone. The horizon runs in tiles of DENSITY_TILE powers
+#: (orbit_densities): per active dimension, one stacked product and one
+#: comparison per tile, plus log2(DENSITY_TILE) products once for the rows
+#: phi^H M^j, so the cap bounds about 6 n / DENSITY_TILE numpy calls, not 7 n.
 DENSITY_SAFETY = 30.0
 DENSITY_MAX_STEPS = 65536
+
+#: powers per tile of the orbit-density recurrence, a power of two: its rows
+#: phi^H M^j, j < DENSITY_TILE, take DENSITY_TILE * m * k complex entries
+#: for m cells of active dimension k.
+DENSITY_TILE = 32
 
 
 def power_schedule(n_max):
@@ -155,8 +163,18 @@ def unimodular_point_spectrum(sample, uni_tol=1e-9, match_tol=1e-6):
 def orbit_densities(sample, n_steps, eps, seed):
     """Density of {n < n_steps : |<M(s)^n x, phi>| >= eps ||x|| ||phi||} on
     each positive-weight cell s, in cell order, for random x, phi drawn per
-    cell (in cell order) from default_rng(seed). The orbits of all cells with
-    the same active dimension advance together."""
+    cell (in cell order) from default_rng(seed).
+
+    The orbits of all cells with the same active dimension advance together,
+    in tiles of DENSITY_TILE = B powers: the rows phi^H M^j, j < B, are
+    built once by doubling from the sample's shared squares M^(2^i)
+    (power_stacks), and each tile takes <M^(tB + j) x, phi> for every j
+    from one stacked product of those rows with v = M^(tB) x, counts the
+    moduli at or above the threshold and advances v by the square M^B. A
+    tile costs six numpy calls and its rows B m k complex entries, for m
+    cells of active dimension k. Each inner product is the step-by-step
+    orbit's up to rounding, so a count can differ from the step loop's only
+    at a power whose modulus lies within rounding of the threshold."""
     rng = np.random.default_rng(seed)
     positive = sample.space.positive_cells()
     starts = {}
@@ -167,17 +185,23 @@ def orbit_densities(sample, n_steps, eps, seed):
         scale = eps * float(np.linalg.norm(x)) * float(np.linalg.norm(phi))
         starts[int(c)] = (x, phi, scale)
     densities = np.zeros(sample.space.n_cells)
-    for cells, blocks in sample.block_stacks(positive):
+    doublings = DENSITY_TILE.bit_length() - 1
+    squares = [sample.power_stacks(1 << i) for i in range(doublings + 1)]
+    for g, (cells, _) in enumerate(squares[0]):
         v = np.stack([starts[c][0] for c in cells])[:, :, None]
-        phi_h = np.stack([starts[c][1].conj() for c in cells])[:, None, :]
-        scale = np.array([starts[c][2] for c in cells])
+        rows = np.empty((cells.size, DENSITY_TILE, v.shape[1]), dtype=complex)
+        rows[:, 0] = np.stack([starts[c][1].conj() for c in cells])
+        for i in range(doublings):
+            h = 1 << i
+            np.matmul(rows[:, :h], squares[i][g][1], out=rows[:, h : 2 * h])
+        scale = np.array([starts[c][2] for c in cells])[:, None]
         bad = np.zeros(cells.size, dtype=int)
-        for _ in range(n_steps):
+        for start in range(0, n_steps, DENSITY_TILE):
+            w = (rows[:, : n_steps - start] @ v)[..., 0]
             # |<v, phi>| as the hypot of its parts, the rounding of abs()
             # on one complex scalar
-            w = (phi_h @ v)[:, 0, 0]
-            bad += np.hypot(w.real, w.imag) >= scale
-            v = blocks @ v
+            bad += (np.hypot(w.real, w.imag) >= scale).sum(axis=1)
+            v = squares[doublings][g][1] @ v
         densities[cells] = bad / float(n_steps)
     return densities[positive]
 

@@ -165,16 +165,20 @@ class _Floor:
     reads, per block (of `blocks`), whether some norm falls below it:
     `known` marks the blocks already shown to have one, and a matrix of any
     other block whose bracket straddles the threshold is computed exactly
-    as well.
+    as well. With `exact`, a (times, blocks) boolean array, a block shown
+    to fall below has every later matrix solved exactly too (the caller then
+    reads all of its norms), and `exact` marks each (time, block) pair whose
+    returned norm is exact.
 
     Each call takes matrices at times `steps` of blocks `cols`, broadcast to
     one shape, with every (time, block) pair at most once.
     """
 
-    def __init__(self, values, blocks, below=None):
+    def __init__(self, values, blocks, below=None, exact=None):
         self.values = values
         self.below = below
         self.known = None if below is None else np.zeros(blocks, dtype=bool)
+        self.exact = exact
 
     def _lift(self, norms, steps, cols):
         # raise the floor of each time (or the one floor) to the largest of
@@ -205,7 +209,10 @@ class _Floor:
             need = ~(hi < self.values[steps if self.values.size > 1 else 0])
         if self.known is not None:
             self._mark(hi < self.below, cols)
-            need |= (lo < self.below) & ~self.known[cols]
+            known = self.known[cols]
+            need |= (lo < self.below) & ~known
+            if self.exact is not None:
+                need |= known
         return need
 
     def norms(self, gram, e, steps=0, cols=0):
@@ -215,6 +222,9 @@ class _Floor:
         elsewhere."""
         lo, hi = _bracket(gram, e)
         need = self.need(lo, hi, steps, cols)
+        if self.exact is not None:
+            # a 1 x 1 bracket is the norm itself
+            self.exact[steps, cols] |= need | (gram.shape[-1] == 1)
         if gram.shape[-1] == 1 or not need.any():
             return hi
         hi[need] = exact = _top(gram[need], e[need])
@@ -716,7 +726,7 @@ def expm_stack(a, t, *, factor=None):
     return out
 
 
-def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
+def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None, settle=False):
     """(norms, vnorms) of e^{t A_b} for every matrix A_b of a (m, k, k) stack,
     every time t of a 1-D grid of times >= 0 and vectors v, a (P, m, k)
     stack: norms[i, b] = ||e^{t_i A_b}|| (norm2) and vnorms[i, p, b] =
@@ -738,9 +748,13 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
     bit for bit the maximum of the exact norms. With a threshold `below`
     (CONTRACTION for the boundedness gate), with or without a floor, the
     caller also reads, per block, whether some norm falls below it, and
-    every entry that decides it is exact too. A probe-free call (P = 0) with
-    either forms R(t) of the closed-form blocks only at the times where one
-    of them still needs an exact norm (_runs' select).
+    every entry that decides it is exact too. With `below` and `settle`, the
+    caller reads every norm of a block that falls below: once the brackets
+    show one, the block's other norms are solved exactly as well, those of
+    its earlier runs by one exact call at their times. A probe-free call
+    (P = 0) with a floor or a threshold forms R(t) of the closed-form blocks
+    only at the times where one of them still needs an exact norm (_runs'
+    select).
 
     `out` = (norms, vnorms, ids) writes block b's results into column ids[b]
     of the given (len(t), M) and (len(t), P, M) arrays, which are returned.
@@ -757,7 +771,8 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
         out = (np.zeros((t.size, a.shape[0])), np.zeros((t.size, v.shape[0], a.shape[0])),
                np.arange(a.shape[0]))
     norms, vnorms, ids = out
-    sieve = None if floor is None and below is None else _Floor(floor, a.shape[0], below)
+    exact = np.zeros((t.size, a.shape[0]), dtype=bool) if settle and below is not None else None
+    sieve = None if floor is None and below is None else _Floor(floor, a.shape[0], below, exact)
     select = None
     if sieve is not None and not v.shape[0]:
         def select(steps, cols, lo, hi):
@@ -769,6 +784,13 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
         # the advanced indices go first: (T, q, P) on the closed-form route
         norms[steps, at], vnorms[steps, :, at] = _run_norms(f, angle, v[:, cols], sieve,
                                                             steps, cols)
+    if exact is not None:
+        # the times an earlier run left as bounds, before the block fell below
+        for b in np.flatnonzero(sieve.known & ~exact.all(axis=0)):
+            steps, sub = np.flatnonzero(~exact[:, b]), np.array([b])
+            norms[steps, ids[b]] = expm_norms(
+                a[sub], t[steps], v[:0, sub], factor=None if factor is None else factor.take(sub)
+            )[0][:, 0]
     return norms, vnorms
 
 

@@ -84,7 +84,8 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
     the ess-sup cannot have decayed either, and the horizon doubles
     without computing any other cell.  Otherwise, and always on the last
     allowed horizon, every positive-weight cell is computed on the grid;
-    before the last one the lead's exact norms come first and seed the
+    before the last one the lead pass has already solved the lead's norms
+    exactly once one fell below (orbit_norms' settle), and they seed the
     per-time floor of semigroup.orbit_norms for the others, which computes
     a norm exactly only where it can reach the ess-sup, and the floor after
     the call is the ess-sup.  Verdict and numbers are the same as with the
@@ -117,13 +118,13 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
         cells, ess_norms = positive, np.zeros(times.size)
         if attempt < MAX_EXTENSIONS:
             lead_norms = semigroup.orbit_norms(
-                family, times, cells=[lead], below=DECAY_CROSSCHECK
+                family, times, cells=[lead], below=DECAY_CROSSCHECK, settle=True
             )[0][:, lead]
             if lead_norms[later].min() >= DECAY_CROSSCHECK:
                 continue
-            # the lead's exact norms seed the per-time floor of the others
-            cells = positive[positive != lead]
-            ess_norms = semigroup.orbit_norms(family, times, cells=[lead])[0][:, lead]
+            # the lead falls below, so its norms are exact: they seed the
+            # per-time floor of the others
+            cells, ess_norms = positive[positive != lead], lead_norms
         semigroup.orbit_norms(family, times, cells=cells, floor=ess_norms)
         floor = float(ess_norms[later].min())
         if floor < DECAY_CROSSCHECK:

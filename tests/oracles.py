@@ -69,6 +69,33 @@ def dense_real_factor(a, t):
     return acc
 
 
+def orbit_moduli(sample, n_steps, eps, seed):
+    """(moduli, scale) of the step loop discrete.orbit_densities replaced:
+    moduli[i, n] = |<M(s)^n x, phi>| on the i-th positive-weight cell s, as
+    the hypot of its parts, with v <- M(s) v one power at a time for all
+    cells of an active dimension together, and scale[i] = eps ||x|| ||phi||,
+    for the starts orbit_densities draws (the same generator, cells and
+    order). The loop's densities are (moduli >= scale[:, None]).mean(axis=1)."""
+    rng = np.random.default_rng(seed)
+    positive = sample.space.positive_cells()
+    starts = {}
+    for c in positive:
+        d = sample.block(int(c)).shape[0]
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        scale = eps * float(np.linalg.norm(x)) * float(np.linalg.norm(phi))
+        starts[int(c)] = (x, phi, scale)
+    moduli = np.zeros((sample.space.n_cells, n_steps))
+    for cells, blocks in sample.block_stacks(positive):
+        v = np.stack([starts[c][0] for c in cells])[:, :, None]
+        phi_h = np.stack([starts[c][1].conj() for c in cells])[:, None, :]
+        for n in range(n_steps):
+            w = (phi_h @ v)[:, 0, 0]
+            moduli[cells, n] = np.hypot(w.real, w.imag)
+            v = blocks @ v
+    return moduli[positive], np.array([starts[int(c)][2] for c in positive])
+
+
 def mp_expm(a, t, dps=40):
     """e^{tA} of one matrix in dps-digit arithmetic (mpmath), rounded to
     complex doubles."""

@@ -3,12 +3,17 @@ import math
 import sys
 from pathlib import Path
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semistab import cli
+from semistab import cli, linalg
 from semistab.cases import random_hurwitz_family, zabczyk_family
 from semistab.discrete import (
+    DENSITY_TILE,
     build_discrete_report,
     classify_discrete_almost_weak,
     classify_discrete_strong,
@@ -35,7 +40,10 @@ from semistab.stability import classify_uniform
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+from oracles import orbit_moduli  # noqa: E402
 from workloads import make_config  # noqa: E402
+
+CHECKS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def sample_from(mats, weights=None):
@@ -366,3 +374,114 @@ class TestChainAndBridge:
         payload = report.as_dict()
         assert payload["power_certified"] is True
         assert payload["uniform"]["verdict"] == "Stable"
+
+
+def padded_block(rng, kind, k):
+    """One k x k block of a power-bounded sample."""
+    if kind == "zero":
+        return np.zeros((k, k))
+    if kind == "zabczyk":
+        # the Zabczyk generator of size k, exponentiated at a time in [0.5, 3]
+        a = (1j * k - 1.0 / k) * np.eye(k) + np.diag(np.ones(k - 1), 1)
+        return linalg.expm(a, float(rng.uniform(0.5, 3.0)))
+    g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    if kind == "unitary":
+        return np.linalg.qr(g)[0]
+    return rng.uniform(0.5, 1.0) * g / norm2(g)
+
+
+class TestBlockedOrbitDensities:
+    """orbit_densities runs in tiles of DENSITY_TILE powers; the step loop it
+    replaced is the oracle (oracles.orbit_moduli)."""
+
+    @CHECKS
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_steps=st.integers(1, 3 * DENSITY_TILE + 7),
+           cells=st.lists(st.tuples(st.integers(1, 5),
+                                    st.sampled_from(["contraction", "zabczyk", "unitary",
+                                                     "zero"]),
+                                    st.sampled_from([0.0, 0.5, 1.0])),
+                          min_size=1, max_size=7),
+           eps=st.sampled_from([1e-3, 0.1, 0.5]))
+    def test_counts_equal_the_step_loop(self, seed, n_steps, cells, eps):
+        # mixed active dimensions in 5 x 5 storage, with unimodular, zero
+        # and zero-weight cells; fewer powers than a tile and a partial last
+        # tile among the horizons
+        rng = np.random.default_rng(seed)
+        mats = np.zeros((len(cells), 5, 5), dtype=complex)
+        for c, (k, kind, _) in enumerate(cells):
+            mats[c, :k, :k] = padded_block(rng, kind, k)
+        weights = np.array([w for _, _, w in cells])
+        weights[0] = 1.0
+        space = DiscretizedMeasureSpace(weights=weights, labels=np.arange(float(len(cells))))
+        sample = PointwiseFamily(space=space, dim=5, matrices=mats,
+                                 active_dims=[k for k, _, _ in cells])
+        got = orbit_densities(sample, n_steps, eps, seed)
+        moduli, scale = orbit_moduli(sample, n_steps, eps, seed)
+        want = (moduli >= scale[:, None]).sum(axis=1)
+        # a count may move only by the steps whose modulus the oracle puts
+        # within 1e-9 relative of the threshold
+        near = (np.abs(moduli - scale[:, None]) <= 1e-9 * scale[:, None]).sum(axis=1)
+        assert (np.abs(got * n_steps - want) <= near + 1e-9).all()
+        exact = near == 0
+        np.testing.assert_array_equal(got[exact], want[exact] / float(n_steps))
+
+    def test_equal_to_the_step_loop_on_rh64(self):
+        for seed in (1, 2, 3):
+            sample = self.rh64(seed)
+            got = orbit_densities(sample, 1037, 1e-3, seed)
+            moduli, scale = orbit_moduli(sample, 1037, 1e-3, seed)
+            assert got.tolist() == ((moduli >= scale[:, None]).sum(axis=1) / 1037.0).tolist()
+
+    @staticmethod
+    def rh64(seed):
+        # the rh64 workload's discrete sample: 64 dense 6 x 6 cells
+        cfg = make_config("rh64", seed)["family"]
+        family = random_hurwitz_family(seed=cfg["seed"], dim=cfg["dim"], cells=cfg["cells"],
+                                       margin=cfg["margin"])
+        return sample_at(family, 1.0)
+
+    def test_products_per_group_grow_with_the_tiles(self, monkeypatch):
+        # per active dimension: log2(DENSITY_TILE) products for the rows and
+        # two per tile, against one per power for the step loop
+        calls = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    calls.append(1)
+                plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(x.view(np.ndarray) for x in kwargs["out"])
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                return result.view(Counted) if isinstance(result, np.ndarray) else result
+
+        real = PointwiseFamily.power_stacks
+        monkeypatch.setattr(PointwiseFamily, "power_stacks", lambda self, n: [
+            (ids, power.view(Counted)) for ids, power in real(self, n)])
+        padded = trajectory(zabczyk_family(6, embed_dim=8), [1.0])[0]
+        for sample, groups in ((self.rh64(1), 1), (padded, 6)):
+            for n_steps in (1, DENSITY_TILE, 1037):
+                calls.clear()
+                orbit_densities(sample, n_steps, 1e-3, 0)
+                tiles = -(-n_steps // DENSITY_TILE)
+                per_group = DENSITY_TILE.bit_length() - 1 + 2 * tiles
+                assert len(calls) <= groups * per_group
+            assert len(calls) <= groups * 1037 // 10
+
+    def test_tile_memory_does_not_grow_with_the_horizon(self):
+        # rh64: the rows take DENSITY_TILE m k complex entries (196 kB); the
+        # peak stays within twice that and does not grow with n_steps
+        sample = self.rh64(1)
+        sample.power_stacks(DENSITY_TILE)
+        tile_bytes = DENSITY_TILE * 64 * 6 * 16
+        peaks = []
+        for n_steps in (1037, 4 * 1037):
+            tracemalloc.start()
+            try:
+                orbit_densities(sample, n_steps, 1e-3, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 2 * tile_bytes
+        assert peaks[1] <= peaks[0] + 8192

@@ -11,6 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +191,33 @@ class TestExpmNormsFloor:
         np.testing.assert_array_equal(bits(floor), bits(exact.max(axis=1)))
 
 
+    @CHECKS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), route=st.sampled_from(ROUTES),
+           specials=SPECIALS, probes=st.sampled_from([0, 2]), tiny_chunks=st.booleans(),
+           level=st.floats(0.05, 0.95))
+    def test_a_settled_block_reads_every_norm_exactly(
+        self, seed, k, route, specials, probes, tiny_chunks, level
+    ):
+        # the uniform lead pass: brackets until a block falls below, then
+        # every norm of that block exact, in whichever run it fell below
+        a = generator_stack(seed, k, route, specials)
+        rng = np.random.default_rng(seed + 1)
+        times = time_grid(float(rng.uniform(1.0, 40.0)), int(rng.integers(3, 12)))
+        v = rng.standard_normal((probes, len(a), k)) + 1j * rng.standard_normal(
+            (probes, len(a), k))
+        exact, exact_v = expm_norms(a, times, v)
+        below = float(np.quantile(exact[times > 0], level))
+        # one (time, block) pair per run: a block can fall below after runs
+        # that kept only bounds
+        with mock.patch.object(linalg, "STACK_BYTES", 1 if tiny_chunks else linalg.STACK_BYTES):
+            got, got_v = expm_norms(a, times, v, below=below, settle=True)
+        falls = (exact[times > 0] < below).any(axis=0)
+        assert (got >= exact).all()
+        np.testing.assert_array_equal(bits(got[:, falls]), bits(exact[:, falls]))
+        np.testing.assert_array_equal((got[times > 0] < below).any(axis=0), falls)
+        np.testing.assert_array_equal(bits(got_v), bits(exact_v))
+
+
 def test_a_cancelling_probe_product_keeps_its_norm():
     # R(400) of [[-1, 1e200], [0, -1]] has a diagonal 2^-674 times its
     # largest entry, so the scaled product with v = (1, 0) squares to below
@@ -248,3 +276,18 @@ def test_zab40_smoke_runs_fewer_eigensolves_than_pairs(tmp_path, monkeypatch):
     pairs.clear(), solves.clear()
     semigroup.norm_curves(family, time_grid(400.0, 16))
     assert sum(solves) == sum(pairs)
+
+
+@pytest.mark.parametrize("workload, want", [("zab40", 1296), ("rh64", 6144)])
+def test_analyze_examines_the_lead_once_per_horizon(tmp_path, monkeypatch, workload, want):
+    # the uniform lead pass solves the lead's norms exactly once one falls
+    # below, so the full pass takes only the other cells: 16 (zab40) and 48
+    # (rh64) fewer (time, cell) pairs than a second, exact lead pass
+    pairs = []
+    real_norms = linalg.expm_norms
+    monkeypatch.setattr(linalg, "expm_norms", lambda a, t, v, **kw: pairs.append(
+        len(np.reshape(t, -1)) * len(a)) or real_norms(a, t, v, **kw))
+    path = tmp_path / f"{workload}.json"
+    path.write_text(json.dumps(make_config(workload, 1)))
+    cli.run_analysis(cli.load_config(path))
+    assert sum(pairs) == want

@@ -199,3 +199,20 @@ def test_bench_pairs_records_whether_bytecode_was_written(
     record = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert record["bytecode"] == {"written": written, "PYTHONDONTWRITEBYTECODE": value}
     assert capsys.readouterr().out.splitlines()[0] == shown
+
+
+def test_bench_pairs_without_record_prints_the_table_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    # a sizing run leaves the checkout as it found it
+    bench_pairs = load_tool("bench_pairs")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    identity = {key: "x" for key in bench_pairs.IDENTITY}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: {
+        "metrics": {"wall_s": 1.0, "peak_rss_mb": 40.0, "ok_rate": 1.0}, **identity})
+    assert bench_pairs.main(["p", "c", "--workloads", "zab40", "--seed", "1",
+                             "--pairs", "2"]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCHMARK.json"]
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("| zab40 | ") for line in out) == len(METRICS)

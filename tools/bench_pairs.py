@@ -14,9 +14,10 @@ and quartiles over the run values, the change/parent ratio of the medians,
 the pairs the change wins (ties count for neither side), whether a gain can
 be claimed (at least nine tenths of the pairs won and the medians apart by
 more than the parent's interquartile range) and whether the change's median
-stays within the metric's bound. The runs and the summary go to
-`BENCH_<record>.json` at the repository root. Both it and the table header
-record whether the runs could write bytecode: with `PYTHONDONTWRITEBYTECODE`
+stays within the metric's bound. With `--record N` the runs and the summary
+go to `BENCH_<N>.json` at the repository root; without it only the table is
+printed, so a sizing run leaves no file in the checkout. The record and the
+table header say whether the runs could write bytecode: with `PYTHONDONTWRITEBYTECODE`
 set to a nonempty string no run writes `.pyc` files, so in a fresh checkout
 every process compiles `src/semistab` from source, which added about 30 ms
 to `setup_s` (rot256 on a 2-core Xeon host: 0.217 s against 0.184 s).
@@ -125,8 +126,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--record", type=int, required=True,
-                        help="write BENCH_<record>.json at the repository root")
+    parser.add_argument("--record", type=int,
+                        help="write BENCH_<record>.json at the repository root "
+                             "(default: print the table only)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -165,7 +167,8 @@ def main(argv=None):
     for side in SIDES:
         runs = [p[side] for w in result["workloads"].values() for p in w["runs"]]
         result[side] = {key: sorted({r[key] for r in runs}, key=str) for key in IDENTITY}
-    (ROOT / f"BENCH_{args.record}.json").write_text(json.dumps(result, indent=1) + "\n")
+    if args.record is not None:
+        (ROOT / f"BENCH_{args.record}.json").write_text(json.dumps(result, indent=1) + "\n")
     print("\n".join(table))
     return 0
 
