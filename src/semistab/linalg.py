@@ -227,7 +227,9 @@ class _Floor:
             self.exact[steps, cols] |= need | (gram.shape[-1] == 1)
         if gram.shape[-1] == 1 or not need.any():
             return hi
-        hi[need] = exact = _top(gram[need], e[need])
+        # a run that needs every norm (a settled block) solves its Gram
+        # stack in place of a copy
+        hi[need] = exact = _top(gram, e).reshape(-1) if need.all() else _top(gram[need], e[need])
         steps, cols = (np.broadcast_to(x, need.shape)[need] for x in (steps, cols))
         self._lift(exact, steps, cols)
         if self.known is not None:
@@ -750,11 +752,11 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None, settle=Fa
     caller also reads, per block, whether some norm falls below it, and
     every entry that decides it is exact too. With `below` and `settle`, the
     caller reads every norm of a block that falls below: once the brackets
-    show one, the block's other norms are solved exactly as well, those of
-    its earlier runs by one exact call at their times. A probe-free call
-    (P = 0) with a floor or a threshold forms R(t) of the closed-form blocks
-    only at the times where one of them still needs an exact norm (_runs'
-    select).
+    show one, the block's other norms are solved exactly as well (a block
+    that falls below only after runs that kept bounds takes one exact call
+    over the grid). A probe-free call (P = 0) with a floor or a threshold
+    forms R(t) of the closed-form blocks only at the times where one of
+    them still needs an exact norm (_runs' select).
 
     `out` = (norms, vnorms, ids) writes block b's results into column ids[b]
     of the given (len(t), M) and (len(t), P, M) arrays, which are returned.
@@ -785,12 +787,12 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None, settle=Fa
         norms[steps, at], vnorms[steps, :, at] = _run_norms(f, angle, v[:, cols], sieve,
                                                             steps, cols)
     if exact is not None:
-        # the times an earlier run left as bounds, before the block fell below
-        for b in np.flatnonzero(sieve.known & ~exact.all(axis=0)):
-            steps, sub = np.flatnonzero(~exact[:, b]), np.array([b])
-            norms[steps, ids[b]] = expm_norms(
-                a[sub], t[steps], v[:0, sub], factor=None if factor is None else factor.take(sub)
-            )[0][:, 0]
+        # a block that fell below after earlier runs kept bounds: one exact call
+        late = np.flatnonzero(sieve.known & ~exact.all(axis=0))
+        if late.size:
+            norms[:, ids[late]] = expm_norms(
+                a[late], t, v[:0, late], factor=None if factor is None else factor.take(late)
+            )[0]
     return norms, vnorms
 
 

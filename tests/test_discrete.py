@@ -1,9 +1,8 @@
 import json
 import math
 import sys
-from pathlib import Path
-
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,9 +37,10 @@ from semistab.semigroup import (
 )
 from semistab.stability import classify_uniform
 
+from oracles import orbit_moduli
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
-from oracles import orbit_moduli  # noqa: E402
 from workloads import make_config  # noqa: E402
 
 CHECKS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
