@@ -728,7 +728,7 @@ def expm_stack(a, t, *, factor=None):
     return out
 
 
-def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None, settle=False):
+def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
     """(norms, vnorms) of e^{t A_b} for every matrix A_b of a (m, k, k) stack,
     every time t of a 1-D grid of times >= 0 and vectors v, a (P, m, k)
     stack: norms[i, b] = ||e^{t_i A_b}|| (norm2) and vnorms[i, p, b] =
@@ -750,13 +750,13 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None, settle=Fa
     bit for bit the maximum of the exact norms. With a threshold `below`
     (CONTRACTION for the boundedness gate), with or without a floor, the
     caller also reads, per block, whether some norm falls below it, and
-    every entry that decides it is exact too. With `below` and `settle`, the
-    caller reads every norm of a block that falls below: once the brackets
-    show one, the block's other norms are solved exactly as well (a block
-    that falls below only after runs that kept bounds takes one exact call
-    over the grid). A probe-free call (P = 0) with a floor or a threshold
-    forms R(t) of the closed-form blocks only at the times where one of
-    them still needs an exact norm (_runs' select).
+    every entry that decides it is exact too. With a threshold and no
+    floor, the caller reads every norm of a block that falls below: once
+    the brackets show one, the block's other norms are solved exactly as
+    well, and a block that falls below only after runs that kept bounds has
+    those pairs solved at the end. A probe-free call (P = 0) with a floor or
+    a threshold forms R(t) of the closed-form blocks only at the times where
+    one of them still needs an exact norm (_runs' select).
 
     `out` = (norms, vnorms, ids) writes block b's results into column ids[b]
     of the given (len(t), M) and (len(t), P, M) arrays, which are returned.
@@ -773,7 +773,7 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None, settle=Fa
         out = (np.zeros((t.size, a.shape[0])), np.zeros((t.size, v.shape[0], a.shape[0])),
                np.arange(a.shape[0]))
     norms, vnorms, ids = out
-    exact = np.zeros((t.size, a.shape[0]), dtype=bool) if settle and below is not None else None
+    exact = np.zeros((t.size, a.shape[0]), dtype=bool) if floor is None and below is not None else None
     sieve = None if floor is None and below is None else _Floor(floor, a.shape[0], below, exact)
     select = None
     if sieve is not None and not v.shape[0]:
@@ -787,12 +787,13 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None, settle=Fa
         norms[steps, at], vnorms[steps, :, at] = _run_norms(f, angle, v[:, cols], sieve,
                                                             steps, cols)
     if exact is not None:
-        # a block that fell below after earlier runs kept bounds: one exact call
+        # a block that fell below after runs that kept bounds there
         late = np.flatnonzero(sieve.known & ~exact.all(axis=0))
-        if late.size:
-            norms[:, ids[late]] = expm_norms(
-                a[late], t, v[:0, late], factor=None if factor is None else factor.take(late)
-            )[0]
+        for b in late[:, None]:
+            rest = ~exact[:, b[0]]
+            norms[rest, ids[b[0]]] = expm_norms(
+                a[b], t[rest], v[:0, b], factor=None if factor is None else factor.take(b)
+            )[0][:, 0]
     return norms, vnorms
 
 

@@ -335,8 +335,7 @@ def trajectory(family, times):
     return [sample_at(family, t) for t in _time_points(times)]
 
 
-def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=None,
-                settle=False):
+def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=None):
     """(norms, probe_norms) on the grid `times`: norms[k, c] = ||e^{t_k A(s_c)}||
     on the active block and probe_norms[k, j] = ||e^{t_k A} f_j||_p for the
     probe f_j restricted to the active blocks. Each active-dimension group
@@ -358,7 +357,7 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=N
     exact norms, and an entry that cannot reach it holds an upper bound
     instead. With a threshold `below`, with or without `floor`, whether a
     cell has a norm below it is also read exactly from the returned norms,
-    and with `settle` too every norm of a cell that has one (see
+    and without `floor` every norm of a cell that has one (see
     linalg.expm_norms).
 
     Raises DomainError when a probe is zero on the active blocks and
@@ -387,7 +386,7 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=N
             linalg.expm_norms(
                 blocks, times[:count], vectors[:, ids, :k],
                 floor=None if floor is None else floor[:count], below=below,
-                out=(norms[:count], cell_norms[:count], ids), factor=factor, settle=settle,
+                out=(norms[:count], cell_norms[:count], ids), factor=factor,
             )
         except NumericalFailureError as exc:
             if exc.time is None:

@@ -84,9 +84,10 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
     the ess-sup cannot have decayed either, and the horizon doubles
     without computing any other cell.  Otherwise, and always on the last
     allowed horizon, every positive-weight cell is computed on the grid;
-    before the last one the lead pass has already solved the lead's norms
-    exactly once one fell below (orbit_norms' settle), and they seed the
-    per-time floor of semigroup.orbit_norms for the others, which computes
+    before the last one the lead pass (semigroup.orbit_norms with a
+    threshold and no floor) has already solved the lead's norms exactly
+    once one fell below, and they seed the per-time floor of
+    semigroup.orbit_norms for the others, which computes
     a norm exactly only where it can reach the ess-sup, and the floor after
     the call is the ess-sup.  Verdict and numbers are the same as with the
     full grid on every horizon; a numerical failure in a cell other than
@@ -118,7 +119,7 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
         cells, ess_norms = positive, np.zeros(times.size)
         if attempt < MAX_EXTENSIONS:
             lead_norms = semigroup.orbit_norms(
-                family, times, cells=[lead], below=DECAY_CROSSCHECK, settle=True
+                family, times, cells=[lead], below=DECAY_CROSSCHECK
             )[0][:, lead]
             if lead_norms[later].min() >= DECAY_CROSSCHECK:
                 continue

@@ -210,7 +210,7 @@ class TestExpmNormsFloor:
         # one (time, block) pair per run: a block can fall below after runs
         # that kept only bounds
         with mock.patch.object(linalg, "STACK_BYTES", 1 if tiny_chunks else linalg.STACK_BYTES):
-            got, got_v = expm_norms(a, times, v, below=below, settle=True)
+            got, got_v = expm_norms(a, times, v, below=below)
         falls = (exact[times > 0] < below).any(axis=0)
         assert (got >= exact).all()
         np.testing.assert_array_equal(bits(got[:, falls]), bits(exact[:, falls]))
