@@ -31,7 +31,7 @@ from .errors import (
     UnboundedSemigroupError,
 )
 from .measure import ATOMIC, REFINEMENT_FAMILY, DiscretizedMeasureSpace
-from .report import MODE_ATOMIC, MODE_NONATOMIC_LIMIT
+from .report import MODE_ATOMIC, MODE_NONATOMIC_LIMIT, STABLE
 
 _REQUIRED = object()  # the default of a key a config must give
 
@@ -301,21 +301,28 @@ def build_family(cfg):
     )
 
 
+def inline_probes(cfg, family):
+    """The config's inline probe vectors, restricted to the active blocks,
+    or None when it gives none."""
+    vectors = cfg["probes"].get("vectors")
+    if vectors is None:
+        return None
+    arr = _complex_array(vectors, "probes 'vectors'")
+    if arr.ndim != 3 or arr.shape[1:] != (family.space.n_cells, family.dim):
+        raise ConfigError("inline probes must have shape (count, cells, dim) of [re, im] pairs")
+    return [
+        family.restrict(semigroup.BochnerFunction(space=family.space, dim=family.dim, vectors=v))
+        for v in arr
+    ]
+
+
 def build_probes(cfg, family):
-    pr = cfg["probes"]
-    if pr.get("vectors") is not None:
-        arr = _complex_array(pr["vectors"], "probes 'vectors'")
-        if arr.ndim != 3 or arr.shape[1:] != (family.space.n_cells, family.dim):
-            raise ConfigError(
-                "inline probes must have shape (count, cells, dim) of [re, im] pairs"
-            )
-        return [
-            family.restrict(
-                semigroup.BochnerFunction(space=family.space, dim=family.dim, vectors=v)
-            )
-            for v in arr
-        ]
-    return semigroup.random_probes(family, pr["count"], pr["seed"])
+    """The inline probes, or else `probes.count` random ones from `probes.seed`."""
+    probes = inline_probes(cfg, family)
+    if probes is None:
+        pr = cfg["probes"]
+        probes = semigroup.random_probes(family, pr["count"], pr["seed"])
+    return probes
 
 
 def analysis_mode(cfg):
@@ -336,7 +343,7 @@ def run_analysis(cfg):
     p = _parse_p(cfg["p"])
     time_cfg = cfg["time"]
     tol = cfg["tolerances"]
-    probes = build_probes(cfg, family)
+    probes = inline_probes(cfg, family)
     mode = analysis_mode(cfg)
     uniform = _stage(
         "stability.classify_uniform", stability.classify_uniform, family,
@@ -344,6 +351,11 @@ def run_analysis(cfg):
     )
     re_tol = float(tol["re_tol"])
     match_tol = float(tol["match_tol"])
+    # classify_strong reads the probe orbits only after a Stable spectral
+    # verdict, which classify_uniform's eigenvalue table already decides
+    if probes is None:
+        reads = stability.spectral_bound_verdict(family, re_tol)[0] == STABLE
+        probes = build_probes(cfg, family) if reads else ()
     gate = _stage(
         "stability.certify_bounded", stability.certify_bounded, family, _time_grid(time_cfg),
         probes, p=p, re_tol=re_tol, match_tol=match_tol,

@@ -880,12 +880,25 @@ def ball_clusters(values, tol, tags=None):
     """Greedy ball clustering of complex values: walk the values in a
     canonical order (imag, then real, then tag) and open a ball of radius
     tol around the first unassigned value. Returns one (member mean, member
-    tags) pair per ball; the tags default to the value positions."""
+    tags) pair per ball; the tags default to the value positions. When the
+    consecutive imaginary gaps of the sorted values all exceed tol, no two
+    values lie within tol of each other: each is its own ball, without the
+    walk."""
     values = np.asarray(values, dtype=complex).ravel()
     tags = np.arange(values.size) if tags is None else np.asarray(tags)
     order = np.lexsort((tags, values.real, values.imag))
     vals = values[order]
     tags = tags[order]
+    if (np.diff(vals.imag) > tol).all():
+        # the mean of a ball of one, over an axis: the bits of the walk's
+        # mean, which may flip the sign of a zero part
+        means = vals[:, None].mean(axis=1).tolist()
+        return [(mean, tags[i : i + 1]) for i, mean in enumerate(means)]
+    return _greedy_walk(vals, tags, tol)
+
+
+def _greedy_walk(vals, tags, tol):
+    # ball_clusters' walk over canonically sorted values and their tags
     assigned = np.zeros(vals.size, dtype=bool)
     clusters = []
     for i in range(vals.size):

@@ -1,10 +1,14 @@
 """Verdicts, witnesses, and report containers shared by the classifiers.
 
 Verdicts are the literal strings used in the JSON report. Complex values
-serialize as [re, im] pairs.
+serialize as [re, im] pairs. The containers are named tuples, and the
+aggregate report a plain class that checks its invariants, so that no
+container code is generated when the module loads. A `tolerances` default
+is a read-only empty mapping.
 """
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +33,7 @@ def json_value(v):
     return v
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One piece of evidence behind a verdict: a cell, a value (eigenvalue,
     norm, or time), and what kind of evidence it is."""
 
@@ -46,8 +49,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """An approximate point-spectrum value with its supporting cells."""
 
     eigenvalue: complex
@@ -66,8 +68,7 @@ def _witness_list(ws):
     return [w.as_dict() for w in ws]
 
 
-@dataclass(frozen=True)
-class UniformResult:
+class UniformResult(NamedTuple):
     verdict: str
     rho_star: float
     decay_eps: float | None = None
@@ -75,7 +76,7 @@ class UniformResult:
     witnesses: tuple = ()
     times: np.ndarray | None = None
     ess_norms: np.ndarray | None = None
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = MappingProxyType({})
 
     def as_dict(self):
         return {
@@ -87,13 +88,12 @@ class UniformResult:
         }
 
 
-@dataclass(frozen=True)
-class StrongResult:
+class StrongResult(NamedTuple):
     verdict: str
     bound_M: float | None = None
     certified: bool = False
     witnesses: tuple = ()
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = MappingProxyType({})
 
     def as_dict(self):
         return {
@@ -104,13 +104,12 @@ class StrongResult:
         }
 
 
-@dataclass(frozen=True)
-class AlmostWeakResult:
+class AlmostWeakResult(NamedTuple):
     verdict: str
     mode: str
     clusters: tuple = ()
     witnesses: tuple = ()
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = MappingProxyType({})
 
     def as_dict(self):
         return {
@@ -121,7 +120,6 @@ class AlmostWeakResult:
         }
 
 
-@dataclass(frozen=True)
 class StabilityReport:
     """Aggregate of the three continuous-time verdicts.
 
@@ -129,18 +127,19 @@ class StabilityReport:
     Stable, and every NotStable fragment carries at least one witness.
     """
 
-    uniform: UniformResult
-    strong: StrongResult
-    almost_weak: AlmostWeakResult
-    mode: str
-    tolerances: dict = field(default_factory=dict)
+    __slots__ = ("uniform", "strong", "almost_weak", "mode", "tolerances")
 
-    def __post_init__(self):
-        if (self.uniform.verdict == STABLE) != (self.uniform.decay_eps is not None):
+    def __init__(self, uniform, strong, almost_weak, mode, tolerances=MappingProxyType({})):
+        if (uniform.verdict == STABLE) != (uniform.decay_eps is not None):
             raise ValueError("decay_eps must be present exactly for a Stable uniform verdict")
-        for frag in (self.uniform, self.strong, self.almost_weak):
+        for frag in (uniform, strong, almost_weak):
             if frag.verdict == NOT_STABLE and not frag.witnesses:
                 raise ValueError("a NotStable verdict needs at least one witness")
+        self.uniform = uniform
+        self.strong = strong
+        self.almost_weak = almost_weak
+        self.mode = mode
+        self.tolerances = tolerances
 
     @property
     def bound_M(self):
@@ -172,8 +171,7 @@ class StabilityReport:
         }
 
 
-@dataclass(frozen=True)
-class DiscreteReport:
+class DiscreteReport(NamedTuple):
     """Verdicts for the powers of a multiplication operator."""
 
     uniform: str
@@ -183,7 +181,7 @@ class DiscreteReport:
     power_certified: bool
     witnesses: tuple = ()
     bad_density: float | None = None
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = MappingProxyType({})
 
     def as_dict(self):
         return {

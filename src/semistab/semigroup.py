@@ -245,8 +245,16 @@ def point_spectrum(family, distance, tol, match_tol):
     table = family.eigenvalues
     hits = np.abs(distance(table)) <= tol
     weights = family.space.weights
+    balls = linalg.ball_clusters(table[hits], match_tol, np.nonzero(hits)[0])
+    if balls and len(balls) == np.count_nonzero(hits):
+        # every ball is one eigenvalue of one cell: one gather of the weights
+        cells = np.concatenate([members for _, members in balls])
+        return [
+            Cluster(eigenvalue=mean, cells=(cell,), measure=measure)
+            for (mean, _), cell, measure in zip(balls, cells.tolist(), weights[cells].tolist())
+        ]
     clusters = []
-    for mean, members in linalg.ball_clusters(table[hits], match_tol, np.nonzero(hits)[0]):
+    for mean, members in balls:
         support = sorted(set(members.tolist()))
         clusters.append(
             Cluster(eigenvalue=mean, cells=tuple(support), measure=float(weights[support].sum()))
@@ -259,14 +267,28 @@ def boundary_faults(family, cells, distance, tol, match_tol):
     boundary (signed `distance` > tol; value: the largest distance) or else
     has a defective cluster within tol of it (value: the mean of its first
     ball_clusters ball whose geometric multiplicity falls short of the
-    algebraic one). The distance is negative inside the boundary."""
+    algebraic one). The distance is negative inside the boundary.
+
+    A ball's mean lies within match_tol of its first member, and its
+    algebraic multiplicity counts the cell's eigenvalues within match_tol
+    of the mean. So a ball can be defective only when another eigenvalue of
+    its cell lies within 2 match_tol of a member; otherwise it is one simple
+    eigenvalue, which is semisimple. One pairing test over the cells with
+    an eigenvalue within tol of the boundary picks the cells that take the
+    clustering and the rank test."""
     cells = np.asarray(cells, dtype=int)
     eigs = family.eigenvalues[cells]
     dist = distance(eigs)
     worst = np.fmax.reduce(dist, axis=1, initial=-np.inf)
     faults = {i: (float(worst[i]), True) for i in np.flatnonzero(worst > tol)}
     near = np.abs(dist) <= tol
-    for i in np.flatnonzero(near.any(axis=1) & (worst <= tol)):
+    rows = np.flatnonzero(near.any(axis=1) & (worst <= tol))
+    # the NaN past each active block pairs with nothing
+    gaps = np.abs(eigs[rows, :, None] - eigs[rows, None, :])
+    each = np.arange(eigs.shape[1])
+    gaps[:, each, each] = np.inf
+    paired = (near[rows, :, None] & (gaps <= 2.0 * match_tol)).any(axis=(1, 2))
+    for i in rows[paired]:
         block = family.block(cells[i])
         for rep, _ in linalg.ball_clusters(eigs[i, near[i]], match_tol):
             alg, geo = linalg.semisimple_multiplicities(

@@ -198,18 +198,37 @@ def certify_bounded(family, times, probes=(), *, p=2.0, re_tol=1e-9, match_tol=1
     return BoundednessCertificate(not witnesses, bound, witnesses, times, norms, probe_norms, p)
 
 
+def spectral_bound_verdict(family, re_tol=1e-9):
+    """(verdict, witnesses) of the pointwise spectral bounds, from the
+    family's eigenvalue table: NotStable when a positive-weight cell has a
+    nonnegative spectral bound (the first such cell is the witness),
+    Inconclusive when some lie within re_tol below 0 (each is a witness),
+    Stable otherwise. It is the test that classify_strong applies, and the
+    one case in which it reads the probe orbits is Stable."""
+    positive = family.space.positive_cells()
+    eigs = family.eigenvalues[positive]
+    tops = eigs[np.arange(positive.size), np.nanargmax(eigs.real, axis=1)]
+    crossing = tops.real >= 0.0
+    if crossing.any():
+        verdict, kind, picked = NOT_STABLE, "nonnegative-spectral-bound", [np.argmax(crossing)]
+    else:
+        kind, picked = "spectral-bound-inside-tolerance-band", np.flatnonzero(tops.real >= -re_tol)
+        verdict = INCONCLUSIVE if len(picked) else STABLE
+    return verdict, [Witness(int(positive[i]), complex(tops[i]), kind) for i in picked]
+
+
 def classify_strong(family, gate, *, re_tol=1e-9):
     """Strong stability: certified bound (the certify_bounded result `gate`),
     then pointwise spectral bounds strictly negative on every positive-weight
-    cell, corroborated by the gate's probe orbits decaying below
-    PROBE_THRESHOLD of their initial norm.
+    cell (spectral_bound_verdict), corroborated by the gate's probe orbits
+    decaying below PROBE_THRESHOLD of their initial norm.
 
     An uncertified bound or a non-decaying probe yields Inconclusive; a cell
     with nonnegative spectral bound yields NotStable with that cell as the
-    witness.
+    witness. The probe orbits are read only when the bound is certified and
+    the spectral verdict is Stable; a gate without them raises ShapeError
+    there.
     """
-    if gate.probe_norms.shape[1] == 0:
-        raise ShapeError("the boundedness certificate carries no probe orbits")
     tolerances = {
         "horizon": float(gate.times[-1]),
         "p": gate.p,
@@ -224,17 +243,10 @@ def classify_strong(family, gate, *, re_tol=1e-9):
             witnesses=gate.witnesses + (Witness(None, gate.bound, "boundedness-gate-uncertified"),),
             tolerances=tolerances,
         )
-    positive = family.space.positive_cells()
-    eigs = family.eigenvalues[positive]
-    tops = eigs[np.arange(positive.size), np.nanargmax(eigs.real, axis=1)]
-    crossing = tops.real >= 0.0
-    if crossing.any():
-        verdict, kind, picked = NOT_STABLE, "nonnegative-spectral-bound", [np.argmax(crossing)]
-    else:
-        kind, picked = "spectral-bound-inside-tolerance-band", np.flatnonzero(tops.real >= -re_tol)
-        verdict = INCONCLUSIVE if len(picked) else STABLE
-    witnesses = [Witness(int(positive[i]), complex(tops[i]), kind) for i in picked]
+    verdict, witnesses = spectral_bound_verdict(family, re_tol)
     if verdict == STABLE:
+        if gate.probe_norms.shape[1] == 0:
+            raise ShapeError("the boundedness certificate carries no probe orbits")
         ratios = gate.probe_norms[1:] / gate.probe_norms[0]
         for decayed in (ratios <= PROBE_THRESHOLD).any(axis=0):
             if not decayed:

@@ -11,6 +11,7 @@ import numpy as np
 from semistab import linalg
 from semistab.errors import DomainError
 from semistab.measure import ess_sup
+from semistab.report import Cluster
 
 
 def sample_norms(sample):
@@ -125,3 +126,60 @@ def conditioned_pair(cond, lams, seed=0):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     return q @ v @ np.diag(lams) @ np.linalg.inv(v) @ q.conj().T
+
+
+def greedy_ball_clusters(values, tol, tags=None):
+    """linalg.ball_clusters by the greedy walk alone, isolated values
+    included: in canonical order (imag, then real, then tag), a ball of
+    radius tol opens around the first unassigned value; one (member mean,
+    member tags) pair per ball."""
+    values = np.asarray(values, dtype=complex).ravel()
+    tags = np.arange(values.size) if tags is None else np.asarray(tags)
+    order = np.lexsort((tags, values.real, values.imag))
+    vals = values[order]
+    tags = tags[order]
+    assigned = np.zeros(vals.size, dtype=bool)
+    clusters = []
+    for i in range(vals.size):
+        if assigned[i]:
+            continue
+        members = (~assigned) & (np.abs(vals - vals[i]) <= tol)
+        assigned |= members
+        clusters.append((complex(vals[members].mean()), tags[members]))
+    return clusters
+
+
+def point_spectrum(family, distance, tol, match_tol):
+    """semigroup.point_spectrum from greedy_ball_clusters, each cluster's
+    measure the sum of its cells' weights."""
+    table = family.eigenvalues
+    hits = np.abs(distance(table)) <= tol
+    weights = family.space.weights
+    clusters = []
+    for mean, members in greedy_ball_clusters(table[hits], match_tol, np.nonzero(hits)[0]):
+        support = sorted(set(members.tolist()))
+        clusters.append(Cluster(mean, tuple(support), float(weights[support].sum())))
+    return clusters
+
+
+def boundary_faults(family, cells, distance, tol, match_tol):
+    """semigroup.boundary_faults without the pairing pre-test: every cell of
+    `cells` with an eigenvalue within tol of the boundary, and none beyond
+    it, takes the greedy clustering of those eigenvalues and the rank test
+    of each ball."""
+    cells = np.asarray(cells, dtype=int)
+    eigs = family.eigenvalues[cells]
+    dist = distance(eigs)
+    worst = np.fmax.reduce(dist, axis=1, initial=-np.inf)
+    faults = {i: (float(worst[i]), True) for i in np.flatnonzero(worst > tol)}
+    near = np.abs(dist) <= tol
+    for i in np.flatnonzero(near.any(axis=1) & (worst <= tol)):
+        block = family.block(cells[i])
+        for rep, _ in greedy_ball_clusters(eigs[i, near[i]], match_tol):
+            alg, geo = linalg.semisimple_multiplicities(
+                block, rep, match_tol, eigs=eigs[i, : block.shape[0]]
+            )
+            if geo < alg:
+                faults[i] = (rep, False)
+                break
+    return [(int(cells[i]), value, crosses) for i, (value, crosses) in sorted(faults.items())]

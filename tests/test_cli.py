@@ -16,6 +16,9 @@ from semistab.errors import ConfigError, NumericalFailureError
 
 from oracles import conditioned_pair
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import make_config  # noqa: E402
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -591,6 +594,45 @@ class TestAnalyzeAndTrajectoryAgree:
         cfg = {"family": family, "probes": {"vectors": [[[[0.0, 0.0]]] * cells]}}
         assert cli.main([command, write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err == "error: probe 0 has zero norm on the active blocks\n"
+
+
+class TestProbeDraw:
+    """analyze draws random probes only where classify_strong reads them, and
+    checks inline probes before any stage."""
+
+    @pytest.mark.parametrize("workload, drawn", [("rot256", False), ("zab40", True)])
+    def test_numpy_random_is_loaded_only_to_draw_probes(self, tmp_path, workload, drawn):
+        # every rot256 cell has Re lambda = 0, so its strong verdict is
+        # NotStable before any probe orbit is read
+        path = write_config(tmp_path, make_config(workload, 1, "smoke"))
+        src = str(CONFIG_DIR.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys; from semistab import cli; "
+            "code = cli.main(['analyze', sys.argv[1], '--quiet']); "
+            "print(code, 'numpy.random' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, path], capture_output=True, text=True, env=env
+        )
+        assert (proc.stdout, proc.stderr) == (f"0 {drawn}\n", "")
+
+    @pytest.mark.parametrize("command", ["analyze", "trajectory"])
+    def test_wrong_shape_inline_probe_exits_2_before_any_stage(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        def no_stage(name, *args, **kwargs):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(cli, "_stage", no_stage)
+        cfg = {
+            "family": {"builtin": "rotation", "cells": 3},
+            "probes": {"vectors": [[[[1.0, 0.0]]] * 2]},
+        }
+        assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: inline probes must have shape (count, cells, dim) of [re, im] pairs\n"
+        )
 
 
 def analyze_and_trajectory(capsys, tmp_path, cfg, name):

@@ -25,6 +25,7 @@ from semistab.stability import (
     classify_strong,
     classify_uniform,
     imaginary_point_spectrum,
+    spectral_bound_verdict,
 )
 
 from oracles import sample_radii
@@ -341,6 +342,21 @@ class TestClassifyStrong:
     def test_probes_required(self):
         with pytest.raises(ShapeError):
             run_strong(diagonal_family([-1.0]), 10.0, [])
+
+    @pytest.mark.parametrize("rates, verdict", [
+        ([-1.0, 1j, -2.0], NOT_STABLE),
+        ([-1.0, -1e-12], INCONCLUSIVE),
+    ])
+    def test_orbits_are_read_only_after_a_stable_spectral_verdict(self, rates, verdict):
+        # a gate without probe orbits serves every other verdict
+        family = diagonal_family(rates)
+        result = run_strong(family, 10.0, [])
+        assert result.verdict == verdict
+        assert (verdict, list(result.witnesses)) == spectral_bound_verdict(family)
+
+    def test_uncertified_gate_needs_no_orbits(self):
+        shift = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        assert run_strong(family_from_matrices(shift), 20.0, []).verdict == INCONCLUSIVE
 
 
 class TestImaginaryPointSpectrum:

@@ -1,12 +1,14 @@
 """Tests of tools/report_diff.py on two tiny output directories and on two
-files, and of the summary logic of tools/bench_pairs.py on synthetic run
-records."""
+files, of the summary logic of tools/bench_pairs.py on synthetic run
+records, and of the runs of tools/gate_digests.py."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from semistab import cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -216,3 +218,21 @@ def test_bench_pairs_without_record_prints_the_table_and_writes_nothing(
     assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCHMARK.json"]
     out = capsys.readouterr().out.splitlines()
     assert sum(line.startswith("| zab40 | ") for line in out) == len(METRICS)
+
+
+def test_gate_digests_run_the_workload_configs(tmp_path):
+    # analyze on each benchmark workload at benchmark seeds 1 and 2, from the
+    # configs perfbench generates, after the 16 runs on the bundled configs
+    gate_digests = load_tool("gate_digests")
+    runs = gate_digests.gate_runs(tmp_path)
+    names = [name for name, _, _ in runs]
+    assert len(set(names)) == len(names) == 22
+    expected = [(w, seed) for w in ("zab40", "rot256", "rh64") for seed in (1, 2)]
+    assert names[16:] == [f"analyze_{w}_seed{seed}.json" for w, seed in expected]
+    for (workload, seed), (_, args, flag) in zip(expected, runs[16:]):
+        assert (args[0], flag) == ("analyze", "--out")
+        config = json.loads(Path(args[1]).read_text())
+        assert config == gate_digests.make_config(workload, seed)
+    out = tmp_path / "report.json"
+    assert cli.main([*runs[-3][1], "--out", str(out), "--quiet"]) == 0
+    assert len(json.loads(out.read_text())["almost_weak"]["clusters"]) == 256
