@@ -7,7 +7,6 @@ from .measure import (
     ATOMIC,
     REFINEMENT_FAMILY,
     DiscretizedMeasureSpace,
-    density_discrete,
     ess_sup,
 )
 from .linalg import (

@@ -26,12 +26,13 @@ import numpy as np
 from . import __version__, cases, discrete, semigroup, stability
 from .errors import (
     ConfigError,
+    DomainError,
     NumericalFailureError,
     SemistabError,
     UnboundedSemigroupError,
 )
 from .measure import ATOMIC, REFINEMENT_FAMILY, DiscretizedMeasureSpace
-from .report import MODE_ATOMIC, MODE_NONATOMIC_LIMIT, STABLE
+from .report import MODE_ATOMIC, MODE_NONATOMIC_LIMIT
 
 _REQUIRED = object()  # the default of a key a config must give
 
@@ -88,7 +89,7 @@ _SCHEMA = {
     "time": ({"t0": (_NUMBER, 1.0), "horizon": (_NUMBER, 200.0),
               "grid_points": (_POSITIVE, 48), "log_spacing": (_BOOLEAN, True)}, {}),
     "tolerances": ({"re_tol": (_NUMBER, 1e-9), "match_tol": (_NUMBER, 1e-6),
-                    "margin": (_NUMBER, 1e-6), "eps": (_NUMBER, 1e-3)}, {}),
+                    "margin": (_NUMBER, 1e-6)}, {}),
     "probes": ({"count": (_POSITIVE, 3), "seed": (_NONNEGATIVE, 12345),
                 "vectors": (_PAIRS, None)}, {}),
     "discrete": ({"enabled": (_BOOLEAN, False), "n_max": (_POSITIVE, 256),
@@ -303,17 +304,25 @@ def build_family(cfg):
 
 def inline_probes(cfg, family):
     """The config's inline probe vectors, restricted to the active blocks,
-    or None when it gives none."""
+    or None when it gives none. Every subcommand checks them, whether it
+    reads them or not: a probe of the wrong shape raises ConfigError, and
+    one that vanishes on every active block of a positive-weight cell (the
+    zero function) DomainError."""
     vectors = cfg["probes"].get("vectors")
     if vectors is None:
         return None
     arr = _complex_array(vectors, "probes 'vectors'")
     if arr.ndim != 3 or arr.shape[1:] != (family.space.n_cells, family.dim):
         raise ConfigError("inline probes must have shape (count, cells, dim) of [re, im] pairs")
-    return [
+    probes = [
         family.restrict(semigroup.BochnerFunction(space=family.space, dim=family.dim, vectors=v))
         for v in arr
     ]
+    positive = family.space.positive_cells()
+    for j, f in enumerate(probes):
+        if not f.vectors[positive].any():
+            raise DomainError(f"probe {j} has zero norm on the active blocks")
+    return probes
 
 
 def build_probes(cfg, family):
@@ -340,10 +349,10 @@ def _time_grid(time_cfg):
 
 def run_analysis(cfg):
     family = build_family(cfg)
-    p = _parse_p(cfg["p"])
     time_cfg = cfg["time"]
     tol = cfg["tolerances"]
-    probes = inline_probes(cfg, family)
+    # no verdict reads a probe; a config trajectory rejects fails here too
+    inline_probes(cfg, family)
     mode = analysis_mode(cfg)
     uniform = _stage(
         "stability.classify_uniform", stability.classify_uniform, family,
@@ -351,14 +360,9 @@ def run_analysis(cfg):
     )
     re_tol = float(tol["re_tol"])
     match_tol = float(tol["match_tol"])
-    # classify_strong reads the probe orbits only after a Stable spectral
-    # verdict, which classify_uniform's eigenvalue table already decides
-    if probes is None:
-        reads = stability.spectral_bound_verdict(family, re_tol)[0] == STABLE
-        probes = build_probes(cfg, family) if reads else ()
     gate = _stage(
         "stability.certify_bounded", stability.certify_bounded, family, _time_grid(time_cfg),
-        probes, p=p, re_tol=re_tol, match_tol=match_tol,
+        re_tol=re_tol, match_tol=match_tol,
     )
     strong = _stage(
         "stability.classify_strong", stability.classify_strong, family, gate, re_tol=re_tol
@@ -380,8 +384,6 @@ def run_analysis(cfg):
             sample,
             margin=float(tol["margin"]),
             n_max=cfg["discrete"]["n_max"],
-            eps=float(tol["eps"]),
-            seed=cfg["probes"]["seed"],
             match_tol=match_tol,
         )
         discrete_payload = dreport.as_dict()

@@ -26,24 +26,6 @@ from .report import (
 
 NORM_CHECK_THRESHOLD = 1e-6
 NORM_CHECK_SAFETY = 3.0
-DENSITY_CAP = 0.05
-
-#: the orbit density evidence extends its horizon to DENSITY_SAFETY times the
-#: predicted bad-set length (from the spectral gap), capped to keep runtime
-#: bounded; beyond the cap the evidence is skipped and the spectral criterion
-#: stands alone. The horizon runs in tiles of DENSITY_TILE powers
-#: (orbit_densities): per active dimension, one stacked product and one
-#: comparison per tile, plus log2(DENSITY_TILE) products once for the rows
-#: phi^H M^j, so the cap bounds about 6 n / DENSITY_TILE numpy calls, not 7 n.
-DENSITY_SAFETY = 30.0
-DENSITY_MAX_STEPS = 65536
-
-#: powers per tile of the orbit-density recurrence, a power of two: its rows
-#: phi^H M^j, j < DENSITY_TILE, take DENSITY_TILE * m * k complex entries
-#: for m cells of active dimension k. On rh64 (64 cells, k = 6) 16 powers
-#: take 98 kB of rows and 2.2 ms per call; 32 took 1.8 ms, but their 196 kB
-#: raised the process's peak RSS by 0.1 to 0.2 MB (2-core Xeon host).
-DENSITY_TILE = 16
 
 
 def power_schedule(n_max):
@@ -162,103 +144,31 @@ def unimodular_point_spectrum(sample, uni_tol=1e-9, match_tol=1e-6):
     return semigroup.point_spectrum(sample, _modulus_gap, uni_tol, match_tol)
 
 
-def orbit_densities(sample, n_steps, eps, seed):
-    """Density of {n < n_steps : |<M(s)^n x, phi>| >= eps ||x|| ||phi||} on
-    each positive-weight cell s, in cell order, for random x, phi drawn per
-    cell (in cell order) from default_rng(seed).
-
-    The orbits of all cells with the same active dimension advance together,
-    in tiles of DENSITY_TILE = B powers: the rows phi^H M^j, j < B, are
-    built once by doubling from the sample's shared squares M^(2^i)
-    (power_stacks), and each tile takes <M^(tB + j) x, phi> for every j
-    from one stacked product of those rows with v = M^(tB) x, counts the
-    moduli at or above the threshold and advances v by the square M^B. A
-    tile costs six numpy calls and its rows B m k complex entries, for m
-    cells of active dimension k. Each inner product is the step-by-step
-    orbit's up to rounding, so a count can differ from the step loop's only
-    at a power whose modulus lies within rounding of the threshold."""
-    rng = np.random.default_rng(seed)
-    positive = sample.space.positive_cells()
-    starts = {}
-    for c in positive:
-        d = sample.block(int(c)).shape[0]
-        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        scale = eps * float(np.linalg.norm(x)) * float(np.linalg.norm(phi))
-        starts[int(c)] = (x, phi, scale)
-    densities = np.zeros(sample.space.n_cells)
-    doublings = DENSITY_TILE.bit_length() - 1
-    squares = [sample.power_stacks(1 << i) for i in range(doublings + 1)]
-    for g, (cells, _) in enumerate(squares[0]):
-        v = np.stack([starts[c][0] for c in cells])[:, :, None]
-        rows = np.empty((cells.size, DENSITY_TILE, v.shape[1]), dtype=complex)
-        rows[:, 0] = np.stack([starts[c][1].conj() for c in cells])
-        for i in range(doublings):
-            h = 1 << i
-            np.matmul(rows[:, :h], squares[i][g][1], out=rows[:, h : 2 * h])
-        scale = np.array([starts[c][2] for c in cells])[:, None]
-        bad = np.zeros(cells.size, dtype=int)
-        for start in range(0, n_steps, DENSITY_TILE):
-            w = (rows[:, : n_steps - start] @ v)[..., 0]
-            # |<v, phi>| as the hypot of its parts, the rounding of abs()
-            # on one complex scalar
-            bad += (np.hypot(w.real, w.imag) >= scale).sum(axis=1)
-            v = squares[doublings][g][1] @ v
-        densities[cells] = bad / float(n_steps)
-    return densities[positive]
-
-
-def classify_discrete_almost_weak(sample, gate, *, n_max=512, eps=1e-3, seed=0,
-                                  uni_tol=1e-9, match_tol=1e-6):
+def classify_discrete_almost_weak(sample, gate, *, uni_tol=1e-9, match_tol=1e-6):
     """Almost weak stability of the powers: certified power bound (`gate`,
     as for classify_discrete_strong) and no unit-circle point spectrum on
-    positive-weight cells (the criterion), corroborated by an orbit density
-    test: for random x, phi per cell the set
-    {n <= n_max : |<M^n x, phi>| >= eps ||x|| ||phi||} must have density at
-    most DENSITY_CAP (evidence, not proof)."""
+    positive-weight cells."""
     detail = {"power_bound": gate.bound, "power_certified": gate.certified}
     if not gate.certified:
         return DiscreteClassification(
             INCONCLUSIVE, (Witness(None, gate.bound, "power-bound-gate-uncertified"),), detail
         )
     clusters = unimodular_point_spectrum(sample, uni_tol=uni_tol, match_tol=match_tol)
-    if clusters:
-        detail["clusters"] = clusters
-        witnesses = tuple(
-            Witness(cl.cells[0], cl.eigenvalue, "unimodular-eigenvalue-cluster")
-            for cl in clusters
-        )
-        return DiscreteClassification(NOT_STABLE, witnesses, detail)
-    # criterion holds; every pointwise radius is below one, so the bad set of
-    # each orbit is finite. Give the evidence enough horizon to see that.
-    r_max = float(sample.radii[sample.space.positive_cells()].max())
-    if 0.0 < r_max < 1.0:
-        predicted = math.ceil(DENSITY_SAFETY * math.log(1.0 / eps) / -math.log(r_max))
-        n_steps = max(n_max, predicted)
-    else:
-        n_steps = n_max
-    if n_steps > DENSITY_MAX_STEPS:
-        detail["bad_density"] = None
-        detail["density_skipped"] = True
+    if not clusters:
         return DiscreteClassification(STABLE, (), detail)
-    worst_density = float(orbit_densities(sample, n_steps, eps, seed).max())
-    detail["bad_density"] = worst_density
-    if worst_density > DENSITY_CAP:
-        return DiscreteClassification(
-            INCONCLUSIVE, (Witness(None, worst_density, "orbit-density-too-high"),), detail
-        )
-    return DiscreteClassification(STABLE, (), detail)
+    detail["clusters"] = clusters
+    witnesses = tuple(
+        Witness(cl.cells[0], cl.eigenvalue, "unimodular-eigenvalue-cluster") for cl in clusters
+    )
+    return DiscreteClassification(NOT_STABLE, witnesses, detail)
 
 
-def build_discrete_report(sample, *, margin, n_max, eps=1e-3, seed=0,
-                          uni_tol=1e-9, match_tol=1e-6):
+def build_discrete_report(sample, *, margin, n_max, uni_tol=1e-9, match_tol=1e-6):
     """Run all three discrete classifiers and assemble the report."""
     gate = power_bounded_estimate(sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
     uniform = classify_discrete_uniform(sample, margin)
     strong = classify_discrete_strong(sample, gate, uni_tol=uni_tol)
-    almost = classify_discrete_almost_weak(
-        sample, gate, n_max=n_max, eps=eps, seed=seed, uni_tol=uni_tol, match_tol=match_tol
-    )
+    almost = classify_discrete_almost_weak(sample, gate, uni_tol=uni_tol, match_tol=match_tol)
     return DiscreteReport(
         uniform=uniform.verdict,
         strong=strong.verdict,
@@ -266,6 +176,5 @@ def build_discrete_report(sample, *, margin, n_max, eps=1e-3, seed=0,
         power_bound=gate.bound,
         power_certified=gate.certified,
         witnesses=uniform.witnesses + strong.witnesses + almost.witnesses,
-        bad_density=almost.detail.get("bad_density"),
-        tolerances={"margin": margin, "n_max": n_max, "eps": eps, "uni_tol": uni_tol},
+        tolerances={"margin": margin, "n_max": n_max, "uni_tol": uni_tol},
     )

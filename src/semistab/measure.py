@@ -3,7 +3,6 @@
 A space is a list of cells (index = cell id) carrying a nonnegative weight
 and a real parameter label. Almost-everywhere statements become statements
 over the cells of positive weight; null sets are cells of weight zero.
-Densities of time sets are estimated on finite horizons.
 """
 
 from dataclasses import dataclass
@@ -122,13 +121,3 @@ def ess_sup(space, values):
     if not np.any(positive):
         raise DegenerateSpaceError("space carries no measure")
     return float(values[positive].max())
-
-
-def density_discrete(members, horizon):
-    """|{k : n_k < horizon}| / horizon for a set of naturals."""
-    if horizon < 1:
-        raise DomainError("horizon must be at least 1")
-    members = np.asarray(members)
-    if members.size == 0:
-        return 0.0
-    return float(np.count_nonzero(members < horizon)) / float(horizon)

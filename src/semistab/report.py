@@ -180,17 +180,13 @@ class DiscreteReport(NamedTuple):
     power_bound: float
     power_certified: bool
     witnesses: tuple = ()
-    bad_density: float | None = None
     tolerances: dict = MappingProxyType({})
 
     def as_dict(self):
         return {
             "uniform": {"verdict": self.uniform},
             "strong": {"verdict": self.strong},
-            "almost_weak": {
-                "verdict": self.almost_weak,
-                "bad_density": None if self.bad_density is None else float(self.bad_density),
-            },
+            "almost_weak": {"verdict": self.almost_weak},
             "power_bound": float(self.power_bound),
             "power_certified": bool(self.power_certified),
             "witnesses": _witness_list(self.witnesses),

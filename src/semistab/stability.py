@@ -7,8 +7,7 @@ Three notions, in decreasing strength:
                 radius at a reference time t0 is e^{t0 s*}), with an
                 exponential envelope (M, eps) fitted on a trajectory.
 * strong     -- ||e^{tA}f|| -> 0 for every f; needs a certified bound on the
-                semigroup, then the pointwise spectral bounds, corroborated
-                by probe orbits.
+                semigroup, then the pointwise spectral bounds decide.
 * almost weak-- weak convergence to 0 along a time set of density one;
                 equivalent (for bounded semigroups on our spaces) to the
                 absence of imaginary-axis point spectrum carried by a set of
@@ -52,9 +51,6 @@ DECAY_CROSSCHECK = 1e-3
 
 #: the uniform cross-check doubles its horizon at most this many times.
 MAX_EXTENSIONS = 6
-
-#: probe orbits must decay below this fraction of their initial norm.
-PROBE_THRESHOLD = 1e-6
 
 
 def classify_uniform(family, t0, margin, *, grid_points=48):
@@ -153,21 +149,18 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
 class BoundednessCertificate(NamedTuple):
     """A boundedness verdict with the norms it was read from: `norms[k, c]` is
     ||e^{times[k] A(s_c)}|| where it can reach `bound` or decides whether
-    cell c contracts, and an upper bound below `bound` elsewhere;
-    `probe_norms[k, j]` is the p-norm of probe j's orbit."""
+    cell c contracts, and an upper bound below `bound` elsewhere."""
 
     certified: bool
     bound: float
     witnesses: tuple
     times: np.ndarray
     norms: np.ndarray
-    probe_norms: np.ndarray
-    p: float
 
 
-def certify_bounded(family, times, probes=(), *, p=2.0, re_tol=1e-9, match_tol=1e-6):
+def certify_bounded(family, times, *, re_tol=1e-9, match_tol=1e-6):
     """Certify sup_t ||e^{tA}|| < inf and report the bound observed on the
-    time grid `times` (from 0), with the p-norms of the orbits of `probes`.
+    time grid `times` (from 0).
 
     A cell is certified either by eventual contraction (some grid norm < 1,
     which caps the tail by submultiplicativity) or spectrally: all
@@ -183,9 +176,7 @@ def certify_bounded(family, times, probes=(), *, p=2.0, re_tol=1e-9, match_tol=1
     """
     times = np.asarray(times, dtype=float)
     floor = np.zeros(1)
-    norms, probe_norms = semigroup.orbit_norms(
-        family, times, probes, p, floor=floor, below=linalg.CONTRACTION
-    )
+    norms, _ = semigroup.orbit_norms(family, times, floor=floor, below=linalg.CONTRACTION)
     positive = family.space.positive_cells()
     bound = float(floor[0])
     contracting = (norms[times > 0] < linalg.CONTRACTION).any(axis=0)
@@ -195,7 +186,7 @@ def certify_bounded(family, times, probes=(), *, p=2.0, re_tol=1e-9, match_tol=1
     )
     kinds = {True: "positive-spectral-bound", False: "defective-imaginary-eigenvalue"}
     witnesses = tuple(Witness(c, value, kinds[crosses]) for c, value, crosses in faults)
-    return BoundednessCertificate(not witnesses, bound, witnesses, times, norms, probe_norms, p)
+    return BoundednessCertificate(not witnesses, bound, witnesses, times, norms)
 
 
 def spectral_bound_verdict(family, re_tol=1e-9):
@@ -203,8 +194,7 @@ def spectral_bound_verdict(family, re_tol=1e-9):
     family's eigenvalue table: NotStable when a positive-weight cell has a
     nonnegative spectral bound (the first such cell is the witness),
     Inconclusive when some lie within re_tol below 0 (each is a witness),
-    Stable otherwise. It is the test that classify_strong applies, and the
-    one case in which it reads the probe orbits is Stable."""
+    Stable otherwise: the strong verdict of a certified bound."""
     positive = family.space.positive_cells()
     eigs = family.eigenvalues[positive]
     tops = eigs[np.arange(positive.size), np.nanargmax(eigs.real, axis=1)]
@@ -220,21 +210,14 @@ def spectral_bound_verdict(family, re_tol=1e-9):
 def classify_strong(family, gate, *, re_tol=1e-9):
     """Strong stability: certified bound (the certify_bounded result `gate`),
     then pointwise spectral bounds strictly negative on every positive-weight
-    cell (spectral_bound_verdict), corroborated by the gate's probe orbits
-    decaying below PROBE_THRESHOLD of their initial norm.
+    cell (spectral_bound_verdict). With finitely many positive-weight cells
+    and finite-dimensional blocks a bounded semigroup without imaginary
+    eigenvalues decays exponentially, so the spectra decide.
 
-    An uncertified bound or a non-decaying probe yields Inconclusive; a cell
-    with nonnegative spectral bound yields NotStable with that cell as the
-    witness. The probe orbits are read only when the bound is certified and
-    the spectral verdict is Stable; a gate without them raises ShapeError
-    there.
+    An uncertified bound yields Inconclusive; a cell with nonnegative
+    spectral bound yields NotStable with that cell as the witness.
     """
-    tolerances = {
-        "horizon": float(gate.times[-1]),
-        "p": gate.p,
-        "re_tol": re_tol,
-        "probe_threshold": PROBE_THRESHOLD,
-    }
+    tolerances = {"horizon": float(gate.times[-1]), "re_tol": re_tol}
     if not gate.certified:
         return StrongResult(
             INCONCLUSIVE,
@@ -244,14 +227,6 @@ def classify_strong(family, gate, *, re_tol=1e-9):
             tolerances=tolerances,
         )
     verdict, witnesses = spectral_bound_verdict(family, re_tol)
-    if verdict == STABLE:
-        if gate.probe_norms.shape[1] == 0:
-            raise ShapeError("the boundedness certificate carries no probe orbits")
-        ratios = gate.probe_norms[1:] / gate.probe_norms[0]
-        for decayed in (ratios <= PROBE_THRESHOLD).any(axis=0):
-            if not decayed:
-                verdict = INCONCLUSIVE
-                witnesses.append(Witness(None, float(gate.times[-1]), "probe-did-not-decay"))
     return StrongResult(
         verdict,
         bound_M=gate.bound,

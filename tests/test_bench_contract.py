@@ -41,9 +41,9 @@ def test_report_passes_the_benchmark_oracle(tmp_path, workload, seed, scale):
 #: config_hash of each workload's merged config at benchmark seed 1: the
 #: benchmark compares reports whose meta carries it
 WORKLOAD_HASHES = {
-    "zab40": "56195fa7a1233a99083a66ac44298652b7d943ec1622e41d138249fa52134f9e",
-    "rot256": "ff5f2ba4402174080599ae87e9fa87cf4cf0faa20895d7155bec09bcf65af39d",
-    "rh64": "cd40dbccd94794ea544eb1491efa20c3ce4dadfb44edae621e291c756596111f",
+    "zab40": "d0bbc8d6dee1867e65d4ed3f195add33c4f09ad804a950242ca81217bb4a5abc",
+    "rot256": "517364c7131ffa38122c1accfea6a38fa550ce2bc32814e1a77e92a56ee9a2d6",
+    "rh64": "4a1815c4c7478832888d59327e2590156a977f332f8cd65276f97bf317709b84",
 }
 
 

@@ -1,8 +1,6 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from semistab.errors import DegenerateSpaceError, DomainError, ShapeError
@@ -10,7 +8,6 @@ from semistab.measure import (
     ATOMIC,
     REFINEMENT_FAMILY,
     DiscretizedMeasureSpace,
-    density_discrete,
     ess_sup,
 )
 
@@ -87,41 +84,3 @@ class TestRefinement:
     def test_modes(self):
         assert space_of([1.0]).mode == ATOMIC
         assert DiscretizedMeasureSpace.uniform_grid(4).mode == REFINEMENT_FAMILY
-
-
-class TestDensityDiscrete:
-    def test_all_naturals(self):
-        assert density_discrete(list(range(100)), 100) == 1.0
-
-    def test_even_naturals(self):
-        members = [2 * k for k in range(600)]
-        expected = sum(1 for m in members if m < 1000) / 1000  # direct count
-        assert expected == 0.5
-        assert density_discrete(members, 1000) == expected
-
-    def test_perfect_squares(self):
-        members = [k * k for k in range(200)]
-        horizon = 10000
-        expected = sum(1 for m in members if m < horizon) / horizon  # direct count
-        assert expected == math.floor(math.sqrt(horizon)) / horizon == 0.01
-        assert density_discrete(members, horizon) == expected
-
-    def test_empty_members(self):
-        assert density_discrete([], 10) == 0.0
-
-    def test_bad_horizon(self):
-        with pytest.raises(DomainError):
-            density_discrete([1], 0)
-
-    @settings(max_examples=50)
-    @given(
-        members=st.lists(st.integers(0, 50), unique=True, max_size=30),
-        extra=st.integers(0, 50),
-        horizon=st.integers(1, 60),
-    )
-    def test_adding_one_member_changes_density_by_at_most_one_slot(
-        self, members, extra, horizon
-    ):
-        base = density_discrete(sorted(members), horizon)
-        bigger = density_discrete(sorted(set(members) | {extra}), horizon)
-        assert bigger - base in (0.0, pytest.approx(1.0 / horizon))

@@ -6,14 +6,12 @@ import pytest
 
 from semistab import cli, linalg, semigroup, stability
 from semistab.cases import diagonal_family, random_hurwitz_family, zabczyk_family
-from semistab.discrete import DENSITY_CAP, orbit_densities
-from semistab.errors import DomainError, ShapeError, UnboundedSemigroupError
+from semistab.errors import DomainError, UnboundedSemigroupError
 from semistab.measure import DiscretizedMeasureSpace, ess_sup
 from semistab.report import INCONCLUSIVE, NOT_STABLE, STABLE
 from semistab.semigroup import (
     PointwiseFamily,
     norm_curves,
-    random_probes,
     sample_at,
     time_grid,
 )
@@ -36,8 +34,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # grid_points) for strong and time_grid(50.0, 33) for almost weak
 
 
-def run_strong(family, horizon, probes, grid_points=48):
-    gate = certify_bounded(family, time_grid(horizon, grid_points), probes)
+def run_strong(family, horizon, grid_points=48):
+    gate = certify_bounded(family, time_grid(horizon, grid_points))
     return classify_strong(family, gate)
 
 
@@ -303,17 +301,14 @@ class TestCertifyBounded:
 class TestClassifyStrong:
     def test_slow_normal_family_is_stable(self):
         family = diagonal_family([-1.0 / k for k in range(1, 11)])
-        probes = random_probes(family, 3, seed=0)
-        # slowest decay time for the probe check is about 10 * ln(1e6) = 138
-        result = run_strong(family, 200.0, probes)
+        result = run_strong(family, 200.0)
         assert result.verdict == STABLE
         assert result.certified
         assert result.bound_M == pytest.approx(1.0)
 
     def test_single_rotating_cell_flips_verdict(self):
         family = diagonal_family([-1.0, 1j, -2.0])
-        probes = random_probes(family, 2, seed=1)
-        result = run_strong(family, 50.0, probes)
+        result = run_strong(family, 50.0)
         assert result.verdict == NOT_STABLE
         witness = result.witnesses[0]
         assert witness.cell == 1
@@ -321,42 +316,31 @@ class TestClassifyStrong:
 
     def test_counterexample_truncation_reports_huge_bound(self):
         family = zabczyk_family(10)
-        probes = random_probes(family, 2, seed=2)
-        result = run_strong(family, 800.0, probes, grid_points=64)
+        result = run_strong(family, 800.0, grid_points=64)
         assert result.verdict == STABLE
         assert result.bound_M > 1e3
 
     def test_uncertified_gate_is_inconclusive(self):
         shift = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
         family = family_from_matrices(shift)
-        result = run_strong(family, 20.0, random_probes(family, 1, seed=3))
+        result = run_strong(family, 20.0)
         assert result.verdict == INCONCLUSIVE
         assert not result.certified
-
-    def test_too_short_horizon_downgrades(self):
-        family = diagonal_family([-0.01])
-        result = run_strong(family, 10.0, random_probes(family, 1, seed=4))
-        assert result.verdict == INCONCLUSIVE
-        assert any(w.kind == "probe-did-not-decay" for w in result.witnesses)
-
-    def test_probes_required(self):
-        with pytest.raises(ShapeError):
-            run_strong(diagonal_family([-1.0]), 10.0, [])
 
     @pytest.mark.parametrize("rates, verdict", [
         ([-1.0, 1j, -2.0], NOT_STABLE),
         ([-1.0, -1e-12], INCONCLUSIVE),
     ])
     def test_orbits_are_read_only_after_a_stable_spectral_verdict(self, rates, verdict):
-        # a gate without probe orbits serves every other verdict
+        # the verdict of a certified gate is the spectral one
         family = diagonal_family(rates)
-        result = run_strong(family, 10.0, [])
+        result = run_strong(family, 10.0)
         assert result.verdict == verdict
         assert (verdict, list(result.witnesses)) == spectral_bound_verdict(family)
 
     def test_uncertified_gate_needs_no_orbits(self):
         shift = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
-        assert run_strong(family_from_matrices(shift), 20.0, []).verdict == INCONCLUSIVE
+        assert run_strong(family_from_matrices(shift), 20.0).verdict == INCONCLUSIVE
 
 
 class TestImaginaryPointSpectrum:
@@ -469,51 +453,6 @@ class TestClassifyAlmostWeak:
         assert result.verdict == INCONCLUSIVE
 
 
-def weak_orbit_density(a, horizon, eps, seed=0):
-    """Bad-set density of a random weak orbit of e^{tA} sampled at n = 2048
-    points of [0, horizon]: the orbit of the powers of e^{hA},
-    h = horizon/(n - 1), through discrete.orbit_densities on a one-cell
-    family."""
-    n = 2048
-    family = family_from_matrices([a])
-    return float(orbit_densities(sample_at(family, horizon / (n - 1)), n, eps, seed)[0])
-
-
-class TestWeakOrbitDensityTest:
-    def test_scalar_decay_needs_long_horizon(self):
-        a = np.array([[-1.0]])
-        short = weak_orbit_density(a, 100.0, 1e-3)
-        long = weak_orbit_density(a, 200.0, 1e-3)
-        # bad set is [0, ln(1e3)] ~ [0, 6.9]
-        assert short == pytest.approx(math.log(1e3) / 100.0, abs=0.01)
-        assert short > DENSITY_CAP
-        assert long <= DENSITY_CAP
-
-    def test_unimodular_orbit_never_passes(self):
-        density = weak_orbit_density(np.array([[1j]]), 100.0, 1e-3)
-        assert density == pytest.approx(1.0)
-        assert density > DENSITY_CAP
-
-    def test_two_frequency_almost_periodic_orbit_fails(self):
-        # w(t) = |a + b e^{it}| stays above ||a| - |b|| >> 1e-3 ||x|| ||phi||
-        density = weak_orbit_density(np.diag([1j, 2j]), 500.0, 1e-3)
-        assert density > 0.9
-
-    def test_pass_rates_split_cleanly_by_spectrum(self):
-        rng = np.random.default_rng(25)
-        horizon, eps = 500.0, 1e-3
-        for k in range(50):
-            n = int(rng.integers(2, 7))
-            g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
-            hurwitz = g - (np.linalg.eigvals(g).real.max() + 0.5) * np.eye(n)
-            assert weak_orbit_density(hurwitz, horizon, eps, seed=k) <= DENSITY_CAP
-            # plant a semisimple eigenvalue on the imaginary axis
-            neutral = np.diag([1j * rng.uniform(0.5, 2.0)] + list(-1 - rng.uniform(0, 1, n - 1)))
-            basis = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 2 * np.eye(n)
-            planted = basis @ neutral @ np.linalg.inv(basis)
-            assert weak_orbit_density(planted, horizon, eps, seed=k) > DENSITY_CAP
-
-
 class TestCesaroVerify:
     def test_planted_kernel_residual_bound(self):
         a = np.diag([0.0, -1.0])
@@ -553,7 +492,7 @@ class TestImplicationChain:
         for seed in range(5):
             family = random_hurwitz_family(seed=seed, dim=4, cells=5, margin=0.25)
             uniform = classify_uniform(family, 1.0, 1e-3)
-            strong = run_strong(family, 150.0, random_probes(family, 2, seed=seed))
+            strong = run_strong(family, 150.0)
             weak = run_almost_weak(family, mode="Atomic")
             if uniform.verdict == STABLE:
                 assert strong.verdict == STABLE
@@ -564,7 +503,7 @@ class TestImplicationChain:
         family = random_hurwitz_family(seed=3, dim=3, cells=4, margin=0.3)
         report = build_report(
             classify_uniform(family, 1.0, 1e-3),
-            run_strong(family, 120.0, random_probes(family, 2, seed=3)),
+            run_strong(family, 120.0),
             run_almost_weak(family, mode="Atomic"),
         )
         assert report.uniform.verdict == STABLE
