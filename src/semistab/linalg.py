@@ -37,7 +37,9 @@ eigensolver, real for a real matrix) of the matrix scaled by a power of
 two, C = 2^-e A, one stacked call per stack. A caller that reads only a
 supremum of the norms passes a floor (_Floor): each norm is bracketed from
 its Gram matrix, and the eigensolve runs only where the bracket can reach
-the floor (expm_norms, floor_norms).
+the floor (expm_norms, floor_norms). Before any kernel runs, a closed-form
+block's norms are bounded from its lambda and N alone (closed_form_bounds),
+so a caller can skip a block that cannot reach the floor.
 """
 
 import math
@@ -161,8 +163,9 @@ class _Floor:
     array, for one that reads only the overall maximum), or None when no
     supremum is read. A matrix whose upper bound hi falls below the floor
     of its time can change neither supremum, so it keeps hi and its exact
-    norm is never computed. With a threshold `below`, the caller also
-    reads, per block (of `blocks`), whether some norm falls below it:
+    norm is never computed. With a threshold `below` (one for every block,
+    or one per block), the caller also reads, per block (of `blocks`),
+    whether some norm falls below its threshold:
     `known` marks the blocks already shown to have one, and a matrix of any
     other block whose bracket straddles the threshold is computed exactly
     as well. With `exact`, a (times, blocks) boolean array, a block shown
@@ -176,7 +179,7 @@ class _Floor:
 
     def __init__(self, values, blocks, below=None, exact=None):
         self.values = values
-        self.below = below
+        self.below = None if below is None else np.broadcast_to(below, (blocks,))
         self.known = None if below is None else np.zeros(blocks, dtype=bool)
         self.exact = exact
 
@@ -208,9 +211,10 @@ class _Floor:
             self._lift(lo, steps, cols)
             need = ~(hi < self.values[steps if self.values.size > 1 else 0])
         if self.known is not None:
-            self._mark(hi < self.below, cols)
+            below = self.below[cols]
+            self._mark(hi < below, cols)
             known = self.known[cols]
-            need |= (lo < self.below) & ~known
+            need |= (lo < below) & ~known
             if self.exact is not None:
                 need |= known
         return need
@@ -233,7 +237,7 @@ class _Floor:
         steps, cols = (np.broadcast_to(x, need.shape)[need] for x in (steps, cols))
         self._lift(exact, steps, cols)
         if self.known is not None:
-            self._mark(exact < self.below, cols)
+            self._mark(exact < self.below[cols], cols)
         return hi
 
 
@@ -401,14 +405,105 @@ def _pade_chunk(a, t):
     return out
 
 
-def _closed_form_blocks(a):
-    """(m,) booleans: which blocks of a (m, k, k) stack are lambda I + N with
-    N strictly upper triangular, real and entrywise nonnegative."""
-    k = a.shape[-1]
-    nil = a - a[:, :1, :1] * np.eye(k)
-    lower = np.tri(k, dtype=bool)
-    bad = (nil.imag != 0) | (nil.real < 0) | (lower & (nil.real != 0))
-    return ~bad.any(axis=(1, 2))
+def _closed_form_blocks(a, dims=None):
+    """(m,) booleans: which blocks of a (m, n, n) stack are lambda I + N with
+    N strictly upper triangular, real and entrywise nonnegative, on their
+    leading dims[b] x dims[b] block (default: n): lambda all along the
+    diagonal, real nonnegative entries above it, zeros below."""
+    n = a.shape[-1]
+    inside = np.arange(n) < (n if dims is None else np.asarray(dims)[:, None])
+    block = inside[..., :, None] & inside[..., None, :]
+    bad = (np.tril(block, -1) & (a != 0)) | (np.triu(block, 1) & ((a.imag != 0) | (a.real < 0)))
+    off = inside & (np.diagonal(a, 0, 1, 2) != a[:, :1, 0])
+    return ~bad.any(axis=(1, 2)) & ~off.any(axis=-1)
+
+
+class Envelope(NamedTuple):
+    """What closed_form_bounds reads of m blocks, none of it time-dependent:
+    `closed` (m,) marks the closed-form blocks lambda I + N
+    (_closed_form_blocks), `dims` holds their sizes k and `lam` their
+    lambda; `e` is the binary exponent that scales the largest entry of N
+    into [1, 2), as _power_basis scales it, and `log_nu` is log nu' for
+    nu' = sqrt(||N'||_1 ||N'||_inf) >= ||N'||_2, N' = 2^-e N (-inf for
+    N = 0). Meaningless off the closed form."""
+
+    closed: np.ndarray
+    dims: np.ndarray
+    lam: np.ndarray
+    e: np.ndarray
+    log_nu: np.ndarray
+
+    def take(self, sel):
+        """The envelope of blocks `sel`."""
+        return Envelope(*(x[sel] for x in self))
+
+
+def envelope(a, dims=None):
+    """The Envelope of a (m, n, n) complex stack whose block b is its leading
+    dims[b] x dims[b] block (default: n), one pass over the whole stack."""
+    a = np.asarray(a, dtype=complex)
+    m, n = a.shape[0], a.shape[-1]
+    dims = np.full(m, n) if dims is None else np.asarray(dims)
+    inside = np.arange(n) < dims[:, None]
+    upper = np.triu(inside[:, :, None] & inside[:, None, :], 1)
+    re = a.real
+    # the largest entry, column sum and row sum of N, which 2^-e scales
+    # exactly
+    top = np.maximum.reduce(re, axis=(1, 2), where=upper, initial=0.0)
+    e = np.where(top > 0, np.frexp(top)[1] - 1, 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norm1, norm_inf = (np.ldexp(np.add.reduce(re, axis=axis, where=upper).max(axis=1), -e)
+                           for axis in (1, 2))
+        log_nu = 0.5 * np.log(norm1 * norm_inf)
+    return Envelope(_closed_form_blocks(a, dims), dims, a[:, 0, 0], e, log_nu)
+
+
+def closed_form_bounds(env, t):
+    """(len(t), m) certified upper bounds U on the 2-norms of e^{tA} for m
+    blocks of Envelope `env`: U(t) = e^{t Re lambda} sum_{j<k} (t nu)^j / j!
+    on the closed-form blocks lambda I + N, with nu = 2^e nu' >= ||N||_2,
+    and +inf on the others and where t Im lambda is not finite (where the
+    kernel names a failure).
+
+    Term j is the weight w_j of _weights times nu'^j, one exp of its
+    logarithm. w_j is first raised to at least the smallest normal double,
+    since a subnormal weight rounds to an absolute error, and the logarithm
+    is widened by BRACKET_SLACK times 2k plus the magnitudes of its log
+    terms, with j k for the rounding of nu' and of the powers of N'. So U
+    bounds norm2 of the computed R(t) and of expm_stack, not only the exact
+    norm. U(0) is exactly 1, the norm of e^{0 A} = I on every route.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    bounds = np.full((t.size, env.closed.size), np.inf)
+    closed = np.flatnonzero(env.closed)
+    if closed.size:
+        env = env.take(closed)
+        k, e, log_nu = env.dims[:, None], env.e[:, None], env.log_nu[:, None]
+        j = np.arange(int(k.max()))
+        # the terms j >= 1 live where N is not zero, and nu' >= 1 there
+        nonzero = log_nu > -np.inf
+        live = (j < k) & ((j == 0) | nonzero)
+        j_log_nu = j * np.where(nonzero, log_nu, 0.0)
+        log_t = np.log(np.where(t > 0, t, 1.0))[:, None, None]
+        lgam = np.array([math.lgamma(i + 1) for i in j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate = (t[:, None] * env.lam.real)[:, :, None]
+            # the log weight of _weights, (T, q, n), raised to the smallest
+            # normal, then times nu'^j, widened: one array, updated in place
+            x = rate + j * log_t
+            x += j * e * math.log(2.0) - lgam
+            np.maximum(x, math.log(_TINY), out=x)
+            x += j_log_nu + BRACKET_SLACK * (
+                lgam + 2 * k + np.abs(j_log_nu) + j * (np.abs(e) * math.log(2.0) + k))
+            x += BRACKET_SLACK * np.abs(rate)
+            x += BRACKET_SLACK * j * np.abs(log_t)
+            np.exp(x, out=x)
+            x[:, ~live] = 0.0
+            part = x.sum(axis=-1)
+            part[~np.isfinite(t[:, None] * env.lam.imag)] = np.inf
+        bounds[:, closed] = part
+    bounds[t == 0] = 1.0
+    return bounds
 
 
 def _power_basis(a):
@@ -486,11 +581,13 @@ def _band(a):
     new = np.concatenate(([True], pos[1:] != pos[:-1]))
     rank = index - np.maximum.accumulate(np.where(new, index, 0))
     order = np.argsort(rank, kind="stable")
+    val, peak = powers[b, j, r, c][order], powers.max(axis=(2, 3))
+    # the Frobenius norms from the basis squared in place, its last use
+    fro = np.sqrt(np.square(powers, out=powers).sum(axis=(2, 3)))
     # 32-bit term indices: a family keeps its bands for as long as it lives
     return _Band(
-        offsets, powers.max(axis=(2, 3)), np.sqrt(np.square(powers).sum(axis=(2, 3))),
-        pos[order].astype(np.int32), (b * k + j)[order].astype(np.int32),
-        powers[b, j, r, c][order], np.concatenate(([0], np.cumsum(np.bincount(rank)))),
+        offsets, peak, fro, pos[order].astype(np.int32), (b * k + j)[order].astype(np.int32),
+        val, np.concatenate(([0], np.cumsum(np.bincount(rank)))),
     )
 
 
@@ -748,13 +845,15 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
     floor, and otherwise an upper bound that stays below it. After the call
     the floor is that supremum over the stack and any earlier stacks it saw,
     bit for bit the maximum of the exact norms. With a threshold `below`
-    (CONTRACTION for the boundedness gate), with or without a floor, the
-    caller also reads, per block, whether some norm falls below it, and
-    every entry that decides it is exact too. With a threshold and no
-    floor, the caller reads every norm of a block that falls below: once
-    the brackets show one, the block's other norms are solved exactly as
-    well, and a block that falls below only after runs that kept bounds has
-    those pairs solved at the end. A probe-free call (P = 0) with a floor or
+    (CONTRACTION for the boundedness gate), a float or an (m,) array of one
+    per block, with or without a floor, the caller also reads, per block,
+    whether some norm falls below its threshold, and every entry that
+    decides it is exact too; a threshold of 0 asks nothing, since no norm
+    falls below it. With a threshold and no floor, the caller reads every
+    norm of a block that falls below: once the brackets show one, the
+    block's other norms are solved exactly as well, and a block that falls
+    below only after runs that kept bounds has those pairs solved at the
+    end. A probe-free call (P = 0) with a floor or
     a threshold forms R(t) of the closed-form blocks only at the times where
     one of them still needs an exact norm (_runs' select).
 

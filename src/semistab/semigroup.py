@@ -29,9 +29,10 @@ from .report import INCONCLUSIVE, NOT_STABLE, STABLE, Cluster, Witness
 class PointwiseFamily:
     """The map s -> M(s): one matrix per cell. The matrices must not be
     modified after construction, since the cell spectra and the kernel
-    factors are kept, each built on first use and read-only. `rule`, when
-    given, is the (d+1, dim, dim) coefficient stack of the generator
-    polynomial the matrices were sampled from (rule_matrices)."""
+    factors are kept, read-only: the spectra built on first use, the factor
+    of each active-dimension group when a kernel pass first visits it.
+    `rule`, when given, is the (d+1, dim, dim) coefficient stack of the
+    generator polynomial the matrices were sampled from (rule_matrices)."""
 
     space: DiscretizedMeasureSpace
     dim: int
@@ -121,37 +122,60 @@ class PointwiseFamily:
         return radii
 
     @cached_property
-    def factors(self):
-        """Read-only ((cell ids, stack of their active blocks, linalg.Factor),
-        ...) per active dimension of the positive-weight cells: one
-        linalg.factorize per group on first use, which every exponential
-        and norm curve of the family then slices (groups). A factorization
-        that fails raises NumericalFailureError and is not kept."""
-        stacks = self.block_stacks(self.space.positive_cells())
+    def _stacks(self):
+        # ((cell ids, stack of their active blocks), ...) per active dimension
+        # of the positive-weight cells, read-only: the groups of the kernels
+        stacks = tuple(self.block_stacks(self.space.positive_cells()))
         for x in (x for stack in stacks for x in stack):
             x.setflags(write=False)
-        return tuple((ids, blocks, linalg.factorize(blocks)) for ids, blocks in stacks)
+        return stacks
+
+    @cached_property
+    def factors(self):
+        """{group: read-only linalg.Factor} of the active-dimension groups of
+        the positive-weight cells factored so far, each keyed by its place in
+        increasing active dimension: a kernel pass factors a group when it
+        first visits it (factor), and never again. A factorization that fails
+        raises NumericalFailureError and is not kept."""
+        return {}
+
+    def factor(self, group):
+        """The linalg.Factor of the active-dimension group `group`, one
+        linalg.factorize on the first call, kept in `factors`."""
+        if group not in self.factors:
+            self.factors[group] = linalg.factorize(self._stacks[group][1])
+        return self.factors[group]
+
+    def _visits(self, cells=None):
+        # (group, positions in it) of the positive-weight cells among `cells`
+        # (default: all of them), per group holding one
+        chosen = np.zeros(self.space.n_cells, dtype=bool)
+        chosen[slice(None) if cells is None else cells] = True
+        for group, (ids, _) in enumerate(self._stacks):
+            sub = np.flatnonzero(chosen[ids])
+            if sub.size:
+                yield group, sub
 
     def groups(self, cells=None):
         """(cell ids, blocks, factor) per active dimension of the
         positive-weight cells among `cells` (default: all of them), sliced
-        from `factors` (linalg.Factor.take), so nothing is factored again."""
-        chosen = np.zeros(self.space.n_cells, dtype=bool)
-        chosen[slice(None) if cells is None else cells] = True
-        for ids, blocks, factor in self.factors:
-            sub = np.flatnonzero(chosen[ids])
-            if sub.size:
-                yield ids[sub], blocks[sub], factor.take(sub)
+        from the group's factor (linalg.Factor.take), which is built when a
+        group is first yielded and never again."""
+        for group, sub in self._visits(cells):
+            ids, blocks = self._stacks[group]
+            yield ids[sub], blocks[sub], self.factor(group).take(sub)
+
+    @cached_property
+    def _envelope(self):
+        # the linalg.Envelope of every cell's active block, one pass
+        return linalg.envelope(self.matrices, self.active_dims)
 
     @cached_property
     def _squares(self):
         # [(cell ids, [M, M^2, M^4, ...])] per active dimension of the
         # positive-weight cells, read-only; power_stacks extends each list as
         # n needs
-        stacks = self.block_stacks(self.space.positive_cells())
-        for _, blocks in stacks:
-            blocks.setflags(write=False)
-        return [(ids, [blocks]) for ids, blocks in stacks]
+        return [(ids, [blocks]) for ids, blocks in self._stacks]
 
     def power_stacks(self, n):
         """(cell ids, stack of M^n of their active blocks) per active
@@ -377,15 +401,25 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=N
     maximum over the computed cells per time or over the whole grid: that
     maximum, and the floor after the call, are bit for bit those of the
     exact norms, and an entry that cannot reach it holds an upper bound
-    instead. With a threshold `below`, with or without `floor`, whether a
-    cell has a norm below it is also read exactly from the returned norms,
+    instead. With a threshold `below` (a float, or one per cell, where 0
+    asks nothing of a cell), with or without `floor`, whether a cell has a
+    norm below its threshold is also read exactly from the returned norms,
     and without `floor` every norm of a cell that has one (see
     linalg.expm_norms).
+
+    A probe-free call with `floor` computes less. Every norm at t = 0 is
+    1.0, e^{0A} = I exactly on every route, and none is computed there. A
+    closed-form cell whose certified bound (linalg.closed_form_bounds)
+    stays below the floor at every time, and below its threshold at some
+    t > 0 when it has one, is skipped: its column holds the bound, and its
+    group is factored only when a pass visits it. With a (1,) floor the
+    pass visits first the group of the closed-form cell of largest bound,
+    then screens the others against the floor it left.
 
     Raises DomainError when a probe is zero on the active blocks and
     NumericalFailureError naming the earliest time at which any cell's
     exponential is not finite, after every group has been tried up to that
-    time.
+    time: a cell whose bound is not finite is never skipped.
     """
     times = _time_points(times)
     space, dim = family.space, family.dim
@@ -399,16 +433,44 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=N
             raise DomainError(f"probe {j} has zero norm on the active blocks")
     norms = np.zeros((times.size, space.n_cells))
     cell_norms = np.zeros((times.size, len(probes), space.n_cells))
+    if below is not None:
+        below = np.broadcast_to(np.asarray(below, dtype=float), (space.n_cells,))
+    visits = list(family._visits(cells))
+    screen = floor is not None and not probes and bool(visits)
+    start = 0
+    if screen:
+        start = int(np.searchsorted(times, 0.0, side="right"))
+        chosen = np.concatenate([family._stacks[group][0][sub] for group, sub in visits])
+        norms[:start, chosen] = 1.0
+        top = floor[:start]
+        np.maximum(top, 1.0, out=top)
+        # every column holds its bound until the kernel overwrites it
+        envelope = family._envelope.take(chosen)
+        norms[start:, chosen] = linalg.closed_form_bounds(envelope, times[start:])
+        if floor.size == 1 and start < times.size and envelope.closed.any():
+            sup = np.where(envelope.closed, norms[start:, chosen].max(axis=0), -np.inf)
+            ends = np.cumsum([sub.size for _, sub in visits])
+            visits.insert(0, visits.pop(int(np.searchsorted(ends, sup.argmax(), side="right"))))
     failure = None
-    for ids, blocks, factor in family.groups(cells):
-        k = blocks.shape[-1]
+    for group, sub in visits:
+        ids, blocks = family._stacks[group]
+        ids = ids[sub]
         count = times.size if failure is None else int(np.searchsorted(times, failure.time))
+        if screen:
+            bound = norms[start:count, ids]
+            low = (bound < (floor[0] if floor.size == 1 else floor[start:count, None])).all(axis=0)
+            if below is not None:
+                low &= (bound < below[ids]).any(axis=0) | (below[ids] <= 0.0)
+            sub, ids = sub[~low], ids[~low]
+            if start == count or not sub.size:
+                continue
         try:
-            # a (1,) floor sliced to count >= 1 is itself
             linalg.expm_norms(
-                blocks, times[:count], vectors[:, ids, :k],
-                floor=None if floor is None else floor[:count], below=below,
-                out=(norms[:count], cell_norms[:count], ids), factor=factor,
+                blocks[sub], times[start:count], vectors[:, ids, : blocks.shape[-1]],
+                floor=floor if floor is None or floor.size == 1 else floor[start:count],
+                below=None if below is None else below[ids],
+                out=(norms[start:count], cell_norms[start:count], ids),
+                factor=family.factor(group).take(sub),
             )
         except NumericalFailureError as exc:
             if exc.time is None:

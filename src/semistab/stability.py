@@ -83,9 +83,10 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
     before the last one the lead pass (semigroup.orbit_norms with a
     threshold and no floor) has already solved the lead's norms exactly
     once one fell below, and they seed the per-time floor of
-    semigroup.orbit_norms for the others, which computes
-    a norm exactly only where it can reach the ess-sup, and the floor after
-    the call is the ess-sup.  Verdict and numbers are the same as with the
+    semigroup.orbit_norms for the others, which skips a closed-form cell
+    whose certified bound stays below the floor, computes a norm exactly
+    only where it can reach the ess-sup, and leaves the ess-sup as the
+    floor after the call.  Verdict and numbers are the same as with the
     full grid on every horizon; a numerical failure in a cell other than
     the lead can surface at a later horizon than it would there.
     """
@@ -148,8 +149,9 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
 
 class BoundednessCertificate(NamedTuple):
     """A boundedness verdict with the norms it was read from: `norms[k, c]` is
-    ||e^{times[k] A(s_c)}|| where it can reach `bound` or decides whether
-    cell c contracts, and an upper bound below `bound` elsewhere."""
+    ||e^{times[k] A(s_c)}|| where it can reach `bound` or decides whether a
+    cell the spectral certificate flags contracts, and an upper bound below
+    `bound` elsewhere."""
 
     certified: bool
     bound: float
@@ -162,31 +164,36 @@ def certify_bounded(family, times, *, re_tol=1e-9, match_tol=1e-6):
     """Certify sup_t ||e^{tA}|| < inf and report the bound observed on the
     time grid `times` (from 0).
 
-    A cell is certified either by eventual contraction (some grid norm < 1,
-    which caps the tail by submultiplicativity) or spectrally: all
-    eigenvalues in the closed left half plane and every eigenvalue on the
-    imaginary axis semisimple.  Both certificates are sound in finite
-    dimension; the spectral one also covers purely oscillatory cells that
-    never contract.
+    A cell is certified either spectrally (all eigenvalues in the closed
+    left half plane and every eigenvalue on the imaginary axis semisimple)
+    or by eventual contraction (some grid norm < 1, which caps the tail by
+    submultiplicativity).  Both certificates are sound in finite dimension;
+    the spectral one also covers purely oscillatory cells that never
+    contract.
 
-    Only the bound and, per cell, whether a grid norm falls below
-    linalg.CONTRACTION are read from the norms, so semigroup.orbit_norms
-    keeps one floor for the whole grid: `norms` is exact where it can reach
-    the bound or decides a contraction, and an upper bound elsewhere.
+    The spectral certificate runs first, on every positive-weight cell
+    (semigroup.boundary_faults); only the cells it flags ask whether a grid
+    norm falls below linalg.CONTRACTION, and a flagged cell that contracts
+    is certified after all.  The norms are read for the bound and those
+    flags alone, so semigroup.orbit_norms keeps one floor for the whole
+    grid: `norms` is exact only where an entry can reach the bound or
+    decides a flagged cell's contraction, and an upper bound elsewhere.
     """
     times = np.asarray(times, dtype=float)
-    floor = np.zeros(1)
-    norms, _ = semigroup.orbit_norms(family, times, floor=floor, below=linalg.CONTRACTION)
-    positive = family.space.positive_cells()
-    bound = float(floor[0])
-    contracting = (norms[times > 0] < linalg.CONTRACTION).any(axis=0)
     # Re(lambda) is the signed distance to the imaginary axis
     faults = semigroup.boundary_faults(
-        family, positive[~contracting[positive]], np.real, re_tol, match_tol
+        family, family.space.positive_cells(), np.real, re_tol, match_tol
     )
+    below = np.zeros(family.space.n_cells)
+    below[[cell for cell, _, _ in faults]] = linalg.CONTRACTION
+    floor = np.zeros(1)
+    norms, _ = semigroup.orbit_norms(family, times, floor=floor, below=below)
+    contracting = (norms[times > 0] < linalg.CONTRACTION).any(axis=0)
     kinds = {True: "positive-spectral-bound", False: "defective-imaginary-eigenvalue"}
-    witnesses = tuple(Witness(c, value, kinds[crosses]) for c, value, crosses in faults)
-    return BoundednessCertificate(not witnesses, bound, witnesses, times, norms)
+    witnesses = tuple(
+        Witness(c, value, kinds[crosses]) for c, value, crosses in faults if not contracting[c]
+    )
+    return BoundednessCertificate(not witnesses, float(floor[0]), witnesses, times, norms)
 
 
 def spectral_bound_verdict(family, re_tol=1e-9):

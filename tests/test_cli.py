@@ -635,6 +635,24 @@ class TestProbeDraw:
         )
 
 
+@pytest.mark.parametrize("workload", ["zab40", "rot256", "rh64"])
+def test_analyze_never_loads_numpy_ma(tmp_path, workload):
+    # np.unique, np.setdiff1d and np.intersect1d import numpy.ma on first
+    # use (8 to 23 ms under -X importtime with numpy 2.4), so no analyze
+    # stage calls them
+    path = write_config(tmp_path, make_config(workload, 1, "smoke"))
+    env = {**os.environ, "PYTHONPATH": str(CONFIG_DIR.parent / "src")}
+    code = (
+        "import sys; from semistab import cli; "
+        "code = cli.main(['analyze', sys.argv[1], '--quiet']); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, path], capture_output=True, text=True, env=env
+    )
+    assert (proc.stdout, proc.stderr) == ("0 False\n", "")
+
+
 def analyze_and_trajectory(capsys, tmp_path, cfg, name):
     path = write_config(tmp_path, cfg, name)
     report = analyze_payload(capsys, path)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semistab import cli
+from semistab import cli, discrete
 from semistab.cases import random_hurwitz_family, zabczyk_family
 from semistab.discrete import (
     build_discrete_report,
@@ -143,6 +143,30 @@ class TestClassifyDiscreteUniform:
         result = classify_discrete_uniform(sample_from(mats), 1e-6)
         assert result.verdict == STABLE
         assert result.detail["rho_star"] == 0.0
+
+    def test_norm_check_doubles_past_a_transient(self, tmp_path, monkeypatch):
+        # e^{A} of the Zabczyk 10 x 10 block still has ||M^n|| = 0.954 at the
+        # first n; the check doubles n, as the continuous one doubles its
+        # horizon, and reads uniform Stable like the other five verdicts
+        path = tmp_path / "zabczyk10.json"
+        path.write_text(json.dumps({"family": {"builtin": "zabczyk", "N": 10},
+                                    "discrete": {"enabled": True}}))
+        report = cli.run_analysis(cli.load_config(path))
+        assert report["discrete"]["uniform"]["verdict"] == STABLE
+        assert report["discrete"]["witnesses"] == []
+        sample = sample_at(zabczyk_family(10), 1.0)
+        result = classify_discrete_uniform(sample, 1e-6)
+        first = math.ceil(3.0 * math.log(1e-6) / math.log(result.detail["rho_star"]))
+        assert result.verdict == STABLE
+        assert result.detail["norm_check_n"] in [first * 2**i for i in range(1, 7)]
+        assert result.detail["norm_check_value"] < 1e-6
+        # without a doubling the transient fails the check at the first n
+        monkeypatch.setattr(discrete, "MAX_EXTENSIONS", 0)
+        result = classify_discrete_uniform(sample, 1e-6)
+        assert result.verdict == INCONCLUSIVE
+        assert result.detail["norm_check_n"] == first
+        assert result.witnesses[0].kind == "norm-crosscheck-failed"
+        assert result.witnesses[0].value == pytest.approx(0.954, abs=1e-3)
 
 
 class TestClassifyDiscreteStrong:

@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistab import cli, linalg, semigroup
-from semistab.cases import random_hurwitz_family, zabczyk_family
+from semistab.cases import random_hurwitz_family, rotation_family, zabczyk_family
 from semistab.errors import NumericalFailureError
 from semistab.measure import ATOMIC, DiscretizedMeasureSpace
 from semistab.semigroup import PointwiseFamily
-from semistab.stability import classify_uniform
+from semistab.stability import certify_bounded, classify_uniform
 
 from oracles import dense_real_factor
 
@@ -151,14 +151,31 @@ def workload_config(tmp_path, workload):
 
 class TestOneFactorPerFamily:
     def test_zab40_builds_one_factor_per_group(self, tmp_path, monkeypatch):
-        # 40 groups of one Jordan block each; the parent built a power basis
-        # on every kernel call, 81 per analysis
+        # 40 groups of one Jordan block each, and a group is factored once,
+        # when a pass first visits it: the floor passes skip the cells whose
+        # certified bound stays below the floor, so they visit 8 groups
+        # (without the screen all 40 were factored)
         cfg = workload_config(tmp_path, "zab40")
         calls = counted(monkeypatch, linalg, ("factorize", "_power_basis", "_eigenbasis"))
         cli.run_analysis(cfg)
-        assert calls["factorize"] == [1] * 40
-        assert calls["_power_basis"] == [1] * 40
+        assert calls["factorize"] == [1] * 8
+        assert calls["_power_basis"] == [1] * 8
         assert calls["_eigenbasis"] == []
+
+    def test_zab40_classifiers_visit_few_groups(self, monkeypatch):
+        # the uniform cross-check and the boundedness gate on Zabczyk 40 with
+        # a 16-point grid visit only the groups whose cell can reach the
+        # floor (40 factorizations and 81 kernel passes without the screen);
+        # rot256's gate still takes its one pass over the one group
+        calls = counted(monkeypatch, linalg, ("factorize", "_runs"))
+        family = zabczyk_family(40)
+        classify_uniform(family, 1.0, 1e-6, grid_points=16)
+        certify_bounded(family, semigroup.time_grid(4000.0, 16))
+        assert len(calls["factorize"]) <= 8
+        assert len(calls["_runs"]) <= 10
+        calls["_runs"].clear()
+        certify_bounded(rotation_family(256), semigroup.time_grid(50.0, 33))
+        assert calls["_runs"] == [256]
 
     def test_rh64_eigendecomposes_its_blocks_once(self, tmp_path, monkeypatch):
         # the uniform cross-check, the boundedness gate and the discrete
@@ -177,19 +194,22 @@ class TestOneFactorPerFamily:
         family = cli.build_family(cfg)
         cli.build_probes(cfg, family)
         assert calls["factorize"] == []
-        assert "factors" not in vars(family)
+        assert family.factors == {}
 
     def test_cached_arrays_are_read_only(self):
         family = zabczyk_family(6, embed_dim=8)
         mixed = random_hurwitz_family(seed=3, dim=4, cells=5, margin=0.2)
         for fam in (family, mixed):
+            # the exhaustive pass visits, and so factors, every group
             semigroup.norm_curves(fam, [0.0, 1.0])
-            for ids, blocks, factor in fam.factors:
+            assert sorted(fam.factors) == list(range(len(fam._stacks)))
+            for (ids, blocks), group in zip(fam._stacks, sorted(fam.factors)):
+                factor = fam.factors[group]
                 arrays = [ids, blocks, factor.closed, factor.well, *(factor.eigen or ())]
                 arrays += [x for band in factor.bands for x in band]
                 assert arrays and not any(x.flags.writeable for x in arrays)
             with pytest.raises(ValueError):
-                fam.factors[0][2].closed[0] = False
+                fam.factors[0].closed[0] = False
 
     def test_rejected_horizon_solves_no_lead_norm(self, monkeypatch):
         # the 40 x 40 lead keeps every bracket above DECAY_CROSSCHECK on the
@@ -214,10 +234,11 @@ class TestFactorFailure:
         monkeypatch.setattr(np.linalg, "eig", no_convergence)
         with pytest.raises(NumericalFailureError, match="did not converge"):
             classify_uniform(family, 1.0, 1e-6)
-        assert "factors" not in vars(family)
+        assert family.factors == {}
         monkeypatch.undo()
         assert classify_uniform(family, 1.0, 1e-6).verdict == "Stable"
-        assert "factors" in vars(family)
+        # the family's one group of 5 dense 4 x 4 blocks
+        assert list(family.factors) == [0]
 
     def test_eigensolver_failure_exits_3_in_the_first_stage_that_factors(
         self, tmp_path, monkeypatch, capsys

@@ -546,13 +546,13 @@ class TestExpmNorms:
             assert info.value.time == first
 
     def test_a_zabczyk_group_runs_in_one_pass(self, monkeypatch):
-        # zab40's family factors each group once, on first use: one power
-        # basis per group; every pass over its grid then forms each group's
-        # real factor once and builds no basis. The 48 x 64 (time, block)
-        # pairs of a dense 6 x 6 group take one eigendecomposition for every
-        # pass and eigenbasis chunks of at most 113 pairs (STACK_BYTES of
-        # 6 x 6 complex matrices), and a defective group the Pade route in
-        # chunks of the same size
+        # zab40's family factors each group once, when a pass first visits
+        # it: one power basis per group; every pass over its grid then forms
+        # each group's real factor once and builds no basis. The 48 x 64
+        # (time, block) pairs of a dense 6 x 6 group take one
+        # eigendecomposition for every pass and eigenbasis chunks of at most
+        # 113 pairs (STACK_BYTES of 6 x 6 complex matrices), and a defective
+        # group the Pade route in chunks of the same size
         calls = []
         for name in ("_power_basis", "_real_factor", "_eigenbasis", "_eigen_chunk",
                      "_pade_chunk", "expm_stack"):
@@ -566,7 +566,8 @@ class TestExpmNorms:
         for _ in range(2):
             for _, blocks, factor in family.groups():
                 expm_norms(blocks, times, np.ones((3, 1, blocks.shape[-1])), factor=factor)
-        assert [name for name, _ in calls] == ["_power_basis"] * 40 + ["_real_factor"] * 80
+        assert [name for name, _ in calls] == (["_power_basis", "_real_factor"] * 40
+                                               + ["_real_factor"] * 40)
         chunks = [113] * 27 + [48 * 64 - 27 * 113]
         rng = np.random.default_rng(64)
         dense = np.stack([random_complex(np.random.default_rng(c), 6, 0.3) - 2 * np.eye(6)

@@ -6,6 +6,7 @@ ess-sup, overall maximum and contraction flags bit for bit, and every upper
 bound kept in place of a norm must be at least that norm."""
 
 import json
+import math
 import sys
 from pathlib import Path
 from unittest import mock
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from semistab import cli, linalg, semigroup
 from semistab.linalg import CONTRACTION, expm_norms, floor_norms, norm2
 from semistab.measure import ATOMIC, DiscretizedMeasureSpace
+from semistab.cases import zabczyk_family
 from semistab.semigroup import PointwiseFamily, orbit_norms, random_probes, time_grid
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -258,6 +260,188 @@ class TestOrbitNormsFloor:
         np.testing.assert_array_equal(bits(got_probes), bits(exact_probes))
 
 
+def closed_form_stack(rng, kind, k, m=4):
+    """m closed-form blocks lambda I + N: N a scaled shift, zero, or random
+    nonnegative strictly upper triangular with entries of one scale up to
+    1e6 (so ||N||_2 exceeds the largest entry); Re lambda
+    from -2 to 0 (a third of them within 1e-3 of 0), Im lambda up to 50."""
+    blocks = []
+    for _ in range(m):
+        re = -rng.uniform(0.0, 1e-3) if rng.random() < 1 / 3 else -rng.uniform(0.0, 2.0)
+        lam = re + 1j * rng.uniform(-50.0, 50.0)
+        if kind == "shift":
+            nil = 10.0 ** rng.uniform(-3.0, 6.0) * np.diag(np.ones(k - 1), 1)
+        elif kind == "random":
+            nil = np.triu(10.0 ** rng.uniform(-3.0, 6.0) * rng.random((k, k))
+                          * (rng.random((k, k)) < 0.6), 1)
+        else:
+            nil = np.zeros((k, k))
+        blocks.append(lam * np.eye(k) + nil)
+    return np.stack(blocks)
+
+
+def mixed_family(rng, dims, routes, weights):
+    """One cell per entry of `dims`, of the given kernel routes, zero-padded
+    to the largest dimension."""
+    n = int(max(dims))
+    mats = np.zeros((len(dims), n, n), dtype=complex)
+    for c, (k, route) in enumerate(zip(dims, routes)):
+        mats[c, :k, :k] = route_block(rng, route, int(k))
+    space = DiscretizedMeasureSpace(weights=weights, labels=np.arange(float(len(dims))),
+                                    mode=ATOMIC)
+    return PointwiseFamily(space=space, dim=n, matrices=mats, active_dims=dims)
+
+
+class TestClosedFormScreen:
+    """A floor pass settles t = 0 and skips the closed-form cells whose
+    certified bound U (linalg.closed_form_bounds) stays below the floor; a
+    skipped column holds U, which must be at least the norm the kernel
+    computes, and the floor bits must be those of the exact pass."""
+
+    @CHECKS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           kind=st.sampled_from(["shift", "zero", "random"]))
+    def test_bound_holds_the_computed_norm(self, seed, k, kind):
+        rng = np.random.default_rng(seed)
+        a = closed_form_stack(rng, kind, k)
+        t = np.sort(np.concatenate([[0.0], rng.uniform(0.0, 1e4, 6),
+                                    10.0 ** rng.uniform(-4.0, 4.0, 6)]))
+        bounds = linalg.closed_form_bounds(linalg.envelope(a), t)
+        np.testing.assert_array_equal(bounds[t == 0], 1.0)
+        # the complex e^{tA} and the real factor the norm kernel reads
+        complex_norms = norm2(linalg.expm_stack(a, t))
+        real_norms = expm_norms(a, t, np.zeros((0, len(a), k)))[0]
+        assert (bounds >= complex_norms).all() and (bounds >= real_norms).all()
+        if kind == "zero" or k == 1:
+            # e^{t Re lambda} itself, up to the widening
+            normal = real_norms > 1e-300
+            assert (bounds[normal] <= real_norms[normal] * (1 + 1e-9)).all()
+
+    @CHECKS
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+    def test_closed_form_test_reads_the_active_blocks(self, seed, n):
+        # one pass over a padded stack marks the blocks lambda I + N, N
+        # strictly upper triangular, real and nonnegative, whatever the
+        # padding holds: against the definition, block by block
+        rng = np.random.default_rng(seed)
+        dims = rng.integers(1, n + 1, 8)
+        a = rng.choice([0.0, 3.0, -1j], (8, n, n))
+        for b, k in enumerate(dims):
+            lam = complex(rng.choice([0.0, 1.5, -2.0]), rng.choice([0.0, 1.0]))
+            block = lam * np.eye(k) + np.triu(rng.choice([0.0, 1.0, 2.0], (k, k)), 1)
+            i, j = rng.integers(0, k, 2)
+            block[i, j] += rng.choice([0.0, 1j, -1.0, 0.5])
+            a[b, :k, :k] = block
+        want = []
+        for b, k in enumerate(dims):
+            nil = a[b, :k, :k] - a[b, 0, 0] * np.eye(k)
+            want.append(not ((nil.imag != 0) | (nil.real < 0)
+                             | (np.tri(k, dtype=bool) & (nil.real != 0))).any())
+        np.testing.assert_array_equal(linalg._closed_form_blocks(a, dims), want)
+        np.testing.assert_array_equal(linalg.envelope(a, dims).closed, want)
+        square = dims == n
+        np.testing.assert_array_equal(linalg._closed_form_blocks(a[square]),
+                                      np.array(want)[square])
+
+    def test_bound_is_infinite_off_the_closed_form(self):
+        rng = np.random.default_rng(3)
+        a = np.stack([route_block(rng, route, 3) for route in ("closed", "eigen", "pade")])
+        bounds = linalg.closed_form_bounds(linalg.envelope(a), [0.0, 1.0])
+        assert np.isfinite(bounds[1, 0]) and np.isinf(bounds[1, 1:]).all()
+        np.testing.assert_array_equal(bounds[0], 1.0)
+
+    @CHECKS
+    @given(seed=st.integers(0, 2**32 - 1), family_kind=st.sampled_from(["zabczyk", "mixed"]),
+           per_time=st.booleans(), below=st.sampled_from([None, "all", "some"]),
+           subset=st.booleans(), seeded=st.booleans())
+    def test_floor_passes_keep_the_exact_suprema(
+        self, seed, family_kind, per_time, below, subset, seeded
+    ):
+        rng = np.random.default_rng(seed)
+        if family_kind == "zabczyk":
+            n = int(rng.integers(3, 13))
+            family = zabczyk_family(n)
+            weights = family.space.weights.copy()
+            weights[rng.random(n) < 0.2] = 0.0
+            weights[int(rng.integers(n))] = 1.0
+            space = DiscretizedMeasureSpace(weights=weights, labels=family.space.labels,
+                                            mode=ATOMIC)
+            family = PointwiseFamily(space=space, dim=family.dim, matrices=family.matrices,
+                                     active_dims=family.active_dims)
+            times = time_grid(float(rng.uniform(5.0, 400.0)), int(rng.integers(3, 17)))
+        else:
+            n = 9
+            dims = rng.integers(1, 5, n)
+            routes = rng.choice(ROUTES, n, p=[0.6, 0.2, 0.2])
+            weights = rng.choice([0.0, 0.5, 1.0], n)
+            weights[int(rng.integers(n))] = 1.0
+            family = mixed_family(rng, dims, routes, weights)
+            times = time_grid(float(rng.uniform(1.0, 30.0)), int(rng.integers(3, 12)))
+        cells = np.arange(n)
+        if subset:
+            cells = np.flatnonzero(rng.random(n) < 0.6)
+        thresholds = {None: None, "all": CONTRACTION,
+                      "some": np.where(rng.random(n) < 0.5, CONTRACTION, 0.0)}[below]
+        exact = orbit_norms(family, times)[0]
+        chosen = np.intersect1d(cells, family.space.positive_cells())
+        rest = chosen
+        floor = np.zeros(times.size if per_time else 1)
+        if seeded and chosen.size:
+            # the uniform cross-check: the lead's exact norms seed the floor
+            floor = exact[:, chosen[0]].copy() if per_time else exact[:, chosen[:1]].max(
+                keepdims=True)[0]
+            rest = chosen[1:]
+        got = orbit_norms(family, times, cells=rest, floor=floor, below=thresholds)[0]
+        assert (got[:, rest] >= exact[:, rest]).all()
+        others = np.setdiff1d(np.arange(n), rest)
+        np.testing.assert_array_equal(got[:, others], 0.0)
+        if chosen.size:
+            want = exact[:, chosen].max(axis=1) if per_time else exact[:, chosen].max()
+            np.testing.assert_array_equal(bits(floor), bits(np.reshape(want, floor.shape)))
+        if thresholds is not None:
+            asked = rest[np.broadcast_to(thresholds, (n,))[rest] > 0]
+            later = times > 0
+            np.testing.assert_array_equal((got[later][:, asked] < CONTRACTION).any(axis=0),
+                                          (exact[later][:, asked] < CONTRACTION).any(axis=0))
+
+    def test_an_undecided_contraction_is_not_skipped(self):
+        # cell 1, [[-a, 10], [0, -a]] at t = 1: norm 0.959 < 1 < U = 1.045,
+        # both below the floor e^1 of cell 0. Skipped, it would keep U and
+        # read as no contraction; asked whether it contracts, it is computed
+        a = -math.log(0.095)
+        mats = np.zeros((2, 2, 2), dtype=complex)
+        mats[0, 0, 0] = 1.0
+        mats[1] = [[-a, 10.0], [0.0, -a]]
+        space = DiscretizedMeasureSpace(weights=np.ones(2), labels=np.arange(2.0), mode=ATOMIC)
+        family = PointwiseFamily(space=space, dim=2, matrices=mats, active_dims=[1, 2])
+        times = np.array([0.0, 1.0])
+        bounds = linalg.closed_form_bounds(family._envelope, times)
+        exact = orbit_norms(family, times)[0]
+        assert exact[1, 1] < CONTRACTION < bounds[1, 1] < exact[1, 0]
+        for below in (CONTRACTION, np.array([0.0, CONTRACTION])):
+            floor = np.zeros(1)
+            got = orbit_norms(family, times, floor=floor, below=below)[0]
+            assert got[1, 1] < CONTRACTION
+            assert bits(floor[0]) == bits(exact.max())
+        # not asked, it is skipped and keeps its bound
+        got = orbit_norms(family, times, floor=np.zeros(1), below=np.array([CONTRACTION, 0.0]))[0]
+        assert bits(got[1, 1]) == bits(bounds[1, 1])
+
+    def test_a_single_floor_visits_the_largest_bound_first(self):
+        # Zabczyk 12 with a (1,) floor: the 12 x 12 cell, whose bound is the
+        # largest, is visited first and its peak leaves every other cell's
+        # bound below the floor, so only its group is factored
+        family = zabczyk_family(12)
+        times = time_grid(400.0, 16)
+        floor = np.zeros(1)
+        got = orbit_norms(family, times, floor=floor)[0]
+        assert list(family.factors) == [11]
+        exact = orbit_norms(family, times)[0]
+        assert bits(floor[0]) == bits(exact.max())
+        assert (got >= exact).all()
+        np.testing.assert_array_equal(got[0], 1.0)
+
+
 def test_zab40_smoke_runs_fewer_eigensolves_than_pairs(tmp_path, monkeypatch):
     # every (time, cell) pair a kernel examines, against the matrices the
     # exact norm2 eigensolves
@@ -278,11 +462,14 @@ def test_zab40_smoke_runs_fewer_eigensolves_than_pairs(tmp_path, monkeypatch):
     assert sum(solves) == sum(pairs)
 
 
-@pytest.mark.parametrize("workload, want", [("zab40", 1296), ("rh64", 6144)])
+@pytest.mark.parametrize("workload, want", [("zab40", 152), ("rh64", 6017)])
 def test_analyze_examines_the_lead_once_per_horizon(tmp_path, monkeypatch, workload, want):
     # the uniform lead pass solves the lead's norms exactly once one falls
     # below, so the full pass takes only the other cells: 16 (zab40) and 48
-    # (rh64) fewer (time, cell) pairs than a second, exact lead pass
+    # (rh64) fewer (time, cell) pairs than a second, exact lead pass. The
+    # floor passes settle t = 0 without the kernel (rh64: 48 + 63 x 47 +
+    # 64 x 47 pairs), and zab40's skip the cells whose certified bound stays
+    # below the floor (1,296 pairs without the screen and the t = 0 rule)
     pairs = []
     real_norms = linalg.expm_norms
     monkeypatch.setattr(linalg, "expm_norms", lambda a, t, v, **kw: pairs.append(
