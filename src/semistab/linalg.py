@@ -39,7 +39,10 @@ supremum of the norms passes a floor (_Floor): each norm is bracketed from
 its Gram matrix, and the eigensolve runs only where the bracket can reach
 the floor (expm_norms, floor_norms). Before any kernel runs, a closed-form
 block's norms are bounded from its lambda and N alone (closed_form_bounds),
-so a caller can skip a block that cannot reach the floor.
+so a caller can skip a block that cannot reach the floor, and an eigenbasis
+block's from its factors (eigenbasis_bounds: the smaller of a log-norm and
+a spectral-projector bound), so a floor pass forms only the (time, block)
+products that can reach the floor, those of largest bound first.
 """
 
 import math
@@ -201,6 +204,20 @@ class _Floor:
     def _mark(self, flags, cols):
         # the blocks of `cols` with a True flag are shown to fall below
         self.known[cols[flags]] = True
+
+    def order(self, steps, hi):
+        """The order in which to form matrices with upper bounds hi at times
+        `steps` (nondecreasing), so that the largest come first: in
+        decreasing hi over every time for a (1,) floor; for a per-time floor
+        the largest of each time, then the second largest of each time, and
+        so on; as given when no supremum is read."""
+        if self.values is None:
+            return np.arange(hi.size)
+        if self.values.size == 1:
+            return np.argsort(-hi, kind="stable")
+        by_time = np.lexsort((-hi, steps))
+        rank = np.arange(hi.size) - np.searchsorted(steps, steps)
+        return by_time[np.argsort(rank, kind="stable")]
 
     def need(self, lo, hi, steps=0, cols=0):
         """Which matrices, with certified brackets lo <= norm <= hi, need
@@ -633,20 +650,122 @@ def _real_factor(a, t, band, weights=None):
 EIGENBASIS_COND = 1e2
 
 
+class Eigen(NamedTuple):
+    """What the eigenbasis route keeps of q k x k blocks A = V Lambda V^-1:
+    the eigenvalues `w` (q, k), V `v` (LAPACK's, unit columns) and its
+    computed inverse W `vinv` (q, k, k); and for eigenbasis_bounds:
+
+    * `weights` (q, k): the projector weights p_j = ||v_j|| ||w_j|| of
+      column j of V and row j of W;
+    * `miss` (q,): r >= ||V W - I||_F;
+    * `rate` (q,): the log-norm rate mu_2(A) + delta, with delta >= ||A - A'||_2
+      for A' = V Lambda' V^-1 and every Lambda' within a unit roundoff of
+      Lambda, such as the computed t Lambda over t: ||A V - V Lambda||_F
+      ||W||_F / (1 - r), widened for the rounding of the eigensolvers and
+      of these norms;
+    * `spread` and `spread_rate` (q,): the exact e^{tA} is within
+      t spread e^{t spread_rate} of V e^{t Lambda} V^-1, with spread =
+      delta K^2, spread_rate = max Re lambda + K delta and K = ||V||_F
+      ||W||_F / (1 - r) >= ||V||_2 ||V^-1||_2 (variation of constants and
+      Gronwall's lemma).
+
+    The last three are +inf where r >= 1."""
+
+    w: np.ndarray
+    v: np.ndarray
+    vinv: np.ndarray
+    weights: np.ndarray
+    miss: np.ndarray
+    rate: np.ndarray
+    spread: np.ndarray
+    spread_rate: np.ndarray
+
+
 def _eigenbasis(a):
-    # (well, w, v, vinv) of a (m, k, k) stack: which blocks have an
-    # eigenvector matrix V with cond2(V) <= EIGENBASIS_COND, and for those
-    # (q of them) the eigenvalues (q, k), V and V^-1 (q, k, k). LAPACK runs
-    # once per matrix, so a block's bits do not depend on the stack.
+    # (well, Eigen) of a (m, k, k) stack: which blocks have an eigenvector
+    # matrix V with cond2(V) <= EIGENBASIS_COND, and the Eigen of those (q
+    # of them). LAPACK runs once per matrix, so a block's bits do not depend
+    # on the stack.
     try:
         w, v = np.linalg.eig(a)
         sig = np.linalg.svd(v, compute_uv=False)
         well = sig[:, 0] <= EIGENBASIS_COND * sig[:, -1]
-        return well, w[well], v[well], np.linalg.inv(v[well])
+        return well, _eigen(a[well], w[well], v[well], np.linalg.inv(v[well]))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             f"dense eigensolver did not converge: {exc}", iterations=30 * a.shape[-1]
         )
+
+
+def _eigen(a, w, v, vinv):
+    # the Eigen of (q, k, k) blocks a with eigenvalues w, eigenvectors v and
+    # an inverse vinv of v, whatever their errors
+    q, k = w.shape
+    slack = BRACKET_SLACK * k
+    # mu_2(A), the largest eigenvalue of the Hermitian part
+    top = np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(1, 2)))[:, -1]
+    fro = [vector_norms(x.reshape(q, k * k)) * (1.0 + slack)
+           for x in (v, vinv, a, v @ vinv - np.eye(k), a @ v - v * w[:, None, :])]
+    vf, wf, af = fro[:3]
+    miss = fro[3] + slack * vf * wf
+    with np.errstate(divide="ignore"):
+        # 1 / (1 - r), widened
+        lift = np.where(miss < 1.0, (1.0 + slack) / (1.0 - miss), np.inf)
+    delta = (fro[4] + slack * vf * (af + np.abs(w).max(axis=1))) * wf * lift
+    cond = vf * wf * lift
+    weights = vector_norms(v.swapaxes(1, 2)) * vector_norms(vinv)
+    return Eigen(w, v, vinv, weights, miss, top + (delta + slack * af), delta * cond**2,
+                 w.real.max(axis=1) + cond * delta)
+
+
+def eigenbasis_bounds(eigen, t):
+    """(len(t), q) certified upper bounds U on norm2 of the computed
+    V e^{t Lambda} V^-1 (_eigen_chunk) of the q blocks of Eigen `eigen`, and
+    on the exact ||e^{tA}||: U(t) = min(U1, U2) (1 + g), with g =
+    2 BRACKET_SLACK k and the projector sum P(t) = sum_j e^{t Re lambda_j}
+    p_j.
+
+    * U1 = e^{t rate} (1 + r) + g P(t), the log-norm bound (Soderlind, BIT
+      2006), tight at short times;
+    * U2 = (1 + g) P(t) / (1 - r) + t spread e^{t spread_rate}, the
+      spectral-projector bound, tight at long times.
+
+    g P covers the rounding of the product, entrywise at most about
+    g |V| |e^{t Lambda}| |W|, whose 2-norm is at most g P(t). As in
+    closed_form_bounds each term of P is raised to at least the smallest
+    normal double, since a subnormal e^{t lambda} rounds to an absolute
+    error, and each exponent is widened by BRACKET_SLACK times 2k plus the
+    magnitudes of its terms. U is +inf where t lambda is not finite and
+    exactly 1 at t = 0. The temporaries are (times, q, k) slices within
+    STACK_BYTES."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    q, k = eigen.weights.shape
+    slack = BRACKET_SLACK * k
+    out = np.empty((t.size, q))
+    log_p = np.log(eigen.weights)
+    step = max(1, STACK_BYTES // (8 * max(1, q * k)))
+
+    def grow(s, rate):
+        # e^{s rate}, the exponent widened
+        x = s * rate
+        return np.exp(x + slack * (np.abs(x) + 2 * k))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, t.size, step):
+            s = t[first : first + step, None]
+            # the real parts of the computed t lambda, as _eigen_chunk forms them
+            x = s[..., None] * eigen.w.real
+            # each term raised to the smallest normal, as in closed_form_bounds
+            x = np.maximum(x + log_p, math.log(_TINY)) + slack * (
+                np.abs(x) + np.abs(log_p) + 2 * k)
+            proj = np.exp(x, out=x).sum(axis=-1)
+            out[first : first + step] = np.fmin(
+                grow(s, eigen.rate) * (1.0 + eigen.miss) + 2 * slack * proj,
+                (1.0 + 2 * slack) * proj / (1.0 - eigen.miss)
+                + s * eigen.spread * grow(s, eigen.spread_rate)) * (1.0 + 2 * slack)
+        out[~np.isfinite(t[:, None] * np.abs(eigen.w).max(axis=1))] = np.inf
+    out[t == 0] = 1.0
+    return out
 
 
 def _eigen_chunk(w, v, vinv, t):
@@ -663,14 +782,14 @@ class Factor(NamedTuple):
     `closed` (m,) marks the closed-form blocks, and `bands` holds their
     _Band per chunk of consecutive closed-form blocks whose complex power
     basis fits STACK_BYTES (at least one block); `well` (m,) marks the
-    blocks on the eigenbasis route, and `eigen` holds their eigenvalues, V
-    and V^-1 (_eigenbasis). The other blocks take Pade, from the matrices
-    alone. Every array of a factorize result is read-only."""
+    blocks on the eigenbasis route, and `eigen` holds their Eigen
+    (_eigenbasis). The other blocks take Pade, from the matrices alone.
+    Every array of a factorize result is read-only."""
 
     closed: np.ndarray
     bands: tuple
     well: np.ndarray
-    eigen: tuple | None
+    eigen: Eigen | None
 
     def take(self, sub):
         """The factor of the sub-stack a[sub], for sorted distinct positions
@@ -690,7 +809,7 @@ class Factor(NamedTuple):
         eigen = None
         if well.any():
             at = (np.cumsum(self.well) - 1)[sub[well]]
-            eigen = tuple(x[at] for x in self.eigen)
+            eigen = Eigen(*(x[at] for x in self.eigen))
         return Factor(closed, tuple(bands), well, eigen)
 
 
@@ -709,9 +828,8 @@ def factorize(a):
     eigen = None
     rest = np.flatnonzero(~closed)
     if rest.size:
-        ok, *eigen = _eigenbasis(a[rest])
+        ok, eigen = _eigenbasis(a[rest])
         well[rest[ok]] = True
-        eigen = tuple(eigen)
     for x in (closed, well, *(x for band in bands for x in band), *(eigen or ())):
         x.setflags(write=False)
     return Factor(closed, bands, well, eigen)
@@ -737,7 +855,12 @@ def _runs(a, t, select=None, factor=None):
     hi) with certified bounds lo <= norm2(R) <= hi of its (T, q) pairs,
     taken from the weights before R is formed (slack as in _bracket), and
     forms R only at the times where select returns True for some block (or
-    where t Im lambda is not finite); the other times are not yielded.
+    where t Im lambda is not finite); the other times are not yielded. The
+    eigenbasis pairs are screened the same way with lo = 0 and hi their
+    certified bound (eigenbasis_bounds), pair by pair: they are visited in
+    the order select.order(steps, hi) gives, and before each chunk select
+    is called on every pair not yet formed, so a chunk holds only pairs it
+    keeps, and a floor that the earlier chunks raised drops the rest.
 
     Only runs whose every e^{tA} is finite are yielded; the errstate that
     silences the overflow of the others stays in force while a consumer
@@ -750,13 +873,27 @@ def _runs(a, t, select=None, factor=None):
     if factor is None:
         factor = factorize(a)
     slack = BRACKET_SLACK * k
+    # the (time, block) pairs of one chunk of complex k x k matrices
+    size = max(1, STACK_BYTES // (16 * k * k))
 
     def pairs(m):
-        # (steps, sub): the (time, block) pairs of m blocks over t, time-major,
-        # in chunks of complex k x k matrices within STACK_BYTES
-        size = max(1, STACK_BYTES // (16 * k * k))
+        # (steps, sub): the (time, block) pairs of m blocks over t, time-major
         for start in range(0, t.size * m, size):
             yield np.divmod(np.arange(start, min(start + size, t.size * m)), m)
+
+    def screened(ids):
+        # (steps, sub): the pairs of the eigenbasis blocks `ids` that select
+        # keeps, in select.order of their bounds; select sees the pairs left
+        # again before each chunk
+        bounds = eigenbasis_bounds(factor.eigen, t).reshape(-1)
+        at = select.order(np.arange(bounds.size) // ids.size, bounds)
+        (steps, sub), hi = np.divmod(at, ids.size), bounds[at]
+        while steps.size:
+            keep = select(steps, ids[sub], np.zeros(hi.size), hi)
+            steps, sub, hi = steps[keep], sub[keep], hi[keep]
+            if steps.size:
+                yield steps[:size], sub[:size]
+            steps, sub, hi = steps[size:], sub[size:], hi[size:]
 
     def computed():
         ids, first = np.flatnonzero(factor.closed), 0
@@ -782,8 +919,9 @@ def _runs(a, t, select=None, factor=None):
                 finite = (np.isfinite(r).all(axis=(2, 3)) & np.isfinite(angle)).all(axis=1)
                 yield steps[:, None], cols, r, angle, finite
         ids = np.flatnonzero(factor.well)
-        for steps, sub in pairs(ids.size):
-            f = _eigen_chunk(*(x[sub] for x in factor.eigen), t[steps])
+        chunks = pairs(ids.size) if select is None or not ids.size else screened(ids)
+        for steps, sub in chunks:
+            f = _eigen_chunk(*(x[sub] for x in factor.eigen[:3]), t[steps])
             yield steps, ids[sub], f, None, np.isfinite(f).all(axis=(1, 2))
         ids = np.flatnonzero(~factor.closed & ~factor.well)
         for steps, sub in pairs(ids.size):
@@ -855,7 +993,11 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
     below only after runs that kept bounds has those pairs solved at the
     end. A probe-free call (P = 0) with a floor or
     a threshold forms R(t) of the closed-form blocks only at the times where
-    one of them still needs an exact norm (_runs' select).
+    one of them still needs an exact norm, and the product of an eigenbasis
+    block only at the pairs whose certified bound (eigenbasis_bounds) can
+    still reach the floor or decide a threshold, in decreasing bound per
+    time for a per-time floor and over the grid for a (1,) one (_runs'
+    select, _Floor.order); every other pair holds its bound.
 
     `out` = (norms, vnorms, ids) writes block b's results into column ids[b]
     of the given (len(t), M) and (len(t), P, M) arrays, which are returned.
@@ -879,6 +1021,7 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
         def select(steps, cols, lo, hi):
             norms[steps, ids[cols]] = hi
             return sieve.need(lo, hi, steps, cols)
+        select.order = sieve.order
 
     for steps, cols, f, angle in _runs(a, t, select, factor):
         at = ids[cols]

@@ -409,12 +409,17 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=N
 
     A probe-free call with `floor` computes less. Every norm at t = 0 is
     1.0, e^{0A} = I exactly on every route, and none is computed there. A
-    closed-form cell whose certified bound (linalg.closed_form_bounds)
-    stays below the floor at every time, and below its threshold at some
-    t > 0 when it has one, is skipped: its column holds the bound, and its
-    group is factored only when a pass visits it. With a (1,) floor the
-    pass visits first the group of the closed-form cell of largest bound,
-    then screens the others against the floor it left.
+    closed-form cell with Re lambda < 0 whose certified bound
+    (linalg.closed_form_bounds) stays below the floor at every time, and
+    below its threshold at some t > 0 when it has one, is skipped: its
+    column holds the bound, and its group is factored only when a pass
+    visits it (the bound of a cell with Re lambda >= 0 is at least 1, so
+    it takes the kernel). With a (1,) floor the pass visits first the group
+    of the closed-form cell of largest bound, then screens the others
+    against the floor it left. Within a group the kernel forms an
+    eigenbasis cell's e^{tA} only at the times where its certified bound
+    (linalg.eigenbasis_bounds) can reach the floor, the pairs of largest
+    bound first (linalg.expm_norms); the others hold the bound.
 
     Raises DomainError when a probe is zero on the active blocks and
     NumericalFailureError naming the earliest time at which any cell's
@@ -444,11 +449,18 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=N
         norms[:start, chosen] = 1.0
         top = floor[:start]
         np.maximum(top, 1.0, out=top)
-        # every column holds its bound until the kernel overwrites it
+        # every column holds its bound until the kernel overwrites it; a
+        # cell off the closed form or with Re lambda >= 0 holds inf
         envelope = family._envelope.take(chosen)
-        norms[start:, chosen] = linalg.closed_form_bounds(envelope, times[start:])
-        if floor.size == 1 and start < times.size and envelope.closed.any():
+        decaying = envelope.closed & (envelope.lam.real < 0)
+        norms[start:, chosen] = np.inf
+        norms[start:, chosen[decaying]] = linalg.closed_form_bounds(
+            envelope.take(decaying), times[start:])
+        if floor.size == 1 and start < times.size and len(visits) > 1 and envelope.closed.any():
             sup = np.where(envelope.closed, norms[start:, chosen].max(axis=0), -np.inf)
+            # the bound of a cell with Re lambda >= 0 grows with t
+            rest = envelope.closed & ~decaying
+            sup[rest] = linalg.closed_form_bounds(envelope.take(rest), times[-1:])[0]
             ends = np.cumsum([sub.size for _, sub in visits])
             visits.insert(0, visits.pop(int(np.searchsorted(ends, sup.argmax(), side="right"))))
     failure = None

@@ -84,11 +84,13 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
     threshold and no floor) has already solved the lead's norms exactly
     once one fell below, and they seed the per-time floor of
     semigroup.orbit_norms for the others, which skips a closed-form cell
-    whose certified bound stays below the floor, computes a norm exactly
-    only where it can reach the ess-sup, and leaves the ess-sup as the
-    floor after the call.  Verdict and numbers are the same as with the
-    full grid on every horizon; a numerical failure in a cell other than
-    the lead can surface at a later horizon than it would there.
+    whose certified bound stays below the floor, forms an eigenbasis
+    cell's e^{tA} only where its certified bound can reach the floor,
+    computes a norm exactly only where it can reach the ess-sup, and
+    leaves the ess-sup as the floor after the call.  Verdict and numbers
+    are the same as with the full grid on every horizon; a numerical
+    failure in a cell other than the lead can surface at a later horizon
+    than it would there.
     """
     if t0 <= 0:
         raise DomainError("reference time t0 must be positive")

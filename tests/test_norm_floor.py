@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from semistab import cli, linalg, semigroup
 from semistab.linalg import CONTRACTION, expm_norms, floor_norms, norm2
 from semistab.measure import ATOMIC, DiscretizedMeasureSpace
-from semistab.cases import zabczyk_family
+from semistab.cases import random_hurwitz_family, zabczyk_family
 from semistab.semigroup import PointwiseFamily, orbit_norms, random_probes, time_grid
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -351,16 +351,20 @@ class TestClosedFormScreen:
         np.testing.assert_array_equal(bounds[0], 1.0)
 
     @CHECKS
-    @given(seed=st.integers(0, 2**32 - 1), family_kind=st.sampled_from(["zabczyk", "mixed"]),
+    @given(seed=st.integers(0, 2**32 - 1),
+           family_kind=st.sampled_from(["zabczyk", "mixed", "hurwitz"]),
            per_time=st.booleans(), below=st.sampled_from([None, "all", "some"]),
            subset=st.booleans(), seeded=st.booleans())
     def test_floor_passes_keep_the_exact_suprema(
         self, seed, family_kind, per_time, below, subset, seeded
     ):
+        # Zabczyk (closed form), mixed routes, and dense random-Hurwitz
+        # stacks on the eigenbasis route (eigenbasis_bounds)
         rng = np.random.default_rng(seed)
-        if family_kind == "zabczyk":
+        if family_kind != "mixed":
             n = int(rng.integers(3, 13))
-            family = zabczyk_family(n)
+            family = zabczyk_family(n) if family_kind == "zabczyk" else random_hurwitz_family(
+                int(rng.integers(2**31)), int(rng.integers(2, 7)), n, rng.uniform(0.02, 1.0))
             weights = family.space.weights.copy()
             weights[rng.random(n) < 0.2] = 0.0
             weights[int(rng.integers(n))] = 1.0
@@ -442,6 +446,112 @@ class TestClosedFormScreen:
         np.testing.assert_array_equal(got[0], 1.0)
 
 
+def complex_gaussian(rng, k):
+    return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+
+
+def eigenbasis_stack(rng, kind, k, m=4):
+    """m k x k blocks on the eigenbasis route (cond2(V) <= EIGENBASIS_COND),
+    with spectral bound from -1 to 0.05: random Hurwitz (complex Gaussian /
+    sqrt(2k)); Q (D + c U) Q^H as in tools/expm_accuracy.py, c from 0.1 to
+    100, mu_2 > 0 for most; or normal Q (i D) Q^H with ||A|| up to 1e3 and
+    one real part, where ||e^{tA}|| = e^{t mu_2(A)}."""
+    blocks = []
+    while len(blocks) < m:
+        q, _ = np.linalg.qr(complex_gaussian(rng, k))
+        if kind == "hurwitz":
+            a = complex_gaussian(rng, k) / np.sqrt(2.0 * k)
+        elif kind == "conjugated":
+            d = 0.5 * rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            u = 10 ** rng.uniform(-1, 2) * np.triu(complex_gaussian(rng, k), 1)
+            a = q @ (np.diag(d) + u) @ q.conj().T
+        else:
+            a = q @ np.diag(1j * 10 ** rng.uniform(0, 3) * rng.standard_normal(k)) @ q.conj().T
+        a -= (linalg.eigenvalues(a).real.max() - rng.uniform(-1.0, 0.05)) * np.eye(k)
+        if linalg._eigenbasis(a[None])[0][0]:
+            blocks.append(a)
+    return np.stack(blocks)
+
+
+def screen_times(rng, a):
+    """0, times up to 1e4, and for each block with spectral bound alpha <
+    -0.0725 the time 725 / |alpha|, where e^{t alpha} is subnormal."""
+    alpha = linalg.eigenvalues(a).real.max(axis=1)
+    return np.sort(np.concatenate([[0.0], rng.uniform(0.0, 1e4, 6),
+                                   10.0 ** rng.uniform(-4.0, 4.0, 6),
+                                   -725.0 / alpha[alpha < -0.0725]]))
+
+
+class TestEigenbasisScreen:
+    """The eigenbasis route's certified bound U (linalg.eigenbasis_bounds):
+    the smaller of the log-norm and the spectral-projector bound, which
+    must hold the norm2 of the product the kernel computes; a floor pass
+    forms only the pairs whose U can reach the floor."""
+
+    @CHECKS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
+           kind=st.sampled_from(["hurwitz", "conjugated", "normal"]))
+    def test_bound_holds_the_computed_norm(self, seed, k, kind):
+        rng = np.random.default_rng(seed)
+        a = eigenbasis_stack(rng, kind, k)
+        t = screen_times(rng, a)
+        factor = linalg.factorize(a)
+        assert factor.well.all()
+        bounds = linalg.eigenbasis_bounds(factor.eigen, t)
+        np.testing.assert_array_equal(bounds[t == 0], 1.0)
+        complex_norms = norm2(linalg.expm_stack(a, t))
+        kernel_norms = expm_norms(a, t, np.zeros((0, len(a), k)))[0]
+        assert (bounds >= complex_norms).all() and (bounds >= kernel_norms).all()
+        if kind == "normal":
+            # e^{t mu_2} itself at short times, up to the widening
+            short = t <= 1.0
+            assert (bounds[short] <= kernel_norms[short] * (1 + 1e-9)).all()
+
+    @CHECKS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
+           kind=st.sampled_from(["hurwitz", "normal"]))
+    def test_bound_holds_for_inexact_factors(self, seed, k, kind):
+        # factors far less accurate than LAPACK's: eigenvalues off by 1e-9
+        # relative, eigenvector columns rescaled by 0.1 to 10 and an inverse
+        # off by 1e-9. U reads the factors the kernel multiplies, so it
+        # holds their product, through the residual, ||V W - I|| and the
+        # column norms of V, and the exact norm, through the spread of the
+        # product from e^{tA}: the product of LAPACK's factors stands in for
+        # it, within the route's error t ||A|| cond2(V) eps, below 1e-8 here
+        rng = np.random.default_rng(seed)
+        a = eigenbasis_stack(rng, kind, k)
+        m = len(a)
+        w, v = np.linalg.eig(a)
+        w = w * (1 + 1e-9 * (rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)))
+        v = v * 10 ** rng.uniform(-1.0, 1.0, (m, 1, k))
+        vinv = np.linalg.inv(v) @ (np.eye(k) + 1e-9 * np.stack(
+            [complex_gaussian(rng, k) for _ in range(m)]))
+        eigen = linalg._eigen(a, w, v, vinv)
+        factor = linalg.Factor(np.zeros(m, dtype=bool), (), np.ones(m, dtype=bool), eigen)
+        t = screen_times(rng, a)
+        bounds = linalg.eigenbasis_bounds(eigen, t)
+        assert (bounds >= norm2(linalg.expm_stack(a, t, factor=factor))).all()
+        assert (bounds >= norm2(linalg.expm_stack(a, t)) * (1 - 1e-8)).all()
+
+    def test_a_single_floor_forms_the_largest_bound_first(self, monkeypatch):
+        # 64 dense 6 x 6 random-Hurwitz blocks over 48 times with a (1,)
+        # floor: the pairs run in decreasing U, and the first chunk (113
+        # pairs, STACK_BYTES of 6 x 6 complex matrices) lifts the floor above
+        # the bound of every other pair of the 47 x 64 after t = 0
+        family = random_hurwitz_family(seed=5, dim=6, cells=64, margin=0.2)
+        times = time_grid(200.0, 48)
+        exact = orbit_norms(family, times)[0]
+        formed = []
+        real = linalg._eigen_chunk
+        monkeypatch.setattr(linalg, "_eigen_chunk", lambda w, v, vinv, t: formed.append(
+            len(t)) or real(w, v, vinv, t))
+        floor = np.zeros(1)
+        got = orbit_norms(family, times, floor=floor)[0]
+        assert bits(floor[0]) == bits(exact.max())
+        assert (got >= exact).all()
+        assert formed == [113]
+
+
 def test_zab40_smoke_runs_fewer_eigensolves_than_pairs(tmp_path, monkeypatch):
     # every (time, cell) pair a kernel examines, against the matrices the
     # exact norm2 eigensolves
@@ -478,3 +588,20 @@ def test_analyze_examines_the_lead_once_per_horizon(tmp_path, monkeypatch, workl
     path.write_text(json.dumps(make_config(workload, 1)))
     cli.run_analysis(cli.load_config(path))
     assert sum(pairs) == want
+
+
+def test_rh64_analyze_forms_few_eigenbasis_products(tmp_path, monkeypatch):
+    # every rh64 block takes the eigenbasis route; the floor passes form only
+    # the (time, cell) pairs whose certified bound can reach the floor
+    # (6,081 products and 1,348 solved matrices without the screen)
+    pairs, solves = [], []
+    real_chunk, real_top = linalg._eigen_chunk, linalg._top
+    monkeypatch.setattr(linalg, "_eigen_chunk", lambda w, v, vinv, t: pairs.append(
+        len(t)) or real_chunk(w, v, vinv, t))
+    monkeypatch.setattr(linalg, "_top", lambda gram, e: solves.append(
+        int(np.prod(gram.shape[:-2]))) or real_top(gram, e))
+    path = tmp_path / "rh64.json"
+    path.write_text(json.dumps(make_config("rh64", 1)))
+    cli.run_analysis(cli.load_config(path))
+    assert sum(pairs) <= 600
+    assert sum(solves) <= 300

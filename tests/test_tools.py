@@ -171,8 +171,13 @@ def test_expm_accuracy_rows_bin_both_routes():
     rng = tool.np.random.default_rng(0)
     got = list(tool.rows("random Hurwitz", tool.random_hurwitz, rng, per=1, max_draws=50))
     assert got and got[0].startswith("| random Hurwitz | (1, 10] | 1 | ")
-    eig, pade = (float(cell) for cell in got[0].split("|")[4:6])
+    cells = got[0].split("|")
+    eig, pade = (float(cell) for cell in cells[4:6])
     assert 0.0 <= eig <= 5e-11 and 0.0 <= pade <= 5e-11
+    # the certified bound U holds every norm and is within a factor of the
+    # number of eigenvalues of it
+    ratio, below = float(cells[7]), int(cells[8])
+    assert 1.0 <= ratio <= 5.0 and below == 0
     assert tool.linalg.EIGENBASIS_COND == 1e2
 
 

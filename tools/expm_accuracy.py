@@ -17,8 +17,11 @@ once through each route of `linalg.expm_norms` (by moving
 `linalg.EIGENBASIS_COND` to inf and to 0) and compared with mpmath's. It
 prints one Markdown row per family and cond2(V) bin: the blocks drawn
 (`--per` per bin, fewer when a family rarely reaches the bin), the worst
-relative error of each route and the number of blocks on which the
-eigenbasis route errs more. It takes about 20 s at the default `--per`.
+relative error of each route, the number of blocks on which the
+eigenbasis route errs more, the worst ratio of the certified bound U of
+`linalg.eigenbasis_bounds` to the eigenbasis route's norm, and the number
+of (block, time) pairs where U falls below that norm or below mpmath's
+(a sound bound reads 0). It takes about 20 s at the default `--per`.
 """
 
 import argparse
@@ -48,13 +51,15 @@ def mp_norms(a):
 
 
 def route_norms(a, cond):
-    """||e^{tA}|| at TIMES through linalg.expm_norms with the eigenbasis bound
-    set to `cond`: inf sends every block off the closed form to the
-    eigenbasis route, 0 to the Pade route."""
+    """(||e^{tA}|| at TIMES through linalg.expm_norms, the block's Factor)
+    with the eigenbasis bound set to `cond`: inf sends every block off the
+    closed form to the eigenbasis route, 0 to the Pade route."""
     saved = linalg.EIGENBASIS_COND
     linalg.EIGENBASIS_COND = cond
     try:
-        return linalg.expm_norms(a[None], TIMES, np.ones((1, 1, len(a))))[0][:, 0]
+        factor = linalg.factorize(a[None])
+        return linalg.expm_norms(a[None], TIMES, np.ones((1, 1, len(a))),
+                                 factor=factor)[0][:, 0], factor
     finally:
         linalg.EIGENBASIS_COND = saved
 
@@ -89,13 +94,17 @@ def rows(name, draw, rng, per, max_draws=5000):
         if not found:
             continue
         exact = mp_norms(a)
-        eig, pade = (np.abs(route_norms(a, c) - exact) / exact for c in (np.inf, 0.0))
-        errors[found[0]].append((eig.max(), pade.max()))
+        (eig_norms, factor), (pade_norms, _) = (route_norms(a, c) for c in (np.inf, 0.0))
+        eig, pade = (np.abs(norms - exact) / exact for norms in (eig_norms, pade_norms))
+        bound = linalg.eigenbasis_bounds(factor.eigen, TIMES)[:, 0]
+        below = int(((bound < eig_norms) | (bound < exact)).sum())
+        errors[found[0]].append((eig.max(), pade.max(), (bound / eig_norms).max(), below))
     for (lo, hi), e in errors.items():
         if e:
             e = np.array(e)
             yield (f"| {name} | ({lo:g}, {hi:g}] | {len(e)} | {e[:, 0].max():.1e} "
-                   f"| {e[:, 1].max():.1e} | {int((e[:, 0] > e[:, 1]).sum())} |")
+                   f"| {e[:, 1].max():.1e} | {int((e[:, 0] > e[:, 1]).sum())} "
+                   f"| {e[:, 2].max():.3g} | {int(e[:, 3].sum())} |")
 
 
 def main(argv=None):
@@ -103,8 +112,9 @@ def main(argv=None):
     parser.add_argument("--per", type=int, default=40, help="blocks per bin and family")
     parser.add_argument("--seed", type=int, default=1801)
     args = parser.parse_args(argv)
-    print("| blocks | cond2(V) | count | eigenbasis worst | Pade worst | eigenbasis errs more |")
-    print("| --- | --- | --- | --- | --- | --- |")
+    print("| blocks | cond2(V) | count | eigenbasis worst | Pade worst | eigenbasis errs more "
+          "| U / norm worst | U below |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     families = (("random Hurwitz", random_hurwitz), ("Q (D + c U) Q^H", conjugated_triangular))
     for i, (name, draw) in enumerate(families):
         for row in rows(name, draw, np.random.default_rng(args.seed + i), args.per):
