@@ -23,7 +23,6 @@ from .semigroup import (
     BochnerFunction,
     PointwiseFamily,
     apply,
-    identity_sample,
     lp_norm,
     random_probes,
     refine_family,

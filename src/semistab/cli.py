@@ -375,13 +375,11 @@ def run_analysis(cfg):
 
     discrete_payload = None
     if cfg["discrete"]["enabled"]:
-        sample = _stage(
-            "semigroup.sample_at", semigroup.sample_at, family, float(cfg["discrete"]["t"])
-        )
         dreport = _stage(
             "discrete.build_discrete_report",
             discrete.build_discrete_report,
-            sample,
+            family,
+            float(cfg["discrete"]["t"]),
             margin=float(tol["margin"]),
             n_max=cfg["discrete"]["n_max"],
             match_tol=match_tol,

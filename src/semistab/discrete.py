@@ -1,11 +1,15 @@
 """Discrete-time stability of the powers of a multiplication operator.
 
-The same three notions as in continuous time, decided through the pointwise
-spectral radii: uniform iff ess-sup r(M(s)) < 1, strong iff r(M(s)) < 1 on
-every positive-weight cell of a power-bounded sample, almost weak iff no
-positive-weight cell carries unit-circle point spectrum. Power boundedness
-is certified spectrally (radius below one, or unimodular eigenvalues
-semisimple) and observed along a doubling power schedule.
+The operator is the sample M = e^{tA} of a generator family at one time t
+(semigroup.sample_at), which supplies the spectral table e^{t lambda} and
+the matrices of the rank tests. Its powers are M^n = e^{ntA}, so every
+||M(s)^n|| is read from the family's factors (semigroup.orbit_norms at the
+times n t). The same three notions as in continuous time, decided through
+the pointwise spectral radii: uniform iff ess-sup r(M(s)) < 1, strong iff
+r(M(s)) < 1 on every positive-weight cell of a power-bounded sample, almost
+weak iff no positive-weight cell carries unit-circle point spectrum. Power
+boundedness is certified spectrally (radius below one, or unimodular
+eigenvalues semisimple) and observed along a doubling power schedule.
 """
 
 import math
@@ -13,16 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, semigroup
-from .errors import DomainError
-from .measure import ess_sup
-from .report import (
-    INCONCLUSIVE,
-    NOT_STABLE,
-    STABLE,
-    DiscreteReport,
-    Witness,
-)
+from . import semigroup
+from .errors import DomainError, NumericalFailureError
+from .report import INCONCLUSIVE, NOT_STABLE, STABLE, DiscreteReport, Witness
 from .stability import MAX_EXTENSIONS
 
 NORM_CHECK_THRESHOLD = 1e-6
@@ -45,15 +42,19 @@ def power_schedule(n_max):
     return sorted(n for n in ns if n <= n_max)
 
 
-def _power_norms(sample, n, floor):
-    # ||M(s)^n|| per positive-weight cell (zero elsewhere), one stacked
-    # power (from the sample's shared squares) and linalg.floor_norms per
-    # active dimension: exact where it can reach the (1,) `floor` of the
-    # caller's ess-sup, an upper bound below it elsewhere
-    norms = np.zeros(sample.space.n_cells)
-    for cells, power in sample.power_stacks(n):
-        norms[cells] = linalg.floor_norms(power, floor)
-    return norms
+def _power_sup(family, t, ns):
+    # ess-sup over the positive-weight cells and the increasing powers ns of
+    # ||M(s)^n|| = ||e^{ntA(s)}||: one probe-free orbit_norms pass with a (1,)
+    # floor, which after the pass is that supremum; inf when e^{ntA} leaves
+    # the double range
+    floor = np.zeros(1)
+    try:
+        semigroup.orbit_norms(family, np.multiply(ns, t), floor=floor)
+    except NumericalFailureError as exc:
+        if exc.time is None:
+            raise
+        return math.inf
+    return float(floor[0])
 
 
 class PowerBound(NamedTuple):
@@ -66,19 +67,17 @@ def _modulus_gap(eigs):
     return np.abs(eigs) - 1.0
 
 
-def power_bounded_estimate(sample, n_max, *, uni_tol=1e-9, match_tol=1e-6):
-    """Observed sup over scheduled n <= n_max of ||M^n||, plus a spectral
-    certificate that the true supremum is finite: every positive-weight cell
-    must have r(M(s)) < 1, or r(M(s)) <= 1 with every unimodular eigenvalue
-    semisimple (rank test on M(s) - lambda I)."""
-    # one floor for the whole schedule: only the maximum is read
-    bound, floor = 0.0, np.zeros(1)
-    for n in power_schedule(n_max):
-        bound = max(bound, ess_sup(sample.space, _power_norms(sample, n, floor)))
+def power_bounded_estimate(family, t, sample, n_max, *, uni_tol=1e-9, match_tol=1e-6):
+    """Observed sup over scheduled n <= n_max of ||M^n|| = ||e^{ntA}|| (inf
+    once it leaves the double range) for the sample M = e^{tA} of `family`,
+    plus a spectral certificate that the true supremum is finite: every
+    positive-weight cell must have r(M(s)) < 1, or r(M(s)) <= 1 with every
+    unimodular eigenvalue semisimple (rank test on M(s) - lambda I)."""
+    bound = _power_sup(family, t, power_schedule(n_max))
     faults = semigroup.boundary_faults(
         sample, sample.space.positive_cells(), _modulus_gap, uni_tol, match_tol
     )
-    return PowerBound(bound=float(bound), certified=not faults)
+    return PowerBound(bound=bound, certified=not faults)
 
 
 class DiscreteClassification(NamedTuple):
@@ -87,14 +86,15 @@ class DiscreteClassification(NamedTuple):
     detail: dict
 
 
-def classify_discrete_uniform(sample, margin):
-    """Uniform stability of the powers: ess-sup of the pointwise spectral
-    radii against 1. A Stable verdict is cross-checked on the equivalent
-    norm form: ess-sup ||M(s)^n|| must drop below NORM_CHECK_THRESHOLD at
-    n = NORM_CHECK_SAFETY * log(threshold)/log(rho*), or at n doubled up to
-    stability.MAX_EXTENSIONS times, so that the transient of a non-normal
-    block does not cause a false alarm; `detail` holds the last n examined
-    and its norm."""
+def classify_discrete_uniform(family, t, sample, margin):
+    """Uniform stability of the powers of the sample M = e^{tA} of `family`:
+    ess-sup of the pointwise spectral radii against 1. A Stable verdict is
+    cross-checked on the equivalent norm form: ess-sup ||M(s)^n|| must drop
+    below NORM_CHECK_THRESHOLD at n = NORM_CHECK_SAFETY *
+    log(threshold)/log(rho*), or at n doubled up to stability.MAX_EXTENSIONS
+    times, so that the transient of a non-normal block does not cause a
+    false alarm (a norm past the double range reads inf); `detail` holds the
+    last n examined and its norm."""
     positive = sample.space.positive_cells()
     worst = int(positive[np.argmax(sample.radii[positive])])
     rho_star = float(sample.radii[worst])
@@ -110,7 +110,7 @@ def classify_discrete_uniform(sample, margin):
         )
     for attempt in range(MAX_EXTENSIONS + 1):
         n = n_check * 2**attempt
-        observed = ess_sup(sample.space, _power_norms(sample, n, np.zeros(1)))
+        observed = _power_sup(family, t, [n])
         if observed < NORM_CHECK_THRESHOLD:
             break
     detail["norm_check_n"] = n
@@ -171,10 +171,13 @@ def classify_discrete_almost_weak(sample, gate, *, uni_tol=1e-9, match_tol=1e-6)
     return DiscreteClassification(NOT_STABLE, witnesses, detail)
 
 
-def build_discrete_report(sample, *, margin, n_max, uni_tol=1e-9, match_tol=1e-6):
-    """Run all three discrete classifiers and assemble the report."""
-    gate = power_bounded_estimate(sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
-    uniform = classify_discrete_uniform(sample, margin)
+def build_discrete_report(family, t, *, margin, n_max, uni_tol=1e-9, match_tol=1e-6):
+    """Run all three discrete classifiers on the powers of M = e^{tA} of
+    `family`, sampled once (semigroup.sample_at, which raises
+    NumericalFailureError when M overflows), and assemble the report."""
+    sample = semigroup.sample_at(family, t)
+    gate = power_bounded_estimate(family, t, sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
+    uniform = classify_discrete_uniform(family, t, sample, margin)
     strong = classify_discrete_strong(sample, gate, uni_tol=uni_tol)
     almost = classify_discrete_almost_weak(sample, gate, uni_tol=uni_tol, match_tol=match_tol)
     return DiscreteReport(

@@ -37,12 +37,13 @@ eigensolver, real for a real matrix) of the matrix scaled by a power of
 two, C = 2^-e A, one stacked call per stack. A caller that reads only a
 supremum of the norms passes a floor (_Floor): each norm is bracketed from
 its Gram matrix, and the eigensolve runs only where the bracket can reach
-the floor (expm_norms, floor_norms). Before any kernel runs, a closed-form
-block's norms are bounded from its lambda and N alone (closed_form_bounds),
-so a caller can skip a block that cannot reach the floor, and an eigenbasis
-block's from its factors (eigenbasis_bounds: the smaller of a log-norm and
-a spectral-projector bound), so a floor pass forms only the (time, block)
-products that can reach the floor, those of largest bound first.
+the floor (expm_norms; the discrete power norms read e^{ntA} there too).
+Before any kernel runs, a closed-form block's norms are bounded from its
+lambda and N alone (closed_form_bounds), so a caller can skip a block that
+cannot reach the floor, and an eigenbasis block's from its factors
+(eigenbasis_bounds: the smaller of a log-norm and a spectral-projector
+bound), so a floor pass forms only the (time, block) products that can
+reach the floor, those of largest bound first.
 """
 
 import math
@@ -219,7 +220,7 @@ class _Floor:
         rank = np.arange(hi.size) - np.searchsorted(steps, steps)
         return by_time[np.argsort(rank, kind="stable")]
 
-    def need(self, lo, hi, steps=0, cols=0):
+    def need(self, lo, hi, steps, cols):
         """Which matrices, with certified brackets lo <= norm <= hi, need
         their exact norm; records the brackets."""
         steps, cols = (np.broadcast_to(x, lo.shape) for x in (steps, cols))
@@ -236,7 +237,7 @@ class _Floor:
                 need |= known
         return need
 
-    def norms(self, gram, e, steps=0, cols=0):
+    def norms(self, gram, e, steps, cols):
         """2-norms of the matrices 2^e C with Gram matrices `gram` (_gram):
         bit for bit norm2 where need() asks for it (one eigensolve per such
         matrix, from the Gram rows already formed), the upper bound hi
@@ -256,17 +257,6 @@ class _Floor:
         if self.known is not None:
             self._mark(exact < self.below[cols], cols)
         return hi
-
-
-def floor_norms(a, floor):
-    """2-norms of a (..., k, k) stack for a caller that reads only their
-    maximum, carried across calls in `floor`, a (1,) float array updated in
-    place to the largest norm or lower bound seen (start it at 0). Entries
-    that can reach the floor are bit for bit norm2; every other entry is an
-    upper bound below the floor, so the maximum over every call is the
-    maximum of the exact norms, and so is the final floor."""
-    c, e = _scaled(np.asarray(a), (-2, -1))
-    return _Floor(floor, None).norms(_gram(c), e[..., 0, 0])
 
 
 def _scaled(m, axis):

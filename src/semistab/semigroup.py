@@ -170,38 +170,6 @@ class PointwiseFamily:
         # the linalg.Envelope of every cell's active block, one pass
         return linalg.envelope(self.matrices, self.active_dims)
 
-    @cached_property
-    def _squares(self):
-        # [(cell ids, [M, M^2, M^4, ...])] per active dimension of the
-        # positive-weight cells, read-only; power_stacks extends each list as
-        # n needs
-        return [(ids, [blocks]) for ids, blocks in self._stacks]
-
-    def power_stacks(self, n):
-        """(cell ids, stack of M^n of their active blocks) per active
-        dimension of the positive-weight cells, n >= 1, each bit for bit
-        np.linalg.matrix_power(stack, n). The squares M^(2^i) are built once,
-        kept read-only and shared by every n: n = 3 is M^2 M, matrix_power's
-        shortcut, and any other n is the product result @ z over the set
-        bits of n from the least significant, as matrix_power forms it."""
-        n = int(n)
-        if n < 1:
-            raise DomainError("the power must be at least 1")
-        out = []
-        for ids, squares in self._squares:
-            while len(squares) < n.bit_length():
-                squares.append(squares[-1] @ squares[-1])
-                squares[-1].setflags(write=False)
-            if n == 3:
-                out.append((ids, squares[1] @ squares[0]))
-                continue
-            power = None
-            for i in range(n.bit_length()):
-                if n >> i & 1:
-                    power = squares[i] if power is None else power @ squares[i]
-            out.append((ids, power))
-        return out
-
     def spectrum(self, cell):
         """Eigenvalues of the active block at `cell`: a view of its row of
         the table. A zero-weight cell is a null set without a spectrum:
@@ -226,11 +194,6 @@ class BochnerFunction:
                 f"vectors must have shape ({self.space.n_cells}, {self.dim}), got {arr.shape}"
             )
         object.__setattr__(self, "vectors", arr)
-
-
-def identity_sample(space, dim):
-    mats = np.broadcast_to(np.eye(dim, dtype=complex), (space.n_cells, dim, dim)).copy()
-    return PointwiseFamily(space=space, dim=dim, matrices=mats)
 
 
 def apply(sample, f):

@@ -39,8 +39,8 @@ from semistab.semigroup import (
     lp_norm,
     norm_curves,
     refine_family,
+    sample_at,
     time_grid,
-    trajectory,
 )
 from semistab.stability import (
     certify_bounded,
@@ -273,47 +273,48 @@ def test_criterion_8_spectral_mapping():
 
 def test_criterion_9_discrete_suite():
     rng = np.random.default_rng(41)
-    # implication chain on 50 random samples of mixed character
+    # implication chain on the powers of e^{A} for 50 random generator
+    # families of mixed character
     for k in range(50):
         cells = int(rng.integers(2, 6))
         dim = int(rng.integers(1, 5))
-        mats = np.empty((cells, dim, dim), dtype=complex)
+        gens = np.empty((cells, dim, dim), dtype=complex)
         for c in range(cells):
             kind = rng.integers(0, 3)
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            if kind == 0:  # strict contraction
-                mats[c] = rng.uniform(0.2, 0.9) * g / norm2(g)
-            elif kind == 1:  # unitary phases
-                q, _ = np.linalg.qr(g)
-                mats[c] = q
-            else:  # contraction in radius, possibly non-normal
-                radius = max(np.abs(np.linalg.eigvals(g)))
-                mats[c] = rng.uniform(0.3, 0.9) * g / radius
-        sample = PointwiseFamily(space=atomic_space(np.ones(cells)), dim=dim, matrices=mats)
-        uniform = classify_discrete_uniform(sample, 1e-6)
-        gate = power_bounded_estimate(sample, 128)
+            skew = (g - g.conj().T) / 2
+            if kind == 0:  # dissipative: e^{A} a strict contraction
+                p = rng.standard_normal((dim, dim)) / 2
+                gens[c] = skew - p @ p.T - rng.uniform(0.1, 1.6) * np.eye(dim)
+            elif kind == 1:  # skew-Hermitian: e^{A} unitary
+                gens[c] = skew
+            else:  # Hurwitz, possibly non-normal: r(e^{A}) in [0.3, 0.9]
+                shift = np.log(rng.uniform(0.3, 0.9)) - np.linalg.eigvals(g).real.max()
+                gens[c] = g + shift * np.eye(dim)
+        family = PointwiseFamily(space=atomic_space(np.ones(cells)), dim=dim, matrices=gens)
+        sample = sample_at(family, 1.0)
+        uniform = classify_discrete_uniform(family, 1.0, sample, 1e-6)
+        gate = power_bounded_estimate(family, 1.0, sample, 128)
         strong = classify_discrete_strong(sample, gate)
         weak = classify_discrete_almost_weak(sample, gate)
         if uniform.verdict == STABLE:
             assert strong.verdict == STABLE
         if strong.verdict == STABLE:
             assert weak.verdict == STABLE
-    # the 0.9-radius family is certified power bounded and its norms cross
-    # 1e-6 within a factor 3 of step 260
-    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 8))
-    sample = PointwiseFamily(
+    # the 0.9-radius family e^{ln 0.9 + i phi} is certified power bounded
+    # and its norms cross 1e-6 within a factor 3 of step 260
+    phases = rng.uniform(0, 2 * math.pi, 8)
+    family = PointwiseFamily(
         space=atomic_space(np.ones(8)),
         dim=1,
-        matrices=(0.9 * phases).reshape(-1, 1, 1),
+        matrices=(math.log(0.9) + 1j * phases).reshape(-1, 1, 1),
     )
-    estimate = power_bounded_estimate(sample, 1024)
+    estimate = power_bounded_estimate(family, 1.0, sample_at(family, 1.0), 1024)
     assert estimate.certified
     crossing = None
     for n in power_schedule(1024):
-        cell_norms = np.array(
-            [norm2(np.linalg.matrix_power(sample.block(c), n)) for c in range(8)]
-        )
-        if ess_sup(sample.space, cell_norms) < 1e-6:
+        cell_norms = np.array([norm2(expm(family.block(c), n)) for c in range(8)])
+        if ess_sup(family.space, cell_norms) < 1e-6:
             crossing = n
             break
     assert crossing is not None and 260 / 3 <= crossing <= 260 * 3
@@ -324,10 +325,10 @@ def test_criterion_9_discrete_suite():
             gens = family.matrices + 0.2 * np.eye(3)
             family = PointwiseFamily(space=family.space, dim=3, matrices=gens)
         continuous = classify_uniform(family, 1.0, 1e-3)
-        discrete = classify_discrete_uniform(trajectory(family, [1.0])[0], 1e-3)
+        discrete = classify_discrete_uniform(family, 1.0, sample_at(family, 1.0), 1e-3)
         assert discrete.verdict == continuous.verdict
     report(
-        "criterion 9: discrete implication chain on 50 samples, 0.9-family "
+        "criterion 9: discrete implication chain on 50 generator families, 0.9-family "
         f"certified with 1e-6 crossing at n = {crossing} in [87, 780], and the "
         "time-1 bridge matches the continuous classifier"
     )

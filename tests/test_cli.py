@@ -442,6 +442,23 @@ class TestAnalyze:
         kinds = witness_kinds(payload["discrete"])
         assert kinds.count("unimodular-eigenvalue-cluster") == 1
 
+    def test_growing_family_reads_an_infinite_power_bound(self, tmp_path, capsys):
+        # e^{0.5 n} leaves the double range before n = 4096: the discrete
+        # power bound and both gate witnesses read inf, with no numpy
+        # warning, and the run exits 0
+        cfg = {
+            "family": {"builtin": "diagonal", "rates": [[0.5, 1.0], [-2.0, 0.0]]},
+            "discrete": {"enabled": True, "n_max": 4096},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            payload = analyze_payload(capsys, write_config(tmp_path, cfg))["discrete"]
+        assert capsys.readouterr().err == ""
+        assert payload["power_bound"] == math.inf
+        gates = [w["value"] for w in payload["witnesses"]
+                 if w["kind"] == "power-bound-gate-uncertified"]
+        assert gates == [math.inf, math.inf]
+
     def test_boundedness_certificate_computed_once(self, monkeypatch, capsys):
         calls = []
         certify = cli.stability.certify_bounded

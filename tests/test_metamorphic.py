@@ -15,7 +15,7 @@ from semistab.cases import diagonal_family, random_hurwitz_family, rotation_fami
 from semistab.discrete import build_discrete_report
 from semistab.measure import ATOMIC, DiscretizedMeasureSpace
 from semistab.report import MODE_ATOMIC, STABLE
-from semistab.semigroup import PointwiseFamily, sample_at, time_grid
+from semistab.semigroup import PointwiseFamily, time_grid
 from semistab.stability import (
     certify_bounded,
     classify_almost_weak,
@@ -108,7 +108,7 @@ def verdicts(family, horizon, n_max):
     gate = certify_bounded(family, time_grid(horizon, 17))
     strong = classify_strong(family, gate)
     weak = classify_almost_weak(family, gate, mode=MODE_ATOMIC)
-    report = build_discrete_report(sample_at(family, 1.0), margin=1e-6, n_max=n_max)
+    report = build_discrete_report(family, 1.0, margin=1e-6, n_max=n_max)
     continuous = tuple(
         (r.verdict, sorted(w.kind for w in r.witnesses)) for r in (uniform, strong, weak)
     )

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistab import cli, linalg, semigroup
-from semistab.linalg import CONTRACTION, expm_norms, floor_norms, norm2
+from semistab import cli, discrete, linalg, semigroup
+from semistab.discrete import power_schedule
+from semistab.linalg import CONTRACTION, expm_norms, norm2
 from semistab.measure import ATOMIC, DiscretizedMeasureSpace
 from semistab.cases import random_hurwitz_family, zabczyk_family
 from semistab.semigroup import PointwiseFamily, orbit_norms, random_probes, time_grid
@@ -124,36 +125,6 @@ class TestGramBracket:
             np.testing.assert_array_equal(bits(lo), bits(exact))
             np.testing.assert_array_equal(bits(hi), bits(exact))
 
-    @CHECKS
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
-           kinds=st.lists(st.sampled_from(["dense", "rank-one", "unitary", "zero", "huge",
-                                           "tiny", "duplicate"]), min_size=1, max_size=6))
-    def test_floor_norms_keep_the_maximum_over_calls(self, seed, k, kinds):
-        # the discrete power bound: one (1,) floor across several stacks
-        rng = np.random.default_rng(seed)
-        stacks = []
-        for kind in kinds:
-            m = rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k))
-            if kind == "rank-one":
-                m = m[:, :, :1] @ m[:, :1, :].conj()
-            elif kind == "unitary":
-                m = np.stack([np.eye(k, dtype=complex)[rng.permutation(k)] for _ in range(3)])
-            elif kind == "zero":
-                m[:] = 0.0
-            elif kind in ("huge", "tiny"):
-                m *= 2.0**900 if kind == "huge" else 2.0**-900
-            elif stacks:
-                m = stacks[-1].copy()
-            stacks.append(m)
-        floor = np.zeros(1)
-        got = [floor_norms(m, floor) for m in stacks]
-        exact = [norm2(m) for m in stacks]
-        for g, x in zip(got, exact):
-            assert (g >= x).all()
-        top = max(float(x.max()) for x in exact)
-        assert bits(max(float(g.max()) for g in got)) == bits(top)
-        assert bits(floor[0]) == bits(top)
-
 
 class TestExpmNormsFloor:
     @CHECKS
@@ -177,6 +148,26 @@ class TestExpmNormsFloor:
         check_filtered(exact, got, floor, times, contract)
         # the probe norms never depend on the floor
         np.testing.assert_array_equal(bits(got_v), bits(exact_v))
+
+    @CHECKS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5),
+           routes=st.lists(st.sampled_from(ROUTES), min_size=1, max_size=4),
+           specials=SPECIALS, step=st.sampled_from([0.25, 1.0, 3.0]))
+    def test_one_floor_keeps_the_maximum_over_calls(self, seed, k, routes, specials, step):
+        # the discrete power bound: one (1,) floor carried across the calls
+        # of several stacks, at the times n t of a power schedule
+        times = step * np.array(power_schedule(64), dtype=float)
+        floor, got, exact = np.zeros(1), [], []
+        for i, route in enumerate(routes):
+            a = generator_stack(seed + i, k, route, specials)
+            none = np.zeros((0, len(a), k))
+            exact.append(expm_norms(a, times, none)[0])
+            got.append(expm_norms(a, times, none, floor=floor)[0])
+        for g, x in zip(got, exact):
+            assert (g >= x).all()
+        top = max(float(x.max()) for x in exact)
+        assert bits(max(float(g.max()) for g in got)) == bits(top)
+        assert bits(floor[0]) == bits(top)
 
     @CHECKS
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), route=st.sampled_from(ROUTES),
@@ -572,6 +563,24 @@ def test_zab40_smoke_runs_fewer_eigensolves_than_pairs(tmp_path, monkeypatch):
     assert sum(solves) == sum(pairs)
 
 
+def stage_log(monkeypatch):
+    """{"continuous": [], "discrete": [], "stage": name}: a spy appends to
+    log[log["stage"]], which reads "discrete" while the CLI's discrete stage
+    runs and "continuous" otherwise."""
+    log = {"continuous": [], "discrete": [], "stage": "continuous"}
+    real = discrete.build_discrete_report
+
+    def tagged(*args, **kwargs):
+        log["stage"] = "discrete"
+        try:
+            return real(*args, **kwargs)
+        finally:
+            log["stage"] = "continuous"
+
+    monkeypatch.setattr(cli.discrete, "build_discrete_report", tagged)
+    return log
+
+
 @pytest.mark.parametrize("workload, want", [("zab40", 152), ("rh64", 6017)])
 def test_analyze_examines_the_lead_once_per_horizon(tmp_path, monkeypatch, workload, want):
     # the uniform lead pass solves the lead's norms exactly once one falls
@@ -579,29 +588,40 @@ def test_analyze_examines_the_lead_once_per_horizon(tmp_path, monkeypatch, workl
     # (rh64) fewer (time, cell) pairs than a second, exact lead pass. The
     # floor passes settle t = 0 without the kernel (rh64: 48 + 63 x 47 +
     # 64 x 47 pairs), and zab40's skip the cells whose certified bound stays
-    # below the floor (1,296 pairs without the screen and the t = 0 rule)
-    pairs = []
+    # below the floor (1,296 pairs without the screen and the t = 0 rule).
+    # rh64's discrete stage examines its 16 scheduled powers and one norm
+    # check power on each of the 64 cells
+    log = stage_log(monkeypatch)
     real_norms = linalg.expm_norms
-    monkeypatch.setattr(linalg, "expm_norms", lambda a, t, v, **kw: pairs.append(
+    monkeypatch.setattr(linalg, "expm_norms", lambda a, t, v, **kw: log[log["stage"]].append(
         len(np.reshape(t, -1)) * len(a)) or real_norms(a, t, v, **kw))
     path = tmp_path / f"{workload}.json"
     path.write_text(json.dumps(make_config(workload, 1)))
     cli.run_analysis(cli.load_config(path))
-    assert sum(pairs) == want
+    assert sum(log["continuous"]) == want
+    assert sum(log["discrete"]) == (17 * 64 if workload == "rh64" else 0)
 
 
 def test_rh64_analyze_forms_few_eigenbasis_products(tmp_path, monkeypatch):
     # every rh64 block takes the eigenbasis route; the floor passes form only
     # the (time, cell) pairs whose certified bound can reach the floor
-    # (6,081 products and 1,348 solved matrices without the screen)
-    pairs, solves = [], []
+    # (6,081 products and 1,348 solved matrices without the screen). The
+    # discrete stage forms its sample (64 products) and, of its 1,088 power
+    # pairs, again only those that can reach its floor
+    log = stage_log(monkeypatch)
     real_chunk, real_top = linalg._eigen_chunk, linalg._top
-    monkeypatch.setattr(linalg, "_eigen_chunk", lambda w, v, vinv, t: pairs.append(
-        len(t)) or real_chunk(w, v, vinv, t))
-    monkeypatch.setattr(linalg, "_top", lambda gram, e: solves.append(
-        int(np.prod(gram.shape[:-2]))) or real_top(gram, e))
+    monkeypatch.setattr(linalg, "_eigen_chunk", lambda w, v, vinv, t: log[log["stage"]].append(
+        ("products", len(t))) or real_chunk(w, v, vinv, t))
+    monkeypatch.setattr(linalg, "_top", lambda gram, e: log[log["stage"]].append(
+        ("solves", int(np.prod(gram.shape[:-2])))) or real_top(gram, e))
     path = tmp_path / "rh64.json"
     path.write_text(json.dumps(make_config("rh64", 1)))
     cli.run_analysis(cli.load_config(path))
-    assert sum(pairs) <= 600
-    assert sum(solves) <= 300
+
+    def total(stage, kind):
+        return sum(n for what, n in log[stage] if what == kind)
+
+    assert total("continuous", "products") <= 600
+    assert total("continuous", "solves") <= 300
+    assert 64 < total("discrete", "products") <= 300
+    assert total("discrete", "solves") <= 20

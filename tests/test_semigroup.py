@@ -13,7 +13,6 @@ from semistab.semigroup import (
     BochnerFunction,
     PointwiseFamily,
     apply,
-    identity_sample,
     lp_norm,
     norm_curves,
     orbit_norms,
@@ -32,6 +31,11 @@ from oracles import operator_norm, real_factor, sample_norms
 def space_of(weights):
     weights = np.asarray(weights, dtype=float)
     return DiscretizedMeasureSpace(weights=weights, labels=np.arange(weights.size, dtype=float))
+
+
+def identity_sample(space, dim):
+    mats = np.broadcast_to(np.eye(dim, dtype=complex), (space.n_cells, dim, dim))
+    return PointwiseFamily(space=space, dim=dim, matrices=mats)
 
 
 def random_sample(rng, cells, dim, weights=None):
