@@ -137,7 +137,10 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
             witnesses=(Witness(None, floor, "norm-decay-crosscheck-failed"),),
             tolerances=tolerances,
         )
-    bound = max(1.0, float((ess_norms * np.exp(eps * times)).max()))
+    # e^{eps t} may leave the double range: M is then inf, but a zero norm adds 0
+    with np.errstate(over="ignore"):
+        growth = np.exp(eps * times, out=np.zeros_like(times), where=ess_norms > 0)
+        bound = max(1.0, float((ess_norms * growth).max()))
     return UniformResult(
         STABLE,
         rho_star,

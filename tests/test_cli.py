@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -871,6 +872,77 @@ class TestDeterminism:
             env=env,
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def run_python(*args):
+    """`python ARGS` in a fresh process that imports semistab from this
+    checkout's src/; stdout and stderr as bytes."""
+    src = str(CONFIG_DIR.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+class TestFrozenExit:
+    """`main` freezes the import graph, and the process still ends through
+    the normal exit: every byte of output is flushed and every error line
+    written."""
+
+    @pytest.mark.parametrize("command, flag", [("analyze", "--out"), ("trajectory", "--csv")])
+    def test_stdout_carries_the_bytes_of_the_output_file(self, tmp_path, command, flag):
+        config = str(CONFIG_DIR / "rotation.json")
+        out = tmp_path / "output"
+        written = run_python("-m", "semistab.cli", command, config, flag, str(out))
+        assert (written.returncode, written.stdout, written.stderr) == (
+            0, f"wrote {out}\n".encode(), b""
+        )
+        printed = run_python("-m", "semistab.cli", command, config)
+        assert (printed.returncode, printed.stderr) == (0, b"")
+        assert printed.stdout == out.read_bytes()
+
+    def test_malformed_config_exits_2_with_its_whole_line(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"family": {"builtin": "rotation", "cells": 4},\n  "p": }\n')
+        with pytest.raises(ConfigError) as info:
+            cli.load_config(path)
+        proc = run_python("-m", "semistab.cli", "analyze", str(path))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == f"config error: {info.value}\n".encode()
+
+    def test_overflowing_exponential_exits_3_with_one_line(self, tmp_path):
+        cfg = {
+            "family": {"builtin": "diagonal", "rates": [[-1.0, 0.0], [1.0, 0.0]]},
+            "time": {"horizon": 800},
+        }
+        proc = run_python("-m", "semistab.cli", "analyze", write_config(tmp_path, cfg))
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        err = proc.stderr.decode().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure in stability.certify_bounded: ")
+
+
+class TestFreeze:
+    def test_main_freezes_and_leaves_the_collector_on(self, tmp_path):
+        # a cycle made after main returns is still reclaimed: main freezes
+        # what is alive, it does not switch the collector off
+        path = write_config(tmp_path, make_config("rot256", 1, "smoke"))
+        code = (
+            "import gc, sys, weakref\n"
+            "from semistab import cli\n"
+            "code = cli.main(['analyze', sys.argv[1], '--quiet'])\n"
+            "class Node: pass\n"
+            "node = Node(); node.self = node; ref = weakref.ref(node); del node\n"
+            "gc.collect()\n"
+            "print(code, gc.get_freeze_count() > 0, gc.isenabled(), ref() is None)\n"
+        )
+        proc = run_python("-c", code, path)
+        assert (proc.stdout, proc.stderr) == (b"0 True True True\n", b"")
+
+    def test_run_analysis_freezes_nothing(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path, make_config("rh64", 1, "smoke")))
+        before = gc.get_freeze_count()
+        cli.run_analysis(cfg)
+        assert gc.get_freeze_count() == before
 
 
 #: values of another kind for each kind of config value; a kind not listed

@@ -103,6 +103,13 @@ class TestClassifyUniform:
         assert result.rho_star == pytest.approx(math.exp(-0.5 / 10), rel=1e-12)
         assert result.decay_eps == pytest.approx(0.1, abs=1e-6)
 
+    def test_envelope_beyond_the_double_range_is_inf(self):
+        # at N = 110 the fit ||e^{tA}|| e^{eps t} reaches e^{845.7}: M is inf,
+        # formed without a numpy overflow warning (an error under pytest)
+        result = classify_uniform(zabczyk_family(110), 1.0, 1e-6)
+        assert result.verdict == STABLE
+        assert result.bound_M == math.inf
+
     def test_fitted_envelope_holds_on_grid(self):
         family = random_hurwitz_family(seed=2, dim=5, cells=4, margin=0.3)
         result = classify_uniform(family, 1.0, 1e-3)

@@ -241,3 +241,19 @@ def test_gate_digests_run_the_workload_configs(tmp_path):
     out = tmp_path / "report.json"
     assert cli.main([*runs[-3][1], "--out", str(out), "--quiet"]) == 0
     assert len(json.loads(out.read_text())["almost_weak"]["clusters"]) == 256
+
+
+def test_process_phases_sum_to_the_total(capsys):
+    # each process's phases sum to its total, and the medians of two
+    # processes are their means, so the printed medians sum to the total
+    process_phases = load_tool("process_phases")
+    root = TOOLS.parent
+    assert process_phases.main(
+        [str(root), "--workload", "rot256", "--processes", "2", "--scale", "smoke"]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "rot256 (smoke, seed 1), 2 processes, ms"
+    rows = {line.split()[0]: float(line.split()[1]) for line in lines[2:]}
+    assert list(rows) == [name for name, _, _ in process_phases.PHASES]
+    assert all(value > 0 for value in rows.values())
+    assert abs(sum(rows.values()) - 2 * rows["total"]) < 1.0
