@@ -70,12 +70,9 @@ def random_hurwitz_family(seed, dim, cells, margin):
         raise DomainError("margin must be positive")
     if dim < 1 or cells < 1:
         raise DomainError("dim and cells must be positive")
-    rng = np.random.default_rng(seed)
-    draws = np.empty((cells, dim, dim), dtype=complex)
-    for c in range(cells):
-        draws[c] = (
-            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        ) / np.sqrt(2.0 * dim)
+    # per cell the real parts, then the imaginary parts, from one stream
+    z = np.random.default_rng(seed).standard_normal((cells, 2, dim, dim))
+    draws = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0 * dim)
     shifts = linalg.eigenvalues(draws).real.max(axis=1) + margin
     generators = draws - shifts[:, None, None] * np.eye(dim, dtype=complex)
     space = DiscretizedMeasureSpace(

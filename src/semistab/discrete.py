@@ -2,14 +2,15 @@
 
 The operator is the sample M = e^{tA} of a generator family at one time t
 (semigroup.sample_at), which supplies the spectral table e^{t lambda} and
-the matrices of the rank tests. Its powers are M^n = e^{ntA}, so every
-||M(s)^n|| is read from the family's factors (semigroup.orbit_norms at the
-times n t). The same three notions as in continuous time, decided through
-the pointwise spectral radii: uniform iff ess-sup r(M(s)) < 1, strong iff
-r(M(s)) < 1 on every positive-weight cell of a power-bounded sample, almost
-weak iff no positive-weight cell carries unit-circle point spectrum. Power
-boundedness is certified spectrally (radius below one, or unimodular
-eigenvalues semisimple) and observed along a doubling power schedule.
+the matrices of the rank tests, formed only on the cells that can take one.
+Its powers are M^n = e^{ntA}, so every ||M(s)^n|| is read from the family's
+factors (semigroup.orbit_norms at the times n t). The same three notions as
+in continuous time, decided through the pointwise spectral radii: uniform
+iff ess-sup r(M(s)) < 1, strong iff r(M(s)) < 1 on every positive-weight
+cell of a power-bounded sample, almost weak iff no positive-weight cell
+carries unit-circle point spectrum. Power boundedness is certified
+spectrally (radius below one, or unimodular eigenvalues semisimple) and
+observed along a doubling power schedule.
 """
 
 import math
@@ -173,9 +174,15 @@ def classify_discrete_almost_weak(sample, gate, *, uni_tol=1e-9, match_tol=1e-6)
 
 def build_discrete_report(family, t, *, margin, n_max, uni_tol=1e-9, match_tol=1e-6):
     """Run all three discrete classifiers on the powers of M = e^{tA} of
-    `family`, sampled once (semigroup.sample_at, which raises
-    NumericalFailureError when M overflows), and assemble the report."""
-    sample = semigroup.sample_at(family, t)
+    `family`, sampled once, and assemble the report. The classifiers read
+    the sample's eigenvalue table e^{t lambda}, and its matrices only for
+    the rank tests of boundary_faults, which take cells with an eigenvalue
+    within uni_tol of the unit circle: only those cells are exponentiated
+    (semigroup.sample_at, which raises NumericalFailureError when one of
+    them overflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = _modulus_gap(np.exp(t * family.eigenvalues))
+    sample = semigroup.sample_at(family, t, np.flatnonzero((np.abs(gap) <= uni_tol).any(axis=1)))
     gate = power_bounded_estimate(family, t, sample, n_max, uni_tol=uni_tol, match_tol=match_tol)
     uniform = classify_discrete_uniform(family, t, sample, margin)
     strong = classify_discrete_strong(sample, gate, uni_tol=uni_tol)

@@ -12,14 +12,17 @@ runs that are not finite:
   with the real factor R(t) = e^{t Re lambda} sum_{j<k} t^j/j! N^j accurate
   entry by entry, formed from the nonzero entries of the powers of N only
   (_Band): work in proportion to their count, k(k+1)/2 for a shift;
-* eigenbasis: every other block whose eigenvector matrix V has
-  cond2(V) <= EIGENBASIS_COND takes V e^{t Lambda} V^-1 (Moler & Van Loan,
-  SIAM Review 2003, method 14): one eigendecomposition and one inverse per
-  block serve every time and call, and each (time, block) pair costs one
-  k x k product;
-* Pade: every remaining block takes scaling-and-squaring with diagonal Pade
-  approximants after shifting the mean imaginary part of the diagonal out
-  of tA.
+* eigenbasis (module eigenbasis): every other block whose eigenvector
+  matrix V has cond2(V) <= EIGENBASIS_COND takes V e^{t Lambda} V^-1 (Moler
+  & Van Loan, SIAM Review 2003, method 14): one eigendecomposition and one
+  inverse per block serve every time and call, and each (time, block) pair
+  costs one k x k product;
+* Pade (module pade): every remaining block takes scaling-and-squaring with
+  diagonal Pade approximants after shifting the mean imaginary part of the
+  diagonal out of tA.
+
+The two route modules load the first time a stack holds a block for them,
+so a run whose blocks all take the closed form compiles neither.
 
 e^{0 A} is exactly I on every route. expm_stack stores e^{tA} from the runs
 (a single matrix is a stack of one at one time), expm_norms ||e^{tA}|| and
@@ -41,9 +44,9 @@ the floor (expm_norms; the discrete power norms read e^{ntA} there too).
 Before any kernel runs, a closed-form block's norms are bounded from its
 lambda and N alone (closed_form_bounds), so a caller can skip a block that
 cannot reach the floor, and an eigenbasis block's from its factors
-(eigenbasis_bounds: the smaller of a log-norm and a spectral-projector
-bound), so a floor pass forms only the (time, block) products that can
-reach the floor, those of largest bound first.
+(eigenbasis.eigenbasis_bounds: the smaller of a log-norm and a
+spectral-projector bound), so a floor pass forms only the (time, block)
+products that can reach the floor, those of largest bound first.
 """
 
 import math
@@ -281,135 +284,12 @@ def vector_norms(x):
     return np.ldexp(np.linalg.norm(c, axis=-1), e[..., 0])
 
 
-# Diagonal Pade coefficients and 1-norm switchover thresholds for the
-# scaling-and-squaring matrix exponential (orders 3/5/7/9/13).
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (
-        17643225600.0,
-        8821612800.0,
-        2075673600.0,
-        302702400.0,
-        30270240.0,
-        2162160.0,
-        110880.0,
-        3960.0,
-        90.0,
-        1.0,
-    ),
-    13: (
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
-    ),
-}
-_PADE_THETA = (
-    (3, 1.495585217958292e-2),
-    (5, 2.539398330063230e-1),
-    (7, 9.504178996162932e-1),
-    (9, 2.097847961257068e0),
-    (13, 5.371920351148152e0),
-)
-
-
-def _pade_low(a, coeffs):
-    # odd/even split: u = a * (c1 I + c3 a^2 + ...), v = c0 I + c2 a^2 + ...
-    n = a.shape[-1]
-    a2 = a @ a
-    pows = [np.eye(n, dtype=complex)]
-    for _ in range((len(coeffs) - 1) // 2):
-        pows.append(pows[-1] @ a2)
-    v = sum(coeffs[2 * j] * pows[j] for j in range((len(coeffs) + 1) // 2))
-    u = a @ sum(coeffs[2 * j + 1] * pows[j] for j in range(len(coeffs) // 2))
-    return u, v
-
-
-def _pade13(a):
-    c = _PADE_COEFFS[13]
-    n = a.shape[-1]
-    ident = np.eye(n, dtype=complex)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
-        + c[7] * a6
-        + c[5] * a4
-        + c[3] * a2
-        + c[1] * ident
-    )
-    v = (
-        a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
-        + c[6] * a6
-        + c[4] * a4
-        + c[2] * a2
-        + c[0] * ident
-    )
-    return u, v
-
-
-def _pade_solve(u, v):
-    try:
-        return np.linalg.solve(v - u, v + u)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
-        raise NumericalFailureError(f"Pade denominator solve failed: {exc}")
-
-
 #: largest size in bytes of the complex matrices of one eigenbasis or Pade
 #: chunk of _runs (at least one (time, block) pair), which bounds the memory
 #: of their temporaries. A closed-form chunk holds at least one block's
 #: (k, k, k) power basis, and its time passes may use as many bytes as its
 #: real basis.
 STACK_BYTES = 1 << 16
-
-
-def _pade_chunk(a, t):
-    # Per matrix exactly the arithmetic of a one-matrix scaling-and-squaring
-    # of tA - i theta I, theta = Im tr(tA) / n, times e^{i theta}: the same
-    # 1-norm, Pade order, approximant, solve and squaring count. The shift
-    # is imaginary, so its factor has modulus 1 and cannot overflow. One
-    # Pade evaluation runs per order; the order-13 matrices run sorted by
-    # squaring count, and each squaring runs on the suffix still needing it.
-    n = a.shape[-1]
-    m = t[:, None, None] * a
-    shift = np.trace(m, axis1=1, axis2=2).imag / n
-    diag = np.arange(n)
-    m[:, diag, diag] -= 1j * shift[:, None]
-    norm1 = np.abs(m).sum(axis=1).max(axis=1)
-    # an overflowed tA gets the cheapest order; its result is not finite
-    # either, and _runs reports that
-    norm1[~np.isfinite(norm1)] = 0.0
-    level = np.searchsorted([theta for _, theta in _PADE_THETA[:-1]], norm1)
-    out = np.empty_like(m)
-    for lv in sorted(set(level.tolist())):
-        idx = np.flatnonzero(level == lv)
-        order = _PADE_THETA[lv][0]
-        if order < 13:
-            out[idx] = _pade_solve(*_pade_low(m[idx], _PADE_COEFFS[order]))
-            continue
-        squarings = np.maximum(0, np.ceil(np.log2(norm1[idx] / _PADE_THETA[-1][1])))
-        perm = np.argsort(squarings, kind="stable")
-        idx, squarings = idx[perm], squarings[perm]
-        f = _pade_solve(*_pade13(m[idx] / (2.0**squarings)[:, None, None]))
-        for j in range(1, int(squarings[-1]) + 1):
-            lo = int(np.searchsorted(squarings, j))
-            f[lo:] = f[lo:] @ f[lo:]
-        out[idx] = f
-    out *= np.exp(1j * shift)[:, None, None]
-    return out
 
 
 def _closed_form_blocks(a, dims=None):
@@ -633,153 +513,20 @@ def _real_factor(a, t, band, weights=None):
     return acc.reshape(-1, q, k, k)
 
 
-#: a block off the closed form whose eigenvector matrix V (LAPACK's, unit
-#: columns) has a 2-norm condition number at most this takes
-#: e^{tA} = V e^{t Lambda} V^-1, the others take Pade. The route errs by
-#: about t ||A|| cond2(V) unit roundoffs (README, "Accuracy of the routes").
-EIGENBASIS_COND = 1e2
-
-
-class Eigen(NamedTuple):
-    """What the eigenbasis route keeps of q k x k blocks A = V Lambda V^-1:
-    the eigenvalues `w` (q, k), V `v` (LAPACK's, unit columns) and its
-    computed inverse W `vinv` (q, k, k); and for eigenbasis_bounds:
-
-    * `weights` (q, k): the projector weights p_j = ||v_j|| ||w_j|| of
-      column j of V and row j of W;
-    * `miss` (q,): r >= ||V W - I||_F;
-    * `rate` (q,): the log-norm rate mu_2(A) + delta, with delta >= ||A - A'||_2
-      for A' = V Lambda' V^-1 and every Lambda' within a unit roundoff of
-      Lambda, such as the computed t Lambda over t: ||A V - V Lambda||_F
-      ||W||_F / (1 - r), widened for the rounding of the eigensolvers and
-      of these norms;
-    * `spread` and `spread_rate` (q,): the exact e^{tA} is within
-      t spread e^{t spread_rate} of V e^{t Lambda} V^-1, with spread =
-      delta K^2, spread_rate = max Re lambda + K delta and K = ||V||_F
-      ||W||_F / (1 - r) >= ||V||_2 ||V^-1||_2 (variation of constants and
-      Gronwall's lemma).
-
-    The last three are +inf where r >= 1."""
-
-    w: np.ndarray
-    v: np.ndarray
-    vinv: np.ndarray
-    weights: np.ndarray
-    miss: np.ndarray
-    rate: np.ndarray
-    spread: np.ndarray
-    spread_rate: np.ndarray
-
-
-def _eigenbasis(a):
-    # (well, Eigen) of a (m, k, k) stack: which blocks have an eigenvector
-    # matrix V with cond2(V) <= EIGENBASIS_COND, and the Eigen of those (q
-    # of them). LAPACK runs once per matrix, so a block's bits do not depend
-    # on the stack.
-    try:
-        w, v = np.linalg.eig(a)
-        sig = np.linalg.svd(v, compute_uv=False)
-        well = sig[:, 0] <= EIGENBASIS_COND * sig[:, -1]
-        return well, _eigen(a[well], w[well], v[well], np.linalg.inv(v[well]))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"dense eigensolver did not converge: {exc}", iterations=30 * a.shape[-1]
-        )
-
-
-def _eigen(a, w, v, vinv):
-    # the Eigen of (q, k, k) blocks a with eigenvalues w, eigenvectors v and
-    # an inverse vinv of v, whatever their errors
-    q, k = w.shape
-    slack = BRACKET_SLACK * k
-    # mu_2(A), the largest eigenvalue of the Hermitian part
-    top = np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(1, 2)))[:, -1]
-    fro = [vector_norms(x.reshape(q, k * k)) * (1.0 + slack)
-           for x in (v, vinv, a, v @ vinv - np.eye(k), a @ v - v * w[:, None, :])]
-    vf, wf, af = fro[:3]
-    miss = fro[3] + slack * vf * wf
-    with np.errstate(divide="ignore"):
-        # 1 / (1 - r), widened
-        lift = np.where(miss < 1.0, (1.0 + slack) / (1.0 - miss), np.inf)
-    delta = (fro[4] + slack * vf * (af + np.abs(w).max(axis=1))) * wf * lift
-    cond = vf * wf * lift
-    weights = vector_norms(v.swapaxes(1, 2)) * vector_norms(vinv)
-    return Eigen(w, v, vinv, weights, miss, top + (delta + slack * af), delta * cond**2,
-                 w.real.max(axis=1) + cond * delta)
-
-
-def eigenbasis_bounds(eigen, t):
-    """(len(t), q) certified upper bounds U on norm2 of the computed
-    V e^{t Lambda} V^-1 (_eigen_chunk) of the q blocks of Eigen `eigen`, and
-    on the exact ||e^{tA}||: U(t) = min(U1, U2) (1 + g), with g =
-    2 BRACKET_SLACK k and the projector sum P(t) = sum_j e^{t Re lambda_j}
-    p_j.
-
-    * U1 = e^{t rate} (1 + r) + g P(t), the log-norm bound (Soderlind, BIT
-      2006), tight at short times;
-    * U2 = (1 + g) P(t) / (1 - r) + t spread e^{t spread_rate}, the
-      spectral-projector bound, tight at long times.
-
-    g P covers the rounding of the product, entrywise at most about
-    g |V| |e^{t Lambda}| |W|, whose 2-norm is at most g P(t). As in
-    closed_form_bounds each term of P is raised to at least the smallest
-    normal double, since a subnormal e^{t lambda} rounds to an absolute
-    error, and each exponent is widened by BRACKET_SLACK times 2k plus the
-    magnitudes of its terms. U is +inf where t lambda is not finite and
-    exactly 1 at t = 0. The temporaries are (times, q, k) slices within
-    STACK_BYTES."""
-    t = np.asarray(t, dtype=float).reshape(-1)
-    q, k = eigen.weights.shape
-    slack = BRACKET_SLACK * k
-    out = np.empty((t.size, q))
-    log_p = np.log(eigen.weights)
-    step = max(1, STACK_BYTES // (8 * max(1, q * k)))
-
-    def grow(s, rate):
-        # e^{s rate}, the exponent widened
-        x = s * rate
-        return np.exp(x + slack * (np.abs(x) + 2 * k))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, t.size, step):
-            s = t[first : first + step, None]
-            # the real parts of the computed t lambda, as _eigen_chunk forms them
-            x = s[..., None] * eigen.w.real
-            # each term raised to the smallest normal, as in closed_form_bounds
-            x = np.maximum(x + log_p, math.log(_TINY)) + slack * (
-                np.abs(x) + np.abs(log_p) + 2 * k)
-            proj = np.exp(x, out=x).sum(axis=-1)
-            out[first : first + step] = np.fmin(
-                grow(s, eigen.rate) * (1.0 + eigen.miss) + 2 * slack * proj,
-                (1.0 + 2 * slack) * proj / (1.0 - eigen.miss)
-                + s * eigen.spread * grow(s, eigen.spread_rate)) * (1.0 + 2 * slack)
-        out[~np.isfinite(t[:, None] * np.abs(eigen.w).max(axis=1))] = np.inf
-    out[t == 0] = 1.0
-    return out
-
-
-def _eigen_chunk(w, v, vinv, t):
-    # V e^{t Lambda} V^-1 for (pairs, k) eigenvalues and (pairs, k, k) V and
-    # V^-1, one k x k product per (time, block) pair; exactly I at t = 0,
-    # where V V^-1 misses I by a few ulps
-    f = (v * np.exp(t[:, None] * w)[:, None, :]) @ vinv
-    f[t == 0] = np.eye(w.shape[-1])
-    return f
-
-
 class Factor(NamedTuple):
     """What the kernels keep of a (m, k, k) stack across calls (factorize):
     `closed` (m,) marks the closed-form blocks, and `bands` holds their
     _Band per chunk of consecutive closed-form blocks whose complex power
     basis fits STACK_BYTES (at least one block); `well` (m,) marks the
-    blocks on the eigenbasis route, and `eigen` holds their Eigen
-    (_eigenbasis). The other blocks take Pade, from the matrices alone.
-    Every array of a factorize result is read-only."""
+    blocks on the eigenbasis route, and `eigen` holds their eigenbasis.Eigen
+    (eigenbasis._eigenbasis), None when every block takes the closed form.
+    The other blocks take Pade, from the matrices alone. Every array of a
+    factorize result is read-only."""
 
     closed: np.ndarray
     bands: tuple
     well: np.ndarray
-    eigen: Eigen | None
+    eigen: tuple | None
 
     def take(self, sub):
         """The factor of the sub-stack a[sub], for sorted distinct positions
@@ -799,7 +546,7 @@ class Factor(NamedTuple):
         eigen = None
         if well.any():
             at = (np.cumsum(self.well) - 1)[sub[well]]
-            eigen = Eigen(*(x[at] for x in self.eigen))
+            eigen = self.eigen._make(x[at] for x in self.eigen)
         return Factor(closed, tuple(bands), well, eigen)
 
 
@@ -818,7 +565,9 @@ def factorize(a):
     eigen = None
     rest = np.flatnonzero(~closed)
     if rest.size:
-        ok, eigen = _eigenbasis(a[rest])
+        from . import eigenbasis
+
+        ok, eigen = eigenbasis._eigenbasis(a[rest])
         well[rest[ok]] = True
     for x in (closed, well, *(x for band in bands for x in band), *(eigen or ())):
         x.setflags(write=False)
@@ -836,10 +585,11 @@ def _runs(a, t, select=None, factor=None):
       doubles) that form R(t) from the band (_real_factor): steps is a
       (T, 1) column of time indices, cols the q blocks, f = R and
       angle = t Im lambda, (T, q).
-    * the blocks with cond2(V) <= EIGENBASIS_COND run through _eigen_chunk,
-      the rest through _pade_chunk, each in time-major chunks of (time,
-      block) pairs within STACK_BYTES (at least one pair): steps and cols
-      index the pairs, f is e^{tA} (pairs, k, k), angle is None.
+    * the blocks with cond2(V) <= EIGENBASIS_COND run through
+      eigenbasis._eigen_chunk, the rest through pade._pade_chunk, each in
+      time-major chunks of (time, block) pairs within STACK_BYTES (at least
+      one pair): steps and cols index the pairs, f is e^{tA} (pairs, k, k),
+      angle is None.
 
     With `select`, a closed-form pass first calls select(steps, cols, lo,
     hi) with certified bounds lo <= norm2(R) <= hi of its (T, q) pairs,
@@ -847,7 +597,7 @@ def _runs(a, t, select=None, factor=None):
     forms R only at the times where select returns True for some block (or
     where t Im lambda is not finite); the other times are not yielded. The
     eigenbasis pairs are screened the same way with lo = 0 and hi their
-    certified bound (eigenbasis_bounds), pair by pair: they are visited in
+    certified bound (eigenbasis.eigenbasis_bounds), pair by pair: they are visited in
     the order select.order(steps, hi) gives, and before each chunk select
     is called on every pair not yet formed, so a chunk holds only pairs it
     keeps, and a floor that the earlier chunks raised drops the rest.
@@ -871,11 +621,10 @@ def _runs(a, t, select=None, factor=None):
         for start in range(0, t.size * m, size):
             yield np.divmod(np.arange(start, min(start + size, t.size * m)), m)
 
-    def screened(ids):
+    def screened(ids, bounds):
         # (steps, sub): the pairs of the eigenbasis blocks `ids` that select
-        # keeps, in select.order of their bounds; select sees the pairs left
-        # again before each chunk
-        bounds = eigenbasis_bounds(factor.eigen, t).reshape(-1)
+        # keeps, in select.order of their time-major bounds; select sees the
+        # pairs left again before each chunk
         at = select.order(np.arange(bounds.size) // ids.size, bounds)
         (steps, sub), hi = np.divmod(at, ids.size), bounds[at]
         while steps.size:
@@ -909,14 +658,21 @@ def _runs(a, t, select=None, factor=None):
                 finite = (np.isfinite(r).all(axis=(2, 3)) & np.isfinite(angle)).all(axis=1)
                 yield steps[:, None], cols, r, angle, finite
         ids = np.flatnonzero(factor.well)
-        chunks = pairs(ids.size) if select is None or not ids.size else screened(ids)
-        for steps, sub in chunks:
-            f = _eigen_chunk(*(x[sub] for x in factor.eigen[:3]), t[steps])
-            yield steps, ids[sub], f, None, np.isfinite(f).all(axis=(1, 2))
+        if ids.size:
+            from . import eigenbasis
+
+            chunks = pairs(ids.size) if select is None else screened(
+                ids, eigenbasis.eigenbasis_bounds(factor.eigen, t).reshape(-1))
+            for steps, sub in chunks:
+                f = eigenbasis._eigen_chunk(*(x[sub] for x in factor.eigen[:3]), t[steps])
+                yield steps, ids[sub], f, None, np.isfinite(f).all(axis=(1, 2))
         ids = np.flatnonzero(~factor.closed & ~factor.well)
-        for steps, sub in pairs(ids.size):
-            f = _pade_chunk(a[ids[sub]], t[steps])
-            yield steps, ids[sub], f, None, np.isfinite(f).all(axis=(1, 2))
+        if ids.size:
+            from . import pade
+
+            for steps, sub in pairs(ids.size):
+                f = pade._pade_chunk(a[ids[sub]], t[steps])
+                yield steps, ids[sub], f, None, np.isfinite(f).all(axis=(1, 2))
 
     bad = math.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -1074,10 +830,10 @@ def expm(a, t=1.0):
     """e^{tA} for t >= 0: the one-matrix view of expm_stack, so exactly I at
     t = 0. Entrywise accurate for lambda I + N with N strictly upper
     triangular and nonnegative. Otherwise V e^{t Lambda} V^-1 when the
-    eigenvector matrix has cond2(V) <= EIGENBASIS_COND, else scaling and
-    squaring; both are accurate to ~1e-13 relative for inputs of moderate
-    norm, and to about t ||A|| cond2(V) times the unit roundoff on the
-    eigenbasis route."""
+    eigenvector matrix has cond2(V) <= eigenbasis.EIGENBASIS_COND, else
+    scaling and squaring; both are accurate to ~1e-13 relative for inputs
+    of moderate norm, and to about t ||A|| cond2(V) times the unit roundoff
+    on the eigenbasis route."""
     a = as_matrix(a)
     if t < 0:
         raise DomainError("time must be nonnegative")

@@ -5,8 +5,6 @@ and a real parameter label. Almost-everywhere statements become statements
 over the cells of positive weight; null sets are cells of weight zero.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateSpaceError, DomainError, ShapeError
@@ -15,21 +13,13 @@ ATOMIC = "Atomic"
 REFINEMENT_FAMILY = "RefinementFamily"
 
 
-@dataclass(frozen=True, eq=False)
 class DiscretizedMeasureSpace:
-    """Weighted cell decomposition; cell ids run 0..n-1 in array order."""
+    """Weighted cell decomposition; cell ids run 0..n-1 in array order.
+    Equality and hashing are by identity."""
 
-    weights: np.ndarray
-    labels: np.ndarray
-    mode: str = ATOMIC
-    refinement_level: int = 1
-    widths: np.ndarray | None = None
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
-        labels = np.asarray(self.labels, dtype=float)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, weights, labels, mode=ATOMIC, refinement_level=1, widths=None):
+        weights = np.asarray(weights, dtype=float)
+        labels = np.asarray(labels, dtype=float)
         if weights.ndim != 1 or weights.size == 0:
             raise ShapeError("weights must be a nonempty 1-d array")
         if labels.shape != weights.shape:
@@ -38,17 +28,21 @@ class DiscretizedMeasureSpace:
             raise DomainError("cell weights must be finite and nonnegative")
         if not np.any(weights > 0):
             raise DegenerateSpaceError("at least one cell must have positive weight")
-        if self.mode not in (ATOMIC, REFINEMENT_FAMILY):
-            raise DomainError(f"unknown space mode {self.mode!r}")
-        if self.refinement_level < 1:
+        if mode not in (ATOMIC, REFINEMENT_FAMILY):
+            raise DomainError(f"unknown space mode {mode!r}")
+        if refinement_level < 1:
             raise DomainError("refinement_level must be a positive integer")
-        if self.widths is not None:
-            widths = np.asarray(self.widths, dtype=float)
-            object.__setattr__(self, "widths", widths)
+        if widths is not None:
+            widths = np.asarray(widths, dtype=float)
             if widths.shape != weights.shape:
                 raise ShapeError("widths must match weights in length")
             if np.any(widths <= 0):
                 raise DomainError("cell widths must be positive")
+        self.weights = weights
+        self.labels = labels
+        self.mode = mode
+        self.refinement_level = refinement_level
+        self.widths = widths
 
     @property
     def n_cells(self):

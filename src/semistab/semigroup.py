@@ -14,56 +14,50 @@ block.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import DomainError, NumericalFailureError, ShapeError
-from .measure import DiscretizedMeasureSpace
 from .report import INCONCLUSIVE, NOT_STABLE, STABLE, Cluster, Witness
 
 
-@dataclass(frozen=True, eq=False)
 class PointwiseFamily:
     """The map s -> M(s): one matrix per cell. The matrices must not be
     modified after construction, since the cell spectra and the kernel
     factors are kept, read-only: the spectra built on first use, the factor
     of each active-dimension group when a kernel pass first visits it.
     `rule`, when given, is the (d+1, dim, dim) coefficient stack of the
-    generator polynomial the matrices were sampled from (rule_matrices)."""
+    generator polynomial the matrices were sampled from (rule_matrices).
+    Equality and hashing are by identity."""
 
-    space: DiscretizedMeasureSpace
-    dim: int
-    matrices: np.ndarray
-    active_dims: np.ndarray | None = None
-    rule: np.ndarray | None = None
-
-    def __post_init__(self):
-        n_cells, dim = self.space.n_cells, self.dim
-        arr = np.asarray(self.matrices, dtype=complex)
+    def __init__(self, space, dim, matrices, active_dims=None, rule=None):
+        n_cells = space.n_cells
+        arr = np.asarray(matrices, dtype=complex)
         if arr.shape != (n_cells, dim, dim):
             raise ShapeError(
                 f"matrices must have shape ({n_cells}, {dim}, {dim}), got {arr.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise ShapeError("matrices contain non-finite entries")
-        object.__setattr__(self, "matrices", arr)
-        if self.active_dims is not None:
-            active = np.asarray(self.active_dims, dtype=int)
-            if active.shape != (n_cells,):
+        if active_dims is not None:
+            active_dims = np.asarray(active_dims, dtype=int)
+            if active_dims.shape != (n_cells,):
                 raise ShapeError("active_dims must have one entry per cell")
-            if np.any(active < 1) or np.any(active > dim):
+            if np.any(active_dims < 1) or np.any(active_dims > dim):
                 raise DomainError("active dimensions must lie in [1, dim]")
-            object.__setattr__(self, "active_dims", active)
-        if self.rule is not None:
-            rule = np.asarray(self.rule, dtype=complex)
+        if rule is not None:
+            rule = np.asarray(rule, dtype=complex)
             if rule.ndim != 3 or rule.shape[0] < 1 or rule.shape[1:] != (dim, dim):
                 raise ShapeError(f"rule must have shape (d + 1, {dim}, {dim}), got {rule.shape}")
             if not np.all(np.isfinite(rule)):
                 raise ShapeError("rule contains non-finite coefficients")
-            object.__setattr__(self, "rule", rule)
+        self.space = space
+        self.dim = dim
+        self.matrices = arr
+        self.active_dims = active_dims
+        self.rule = rule
 
     def block(self, cell):
         """Active block of the matrix at `cell`."""
@@ -103,12 +97,18 @@ class PointwiseFamily:
     @cached_property
     def eigenvalues(self):
         """Read-only (cells, dim) table of the eigenvalues of each cell's
-        active block, one stacked eigensolve per active dimension on first
-        use; NaN past each active block and on the zero-weight cells (null
-        sets, never solved)."""
+        active block, built on first use: a closed-form block lambda I + N
+        (linalg.envelope) has its diagonal for eigenvalues, which is what the
+        eigensolver returns for a triangular matrix, and the other blocks
+        take one stacked eigensolve per active dimension; NaN past each
+        active block and on the zero-weight cells (null sets, never solved)."""
         table = np.full((self.space.n_cells, self.dim), np.nan, dtype=complex)
+        closed = self._envelope.closed
         for ids, blocks in self.block_stacks(self.space.positive_cells()):
-            table[ids, : blocks.shape[-1]] = linalg.eigenvalues(blocks)
+            on, k = closed[ids], blocks.shape[-1]
+            table[ids[on], :k] = np.diagonal(blocks, axis1=1, axis2=2)[on]
+            if not on.all():
+                table[ids[~on], :k] = linalg.eigenvalues(blocks[~on])
         table.setflags(write=False)
         return table
 
@@ -179,21 +179,19 @@ class PointwiseFamily:
         return self.eigenvalues[cell, : self.block(cell).shape[0]]
 
 
-@dataclass(frozen=True, eq=False)
 class BochnerFunction:
-    """A vector-valued function: one state vector per cell."""
+    """A vector-valued function: one state vector per cell. Equality and
+    hashing are by identity."""
 
-    space: DiscretizedMeasureSpace
-    dim: int
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.vectors, dtype=complex)
-        if arr.shape != (self.space.n_cells, self.dim):
+    def __init__(self, space, dim, vectors):
+        arr = np.asarray(vectors, dtype=complex)
+        if arr.shape != (space.n_cells, dim):
             raise ShapeError(
-                f"vectors must have shape ({self.space.n_cells}, {self.dim}), got {arr.shape}"
+                f"vectors must have shape ({space.n_cells}, {dim}), got {arr.shape}"
             )
-        object.__setattr__(self, "vectors", arr)
+        self.space = space
+        self.dim = dim
+        self.vectors = arr
 
 
 def apply(sample, f):
@@ -312,14 +310,16 @@ def _time_points(times):
     return times
 
 
-def sample_at(family, t):
+def sample_at(family, t, cells=None):
     """The family e^{tA(s)} at one time t >= 0: one linalg.expm_stack call per
-    active-dimension group of the positive-weight cells, from the family's
-    factors, identity on the padding and on the zero-weight cells (null
-    sets, never exponentiated).
-    Each block is bit for bit linalg.expm(family.block(c), t). Its eigenvalue
-    table is e^{t lambda} over the family's, by spectral mapping, so no
-    exponential is eigensolved.
+    active-dimension group of the positive-weight cells among `cells`
+    (default: all of them), from the family's factors, identity on the
+    padding and on every other cell (the zero-weight cells are null sets,
+    never exponentiated).
+    Each block is bit for bit linalg.expm(family.block(c), t). The eigenvalue
+    table of every cell is e^{t lambda} over the family's, by spectral
+    mapping, so no exponential is eigensolved; an entry past the double
+    range reads inf, without a warning.
 
     Raises NumericalFailureError when an exponential overflows.
     """
@@ -327,12 +327,13 @@ def sample_at(family, t):
     if t < 0:
         raise DomainError("times must be nonnegative")
     mats = np.tile(np.eye(family.dim, dtype=complex), (family.space.n_cells, 1, 1))
-    for ids, blocks, factor in family.groups():
+    for ids, blocks, factor in family.groups(cells):
         k = blocks.shape[-1]
         mats[ids, :k, :k] = linalg.expm_stack(blocks, [t], factor=factor)[0]
     sample = PointwiseFamily(space=family.space, dim=family.dim, matrices=mats,
                              active_dims=family.active_dims)
-    table = np.exp(t * family.eigenvalues)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.exp(t * family.eigenvalues)
     table.setflags(write=False)
     vars(sample)["eigenvalues"] = table  # seeds the cached property
     return sample
@@ -381,7 +382,7 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=N
     of the closed-form cell of largest bound, then screens the others
     against the floor it left. Within a group the kernel forms an
     eigenbasis cell's e^{tA} only at the times where its certified bound
-    (linalg.eigenbasis_bounds) can reach the floor, the pairs of largest
+    (eigenbasis.eigenbasis_bounds) can reach the floor, the pairs of largest
     bound first (linalg.expm_norms); the others hold the bound.
 
     Raises DomainError when a probe is zero on the active blocks and

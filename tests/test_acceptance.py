@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semistab import linalg
+from semistab import eigenbasis
 from semistab.cases import random_hurwitz_family, rotation_family, zabczyk_family
 from semistab.discrete import (
     classify_discrete_almost_weak,
@@ -340,7 +340,7 @@ def test_criterion_10_determinism(tmp_path):
     rng = np.random.default_rng(10)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     jordan = q @ (-0.5 * np.eye(4) + np.diag(np.ones(3), 1)) @ q.conj().T
-    assert not linalg._eigenbasis(jordan[None])[0][0]
+    assert not eigenbasis._eigenbasis(jordan[None])[0][0]
     inline = tmp_path / "conjugated_jordan.json"
     inline.write_text(json.dumps({
         "family": {"matrices": [[[[z.real, z.imag] for z in row] for row in jordan]]},

@@ -10,7 +10,7 @@ from semistab.cases import (
     zabczyk_family,
 )
 from semistab.errors import ShapeError
-from semistab.linalg import ergodic_projection, expm, norm2, spectral_bound
+from semistab.linalg import eigenvalues, ergodic_projection, expm, norm2, spectral_bound
 from semistab.report import NOT_STABLE, STABLE
 from semistab.semigroup import time_grid
 from semistab.stability import (
@@ -123,6 +123,22 @@ class TestRandomHurwitzFamily:
         a = random_hurwitz_family(seed=9, dim=4, cells=3, margin=0.2)
         b = random_hurwitz_family(seed=10, dim=4, cells=3, margin=0.2)
         assert not np.array_equal(a.matrices, b.matrices)
+
+    @pytest.mark.parametrize("seed", [1, 12345, 2**31 - 5])
+    @pytest.mark.parametrize("cells, dim", [(64, 6), (10, 3), (5, 1)])
+    def test_draws_match_the_per_cell_loop(self, seed, cells, dim):
+        # one draw of every cell's real and imaginary parts takes the
+        # stream in the order of one draw per part and cell
+        rng = np.random.default_rng(seed)
+        draws = np.empty((cells, dim, dim), dtype=complex)
+        for c in range(cells):
+            draws[c] = (
+                rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            ) / np.sqrt(2.0 * dim)
+        shifts = eigenvalues(draws).real.max(axis=1) + 0.2
+        want = draws - shifts[:, None, None] * np.eye(dim, dtype=complex)
+        got = random_hurwitz_family(seed=seed, dim=dim, cells=cells, margin=0.2).matrices
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_classified_stable_at_half_margin(self):
         family = random_hurwitz_family(seed=1, dim=4, cells=5, margin=0.2)

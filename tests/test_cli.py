@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semistab import cli, linalg
+from semistab import cli, eigenbasis, linalg, pade
 from semistab.cases import zabczyk_family
 from semistab.errors import ConfigError, NumericalFailureError
 
@@ -290,7 +290,7 @@ class TestAnalyze:
         # classifier; e^{10 t} at the first grid time past 71, in the
         # boundedness certificate's eigenbasis route
         cell = conditioned_pair(3.0, (rate + 1j, rate - 1j))
-        assert linalg._eigenbasis(cell[None])[0][0]
+        assert eigenbasis._eigenbasis(cell[None])[0][0]
         path = write_config(tmp_path, {"family": {"matrices": [pairs(cell)]}})
         times = cli._time_grid(cli.load_config(path)["time"])
         first = 1.0 if rate > 709 else float(times[rate * times > math.log(np.finfo(float).max)][0])
@@ -671,6 +671,36 @@ def test_analyze_never_loads_numpy_ma(tmp_path, workload):
     assert (proc.stdout, proc.stderr) == ("0 False\n", "")
 
 
+def test_tracer_targets_load_with_the_cli(tmp_path):
+    # perfbench/tracer.py wraps each target in sys.modules right after
+    # `from semistab import cli, stability`: a module loaded on first use
+    # instead would run untraced
+    code = (
+        "import sys; from semistab import cli, stability; loaded = set(sys.modules); "
+        "sys.path.insert(0, sys.argv[1]); from tracer import TARGETS; "
+        "print(sorted({f'semistab.{m}' for m, *_ in TARGETS} - loaded), "
+        "'semistab.discrete' in loaded)"
+    )
+    proc = run_python("-c", code, str(CONFIG_DIR.parent / "perfbench"))
+    assert (proc.stdout, proc.stderr) == (b"[] True\n", b"")
+
+
+@pytest.mark.parametrize("workload", ["zab40", "rot256", "rh64"])
+def test_analyze_loads_only_the_routes_it_takes(tmp_path, workload):
+    # plain classes need no dataclasses; the Pade route serves no block of
+    # the three workloads, and the eigenbasis route only rh64's dense cells
+    # (zab40 and rot256 take the closed form)
+    path = write_config(tmp_path, make_config(workload, 1, "smoke"))
+    code = (
+        "import sys; from semistab import cli; "
+        "code = cli.main(['analyze', sys.argv[1], '--quiet']); "
+        "print(code, *(m in sys.modules for m in "
+        "('dataclasses', 'semistab.pade', 'semistab.eigenbasis')))"
+    )
+    proc = run_python("-c", code, path)
+    assert (proc.stdout, proc.stderr) == (f"0 False False {workload == 'rh64'}\n".encode(), b"")
+
+
 def analyze_and_trajectory(capsys, tmp_path, cfg, name):
     path = write_config(tmp_path, cfg, name)
     report = analyze_payload(capsys, path)
@@ -730,26 +760,52 @@ class TestZeroWeightCells:
         assert outputs[0][0]["uniform"]["verdict"] == "Stable"
 
 
+@pytest.mark.parametrize("t", [1000.0, 2000.0])
+def test_overflowing_discrete_sample_reads_the_spectra(capsys, tmp_path, t):
+    # e^{0.5 t} overflows at n = 2 for t = 1000 and at n = 1 for t = 2000;
+    # neither cell has an eigenvalue near the unit circle, so no rank test
+    # reads a matrix of the sample and none is formed: both times read the
+    # same verdicts from the spectra, without a warning (t = 2000 used to
+    # exit 3 from the sample)
+    cfg = {"family": {"builtin": "diagonal", "rates": [[0.5, 0.0], [-1.0, 0.0]]},
+           "discrete": {"enabled": True, "t": t}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["analyze", write_config(tmp_path, cfg)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    report = json.loads(out)["discrete"]
+    assert [report[stage]["verdict"] for stage in STAGES] == [
+        "NotStable", "Inconclusive", "Inconclusive"]
+    assert witness_kinds(report) == ["pointwise-spectral-radius"] + [
+        "power-bound-gate-uncertified"] * 2
+    assert report["power_bound"] == math.inf
+
+
 class TestOneSamplePerTime:
     def test_only_the_discrete_stage_exponentiates_at_one_time(
         self, tmp_path, capsys, monkeypatch
     ):
         # the uniform stage reads its radii from the generator spectra: with
         # discrete off, no e^{t0 A} is formed; with discrete.t == 1, the
-        # discrete stage takes one e^{A} and its eigenvalues as e^{lambda}
-        # by spectral mapping. Either way the generator blocks are solved
-        # once and no exponential is
-        family = {"builtin": "random-hurwitz", "seed": 3, "dim": 4, "cells": 8, "margin": 0.2}
+        # discrete stage takes its eigenvalues as e^{lambda} by spectral
+        # mapping, and forms e^{A} only on the cells with an eigenvalue near
+        # the unit circle, the only ones a rank test can read: none of the
+        # random-Hurwitz cells, the first of the diagonal ones. Either way
+        # the generator blocks are solved once and no exponential is
+        hurwitz = {"builtin": "random-hurwitz", "seed": 3, "dim": 4, "cells": 8, "margin": 0.2}
+        diagonal = {"builtin": "diagonal", "rates": [[0.0, 1.0], [-1.0, 0.0]]}
         real_exp = cli.semigroup.linalg.expm_stack
         real_eigs = cli.semigroup.linalg.eigenvalues
-        for enabled in (False, True):
+        for family, enabled, formed in ((hurwitz, False, []), (hurwitz, True, []),
+                                        (diagonal, True, [([1.0], [0])])):
             path = write_config(tmp_path, {"family": family, "discrete": {"enabled": enabled}})
             expected = analyze_payload(capsys, path)
             generators = cli.build_family(cli.load_config(path)).matrices
             grids, spectra = [], []
 
             def exponentials(a, t, **kw):
-                grids.append(list(t))
+                grids.append((list(t), a))
                 return real_exp(a, t, **kw)
 
             def eigenvalues(a):
@@ -760,10 +816,17 @@ class TestOneSamplePerTime:
             monkeypatch.setattr(cli.semigroup.linalg, "eigenvalues", eigenvalues)
             assert analyze_payload(capsys, path) == expected
             monkeypatch.undo()
-            assert grids == ([[1.0]] if enabled else [])
-            # the builder first solves its random draws to shift them
-            assert len(spectra) == 2
-            np.testing.assert_array_equal(spectra[1], generators)
+            assert [t for t, _ in grids] == [t for t, _ in formed]
+            for (_, a), (_, cells) in zip(grids, formed):
+                np.testing.assert_array_equal(a, generators[cells])
+            if family is hurwitz:
+                # the builder first solves its random draws to shift them
+                assert len(spectra) == 2
+                np.testing.assert_array_equal(spectra[1], generators)
+            else:
+                # 1 x 1 blocks take the closed form: their table is read,
+                # not solved
+                assert spectra == []
 
 
 class TestBoundaryCertificate:
@@ -789,21 +852,29 @@ class TestKernelRoutes:
         # rh64-shaped cells are dense and well conditioned: no Pade, discrete
         # stage included; Zabczyk and rotation cells take the closed form and
         # never reach the eigensolver of the kernels. Each active-dimension
-        # group is factored once for the whole analysis: one stacked
-        # eigendecomposition, or one power basis per group
+        # group a pass visits is factored once for the whole analysis: one
+        # stacked eigendecomposition, or one power basis per group factored
+        # (the floor passes skip the Zabczyk groups that cannot reach the
+        # floor, and the discrete sample forms no exponential here)
         cfg = cli.load_config(write_config(tmp_path, {
             "family": family, "discrete": {"enabled": True},
         }))
         groups = len(cli.build_family(cfg).block_stacks())
-        factored = {"_eigenbasis": 1} if route == "_eigen_chunk" else {"_power_basis": groups}
+        built, build = [], cli.build_family
+        monkeypatch.setattr(cli, "build_family", lambda cfg: built.append(build(cfg)) or built[-1])
         calls = {}
-        for name in ("_power_basis", "_real_factor", "_eigenbasis", "_eigen_chunk",
-                     "_pade_chunk"):
-            real = getattr(linalg, name)
-            monkeypatch.setattr(linalg, name,
+        for module, name in ((linalg, "_power_basis"), (linalg, "_real_factor"),
+                             (eigenbasis, "_eigenbasis"), (eigenbasis, "_eigen_chunk"),
+                             (pade, "_pade_chunk")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *args, real=real, name=name:
                                 calls.update({name: calls.get(name, 0) + 1}) or real(*args))
         cli.run_analysis(cfg)
+        [family] = built
+        assert 1 <= len(family.factors) <= groups
+        factored = ({"_eigenbasis": 1} if route == "_eigen_chunk"
+                    else {"_power_basis": len(family.factors)})
         assert set(calls) == {route, *factored}
         assert {name: calls[name] for name in factored} == factored
 

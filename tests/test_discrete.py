@@ -355,7 +355,8 @@ class TestChainAndBridge:
     @pytest.mark.parametrize("name", ["diagonal", "random_hurwitz", "rh64"])
     def test_seeded_sample_reports_as_an_eigensolved_one(self, tmp_path, monkeypatch, name):
         # sample_at takes the sample's eigenvalues as e^{t lambda} by spectral
-        # mapping; a fresh family of the same matrices eigensolves them
+        # mapping, and the report exponentiates only the cells near the unit
+        # circle; a fresh family of every cell's e^{tA} eigensolves them
         path = ROOT / "configs" / f"{name}.json"
         if name == "rh64":
             path = tmp_path / "rh64.json"
@@ -367,7 +368,7 @@ class TestChainAndBridge:
                   "match_tol": tol["match_tol"]}
         seeded = build_discrete_report(family, cfg["discrete"]["t"], **kwargs)
 
-        def fresh(family, t):
+        def fresh(family, t, cells):
             sample = sample_at(family, t)
             return PointwiseFamily(space=sample.space, dim=sample.dim, matrices=sample.matrices,
                                    active_dims=sample.active_dims)

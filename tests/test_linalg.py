@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from semistab import linalg
+from semistab import eigenbasis, linalg, pade
 from semistab.cases import zabczyk_family
 from semistab.errors import (
     DomainError,
@@ -120,12 +120,12 @@ def reference_expm(a, t):
     m[np.arange(n), np.arange(n)] -= 1j * theta
     norm1 = float(np.abs(m).sum(axis=0).max())
     phase = np.exp(1j * theta)
-    for order, bound in linalg._PADE_THETA[:-1]:
+    for order, bound in pade._PADE_THETA[:-1]:
         if norm1 <= bound:
-            f = linalg._pade_solve(*linalg._pade_low(m, linalg._PADE_COEFFS[order]))
+            f = pade._pade_solve(*pade._pade_low(m, pade._PADE_COEFFS[order]))
             return f * phase, order, 0
-    squarings = max(0, int(np.ceil(np.log2(norm1 / linalg._PADE_THETA[-1][1]))))
-    f = linalg._pade_solve(*linalg._pade13(m / (2.0**squarings)))
+    squarings = max(0, int(np.ceil(np.log2(norm1 / pade._PADE_THETA[-1][1]))))
+    f = pade._pade_solve(*pade._pade13(m / (2.0**squarings)))
     for _ in range(squarings):
         f = f @ f
     return f * phase, 13, squarings
@@ -137,7 +137,7 @@ def reference_eigenbasis(a, t):
     matrix V has cond2(V) <= EIGENBASIS_COND (exactly I at t = 0), None
     when the matrix takes the Pade route."""
     w, v = np.linalg.eig(a)
-    if np.linalg.cond(v) > linalg.EIGENBASIS_COND:
+    if np.linalg.cond(v) > eigenbasis.EIGENBASIS_COND:
         return None
     if t == 0.0:
         return np.eye(len(a), dtype=complex)
@@ -260,13 +260,13 @@ class TestExpmStack:
         # the budget and runs on its own (these three take the Pade route)
         rng = np.random.default_rng(25)
         stack = np.stack([random_complex(rng, 10, 0.1) for _ in range(20)])
-        assert linalg._eigenbasis(stack)[0].all()
+        assert eigenbasis._eigenbasis(stack)[0].all()
         runs = list(linalg._runs(stack, np.linspace(0.0, 1.0, 5)))
         pairs = [(int(i), int(b)) for steps, cols, _, _ in runs for i, b in zip(steps, cols)]
         assert pairs == [(i, b) for i in range(5) for b in range(20)]
         assert all(f.nbytes <= linalg.STACK_BYTES for _, _, f, _ in runs)
         big = np.stack([random_complex(rng, 200, 1e-3) for _ in range(3)])
-        assert not linalg._eigenbasis(big)[0].any()
+        assert not eigenbasis._eigenbasis(big)[0].any()
         runs = list(linalg._runs(big, np.ones(1)))
         assert [(list(steps), list(cols)) for steps, cols, _, _ in runs] == [
             ([0], [0]), ([0], [1]), ([0], [2])
@@ -422,8 +422,8 @@ class TestClosedForm:
         def no_pade(*args):
             raise AssertionError("a Zabczyk block reached the Pade path")
 
-        monkeypatch.setattr(linalg, "_pade13", no_pade)
-        monkeypatch.setattr(linalg, "_pade_solve", no_pade)
+        monkeypatch.setattr(pade, "_pade13", no_pade)
+        monkeypatch.setattr(pade, "_pade_solve", no_pade)
         family = zabczyk_family(40)
         classify_uniform(family, 1.0, 1e-6, grid_points=16)
         certify_bounded(family, time_grid(4000.0, 16))
@@ -554,11 +554,12 @@ class TestExpmNorms:
         # 113 pairs (STACK_BYTES of 6 x 6 complex matrices), and a defective
         # group the Pade route in chunks of the same size
         calls = []
-        for name in ("_power_basis", "_real_factor", "_eigenbasis", "_eigen_chunk",
-                     "_pade_chunk", "expm_stack"):
-            real = getattr(linalg, name)
+        for module, name in ((linalg, "_power_basis"), (linalg, "_real_factor"),
+                             (eigenbasis, "_eigenbasis"), (eigenbasis, "_eigen_chunk"),
+                             (pade, "_pade_chunk"), (linalg, "expm_stack")):
+            real = getattr(module, name)
             monkeypatch.setattr(
-                linalg, name,
+                module, name,
                 lambda *args, real=real, name=name: calls.append((name, len(args[0])))
                 or real(*args),
             )
@@ -623,7 +624,7 @@ class TestEigenbasisRoute:
         stack = np.stack([upper_block(5), random_complex(rng, 5),
                           conjugated_jordan(rng, 5, 1.0 + 2j)])
         assert linalg._closed_form_blocks(stack).tolist() == [True, False, False]
-        assert linalg._eigenbasis(stack[1:])[0].tolist() == [True, False]
+        assert eigenbasis._eigenbasis(stack[1:])[0].tolist() == [True, False]
         out = expm_stack(stack, [0.0])
         np.testing.assert_array_equal(out[0], np.broadcast_to(np.eye(5), stack.shape))
         for a in stack:
@@ -637,12 +638,12 @@ class TestEigenbasisRoute:
         # unchanged Pade arithmetic, bit for bit
         lams = (-0.5 + 1j, -0.7 - 0.3j)
         below, above = (conditioned_pair(c, lams, seed=72) for c in (0.99e2, 1.01e2))
-        assert linalg.EIGENBASIS_COND == 1e2
-        assert linalg._eigenbasis(np.stack([below, above]))[0].tolist() == [True, False]
+        assert eigenbasis.EIGENBASIS_COND == 1e2
+        assert eigenbasis._eigenbasis(np.stack([below, above]))[0].tolist() == [True, False]
         calls = []
-        for name in ("_eigen_chunk", "_pade_chunk"):
-            real = getattr(linalg, name)
-            monkeypatch.setattr(linalg, name,
+        for module, name in ((eigenbasis, "_eigen_chunk"), (pade, "_pade_chunk")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *args, real=real, name=name: calls.append(name)
                                 or real(*args))
         times = np.array([0.0, 0.3, 7.0, 60.0])
@@ -661,7 +662,7 @@ class TestEigenbasisRoute:
         # eigenvalues 10 +- i on a well-conditioned basis: e^{10 t} passes the
         # double range between t = 70 and t = 72
         a = conditioned_pair(3.0, (10.0 + 1j, 10.0 - 1j), seed=73)
-        assert linalg._eigenbasis(a[None])[0][0]
+        assert eigenbasis._eigenbasis(a[None])[0][0]
         times = np.array([0.0, 1.0, 50.0, 70.0, 72.0, 100.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -674,7 +675,7 @@ class TestEigenbasisRoute:
     def test_fast_decay_reads_zero_norms(self):
         # e^{-50 t} underflows to 0 long before t = 200: norms 0, not NaN
         a = conditioned_pair(5.0, (-50.0 + 3j, -60.0), seed=74)
-        assert linalg._eigenbasis(a[None])[0][0]
+        assert eigenbasis._eigenbasis(a[None])[0][0]
         times = np.array([0.0, 1.0, 20.0, 200.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

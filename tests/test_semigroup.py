@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semistab import linalg
-from semistab.cases import diagonal_family, random_hurwitz_family, zabczyk_family
+from semistab.cases import diagonal_family, random_hurwitz_family, rotation_family, zabczyk_family
 from semistab.errors import DomainError, ShapeError
 from semistab.linalg import norm2
 from semistab.measure import DiscretizedMeasureSpace
@@ -433,7 +433,46 @@ class TestSpectrum:
         np.testing.assert_array_equal(family.spectrum(0), [-1.0])
         family.spectrum(0)
         np.testing.assert_array_equal(np.sort_complex(family.spectrum(1)), [0.0, 2j])
-        assert len(calls) == 2
+        # the 1 x 1 block takes the closed form, whose eigenvalue is its
+        # diagonal entry; the 2 x 2 block is solved, once
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], gens[1:])
+
+    @pytest.mark.parametrize("name", ["zabczyk", "rotation", "shifted_nilpotent", "mixed"])
+    def test_closed_form_rows_equal_the_eigensolver(self, monkeypatch, name):
+        # a closed-form block lambda I + N is triangular, so LAPACK returns
+        # its diagonal: the rows read from it equal the stacked eigensolve
+        # of each active-dimension group bit for bit, and only the blocks
+        # off the closed form are solved
+        rng = np.random.default_rng(7)
+        if name == "zabczyk":
+            family = zabczyk_family(40)
+        elif name == "rotation":
+            family = rotation_family(64)
+        else:
+            k = rng.integers(1, 7, 48)
+            lam = rng.standard_normal(48) * 10.0 ** rng.uniform(-3, 3, 48) + 1j * (
+                rng.standard_normal(48) * 10.0 ** rng.uniform(-3, 3, 48))
+            gens = np.zeros((48, 6, 6), dtype=complex)
+            for c in range(48):
+                size = (k[c], k[c])
+                upper = np.triu(rng.uniform(0, 3, size) * (rng.random(size) < 0.6), 1)
+                gens[c, : k[c], : k[c]] = lam[c] * np.eye(k[c]) + upper
+            if name == "mixed":
+                # every third block larger than 1 x 1 leaves the closed form
+                gens[::3, 0, 0] += 0.5
+            family = PointwiseFamily(space=space_of(np.ones(48)), dim=6, matrices=gens,
+                                     active_dims=k)
+        want = np.full((family.space.n_cells, family.dim), np.nan, dtype=complex)
+        for ids, blocks in family.block_stacks():
+            want[ids, : blocks.shape[-1]] = linalg.eigenvalues(blocks)
+        calls = []
+        real = linalg.eigenvalues
+        monkeypatch.setattr(linalg, "eigenvalues", lambda a: calls.append(len(a)) or real(a))
+        table = family.eigenvalues
+        assert table.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert sum(calls) == np.count_nonzero(~family._envelope.closed)
+        assert (sum(calls) > 0) == (name == "mixed")
 
     def test_null_cell_has_no_spectrum(self):
         family = diagonal_family([-1.0, 2j], [1.0, 0.0])

@@ -178,7 +178,7 @@ def test_expm_accuracy_rows_bin_both_routes():
     # number of eigenvalues of it
     ratio, below = float(cells[7]), int(cells[8])
     assert 1.0 <= ratio <= 5.0 and below == 0
-    assert tool.linalg.EIGENBASIS_COND == 1e2
+    assert tool.eigenbasis.EIGENBASIS_COND == 1e2
 
 
 @pytest.mark.parametrize("value, written, shown", [

@@ -14,12 +14,12 @@ Each block is drawn from one of two families, with k from 2 to 5:
 
 For each block and t in {1, 50, 200} the operator 2-norm ||e^{tA}|| is taken
 once through each route of `linalg.expm_norms` (by moving
-`linalg.EIGENBASIS_COND` to inf and to 0) and compared with mpmath's. It
+`eigenbasis.EIGENBASIS_COND` to inf and to 0) and compared with mpmath's. It
 prints one Markdown row per family and cond2(V) bin: the blocks drawn
 (`--per` per bin, fewer when a family rarely reaches the bin), the worst
 relative error of each route, the number of blocks on which the
 eigenbasis route errs more, the worst ratio of the certified bound U of
-`linalg.eigenbasis_bounds` to the eigenbasis route's norm, and the number
+`eigenbasis.eigenbasis_bounds` to the eigenbasis route's norm, and the number
 of (block, time) pairs where U falls below that norm or below mpmath's
 (a sound bound reads 0). It takes about 20 s at the default `--per`.
 """
@@ -34,7 +34,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from semistab import linalg  # noqa: E402
+from semistab import eigenbasis, linalg  # noqa: E402
 
 TIMES = np.array([1.0, 50.0, 200.0])
 BINS = ((1.0, 10.0), (10.0, 100.0), (100.0, 1e3), (1e3, 1e4))
@@ -54,14 +54,14 @@ def route_norms(a, cond):
     """(||e^{tA}|| at TIMES through linalg.expm_norms, the block's Factor)
     with the eigenbasis bound set to `cond`: inf sends every block off the
     closed form to the eigenbasis route, 0 to the Pade route."""
-    saved = linalg.EIGENBASIS_COND
-    linalg.EIGENBASIS_COND = cond
+    saved = eigenbasis.EIGENBASIS_COND
+    eigenbasis.EIGENBASIS_COND = cond
     try:
         factor = linalg.factorize(a[None])
         return linalg.expm_norms(a[None], TIMES, np.ones((1, 1, len(a))),
                                  factor=factor)[0][:, 0], factor
     finally:
-        linalg.EIGENBASIS_COND = saved
+        eigenbasis.EIGENBASIS_COND = saved
 
 
 def gaussian(rng, k):
@@ -96,7 +96,7 @@ def rows(name, draw, rng, per, max_draws=5000):
         exact = mp_norms(a)
         (eig_norms, factor), (pade_norms, _) = (route_norms(a, c) for c in (np.inf, 0.0))
         eig, pade = (np.abs(norms - exact) / exact for norms in (eig_norms, pade_norms))
-        bound = linalg.eigenbasis_bounds(factor.eigen, TIMES)[:, 0]
+        bound = eigenbasis.eigenbasis_bounds(factor.eigen, TIMES)[:, 0]
         below = int(((bound < eig_norms) | (bound < exact)).sum())
         errors[found[0]].append((eig.max(), pade.max(), (bound / eig_norms).max(), below))
     for (lo, hi), e in errors.items():
