@@ -10,11 +10,10 @@ Subcommands:
 
 Configs are JSON; complex numbers are written as [re, im] pairs. The exit
 code reflects tool success (0 = analysis completed regardless of verdict,
-2 = config problem, 3 = numerical failure or out of memory), never the
-stability verdict.
+2 = usage or config problem or an unwritable output, 3 = numerical failure
+or out of memory), never the stability verdict.
 """
 
-import argparse
 import gc
 import hashlib
 import json
@@ -204,22 +203,18 @@ def _check_config(raw):
     return cfg
 
 
-def load_config(path):
-    """Read and check a JSON config, merging section defaults."""
-    return _check_config(_read_config(path))
-
-
-def apply_seed_override(raw, seed):
-    """Set the probe seed, and the seed of a random-hurwitz family, of a
-    config that has not been checked yet."""
-    if seed is None or not isinstance(raw, dict):
-        return raw
-    probes, fam = raw.setdefault("probes", {}), raw.get("family")
-    if isinstance(probes, dict):
-        probes["seed"] = seed
-    if isinstance(fam, dict) and fam.get("builtin") == "random-hurwitz":
-        fam["seed"] = seed
-    return raw
+def load_config(path, seed=None):
+    """Read and check a JSON config, merging section defaults. A `seed`
+    replaces the probe seed, and the seed of a random-hurwitz family, before
+    the check."""
+    raw = _read_config(path)
+    if seed is not None and isinstance(raw, dict):
+        probes, fam = raw.setdefault("probes", {}), raw.get("family")
+        if isinstance(probes, dict):
+            probes["seed"] = seed
+        if isinstance(fam, dict) and fam.get("builtin") == "random-hurwitz":
+            fam["seed"] = seed
+    return _check_config(raw)
 
 
 def config_hash(cfg):
@@ -483,50 +478,116 @@ def run_trajectory(cfg):
     return "\n".join(lines) + "\n"
 
 
-def _command(args):
-    cfg = _check_config(apply_seed_override(_read_config(args.config), args.seed))
-    if args.command == "analyze":
+def _command(command, config, out=None, seed=None, quiet=False):
+    cfg = load_config(config, seed)
+    if command == "analyze":
         text = json.dumps(run_analysis(cfg), indent=2, sort_keys=True) + "\n"
     else:
-        text = (run_sweep if args.command == "sweep" else run_trajectory)(cfg)
-    key = "json_path" if args.command == "analyze" else "csv_path"
-    path = args.out or cfg.get("output", {}).get(key)
+        text = (run_sweep if command == "sweep" else run_trajectory)(cfg)
+    key = "json_path" if command == "analyze" else "csv_path"
+    path = out or cfg.get("output", {}).get(key)
     if path:
-        Path(path).write_text(text)
-        if not args.quiet:
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise SemistabError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        if not quiet:
             print(f"wrote {path}")
-    elif not args.quiet:
+    elif not quiet:
         sys.stdout.write(text)
     return 0
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="semistab",
-        description="Stability analysis of pointwise operator families",
+#: each command and the flag that names its output file
+_COMMANDS = {"analyze": "--out", "sweep": "--csv", "trajectory": "--csv"}
+
+
+def _help(command=None):
+    """The help of `command`, or of the CLI for None; its first line is the
+    usage line."""
+    if command is None:
+        return (
+            f"usage: semistab [-h] [--version] {{{','.join(_COMMANDS)}}} ...\n\n"
+            "  analyze     classify stability and emit a JSON report\n"
+            "  sweep       sweep one parameter and emit a CSV\n"
+            "  trajectory  emit norm curves as a CSV\n"
+            "  --version   print the version\n"
+        )
+    flag = _COMMANDS[command]
+    return (
+        f"usage: semistab {command} [-h] [{flag} PATH] [--seed SEED] [--quiet] CONFIG\n\n"
+        "  CONFIG       path to a JSON config\n"
+        f"  {flag} PATH   write the output to PATH, not to stdout\n"
+        "  --seed SEED  override the probe seed (and a random-hurwitz family's)\n"
+        "  --quiet      print nothing to stdout\n"
     )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, flag, output, what in (
-        ("analyze", "--out", "JSON report", "classify stability and emit a JSON report"),
-        ("sweep", "--csv", "CSV", "sweep one parameter and emit CSV"),
-        ("trajectory", "--csv", "CSV", "emit norm curves as CSV"),
-    ):
-        command = sub.add_parser(name, help=what)
-        command.add_argument("config", help="path to a JSON config")
-        command.add_argument(flag, dest="out", metavar="PATH", help=f"write the {output} here")
-        command.add_argument("--seed", type=int, default=None, help="override config seeds")
-        command.add_argument("--quiet", action="store_true", help="suppress stdout")
-    return parser
+
+
+def _usage_error(command, message):
+    """Print the usage line of `command` (of the CLI for None) and `message`
+    to stderr; the exit code of a usage error."""
+    usage = _help(command).partition("\n")[0]
+    print(f"{usage}\nsemistab: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _parse(argv):
+    """The keyword arguments of _command for a command line, or the exit
+    code once the help, the version or a usage error is printed. An option
+    takes the text after `=` or else the next token, whatever it is; the
+    last of a repeated option wins, and `--` ends the options."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        if command in ("-h", "--help", "--version"):
+            sys.stdout.write(f"{__version__}\n" if command == "--version" else _help())
+            return 0
+        got = "" if command is None else f", got {command!r}"
+        return _usage_error(None, f"expected a command ({', '.join(_COMMANDS)}){got}")
+    args, paths, tokens = {"command": command}, [], iter(argv[1:])
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        if token == "--":
+            paths.extend(tokens)
+        elif token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            return 0
+        elif token == "--quiet":
+            args["quiet"] = True
+        elif name in (_COMMANDS[command], "--seed"):
+            if not equals:
+                value = next(tokens, None)
+                if value is None:
+                    return _usage_error(command, f"{name} needs a value")
+            if name == "--seed":
+                try:
+                    args["seed"] = int(value)
+                except ValueError:
+                    return _usage_error(command, f"--seed needs an integer, got {value!r}")
+            else:
+                args["out"] = value
+        elif token.startswith("-") and token != "-":
+            return _usage_error(command, f"unknown option {token!r}")
+        else:
+            paths.append(token)
+    if len(paths) != 1:
+        return _usage_error(command, f"expected one CONFIG, got {' '.join(paths) or 'none'}")
+    args["config"] = paths[0]
+    return args
 
 
 def main(argv=None):
+    """Run one command line (sys.argv[1:] by default) and return its exit
+    code: 0 once the command completed, whatever the verdict, 2 for a usage
+    or config problem or an output that cannot be written, 3 for a
+    numerical failure or exhausted memory."""
     # the objects alive now (the import graph) go to the collector's permanent
     # generation: no collection scans them again, and exit leaves them to the OS
     gc.freeze()
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):
+        return args
     try:
-        return _command(args)
+        return _command(**args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -70,6 +70,26 @@ def dense_real_factor(a, t):
     return acc
 
 
+def band(a):
+    """linalg._band of (q, k, k) closed-form blocks, with the terms taken by
+    np.nonzero of the float power basis itself rather than of its nonzero
+    mask: every field must equal the program's bit for bit."""
+    k = a.shape[-1]
+    offsets, powers = linalg._power_basis(a)
+    b, r, c, j = np.nonzero(powers.transpose(0, 2, 3, 1))
+    pos = (b * k + r) * k + c
+    index = np.arange(pos.size)
+    new = np.concatenate(([True], pos[1:] != pos[:-1]))
+    rank = index - np.maximum.accumulate(np.where(new, index, 0))
+    order = np.argsort(rank, kind="stable")
+    val, peak = powers[b, j, r, c][order], powers.max(axis=(2, 3))
+    fro = np.sqrt(np.square(powers).sum(axis=(2, 3)))
+    return linalg._Band(
+        offsets, peak, fro, pos[order].astype(np.int32), (b * k + j)[order].astype(np.int32),
+        val, np.concatenate(([0], np.cumsum(np.bincount(rank)))),
+    )
+
+
 def mp_expm(a, t, dps=40):
     """e^{tA} of one matrix in dps-digit arithmetic (mpmath), rounded to
     complex doubles."""

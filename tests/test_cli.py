@@ -589,6 +589,105 @@ class TestTrajectory:
         assert float(lines[-1].split(",")[2]) < 1e-6
 
 
+class TestCommandLine:
+    """The command-line contract: help and the version on stdout with exit 0,
+    every usage error as one usage line and one error line on stderr with
+    exit 2, options as `--flag VALUE` or `--flag=VALUE` on either side of
+    CONFIG (the last one wins), and `--` ending the options."""
+
+    CONFIG = str(CONFIG_DIR / "diagonal.json")
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["-h"], "usage: semistab [-h] [--version] {analyze,sweep,trajectory} ..."),
+        (["--help"], "usage: semistab [-h] [--version] {analyze,sweep,trajectory} ..."),
+        (["analyze", "-h"], "usage: semistab analyze [-h] [--out PATH] [--seed SEED] [--quiet] "
+                            "CONFIG"),
+        (["sweep", CONFIG, "--help"], "usage: semistab sweep [-h] [--csv PATH] [--seed SEED] "
+                                      "[--quiet] CONFIG"),
+        (["trajectory", "--help"], "usage: semistab trajectory [-h] [--csv PATH] [--seed SEED] "
+                                   "[--quiet] CONFIG"),
+    ], ids=["h", "help", "analyze-h", "sweep-config-help", "trajectory-help"])
+    def test_help_prints_usage_and_options_to_stdout(self, capsys, argv, usage):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert (lines[0], err) == (usage, "")
+        names = ["--version"] if len(argv) == 1 else [cli._COMMANDS[argv[0]], "--seed", "--quiet"]
+        for name in names:
+            assert any(line.split()[0] == name for line in lines[1:] if line), name
+
+    def test_version_prints_the_version(self, capsys):
+        assert cli.main(["--version"]) == 0
+        assert capsys.readouterr() == (f"{cli.__version__}\n", "")
+
+    @pytest.mark.parametrize("argv, usage, error", [
+        ([], None, "expected a command (analyze, sweep, trajectory)"),
+        (["bogus", CONFIG], None, "expected a command (analyze, sweep, trajectory), got 'bogus'"),
+        (["--seed", "1", "analyze", CONFIG], None,
+         "expected a command (analyze, sweep, trajectory), got '--seed'"),
+        (["analyze"], "analyze", "expected one CONFIG, got none"),
+        (["analyze", CONFIG, CONFIG], "analyze", f"expected one CONFIG, got {CONFIG} {CONFIG}"),
+        (["analyze", CONFIG, "--bogus"], "analyze", "unknown option '--bogus'"),
+        (["analyze", CONFIG, "--ou", "r.json"], "analyze", "unknown option '--ou'"),
+        (["sweep", CONFIG, "--out", "r.csv"], "sweep", "unknown option '--out'"),
+        (["analyze", CONFIG, "--quiet=1"], "analyze", "unknown option '--quiet=1'"),
+        (["trajectory", CONFIG, "--csv"], "trajectory", "--csv needs a value"),
+        (["analyze", CONFIG, "--seed"], "analyze", "--seed needs a value"),
+        (["analyze", CONFIG, "--seed", "x"], "analyze", "--seed needs an integer, got 'x'"),
+        (["analyze", CONFIG, "--seed=1.5"], "analyze", "--seed needs an integer, got '1.5'"),
+    ], ids=["no-command", "unknown-command", "option-before-command", "no-config",
+            "two-configs", "unknown-option", "abbreviated-option", "other-command-flag",
+            "valued-quiet", "missing-path", "missing-seed", "word-seed", "fraction-seed"])
+    def test_usage_error_exits_2_with_usage_and_error_lines(self, capsys, argv, usage, error):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"{cli._help(usage).splitlines()[0]}\nsemistab: error: {error}\n"
+
+    @pytest.mark.parametrize("argv, code, out, errors", [
+        (["--version"], 0, b"0.1.0\n", 0),
+        ([], 2, b"", 2),
+        (["analyze", CONFIG, "--seed", "x"], 2, b"", 2),
+        (["analyze", CONFIG, "--seed", "-5"], 2, b"", 1),
+    ], ids=["version", "no-command", "word-seed", "negative-seed"])
+    def test_process_exit_codes(self, argv, code, out, errors):
+        proc = run_python("-m", "semistab.cli", *argv)
+        assert (proc.returncode, proc.stdout, len(proc.stderr.splitlines())) == (code, out, errors)
+
+    @pytest.mark.parametrize("form", [["--out", "{out}"], ["--out={out}"]])
+    @pytest.mark.parametrize("before", [False, True])
+    def test_flag_value_forms_on_either_side_of_config(self, capsys, tmp_path, form, before):
+        out = tmp_path / "report.json"
+        options = [*(token.format(out=out) for token in form), "--quiet"]
+        argv = ["analyze", *options, self.CONFIG] if before else ["analyze", self.CONFIG, *options]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        assert json.loads(out.read_text())["uniform"]["verdict"] == "Stable"
+
+    def test_the_last_of_a_repeated_option_wins(self, capsys, tmp_path):
+        first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+        config = str(CONFIG_DIR / "rotation_sweep.json")
+        argv = ["sweep", f"--csv={first}", "--seed", "-1", config, "--seed=3", "--csv", str(last)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (f"wrote {last}\n", "")
+        assert not first.exists() and last.read_text().startswith("parameter,")
+
+    def test_double_dash_ends_the_options(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, {"family": {"builtin": "rotation", "cells": 2}}, "--quiet")
+        assert cli.main(["analyze", "--quiet"]) == 2
+        assert capsys.readouterr().err.endswith("error: expected one CONFIG, got none\n")
+        assert cli.main(["analyze", "--", "--quiet"]) == 0
+        assert json.loads(capsys.readouterr().out)["uniform"]["verdict"] == "NotStable"
+
+    def test_seed_takes_a_negative_value_for_the_config_check(self, capsys):
+        for seed in (["--seed", "-5"], ["--seed=-5"]):
+            assert cli.main(["analyze", self.CONFIG, *seed]) == 2
+            assert capsys.readouterr().err == (
+                "config error: 'seed' in section 'probes' must be a nonnegative integer\n"
+            )
+
+
 class TestAnalyzeAndTrajectoryAgree:
     @pytest.mark.parametrize("log_spacing", [True, False])
     def test_strong_bound_is_the_trajectory_peak(self, capsys, tmp_path, log_spacing):
@@ -695,10 +794,12 @@ def test_analyze_loads_only_the_routes_it_takes(tmp_path, workload):
         "import sys; from semistab import cli; "
         "code = cli.main(['analyze', sys.argv[1], '--quiet']); "
         "print(code, *(m in sys.modules for m in "
-        "('dataclasses', 'semistab.pade', 'semistab.eigenbasis')))"
+        "('dataclasses', 'semistab.pade', 'semistab.eigenbasis', 'argparse', 'gettext', "
+        "'locale')))"
     )
     proc = run_python("-c", code, path)
-    assert (proc.stdout, proc.stderr) == (f"0 False False {workload == 'rh64'}\n".encode(), b"")
+    expected = f"0 False False {workload == 'rh64'} False False False\n"
+    assert (proc.stdout, proc.stderr) == (expected.encode(), b"")
 
 
 def analyze_and_trajectory(capsys, tmp_path, cfg, name):
@@ -979,6 +1080,23 @@ class TestFrozenExit:
         proc = run_python("-m", "semistab.cli", "analyze", str(path))
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr == f"config error: {info.value}\n".encode()
+
+    @pytest.mark.parametrize("command, flag", [("analyze", "--out"), ("sweep", "--csv")])
+    def test_unwritable_output_exits_2_with_one_line(self, tmp_path, command, flag):
+        out = tmp_path / "missing" / "output"
+        config = str(CONFIG_DIR / ("diagonal.json" if command == "analyze" else
+                                   "rotation_sweep.json"))
+        proc = run_python("-m", "semistab.cli", command, config, flag, str(out))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == f"error: cannot write {out}: No such file or directory\n".encode()
+
+    def test_unwritable_config_output_path_exits_2_with_one_line(self, tmp_path):
+        # a directory named as the report file
+        cfg = {"family": {"builtin": "rotation", "cells": 2},
+               "output": {"json_path": str(tmp_path)}}
+        proc = run_python("-m", "semistab.cli", "analyze", write_config(tmp_path, cfg))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == f"error: cannot write {tmp_path}: Is a directory\n".encode()
 
     def test_overflowing_exponential_exits_3_with_one_line(self, tmp_path):
         cfg = {

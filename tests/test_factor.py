@@ -20,7 +20,7 @@ from semistab.measure import ATOMIC, DiscretizedMeasureSpace
 from semistab.semigroup import PointwiseFamily
 from semistab.stability import certify_bounded, classify_uniform
 
-from oracles import dense_real_factor
+from oracles import band, dense_real_factor
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import make_config  # noqa: E402
@@ -105,6 +105,18 @@ class TestBandSum:
                 # a slice of the factor is the factor of the slice
                 for x, y in zip(factor.bands[0], linalg.factorize(stack).bands[0]):
                     np.testing.assert_array_equal(bits(x), bits(y))
+
+    @CHECKS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
+           kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
+    def test_band_fields_equal_those_from_the_float_basis(self, seed, k, kinds):
+        # the terms come from the nonzero mask of the power basis: the same
+        # indices, so the same band, as from the float basis
+        rng = np.random.default_rng(seed)
+        a = np.stack([closed_block(rng, kind, k, 2.0) for kind in kinds])
+        got, want = linalg._band(a), band(a)
+        for name, x, y in zip(linalg._Band._fields, got, want):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
     def test_a_shift_takes_one_multiply_per_band_entry(self):
         # N^j of the shift is its j-th superdiagonal: one rank, k(k+1)/2 terms

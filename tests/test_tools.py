@@ -4,6 +4,7 @@ records, and of the runs of tools/gate_digests.py."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -257,3 +258,26 @@ def test_process_phases_sum_to_the_total(capsys):
     assert list(rows) == [name for name, _, _ in process_phases.PHASES]
     assert all(value > 0 for value in rows.values())
     assert abs(sum(rows.values()) - 2 * rows["total"]) < 1.0
+
+
+def test_process_phases_pairs_two_checkouts(tmp_path, capsys):
+    # two copies of this checkout, two alternating pairs: the median of two
+    # differences is their mean, the difference of the two sides' medians
+    process_phases = load_tool("process_phases")
+    copies = [tmp_path / "a", tmp_path / "b"]
+    for copy in copies:
+        for part in ("src", "perfbench"):
+            shutil.copytree(TOOLS.parent / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
+    assert process_phases.main(
+        [*map(str, copies), "--workload", "rot256", "--processes", "2", "--scale", "smoke"]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["rot256 (smoke, seed 1), 2 pairs, ms",
+                         "phase           checkout    change     diff   wins"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    assert list(rows) == [name for name, _, _ in process_phases.PHASES]
+    for parent, change, diff, wins in rows.values():
+        assert float(parent) > 0 and float(change) > 0
+        assert abs(float(diff) - (float(change) - float(parent))) < 0.02
+        assert wins in ("0/2", "1/2", "2/2")
