@@ -37,10 +37,11 @@ Matrices are plain complex ndarrays; the operator norm is the 2-norm
 (largest singular value) throughout. norm2 takes it as the square root of
 the largest eigenvalue of the Gram matrix C^H C (symmetric or Hermitian
 eigensolver, real for a real matrix) of the matrix scaled by a power of
-two, C = 2^-e A, one stacked call per stack. A caller that reads only a
-supremum of the norms passes a floor (_Floor): each norm is bracketed from
-its Gram matrix, and the eigensolve runs only where the bracket can reach
-the floor (expm_norms; the discrete power norms read e^{ntA} there too).
+two, C = 2^-e A, one stacked call per stack. A norm pass is either exact or
+reads a floor: a caller that reads only a supremum of the norms passes one
+(_Floor), each norm is bracketed from its Gram matrix, and the eigensolve
+runs only where the bracket can reach the floor (expm_norms; the discrete
+power norms read e^{ntA} there too).
 Before any kernel runs, a closed-form block's norms are bounded from its
 lambda and N alone (closed_form_bounds), so a caller can skip a block that
 cannot reach the floor, and an eigenbasis block's from its factors
@@ -126,9 +127,6 @@ def _top(gram, e):
 #: returns, not only for the exact norm.
 BRACKET_SLACK = 16 * _EPS
 
-#: a norm below this reads as a contraction (certify_bounded).
-CONTRACTION = 1.0 - RADIUS_ROUNDOFF
-
 
 def _bracket(gram, e):
     """(lo, hi) with lo <= norm2(F) <= hi for each matrix F = 2^e C of a stack,
@@ -162,38 +160,26 @@ def _bracket(gram, e):
 
 
 class _Floor:
-    """What a caller reads of the 2-norms of a stack, and what it has seen.
+    """The floor a caller reads of the 2-norms of a stack, updated in place.
 
-    `values` is the caller's floor, updated in place: the largest exact norm
-    or certified lower bound seen so far at each time (a (T,) array, for a
-    caller that reads a per-time supremum) or over every time (a (1,)
-    array, for one that reads only the overall maximum), or None when no
-    supremum is read. A matrix whose upper bound hi falls below the floor
-    of its time can change neither supremum, so it keeps hi and its exact
-    norm is never computed. With a threshold `below` (one for every block,
-    or one per block), the caller also reads, per block (of `blocks`),
-    whether some norm falls below its threshold:
-    `known` marks the blocks already shown to have one, and a matrix of any
-    other block whose bracket straddles the threshold is computed exactly
-    as well. With `exact`, a (times, blocks) boolean array, a block shown
-    to fall below has every later matrix solved exactly too (the caller then
-    reads all of its norms), and `exact` marks each (time, block) pair whose
-    returned norm is exact.
+    `values` is the largest exact norm or certified lower bound seen so far
+    at each time (a (T,) array, for a caller that reads a per-time
+    supremum) or over every time (a (1,) array, for one that reads only the
+    overall maximum). A matrix whose upper bound hi falls below the floor of
+    its time can change neither supremum, so it keeps hi and its exact norm
+    is never computed.
 
     Each call takes matrices at times `steps` of blocks `cols`, broadcast to
     one shape, with every (time, block) pair at most once.
     """
 
-    def __init__(self, values, blocks, below=None, exact=None):
+    def __init__(self, values):
         self.values = values
-        self.below = None if below is None else np.broadcast_to(below, (blocks,))
-        self.known = None if below is None else np.zeros(blocks, dtype=bool)
-        self.exact = exact
 
     def _lift(self, norms, steps, cols):
         # raise the floor of each time (or the one floor) to the largest of
         # `norms` there: a (time, block) grid holds each pair once
-        if self.values is None or not norms.size:
+        if not norms.size:
             return
         if self.values.size == 1:
             self.values[0] = max(self.values[0], norms.max())
@@ -205,18 +191,12 @@ class _Floor:
         top = self.values[first : first + grid.shape[0]]
         np.maximum(top, grid.max(axis=1), out=top)
 
-    def _mark(self, flags, cols):
-        # the blocks of `cols` with a True flag are shown to fall below
-        self.known[cols[flags]] = True
-
     def order(self, steps, hi):
         """The order in which to form matrices with upper bounds hi at times
         `steps` (nondecreasing), so that the largest come first: in
         decreasing hi over every time for a (1,) floor; for a per-time floor
         the largest of each time, then the second largest of each time, and
-        so on; as given when no supremum is read."""
-        if self.values is None:
-            return np.arange(hi.size)
+        so on."""
         if self.values.size == 1:
             return np.argsort(-hi, kind="stable")
         by_time = np.lexsort((-hi, steps))
@@ -227,18 +207,8 @@ class _Floor:
         """Which matrices, with certified brackets lo <= norm <= hi, need
         their exact norm; records the brackets."""
         steps, cols = (np.broadcast_to(x, lo.shape) for x in (steps, cols))
-        need = np.zeros(lo.shape, dtype=bool)
-        if self.values is not None:
-            self._lift(lo, steps, cols)
-            need = ~(hi < self.values[steps if self.values.size > 1 else 0])
-        if self.known is not None:
-            below = self.below[cols]
-            self._mark(hi < below, cols)
-            known = self.known[cols]
-            need |= (lo < below) & ~known
-            if self.exact is not None:
-                need |= known
-        return need
+        self._lift(lo, steps, cols)
+        return ~(hi < self.values[steps if self.values.size > 1 else 0])
 
     def norms(self, gram, e, steps, cols):
         """2-norms of the matrices 2^e C with Gram matrices `gram` (_gram):
@@ -247,18 +217,12 @@ class _Floor:
         elsewhere."""
         lo, hi = _bracket(gram, e)
         need = self.need(lo, hi, steps, cols)
-        if self.exact is not None:
-            # a 1 x 1 bracket is the norm itself
-            self.exact[steps, cols] |= need | (gram.shape[-1] == 1)
         if gram.shape[-1] == 1 or not need.any():
             return hi
-        # a run that needs every norm (a settled block) solves its Gram
-        # stack in place of a copy
+        # a run that needs every norm solves its Gram stack in place of a copy
         hi[need] = exact = _top(gram, e).reshape(-1) if need.all() else _top(gram[need], e[need])
         steps, cols = (np.broadcast_to(x, need.shape)[need] for x in (steps, cols))
         self._lift(exact, steps, cols)
-        if self.known is not None:
-            self._mark(exact < self.below[cols], cols)
         return hi
 
 
@@ -710,7 +674,7 @@ def expm_stack(a, t, *, factor=None):
     return out
 
 
-def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
+def expm_norms(a, t, v, floor=None, out=None, factor=None):
     """(norms, vnorms) of e^{t A_b} for every matrix A_b of a (m, k, k) stack,
     every time t of a 1-D grid of times >= 0 and vectors v, a (P, m, k)
     stack: norms[i, b] = ||e^{t_i A_b}|| (norm2) and vnorms[i, p, b] =
@@ -729,22 +693,13 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
     times: an entry is exact where its certified bracket can reach the
     floor, and otherwise an upper bound that stays below it. After the call
     the floor is that supremum over the stack and any earlier stacks it saw,
-    bit for bit the maximum of the exact norms. With a threshold `below`
-    (CONTRACTION for the boundedness gate), a float or an (m,) array of one
-    per block, with or without a floor, the caller also reads, per block,
-    whether some norm falls below its threshold, and every entry that
-    decides it is exact too; a threshold of 0 asks nothing, since no norm
-    falls below it. With a threshold and no floor, the caller reads every
-    norm of a block that falls below: once the brackets show one, the
-    block's other norms are solved exactly as well, and a block that falls
-    below only after runs that kept bounds has those pairs solved at the
-    end. A probe-free call (P = 0) with a floor or
-    a threshold forms R(t) of the closed-form blocks only at the times where
-    one of them still needs an exact norm, and the product of an eigenbasis
-    block only at the pairs whose certified bound (eigenbasis_bounds) can
-    still reach the floor or decide a threshold, in decreasing bound per
-    time for a per-time floor and over the grid for a (1,) one (_runs'
-    select, _Floor.order); every other pair holds its bound.
+    bit for bit the maximum of the exact norms. A probe-free call (P = 0)
+    with a floor forms R(t) of the closed-form blocks only at the times
+    where one of them can still reach the floor, and the product of an
+    eigenbasis block only at the pairs whose certified bound
+    (eigenbasis_bounds) can, in decreasing bound per time for a per-time
+    floor and over the grid for a (1,) one (_runs' select, _Floor.order);
+    every other pair holds its bound.
 
     `out` = (norms, vnorms, ids) writes block b's results into column ids[b]
     of the given (len(t), M) and (len(t), P, M) arrays, which are returned.
@@ -761,8 +716,7 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
         out = (np.zeros((t.size, a.shape[0])), np.zeros((t.size, v.shape[0], a.shape[0])),
                np.arange(a.shape[0]))
     norms, vnorms, ids = out
-    exact = np.zeros((t.size, a.shape[0]), dtype=bool) if floor is None and below is not None else None
-    sieve = None if floor is None and below is None else _Floor(floor, a.shape[0], below, exact)
+    sieve = None if floor is None else _Floor(floor)
     select = None
     if sieve is not None and not v.shape[0]:
         def select(steps, cols, lo, hi):
@@ -775,14 +729,6 @@ def expm_norms(a, t, v, floor=None, below=None, out=None, factor=None):
         # the advanced indices go first: (T, q, P) on the closed-form route
         norms[steps, at], vnorms[steps, :, at] = _run_norms(f, angle, v[:, cols], sieve,
                                                             steps, cols)
-    if exact is not None:
-        # a block that fell below after runs that kept bounds there
-        late = np.flatnonzero(sieve.known & ~exact.all(axis=0))
-        for b in late[:, None]:
-            rest = ~exact[:, b[0]]
-            norms[rest, ids[b[0]]] = expm_norms(
-                a[b], t[rest], v[:0, b], factor=None if factor is None else factor.take(b)
-            )[0][:, 0]
     return norms, vnorms
 
 

@@ -345,7 +345,7 @@ def trajectory(family, times):
     return [sample_at(family, t) for t in _time_points(times)]
 
 
-def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=None):
+def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None):
     """(norms, probe_norms) on the grid `times`: norms[k, c] = ||e^{t_k A(s_c)}||
     on the active block and probe_norms[k, j] = ||e^{t_k A} f_j||_p for the
     probe f_j restricted to the active blocks. Each active-dimension group
@@ -365,22 +365,17 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=N
     maximum over the computed cells per time or over the whole grid: that
     maximum, and the floor after the call, are bit for bit those of the
     exact norms, and an entry that cannot reach it holds an upper bound
-    instead. With a threshold `below` (a float, or one per cell, where 0
-    asks nothing of a cell), with or without `floor`, whether a cell has a
-    norm below its threshold is also read exactly from the returned norms,
-    and without `floor` every norm of a cell that has one (see
-    linalg.expm_norms).
+    instead.
 
     A probe-free call with `floor` computes less. Every norm at t = 0 is
     1.0, e^{0A} = I exactly on every route, and none is computed there. A
     closed-form cell with Re lambda < 0 whose certified bound
-    (linalg.closed_form_bounds) stays below the floor at every time, and
-    below its threshold at some t > 0 when it has one, is skipped: its
-    column holds the bound, and its group is factored only when a pass
-    visits it (the bound of a cell with Re lambda >= 0 is at least 1, so
-    it takes the kernel). With a (1,) floor the pass visits first the group
-    of the closed-form cell of largest bound, then screens the others
-    against the floor it left. Within a group the kernel forms an
+    (linalg.closed_form_bounds) stays below the floor at every time is
+    skipped: its column holds the bound, and its group is factored only
+    when a pass visits it (the bound of a cell with Re lambda >= 0 is at
+    least 1, so it takes the kernel). With a (1,) floor the pass visits
+    first the group of the closed-form cell of largest bound, then screens
+    the others against the floor it left. Within a group the kernel forms an
     eigenbasis cell's e^{tA} only at the times where its certified bound
     (eigenbasis.eigenbasis_bounds) can reach the floor, the pairs of largest
     bound first (linalg.expm_norms); the others hold the bound.
@@ -402,8 +397,6 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=N
             raise DomainError(f"probe {j} has zero norm on the active blocks")
     norms = np.zeros((times.size, space.n_cells))
     cell_norms = np.zeros((times.size, len(probes), space.n_cells))
-    if below is not None:
-        below = np.broadcast_to(np.asarray(below, dtype=float), (space.n_cells,))
     visits = list(family._visits(cells))
     screen = floor is not None and not probes and bool(visits)
     start = 0
@@ -435,8 +428,6 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=N
         if screen:
             bound = norms[start:count, ids]
             low = (bound < (floor[0] if floor.size == 1 else floor[start:count, None])).all(axis=0)
-            if below is not None:
-                low &= (bound < below[ids]).any(axis=0) | (below[ids] <= 0.0)
             sub, ids = sub[~low], ids[~low]
             if start == count or not sub.size:
                 continue
@@ -444,7 +435,6 @@ def orbit_norms(family, times, probes=(), p=2.0, cells=None, floor=None, below=N
             linalg.expm_norms(
                 blocks[sub], times[start:count], vectors[:, ids, : blocks.shape[-1]],
                 floor=floor if floor is None or floor.size == 1 else floor[start:count],
-                below=None if below is None else below[ids],
                 out=(norms[start:count], cell_norms[start:count], ids),
                 factor=family.factor(group).take(sub),
             )

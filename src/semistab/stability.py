@@ -52,6 +52,9 @@ DECAY_CROSSCHECK = 1e-3
 #: the uniform cross-check doubles its horizon at most this many times.
 MAX_EXTENSIONS = 6
 
+#: a grid norm below this reads as a contraction (certify_bounded).
+CONTRACTION = 1.0 - linalg.RADIUS_ROUNDOFF
+
 
 def classify_uniform(family, t0, margin, *, grid_points=48):
     """Uniform stability via the pointwise spectral bounds at time t0.
@@ -74,23 +77,16 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
 
     The lead cell, the first positive-weight cell whose spectral bound
     attains s*, bounds the ess-sup norm from below.  So every horizon but
-    the last allowed one first reads the lead cell's norms alone against
-    DECAY_CROSSCHECK, from certified brackets (an exact norm only where a
-    bracket straddles it): when they stay at or above it at every t > 0,
-    the ess-sup cannot have decayed either, and the horizon doubles
-    without computing any other cell.  Otherwise, and always on the last
-    allowed horizon, every positive-weight cell is computed on the grid;
-    before the last one the lead pass (semigroup.orbit_norms with a
-    threshold and no floor) has already solved the lead's norms exactly
-    once one fell below, and they seed the per-time floor of
-    semigroup.orbit_norms for the others, which skips a closed-form cell
-    whose certified bound stays below the floor, forms an eigenbasis
-    cell's e^{tA} only where its certified bound can reach the floor,
-    computes a norm exactly only where it can reach the ess-sup, and
-    leaves the ess-sup as the floor after the call.  Verdict and numbers
-    are the same as with the full grid on every horizon; a numerical
-    failure in a cell other than the lead can surface at a later horizon
-    than it would there.
+    the last allowed one first computes the lead cell's exact norms alone:
+    when they stay at or above DECAY_CROSSCHECK at every t > 0, the ess-sup
+    cannot have decayed either, and the horizon doubles without computing
+    any other cell.  Otherwise they seed the per-time floor of
+    semigroup.orbit_norms for the others (on the last allowed horizon,
+    every positive-weight cell takes the floor pass), which computes a
+    norm exactly only where it can reach the ess-sup and leaves the
+    ess-sup as the floor after the call.  Verdict and numbers are the same
+    as with the full grid on every horizon; a numerical failure in a cell
+    other than the lead can surface at a later horizon than it would there.
     """
     if t0 <= 0:
         raise DomainError("reference time t0 must be positive")
@@ -117,13 +113,9 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
         later = times > 0
         cells, ess_norms = positive, np.zeros(times.size)
         if attempt < MAX_EXTENSIONS:
-            lead_norms = semigroup.orbit_norms(
-                family, times, cells=[lead], below=DECAY_CROSSCHECK
-            )[0][:, lead]
+            lead_norms = semigroup.orbit_norms(family, times, cells=[lead])[0][:, lead]
             if lead_norms[later].min() >= DECAY_CROSSCHECK:
                 continue
-            # the lead falls below, so its norms are exact: they seed the
-            # per-time floor of the others
             cells, ess_norms = positive[positive != lead], lead_norms
         semigroup.orbit_norms(family, times, cells=cells, floor=ess_norms)
         floor = float(ess_norms[later].min())
@@ -153,16 +145,12 @@ def classify_uniform(family, t0, margin, *, grid_points=48):
 
 
 class BoundednessCertificate(NamedTuple):
-    """A boundedness verdict with the norms it was read from: `norms[k, c]` is
-    ||e^{times[k] A(s_c)}|| where it can reach `bound` or decides whether a
-    cell the spectral certificate flags contracts, and an upper bound below
-    `bound` elsewhere."""
+    """A boundedness verdict, with `bound` the largest grid norm on `times`."""
 
     certified: bool
     bound: float
     witnesses: tuple
     times: np.ndarray
-    norms: np.ndarray
 
 
 def certify_bounded(family, times, *, re_tol=1e-9, match_tol=1e-6):
@@ -178,27 +166,31 @@ def certify_bounded(family, times, *, re_tol=1e-9, match_tol=1e-6):
 
     The spectral certificate runs first, on every positive-weight cell
     (semigroup.boundary_faults); only the cells it flags ask whether a grid
-    norm falls below linalg.CONTRACTION, and a flagged cell that contracts
-    is certified after all.  The norms are read for the bound and those
-    flags alone, so semigroup.orbit_norms keeps one floor for the whole
-    grid: `norms` is exact only where an entry can reach the bound or
-    decides a flagged cell's contraction, and an upper bound elsewhere.
+    norm falls below CONTRACTION, and a flagged cell that contracts is
+    certified after all.  The bound takes one semigroup.orbit_norms pass
+    with a (1,) floor, whose entries are exact norms or upper bounds: one
+    below CONTRACTION shows a contraction.  Only the flagged cells it does
+    not show to contract are then computed exactly.
     """
     times = np.asarray(times, dtype=float)
     # Re(lambda) is the signed distance to the imaginary axis
     faults = semigroup.boundary_faults(
         family, family.space.positive_cells(), np.real, re_tol, match_tol
     )
-    below = np.zeros(family.space.n_cells)
-    below[[cell for cell, _, _ in faults]] = linalg.CONTRACTION
     floor = np.zeros(1)
-    norms, _ = semigroup.orbit_norms(family, times, floor=floor, below=below)
-    contracting = (norms[times > 0] < linalg.CONTRACTION).any(axis=0)
+    later = times > 0
+    contracting = (semigroup.orbit_norms(family, times, floor=floor)[0][later]
+                   < CONTRACTION).any(axis=0)
+    undecided = [cell for cell, _, _ in faults if not contracting[cell]]
+    if undecided:
+        # the floor pass found every e^{tA} finite, so this one cannot fail
+        norms = semigroup.orbit_norms(family, times, cells=undecided)[0]
+        contracting[undecided] = (norms[later][:, undecided] < CONTRACTION).any(axis=0)
     kinds = {True: "positive-spectral-bound", False: "defective-imaginary-eigenvalue"}
     witnesses = tuple(
         Witness(c, value, kinds[crosses]) for c, value, crosses in faults if not contracting[c]
     )
-    return BoundednessCertificate(not witnesses, float(floor[0]), witnesses, times, norms)
+    return BoundednessCertificate(not witnesses, float(floor[0]), witnesses, times)
 
 
 def spectral_bound_verdict(family, re_tol=1e-9):

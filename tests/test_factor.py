@@ -224,17 +224,29 @@ class TestOneFactorPerFamily:
             with pytest.raises(ValueError):
                 fam.factors[0].closed[0] = False
 
-    def test_rejected_horizon_solves_no_lead_norm(self, monkeypatch):
-        # the 40 x 40 lead keeps every bracket above DECAY_CROSSCHECK on the
-        # first horizon, 6400: its only exact norms are the 16 that seed the
-        # full pass at 12800 (the parent also solved 16 on the first horizon)
-        solves = []
-        real = linalg._top
+    def test_rejected_horizon_computes_the_lead_alone(self, monkeypatch):
+        # the 40 x 40 lead's norms stay above DECAY_CROSSCHECK on the first
+        # horizon, 6400: only the lead is computed there, so no other group
+        # is factored, and its 16 exact norms at 12800 seed the full pass
+        family = zabczyk_family(40)
+        solves, passes = [], []
+        real_top, real_orbit = linalg._top, semigroup.orbit_norms
         monkeypatch.setattr(linalg, "_top", lambda gram, e: solves.append(gram.shape)
-                            or real(gram, e))
-        result = classify_uniform(zabczyk_family(40), 1.0, 1e-6, grid_points=16)
+                            or real_top(gram, e))
+
+        def spied(fam, times, *args, **kwargs):
+            passes.append((float(times[-1]), kwargs.get("cells"), sorted(fam.factors)))
+            return real_orbit(fam, times, *args, **kwargs)
+
+        monkeypatch.setattr(semigroup, "orbit_norms", spied)
+        result = classify_uniform(family, 1.0, 1e-6, grid_points=16)
         assert result.tolerances["crosscheck_horizon"] == pytest.approx(12800.0)
-        assert sum(s[0] for s in solves if s[-1] == 40) == 16
+        # the lead at 6400, the lead at 12800, the other cells at 12800
+        assert [h for h, _, _ in passes] == pytest.approx([6400.0, 12800.0, 12800.0])
+        assert [list(cells) for _, cells, _ in passes] == [[39], [39], list(range(39))]
+        # when the second horizon starts, only the lead's group is factored
+        assert passes[1][2] == [39]
+        assert sum(int(np.prod(s[:-2])) for s in solves if s[-1] == 40) == 16 + 16
 
 
 class TestFactorFailure:

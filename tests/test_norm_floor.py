@@ -1,9 +1,8 @@
 """The norm floor: every norm kernel brackets each 2-norm, lo <= ||F|| <= hi,
 and computes the exact norm2 only where the bracket can reach the supremum
-its caller reads (per time, or over the whole grid) or decide whether a
-block contracts. The filtered results must give the exhaustive per-time
-ess-sup, overall maximum and contraction flags bit for bit, and every upper
-bound kept in place of a norm must be at least that norm."""
+its caller reads (per time, or over the whole grid). The filtered results
+must give the exhaustive per-time ess-sup and overall maximum bit for bit,
+and every upper bound kept in place of a norm must be at least that norm."""
 
 import json
 import math
@@ -18,10 +17,11 @@ from hypothesis import strategies as st
 
 from semistab import cli, discrete, eigenbasis, linalg, semigroup
 from semistab.discrete import power_schedule
-from semistab.linalg import CONTRACTION, expm_norms, norm2
+from semistab.linalg import expm_norms, norm2
 from semistab.measure import ATOMIC, DiscretizedMeasureSpace
 from semistab.cases import random_hurwitz_family, zabczyk_family
 from semistab.semigroup import PointwiseFamily, orbit_norms, random_probes, time_grid
+from semistab.stability import CONTRACTION
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import make_config  # noqa: E402
@@ -31,8 +31,7 @@ CHECKS = settings(max_examples=40, deadline=None, derandomize=True, database=Non
 ROUTES = ("closed", "eigen", "pade")
 
 #: special blocks mixed into a stack: ties, norms exactly 1, tiny entries,
-#: and a slow contraction whose norms dip below CONTRACTION while its
-#: brackets straddle it
+#: and a slow contraction whose norms dip just below 1
 SPECIALS = st.lists(st.sampled_from(["duplicate", "unitary", "zero", "tiny", "slow"]),
                     max_size=4)
 
@@ -75,7 +74,7 @@ def generator_stack(seed, k, route, specials):
     return stack
 
 
-def check_filtered(exact, got, floor, times, contract):
+def check_filtered(exact, got, floor, times):
     """The filtered norms `got` and final `floor` against the exhaustive
     norms `exact` of the same (T, m) pairs."""
     # every kept upper bound is at least the exact norm; exact ones are equal
@@ -86,11 +85,6 @@ def check_filtered(exact, got, floor, times, contract):
     else:
         assert bits(floor[0]) == bits(exact.max())
         assert bits(got.max()) == bits(exact.max())
-    if contract:
-        later = times > 0
-        np.testing.assert_array_equal(
-            (got[later] < CONTRACTION).any(axis=0), (exact[later] < CONTRACTION).any(axis=0)
-        )
 
 
 class TestGramBracket:
@@ -129,10 +123,10 @@ class TestGramBracket:
 class TestExpmNormsFloor:
     @CHECKS
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), route=st.sampled_from(ROUTES),
-           specials=SPECIALS, per_time=st.booleans(), contract=st.booleans(),
-           probes=st.sampled_from([0, 2]), tiny_chunks=st.booleans())
+           specials=SPECIALS, per_time=st.booleans(), probes=st.sampled_from([0, 2]),
+           tiny_chunks=st.booleans())
     def test_filtered_norms_give_the_exhaustive_suprema(
-        self, seed, k, route, specials, per_time, contract, probes, tiny_chunks
+        self, seed, k, route, specials, per_time, probes, tiny_chunks
     ):
         a = generator_stack(seed, k, route, specials)
         rng = np.random.default_rng(seed + 1)
@@ -143,9 +137,8 @@ class TestExpmNormsFloor:
         with mock.patch.object(linalg, "STACK_BYTES", 1 if tiny_chunks else linalg.STACK_BYTES):
             exact, exact_v = expm_norms(a, times, v)
             floor = np.zeros(times.size if per_time else 1)
-            got, got_v = expm_norms(a, times, v, floor=floor,
-                                     below=CONTRACTION if contract else None)
-        check_filtered(exact, got, floor, times, contract)
+            got, got_v = expm_norms(a, times, v, floor=floor)
+        check_filtered(exact, got, floor, times)
         # the probe norms never depend on the floor
         np.testing.assert_array_equal(bits(got_v), bits(exact_v))
 
@@ -183,7 +176,6 @@ class TestExpmNormsFloor:
         assert (got >= exact[:, 1:]).all()
         np.testing.assert_array_equal(bits(floor), bits(exact.max(axis=1)))
 
-
     @CHECKS
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), route=st.sampled_from(ROUTES),
            specials=SPECIALS, probes=st.sampled_from([0, 2]), tiny_chunks=st.booleans(),
@@ -191,8 +183,9 @@ class TestExpmNormsFloor:
     def test_a_settled_block_reads_every_norm_exactly(
         self, seed, k, route, specials, probes, tiny_chunks, level
     ):
-        # the uniform lead pass: brackets until a block falls below, then
-        # every norm of that block exact, in whichever run it fell below
+        # the uniform lead pass: one block alone, with no floor, reads every
+        # norm exactly, so whether it falls below a level is read from its
+        # exact norms, whatever the chunks
         a = generator_stack(seed, k, route, specials)
         rng = np.random.default_rng(seed + 1)
         times = time_grid(float(rng.uniform(1.0, 40.0)), int(rng.integers(3, 12)))
@@ -200,15 +193,13 @@ class TestExpmNormsFloor:
             (probes, len(a), k))
         exact, exact_v = expm_norms(a, times, v)
         below = float(np.quantile(exact[times > 0], level))
-        # one (time, block) pair per run: a block can fall below after runs
-        # that kept only bounds
+        lead = int(rng.integers(len(a)))
+        # one (time, block) pair per run, or the default chunks
         with mock.patch.object(linalg, "STACK_BYTES", 1 if tiny_chunks else linalg.STACK_BYTES):
-            got, got_v = expm_norms(a, times, v, below=below)
-        falls = (exact[times > 0] < below).any(axis=0)
-        assert (got >= exact).all()
-        np.testing.assert_array_equal(bits(got[:, falls]), bits(exact[:, falls]))
-        np.testing.assert_array_equal((got[times > 0] < below).any(axis=0), falls)
-        np.testing.assert_array_equal(bits(got_v), bits(exact_v))
+            got, got_v = expm_norms(a[lead:lead + 1], times, v[:, lead:lead + 1])
+        np.testing.assert_array_equal(bits(got[:, 0]), bits(exact[:, lead]))
+        np.testing.assert_array_equal(bits(got_v[..., 0]), bits(exact_v[..., lead]))
+        assert (got[times > 0, 0] < below).any() == (exact[times > 0, lead] < below).any()
 
 
 def test_a_cancelling_probe_product_keeps_its_norm():
@@ -244,9 +235,9 @@ class TestOrbitNormsFloor:
         probes = random_probes(family, 2, seed=seed % 1000)
         exact, exact_probes = orbit_norms(family, times, probes)
         floor = np.zeros(times.size if per_time else 1)
-        got, got_probes = orbit_norms(family, times, probes, floor=floor, below=CONTRACTION)
+        got, got_probes = orbit_norms(family, times, probes, floor=floor)
         positive = space.positive_cells()
-        check_filtered(exact[:, positive], got[:, positive], floor, times, True)
+        check_filtered(exact[:, positive], got[:, positive], floor, times)
         np.testing.assert_array_equal(got[:, weights == 0], 0.0)
         np.testing.assert_array_equal(bits(got_probes), bits(exact_probes))
 
@@ -344,11 +335,8 @@ class TestClosedFormScreen:
     @CHECKS
     @given(seed=st.integers(0, 2**32 - 1),
            family_kind=st.sampled_from(["zabczyk", "mixed", "hurwitz"]),
-           per_time=st.booleans(), below=st.sampled_from([None, "all", "some"]),
-           subset=st.booleans(), seeded=st.booleans())
-    def test_floor_passes_keep_the_exact_suprema(
-        self, seed, family_kind, per_time, below, subset, seeded
-    ):
+           per_time=st.booleans(), subset=st.booleans(), seeded=st.booleans())
+    def test_floor_passes_keep_the_exact_suprema(self, seed, family_kind, per_time, subset, seeded):
         # Zabczyk (closed form), mixed routes, and dense random-Hurwitz
         # stacks on the eigenbasis route (eigenbasis_bounds)
         rng = np.random.default_rng(seed)
@@ -375,8 +363,6 @@ class TestClosedFormScreen:
         cells = np.arange(n)
         if subset:
             cells = np.flatnonzero(rng.random(n) < 0.6)
-        thresholds = {None: None, "all": CONTRACTION,
-                      "some": np.where(rng.random(n) < 0.5, CONTRACTION, 0.0)}[below]
         exact = orbit_norms(family, times)[0]
         chosen = np.intersect1d(cells, family.space.positive_cells())
         rest = chosen
@@ -386,23 +372,19 @@ class TestClosedFormScreen:
             floor = exact[:, chosen[0]].copy() if per_time else exact[:, chosen[:1]].max(
                 keepdims=True)[0]
             rest = chosen[1:]
-        got = orbit_norms(family, times, cells=rest, floor=floor, below=thresholds)[0]
+        got = orbit_norms(family, times, cells=rest, floor=floor)[0]
         assert (got[:, rest] >= exact[:, rest]).all()
         others = np.setdiff1d(np.arange(n), rest)
         np.testing.assert_array_equal(got[:, others], 0.0)
         if chosen.size:
             want = exact[:, chosen].max(axis=1) if per_time else exact[:, chosen].max()
             np.testing.assert_array_equal(bits(floor), bits(np.reshape(want, floor.shape)))
-        if thresholds is not None:
-            asked = rest[np.broadcast_to(thresholds, (n,))[rest] > 0]
-            later = times > 0
-            np.testing.assert_array_equal((got[later][:, asked] < CONTRACTION).any(axis=0),
-                                          (exact[later][:, asked] < CONTRACTION).any(axis=0))
 
     def test_an_undecided_contraction_is_not_skipped(self):
         # cell 1, [[-a, 10], [0, -a]] at t = 1: norm 0.959 < 1 < U = 1.045,
-        # both below the floor e^1 of cell 0. Skipped, it would keep U and
-        # read as no contraction; asked whether it contracts, it is computed
+        # both below the floor e^1 of cell 0. The floor pass skips it, so it
+        # keeps U and does not show the contraction; the exact pass that
+        # certify_bounded runs on such a cell, when flagged, shows it
         a = -math.log(0.095)
         mats = np.zeros((2, 2, 2), dtype=complex)
         mats[0, 0, 0] = 1.0
@@ -413,14 +395,12 @@ class TestClosedFormScreen:
         bounds = linalg.closed_form_bounds(family._envelope, times)
         exact = orbit_norms(family, times)[0]
         assert exact[1, 1] < CONTRACTION < bounds[1, 1] < exact[1, 0]
-        for below in (CONTRACTION, np.array([0.0, CONTRACTION])):
-            floor = np.zeros(1)
-            got = orbit_norms(family, times, floor=floor, below=below)[0]
-            assert got[1, 1] < CONTRACTION
-            assert bits(floor[0]) == bits(exact.max())
-        # not asked, it is skipped and keeps its bound
-        got = orbit_norms(family, times, floor=np.zeros(1), below=np.array([CONTRACTION, 0.0]))[0]
+        floor = np.zeros(1)
+        got = orbit_norms(family, times, floor=floor)[0]
         assert bits(got[1, 1]) == bits(bounds[1, 1])
+        assert bits(floor[0]) == bits(exact.max())
+        got = orbit_norms(family, times, cells=[1])[0]
+        assert bits(got[1, 1]) == bits(exact[1, 1])
 
     def test_a_single_floor_visits_the_largest_bound_first(self):
         # Zabczyk 12 with a (1,) floor: the 12 x 12 cell, whose bound is the
@@ -583,9 +563,9 @@ def stage_log(monkeypatch):
 
 @pytest.mark.parametrize("workload, want", [("zab40", 152), ("rh64", 6017)])
 def test_analyze_examines_the_lead_once_per_horizon(tmp_path, monkeypatch, workload, want):
-    # the uniform lead pass solves the lead's norms exactly once one falls
-    # below, so the full pass takes only the other cells: 16 (zab40) and 48
-    # (rh64) fewer (time, cell) pairs than a second, exact lead pass. The
+    # the uniform lead pass computes the lead's norms exactly, so the full
+    # pass takes only the other cells: 16 (zab40) and 48 (rh64) fewer
+    # (time, cell) pairs than a second pass over the lead. The
     # floor passes settle t = 0 without the kernel (rh64: 48 + 63 x 47 +
     # 64 x 47 pairs), and zab40's skip the cells whose certified bound stays
     # below the floor (1,296 pairs without the screen and the t = 0 rule).

@@ -297,6 +297,25 @@ class TestCertifyBounded:
         assert not cert.certified
         assert any(w.kind == "defective-imaginary-eigenvalue" for w in cert.witnesses)
 
+    def test_a_flagged_cell_the_floor_pass_skips_is_computed(self):
+        # cell 1, a defective pair at -7e-5, is flagged with re_tol = 1e-4.
+        # The floor pass keeps upper bounds of at least 1.189 there, below
+        # the floor of cell 0's hump; its exact norms fall to 0.996, so the
+        # follow-up pass shows the contraction that certifies it
+        family = family_from_matrices([[[-1.0, 50.0], [0.0, -1.0]],
+                                       [[-7e-5, 1e-4], [0.0, -7e-5]]])
+        times = time_grid(200.0, 48)
+        later = times > 0
+        faults = semigroup.boundary_faults(family, [0, 1], np.real, 1e-4, 1e-6)
+        assert [cell for cell, _, _ in faults] == [1]
+        floor = np.zeros(1)
+        bounds = semigroup.orbit_norms(family, times, floor=floor)[0][later, 1]
+        exact = norm_curves(family, times)[later, 1]
+        assert bounds.min() >= 1.189 and exact.min() < stability.CONTRACTION
+        cert = certify_bounded(family, times, re_tol=1e-4)
+        assert cert.certified and cert.witnesses == ()
+        assert cert.bound == floor[0]
+
     def test_close_semisimple_pair_is_certified(self):
         # two distinct eigenvalues inside one match_tol ball are not a Jordan block
         pair = np.diag([1j, (1 + 5e-7) * 1j])[None]
